@@ -13,6 +13,7 @@ explicit command-line flags win over the config file.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -42,10 +43,6 @@ SCHEMA = 1
 # plumbing
 # ---------------------------------------------------------------------------
 
-class DomainError(Exception):
-    """Input was readable but the computation rejected it (exit 1)."""
-
-
 def _fail_config(messages) -> None:
     for m in messages:
         click.echo(f"config error: {m}", err=True)
@@ -62,12 +59,7 @@ def _merge_config(ctx: click.Context, values: dict) -> dict:
     path = values.pop("config", None)
     if path is None:
         return values
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as e:
-        _fail_config([f"cannot read config {path}: {e}"])
-    except json.JSONDecodeError as e:
-        _fail_config([f"config {path} is not valid JSON: {e}"])
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         _fail_config([f"config {path} must hold a JSON object"])
     errors = []
@@ -185,7 +177,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -223,13 +215,25 @@ _seed_opt = click.option("--seed", type=int, default=0, show_default=True,
                          help="Seed for every randomized choice.")
 
 
+def _command(name: str | None = None):
+    """Register a subcommand with ``--config`` and ``--seed`` in front.
+
+    The body receives one dict keyed by click's parameter names, with the
+    config file merged under the flags given on the command line.
+    """
+    def register(fn):
+        @functools.wraps(fn)
+        def callback(**params):
+            fn(_merge_config(click.get_current_context(), params))
+        return main.command(name)(_config_opt(_seed_opt(callback)))
+    return register
+
+
 # ---------------------------------------------------------------------------
 # steiner
 # ---------------------------------------------------------------------------
 
-@main.command()
-@_config_opt
-@_seed_opt
+@_command()
 @click.option("--instance", type=click.Path(), required=True,
               help="Instance JSON {terminals: [{pos, charge}], objective, beta}.")
 @click.option("--functional", type=click.Choice(["size", "mass", "m_beta"]),
@@ -237,14 +241,10 @@ _seed_opt = click.option("--seed", type=int, default=0, show_default=True,
 @click.option("--beta", type=float, default=None, help="Exponent for m_beta.")
 @click.option("--out", type=click.Path(), default=None,
               help="Solution JSON path.")
-@click.option("--csv", "csv_path", type=click.Path(), default=None,
+@click.option("--csv", type=click.Path(), default=None,
               help="Optional CSV polyline export of the optimal net.")
-def steiner(config, seed, instance, functional, beta, out, csv_path):
+def steiner(vals):
     """Optimal Steiner/charge-flow net over an instance's terminals."""
-    ctx = click.get_current_context()
-    vals = _merge_config(ctx, dict(config=config, seed=seed, instance=instance,
-                                   functional=functional, beta=beta, out=out,
-                                   csv=csv_path))
     spec = _read_json(vals["instance"], "instance")
     raw_terms = spec.get("terminals")
     if not isinstance(raw_terms, list) or len(raw_terms) < 2:
@@ -305,12 +305,10 @@ def steiner(config, seed, instance, functional, beta, out, csv_path):
 # ff-project
 # ---------------------------------------------------------------------------
 
-@main.command("ff-project")
-@_config_opt
-@_seed_opt
-@click.option("--grid", "grid_path", type=click.Path(), required=True,
+@_command("ff-project")
+@click.option("--grid", type=click.Path(), required=True,
               help="Grid spec JSON {corner, size, N, identifications?}.")
-@click.option("--mesh", "mesh_path", type=click.Path(), required=True)
+@click.option("--mesh", type=click.Path(), required=True)
 @click.option("--strategy", type=click.Choice(["far", "chebyshev"]),
               default="chebyshev", show_default=True)
 @click.option("--trials", type=int, default=32, show_default=True)
@@ -319,16 +317,10 @@ def steiner(config, seed, instance, functional, beta, out, csv_path):
 @click.option("--collapse", is_flag=True, default=False,
               help="Attempt the final collapse onto the (d-1)-skeleton.")
 @click.option("--out", type=click.Path(), default=None, help="Projected mesh path.")
-@click.option("--report", "report_path", type=click.Path(), default=None,
+@click.option("--report", type=click.Path(), default=None,
               help="Projection report JSON path.")
-def ff_project(config, seed, grid_path, mesh_path, strategy, trials, eta,
-               collapse, out, report_path):
+def ff_project(vals):
     """Push mesh content onto the grid's d-skeleton with measure ledgers."""
-    ctx = click.get_current_context()
-    vals = _merge_config(ctx, dict(config=config, seed=seed, grid=grid_path,
-                                   mesh=mesh_path, strategy=strategy,
-                                   trials=trials, eta=eta, collapse=collapse,
-                                   out=out, report=report_path))
     grid, manifold = _load_grid(vals["grid"])
     mesh = _read_mesh(vals["mesh"])
     eta_val = None
@@ -405,26 +397,17 @@ def _build_context(vals) -> SlidingContext | None:
         _fail_config([str(e)])
 
 
-@main.command()
-@_config_opt
-@_seed_opt
-@click.option("--mesh", "mesh_path", type=click.Path(), required=True)
+@_command()
+@click.option("--mesh", type=click.Path(), required=True)
 @click.option("--center", required=True, help="Ball center (comma list).")
 @click.option("--radii", required=True, help="Radius ladder (comma list).")
-@click.option("--gauge", "gauge_path", type=click.Path(), default=None,
+@click.option("--gauge", type=click.Path(), default=None,
               help="Gauge JSON {scale, exponent, cutoff}.")
 @_context_options
 @click.option("--out", type=click.Path(), default=None,
               help="CSV profile path (r,theta,adjusted,F,err).")
-def density(config, seed, mesh_path, center, radii, gauge_path,
-            line_base, line_direction, shade_direction, out):
+def density(vals):
     """Density profile over a radius ladder, optionally gauge-adjusted."""
-    ctx = click.get_current_context()
-    vals = _merge_config(ctx, dict(config=config, seed=seed, mesh=mesh_path,
-                                   center=center, radii=radii, gauge=gauge_path,
-                                   line_base=line_base,
-                                   line_direction=line_direction,
-                                   shade_direction=shade_direction, out=out))
     mesh = _read_mesh(vals["mesh"])
     c = _vector(vals["center"], "center")
     rs = _floats(vals["radii"], "radii")
@@ -456,10 +439,8 @@ def density(config, seed, mesh_path, center, radii, gauge_path,
                       "sliding": slid is not None})
 
 
-@main.command()
-@_config_opt
-@_seed_opt
-@click.option("--mesh", "mesh_path", type=click.Path(), required=True)
+@_command()
+@click.option("--mesh", type=click.Path(), required=True)
 @click.option("--center", required=True)
 @click.option("--radius", type=float, required=True)
 @click.option("--rotations", type=int, default=512, show_default=True)
@@ -467,16 +448,8 @@ def density(config, seed, mesh_path, center, radii, gauge_path,
 @_context_options
 @click.option("--out", type=click.Path(), default=None,
               help="Classification report JSON path.")
-def classify(config, seed, mesh_path, center, radius, rotations, depth,
-             line_base, line_direction, shade_direction, out):
+def classify(vals):
     """Match the ball around a point against the cone catalog."""
-    ctx = click.get_current_context()
-    vals = _merge_config(ctx, dict(config=config, seed=seed, mesh=mesh_path,
-                                   center=center, radius=radius,
-                                   rotations=rotations, depth=depth,
-                                   line_base=line_base,
-                                   line_direction=line_direction,
-                                   shade_direction=shade_direction, out=out))
     mesh = _read_mesh(vals["mesh"])
     context = _build_context(vals)
     try:
@@ -497,19 +470,14 @@ def classify(config, seed, mesh_path, center, radius, rotations, depth,
                       "residual": (best or {}).get("residual")})
 
 
-@main.command("cone-check")
-@_config_opt
-@_seed_opt
-@click.option("--mesh", "mesh_path", type=click.Path(), required=True)
+@_command("cone-check")
+@click.option("--mesh", type=click.Path(), required=True)
 @click.option("--center", required=True)
 @click.option("--radius", type=float, required=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def cone_check(config, seed, mesh_path, center, radius, tol, out):
+def cone_check(vals):
     """Ball-versus-sphere-slice identity residual at one point."""
-    ctx = click.get_current_context()
-    vals = _merge_config(ctx, dict(config=config, seed=seed, mesh=mesh_path,
-                                   center=center, radius=radius, tol=tol, out=out))
     mesh = _read_mesh(vals["mesh"])
     try:
         rep = cone_slice_check(mesh, _vector(vals["center"], "center"),
@@ -522,23 +490,17 @@ def cone_check(config, seed, mesh_path, center, radius, tol, out):
     _emit(artifacts, {"subcommand": "cone-check", "seed": vals["seed"], **rep})
 
 
-@main.command()
-@_config_opt
-@_seed_opt
-@click.option("--mesh", "mesh_path", type=click.Path(), required=True)
+@_command()
+@click.option("--mesh", type=click.Path(), required=True)
 @click.option("--center", required=True)
 @click.option("--radius", type=float, required=True)
 @click.option("--clip/--no-clip", default=True, show_default=True,
               help="Restrict to the unit ball after rescaling.")
 @click.option("--out", type=click.Path(), required=True,
               help="Rescaled mesh path.")
-def blowup(config, seed, mesh_path, center, radius, clip, out):
+def blowup(vals):
     """Recenter and rescale a ball to unit size (one blow-up step)."""
     from . import diagnostics
-    ctx = click.get_current_context()
-    vals = _merge_config(ctx, dict(config=config, seed=seed, mesh=mesh_path,
-                                   center=center, radius=radius, clip=clip,
-                                   out=out))
     mesh = _read_mesh(vals["mesh"])
     try:
         small = diagnostics.blowup(mesh, _vector(vals["center"], "center"),
@@ -555,9 +517,7 @@ def blowup(config, seed, mesh_path, center, radius, clip, out):
 # hausdorff / minimize / douglas
 # ---------------------------------------------------------------------------
 
-@main.command()
-@_config_opt
-@_seed_opt
+@_command()
 @click.option("--mesh-a", type=click.Path(), required=True)
 @click.option("--mesh-b", type=click.Path(), required=True)
 @click.option("--center", required=True)
@@ -565,12 +525,8 @@ def blowup(config, seed, mesh_path, center, radius, clip, out):
 @click.option("--spacing", type=float, default=None,
               help="Sample pitch; default radius/64.")
 @click.option("--out", type=click.Path(), default=None)
-def hausdorff(config, seed, mesh_a, mesh_b, center, radius, spacing, out):
+def hausdorff(vals):
     """Normalized two-sided local gap between two meshes on a ball."""
-    ctx = click.get_current_context()
-    vals = _merge_config(ctx, dict(config=config, seed=seed, mesh_a=mesh_a,
-                                   mesh_b=mesh_b, center=center, radius=radius,
-                                   spacing=spacing, out=out))
     ma = _read_mesh(vals["mesh_a"])
     mb = _read_mesh(vals["mesh_b"])
     ball = Ball(_vector(vals["center"], "center"), float(vals["radius"]))
@@ -587,12 +543,10 @@ def hausdorff(config, seed, mesh_a, mesh_b, center, radius, spacing, out):
     _emit(artifacts, {"subcommand": "hausdorff", "seed": vals["seed"], **rep})
 
 
-@main.command()
-@_config_opt
-@_seed_opt
+@_command()
 @click.option("--manifold", default="torus3", show_default=True,
               help="torus<n> for a periodic grid, box<n> for frozen walls.")
-@click.option("--init", "init_path", type=click.Path(), required=True,
+@click.option("--init", type=click.Path(), required=True,
               help="Initial content mesh.")
 @click.option("--levels", default="4,8,16", show_default=True,
               help="Grid subdivision ladder.")
@@ -607,20 +561,12 @@ def hausdorff(config, seed, mesh_a, mesh_b, center, radius, spacing, out):
 @click.option("--audit-trials", type=int, default=1000, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="Final faceset JSON path.")
-@click.option("--report", "report_path", type=click.Path(), default=None,
+@click.option("--report", type=click.Path(), default=None,
               help="Per-level report JSON path.")
 @click.option("--export-prefix", type=click.Path(), default=None,
               help="Write each level's minimizer to PREFIX_N<k>.off.")
-def minimize(config, seed, manifold, init_path, levels, policy, threshold,
-             strategy, size, audit_trials, out, report_path, export_prefix):
+def minimize(vals):
     """Discrete Plateau descent over a ladder of grid refinements."""
-    ctx = click.get_current_context()
-    vals = _merge_config(ctx, dict(config=config, seed=seed, manifold=manifold,
-                                   init=init_path, levels=levels, policy=policy,
-                                   threshold=threshold, strategy=strategy,
-                                   size=size, audit_trials=audit_trials,
-                                   out=out, report=report_path,
-                                   export_prefix=export_prefix))
     mesh = _read_mesh(vals["init"])
     name = str(vals["manifold"])
     periodic = name.startswith("torus")
@@ -684,20 +630,15 @@ def minimize(config, seed, manifold, init_path, levels, policy, threshold,
                       "audit_worst_ratio": last.audit.worst_ratio})
 
 
-@main.command()
-@_config_opt
-@_seed_opt
+@_command()
 @click.option("--samples", type=int, default=256, show_default=True,
               help="Sample count for the generated circle.")
 @click.option("--radius", type=float, default=1.0, show_default=True)
-@click.option("--loop", "loop_path", type=click.Path(), default=None,
+@click.option("--loop", type=click.Path(), default=None,
               help="CSV of loop samples (one point per row) instead.")
 @click.option("--out", type=click.Path(), default=None)
-def douglas(config, seed, samples, radius, loop_path, out):
+def douglas(vals):
     """Boundary-parametrization energy of a loop (circle by default)."""
-    ctx = click.get_current_context()
-    vals = _merge_config(ctx, dict(config=config, seed=seed, samples=samples,
-                                   radius=radius, loop=loop_path, out=out))
     if vals["loop"]:
         try:
             rows = Path(vals["loop"]).read_text().strip().splitlines()

@@ -4,15 +4,12 @@ from .core import (
     Ball,
     EmbeddedMesh,
     Gauge,
-    IntegrandField,
     LineBoundary,
     as_point,
-    integrand_measure,
     mass,
     measure,
     refine,
     simplex_volumes,
-    tangent_basis,
     unit_ball_volume,
 )
 from .clipping import (
@@ -31,14 +28,12 @@ __all__ = [
     "Ball",
     "EmbeddedMesh",
     "Gauge",
-    "IntegrandField",
     "LineBoundary",
     "as_point",
     "circle_samples",
     "clip_to_ball",
     "clipped_measure",
     "douglas_energy",
-    "integrand_measure",
     "local_hausdorff_distance",
     "mass",
     "measure",
@@ -49,7 +44,6 @@ __all__ = [
     "segment_ball_interval",
     "simplex_volumes",
     "sphere_slice_measure",
-    "tangent_basis",
     "triangle_disk_area",
     "triangle_sphere_arclength",
     "unit_ball_volume",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -282,18 +282,6 @@ class EmbeddedMesh:
         return EmbeddedMesh(self.dimension, verts, self.simplices.copy(),
                             self.multiplicities.copy(), allow_degenerate=self.allow_degenerate)
 
-    def merged_with(self, other: "EmbeddedMesh") -> "EmbeddedMesh":
-        if other.dimension != self.dimension or other.ambient_dim != self.ambient_dim:
-            raise ValueError("cannot merge meshes of different dimensions")
-        off = self.vertices.shape[0]
-        return EmbeddedMesh(
-            self.dimension,
-            np.vstack([self.vertices, other.vertices]),
-            np.vstack([self.simplices, other.simplices + off]),
-            np.concatenate([self.multiplicities, other.multiplicities]),
-            allow_degenerate=self.allow_degenerate or other.allow_degenerate,
-        )
-
 
 def simplex_volumes(mesh: EmbeddedMesh) -> np.ndarray:
     """Unsigned d-volume per simplex (Gram determinant; exact for d<=2)."""
@@ -390,158 +378,3 @@ def refine(mesh: EmbeddedMesh, eta: float, max_simplices: int = DEFAULT_REFINE_C
     out = EmbeddedMesh.from_simplex_list(mesh.dimension, chunks, allow_degenerate=mesh.allow_degenerate)
     return EmbeddedMesh(out.dimension, out.vertices, out.simplices,
                         np.array(mults, dtype=np.int64), allow_degenerate=mesh.allow_degenerate)
-
-
-@dataclass(frozen=True)
-class IntegrandField:
-    """Grid-sampled matrix field A(x) with interpolation and conditioning bounds.
-
-    ``axes`` are strictly increasing per-axis sample coordinates; ``values``
-    has shape (len(axes[0]), ..., len(axes[n-1]), n, n).  ``norm_bound`` and
-    ``inv_norm_bound`` bound the operator norms of A and A^{-1} on the sample
-    set (validated at construction).  Evaluation clamps to the sampled box.
-    """
-
-    axes: tuple
-    values: np.ndarray
-    norm_bound: float
-    inv_norm_bound: float
-    interpolation: str = "linear"
-
-    def __post_init__(self):
-        axes = tuple(_freeze(np.asarray(a, dtype=float)) for a in self.axes)
-        n = len(axes)
-        if not (MIN_AMBIENT_DIM <= n <= MAX_AMBIENT_DIM):
-            raise ValueError("field ambient dimension must be in 2..6")
-        for a in axes:
-            if a.ndim != 1 or a.size < 1 or (a.size > 1 and not np.all(np.diff(a) > 0)):
-                raise ValueError("field axes must be strictly increasing 1-d arrays")
-        vals = np.asarray(self.values, dtype=float)
-        expected = tuple(a.size for a in axes) + (n, n)
-        if vals.shape != expected:
-            raise ValueError(f"field values must have shape {expected}, got {vals.shape}")
-        if self.interpolation not in ("linear", "nearest"):
-            raise ValueError("interpolation must be 'linear' or 'nearest'")
-        if not (self.norm_bound > 0 and self.inv_norm_bound > 0):
-            raise ValueError("field bounds must be positive")
-        flat = vals.reshape(-1, n, n)
-        sv = np.linalg.svd(flat, compute_uv=False)
-        tol = 1e-9
-        if np.any(sv[:, 0] > self.norm_bound * (1 + tol)):
-            raise ValueError("field sample exceeds the declared norm bound")
-        if np.any(sv[:, -1] < 1.0 / self.inv_norm_bound / (1 + tol)):
-            raise ValueError("field sample violates the declared inverse-norm bound")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "values", _freeze(vals))
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.axes)
-
-    @classmethod
-    def constant(cls, matrix: np.ndarray, lo, hi) -> "IntegrandField":
-        m = np.asarray(matrix, dtype=float)
-        n = m.shape[0]
-        axes = [np.array([float(lo[j]), float(hi[j])]) for j in range(n)]
-        vals = np.broadcast_to(m, tuple(2 for _ in range(n)) + (n, n)).copy()
-        sv = np.linalg.svd(m, compute_uv=False)
-        return cls(tuple(axes), vals, float(sv[0]) * (1 + 1e-12) + 1e-12,
-                   float(1.0 / sv[-1]) * (1 + 1e-12) + 1e-12)
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = self.ambient_dim
-        if x.shape != (n,):
-            raise ValueError("field argument has wrong dimension")
-        if self.interpolation == "nearest":
-            idx = tuple(int(np.argmin(np.abs(a - x[j]))) for j, a in enumerate(self.axes))
-            return np.array(self.values[idx])
-        # multilinear
-        lows, fracs = [], []
-        for j, a in enumerate(self.axes):
-            if a.size == 1:
-                lows.append(0)
-                fracs.append(0.0)
-                continue
-            t = np.clip(x[j], a[0], a[-1])
-            i = int(np.searchsorted(a, t, side="right") - 1)
-            i = min(max(i, 0), a.size - 2)
-            lows.append(i)
-            fracs.append(float((t - a[i]) / (a[i + 1] - a[i])))
-        out = np.zeros((n, n))
-        for corner in range(2 ** n):
-            w = 1.0
-            idx = []
-            for j in range(n):
-                bit = (corner >> j) & 1
-                if self.axes[j].size == 1:
-                    if bit:
-                        w = 0.0
-                    idx.append(0)
-                    continue
-                w *= fracs[j] if bit else (1.0 - fracs[j])
-                idx.append(lows[j] + bit)
-            if w:
-                out += w * self.values[tuple(idx)]
-        return out
-
-
-def tangent_basis(corners: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (d, n) of the affine span of a nondegenerate simplex."""
-    edges = corners[1:] - corners[0]
-    q, _ = np.linalg.qr(edges.T)
-    return q.T[: edges.shape[0]]
-
-
-def integrand_measure(mesh: EmbeddedMesh,
-                      field: Optional[IntegrandField] = None,
-                      boundary=None,
-                      boundary_weight: float = 1.0,
-                      boundary_tol: float = 1e-9) -> float:
-    """Anisotropic / boundary-weighted variants of the plain measure.
-
-    Field form: each simplex contributes omega_d * J_d(A(x_c)|_T) * vol, where
-    x_c is the barycenter and J_d the d-Jacobian of the sampled matrix
-    restricted to the simplex plane — i.e. the volume of A(x_c)(T cap B(0,1))
-    for the tangent plane T.  (The alternative reading, a constant omega_d
-    regardless of A, would make the field irrelevant; this one keeps
-    comparable fields comparable.)  A simplex whose barycenter matrix violates
-    the declared inverse-norm bound raises, naming the simplex.
-
-    Boundary form: simplices lying on the line ``boundary`` (all corners
-    within ``boundary_tol``) are weighted by ``boundary_weight``; everything
-    else by 1.
-    """
-    if field is not None and boundary is not None:
-        raise ValueError("pass either a field or a boundary weight, not both")
-    vols = _effective_volumes(mesh)
-    if field is None and boundary is None:
-        return float(np.sum(vols))
-    d = mesh.dimension
-    corners = mesh.simplex_corners()
-    if boundary is not None:
-        if vols.size == 0:
-            return 0.0
-        dists = np.array([[boundary.distance(corners[i, j]) for j in range(d + 1)]
-                          for i in range(corners.shape[0])])
-        on_line = np.all(dists <= boundary_tol, axis=1)
-        weights = np.where(on_line, float(boundary_weight), 1.0)
-        return float(np.sum(weights * vols))
-    if field.ambient_dim != mesh.ambient_dim:
-        raise ValueError("field and mesh ambient dimensions differ")
-    omega = unit_ball_volume(d)
-    total = 0.0
-    for i in range(corners.shape[0]):
-        if vols[i] == 0.0:
-            continue
-        bary = corners[i].mean(axis=0)
-        a = field(bary)
-        sv_min = float(np.linalg.svd(a, compute_uv=False)[-1])
-        if sv_min < 1.0 / field.inv_norm_bound / (1 + 1e-9):
-            raise ValueError(f"field is singular at the barycenter of simplex {i}")
-        basis = tangent_basis(corners[i])  # (d, n)
-        w = a @ basis.T  # (n, d)
-        gram = w.T @ w
-        jac = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
-        total += omega * jac * float(vols[i])
-    return total

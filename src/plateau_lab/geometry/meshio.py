@@ -96,10 +96,6 @@ def atomic_write_text(path: PathLike, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_json(path: PathLike, obj) -> None:
-    atomic_write_text(path, dumps_json(obj))
-
-
 # ---------------------------------------------------------------------------
 # triangle meshes: OFF / OBJ
 # ---------------------------------------------------------------------------

@@ -226,13 +226,6 @@ class DyadicGrid:
                 out.append(cell)
         return out
 
-    def annulus_neighborhood(self) -> set[CubeFace]:
-        """A^2: union of neighborhoods V(R) over the annulus."""
-        out: set[CubeFace] = set()
-        for cell in self.boundary_cells():
-            out.update(self.cell_neighbors(cell))
-        return out
-
     def skeleton_measure(self, dim: int) -> float:
         """Total H^dim of the dim-skeleton (count times s^dim)."""
         return self.count_faces(dim) * self.spacing ** dim

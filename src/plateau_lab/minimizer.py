@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -105,9 +104,6 @@ class FaceSet:
 
     def with_faces(self, faces: Iterable[CubeFace]) -> "FaceSet":
         return FaceSet(self.grid, frozenset(faces), self.manifold)
-
-    def sorted_keys(self) -> list:
-        return [[f.axes, list(f.lattice)] for f in sorted(self.faces)]
 
 
 def core_reduce(fs: FaceSet) -> FaceSet:
@@ -633,7 +629,6 @@ class SchemeLevel:
     init: InitReport
     result: MinimizeResult
     audit: HaircutReport
-    seconds: float
 
 
 @dataclass
@@ -663,13 +658,12 @@ def run_scheme(mesh: EmbeddedMesh, subdivision_levels: Sequence[int], *,
     levels = []
     for N in subdivision_levels:
         grid = DyadicGrid(base.copy(), size, N)
-        t0 = time.time()
         init = initialize_from_mesh(mesh, grid, manifold=manifold,
                                     threshold=threshold, strategy=strategy, seed=seed)
         result = minimize_faceset(init.faceset, policy=policy, seed=seed)
         result.faceset = core_reduce(result.faceset)
         audit = quasiminimality_audit(result.faceset, trials=audit_trials, seed=seed)
-        levels.append(SchemeLevel(N, init, result, audit, time.time() - t0))
+        levels.append(SchemeLevel(N, init, result, audit))
     # fixed ball ladder: centers on the finest minimizer, shared radii
     distances = []
     if len(levels) >= 2:

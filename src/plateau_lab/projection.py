@@ -233,6 +233,22 @@ def _owner_cell(face: CubeFace, grid: DyadicGrid) -> CubeFace:
     return min(grid.containing_cells(face))
 
 
+def _canonical_piece(chunk: np.ndarray, face: CubeFace, grid: DyadicGrid,
+                     manifold: Optional[FlatManifold], snap: float):
+    """Translate a chunk onto its face's canonical representative (periodic axes).
+
+    Returns the (possibly shifted) chunk and its face, re-derived after the
+    shift and falling back to the canonical key when re-derivation fails.
+    """
+    if manifold is None:
+        return chunk, face
+    canon = manifold.canonical_face(face, grid.subdivisions)
+    if canon == face:
+        return chunk, face
+    chunk = chunk + manifold.canonical_shift(face, grid.subdivisions)
+    return chunk, _derive_face(chunk, grid, snap) or canon
+
+
 # ---------------------------------------------------------------------------
 # exact radial projection within one face
 # ---------------------------------------------------------------------------
@@ -488,13 +504,7 @@ def split_into_grid(mesh: EmbeddedMesh, grid: DyadicGrid,
                 outside_chunks.append(chunk)
                 outside_mults.append(mult)
                 continue
-            if manifold is not None:
-                canon = manifold.canonical_face(face, grid.subdivisions)
-                if canon != face:
-                    chunk = chunk + manifold.canonical_shift(face, grid.subdivisions)
-                    face = _derive_face(chunk, grid, snap)
-                    if face is None:
-                        face = canon
+            chunk, face = _canonical_piece(chunk, face, grid, manifold, snap)
             pieces.append(Piece(chunk, mult, _owner_cell(face, grid), face))
     return pieces, outside_chunks, outside_mults
 
@@ -556,14 +566,8 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
             for p in batch:
                 imgs = _project_face_content([p.corners], xi, lo, hi, spanned, grid.spacing)
                 for c in imgs:
-                    face = _derive_face(c, grid, snap)
-                    if face is None:
-                        face = fkey
-                    if manifold is not None:
-                        canon = manifold.canonical_face(face, grid.subdivisions)
-                        if canon != face:
-                            c = c + manifold.canonical_shift(face, grid.subdivisions)
-                            face = _derive_face(c, grid, snap) or canon
+                    c, face = _canonical_piece(c, _derive_face(c, grid, snap) or fkey,
+                                               grid, manifold, snap)
                     mapped_pieces.append(Piece(c, p.mult, p.owner, face))
             m_out = _pieces_measure(mapped_pieces)
             stage_in += m_in
@@ -690,12 +694,8 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid, *,
             imgs = _project_face_content([p.corners], xi, lo, hi, spanned, grid.spacing)
             replaced = []
             for c in imgs:
-                face = _derive_face(c, grid, snap) or fkey
-                if manifold is not None:
-                    canon = manifold.canonical_face(face, grid.subdivisions)
-                    if canon != face:
-                        c = c + manifold.canonical_shift(face, grid.subdivisions)
-                        face = _derive_face(c, grid, snap) or canon
+                c, face = _canonical_piece(c, _derive_face(c, grid, snap) or fkey,
+                                           grid, manifold, snap)
                 replaced.append(Piece(c, p.mult, p.owner, face))
             new_pieces[i] = replaced[0] if replaced else Piece(p.corners[:1].repeat(d + 1, 0), p.mult, p.owner, fkey)
             new_pieces.extend(replaced[1:])

@@ -118,7 +118,7 @@ class MultiplicityNet:
             return self.m_beta(beta)
         raise ValueError(f"unknown functional {functional!r}")
 
-    def vertex_balance(self, n_terminals: int) -> np.ndarray:
+    def vertex_balance(self) -> np.ndarray:
         """Net outflow per vertex (outgoing minus incoming signed flow)."""
         bal = np.zeros(len(self.points), dtype=np.int64)
         for (a, b), f in zip(self.edges, self.flows):
@@ -160,7 +160,7 @@ def check_kirchhoff(net: MultiplicityNet, terminals: Sequence[Terminal],
             raise ValueError("two terminals map to one network vertex")
         seen.add(i)
         charge[i] += t.charge
-    bal = net.vertex_balance(len(terminals))
+    bal = net.vertex_balance()
     bad = np.nonzero(bal != charge)[0]
     if bad.size:
         i = int(bad[0])
@@ -199,9 +199,8 @@ def enumerate_topologies(n_terminals: int) -> list[NetTopology]:
         raise ValueError("need at least two terminals")
     if N == 2:
         return [NetTopology(2, ((0, 1),))]
-    base = [(0, 2), (1, 2), ]  # terminals 0,1 joined at interior vertex "2"
-    # interior vertices get labels N, N+1, ... below; rebuild the base in that
-    # convention: terminals 0..N-1, interior N..2N-3
+    # terminals are labelled 0..N-1 and interior vertices N..2N-3; the base
+    # tree joins terminals 0, 1, 2 at interior vertex N
     tops = [[(0, N), (1, N), (2, N)]]
     for t in range(3, N):
         new_tops = []

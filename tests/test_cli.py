@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from plateau_lab import cones
-from plateau_lab.cli import main
+from plateau_lab.cli import _jsonable, main
 from plateau_lab.geometry import meshio
 
 from conftest import flat_slice_mesh
@@ -112,6 +112,20 @@ def test_flag_beats_config(runner, tmp_path):
     r2 = runner.invoke(main, ["steiner", "--config", str(conf),
                               "--instance", str(inst)])
     assert summary_of(r2)["functional"] == "mass"
+    from_config = tmp_path / "from_config.csv"
+    from_flag = tmp_path / "from_flag.csv"
+    conf.write_text(json.dumps({"csv": str(from_config)}))
+    r3 = runner.invoke(main, ["steiner", "--config", str(conf),
+                              "--instance", str(inst), "--csv", str(from_flag)])
+    assert summary_of(r3)["artifacts"] == [str(from_flag)]
+    assert from_flag.exists() and not from_config.exists()
+
+
+def test_non_finite_numbers_are_json_strings():
+    doc = _jsonable({"a": np.float64("inf"), "b": float("-inf"),
+                     "c": np.array([np.nan])})
+    assert doc == {"a": "inf", "b": "-inf", "c": ["nan"]}
+    assert json.loads(meshio.dumps_json(doc)) == doc
 
 
 def test_thread_cap_is_recorded(runner, square_instance):
