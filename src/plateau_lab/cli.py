@@ -30,7 +30,7 @@ from .diagnostics import (SlidingContext, blowup, classify_point,
 from .geometry import meshio
 from .geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary, measure
 from .geometry.distance import local_hausdorff_distance
-from .geometry.energy import circle_samples, douglas_energy
+from .geometry.energy import MAX_SAMPLES, circle_samples, douglas_energy
 from .grids import DyadicGrid, FlatManifold
 from .minimizer import run_scheme
 from .projection import extra_collapse, project_to_skeleton, verify_cell_locality
@@ -653,6 +653,8 @@ def douglas(vals):
     else:
         if int(vals["samples"]) < 8:
             _fail_config(["need at least 8 samples"])
+        if int(vals["samples"]) > MAX_SAMPLES:
+            _fail_config([f"samples must be at most {MAX_SAMPLES}"])
         pts = circle_samples(int(vals["samples"]), float(vals["radius"]))
         label = "circle"
     try:

@@ -17,9 +17,13 @@ import math
 
 import numpy as np
 
+#: the energy holds m x m x n pairwise differences: 2,048 samples of a
+#: circle in R^3 peak at 255 MiB of resident memory
+MAX_SAMPLES = 2048
+
 
 def douglas_energy(samples) -> float:
-    """Energy of a uniformly sampled closed curve (m even, m >= 8).
+    """Energy of a uniformly sampled closed curve (m even, 8 <= m <= MAX_SAMPLES).
 
     ``samples``: (m, n) array of curve points at angles 2*pi*i/m.  Raises on
     consecutive duplicate samples (the parametrization must be injective on
@@ -31,6 +35,8 @@ def douglas_energy(samples) -> float:
     m = f.shape[0]
     if m < 8 or m % 2 != 0:
         raise ValueError("need an even number m >= 8 of samples")
+    if m > MAX_SAMPLES:
+        raise ValueError(f"{m} samples exceed the limit of {MAX_SAMPLES}")
     steps = np.linalg.norm(np.roll(f, -1, axis=0) - f, axis=1)
     scale = float(np.max(np.linalg.norm(f - f.mean(axis=0), axis=1)))
     if np.any(steps <= 1e-15 * max(scale, 1.0)) and scale > 0.0:

@@ -3,7 +3,8 @@
 Triangle meshes (d=2, n=3) round-trip through OFF and OBJ; segment meshes
 (d=1, any ambient) through a one-segment-per-row CSV.  JSON payloads are
 emitted by a tiny deterministic writer: sorted keys, floats at 17 significant
-digits, so identical values produce identical bytes.
+digits, so identical values produce identical bytes; non-finite floats become
+the strings "inf", "-inf" and "nan", so the output is strict JSON.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import tempfile
 from pathlib import Path
 from typing import Union
 
@@ -69,10 +71,10 @@ def dumps_json(obj, indent: int = 2) -> str:
             buf.write(str(int(o)))
         elif isinstance(o, (float, np.floating)):
             v = float(o)
-            if math.isnan(v):
-                buf.write("NaN")
-            else:
+            if math.isfinite(v):
                 buf.write(fmt_float(v))
+            else:
+                buf.write('"' + str(v) + '"')
         elif isinstance(o, str):
             buf.write('"' + _escape(o) + '"')
         else:
@@ -89,11 +91,24 @@ def _escape(s: str) -> str:
 
 
 def atomic_write_text(path: PathLike, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a uniquely named temp file in the same directory plus rename.
+
+    Concurrent writers never share a temp file, and a failed write leaves
+    none behind.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            # mkstemp creates 0600; give the file the mode open() would
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

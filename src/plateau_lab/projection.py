@@ -47,6 +47,10 @@ CLEARANCE_REL = 1e-9
 #: grid resolutions per face dimension for the deterministic 'far' center search
 _FAR_GRID = {1: 65, 2: 17, 3: 9}
 
+#: content chunks times centers per kernel call in the 'chebyshev' search;
+#: bounds the memory of one call (chunks multiply as the cone planes cut them)
+_CENTER_BATCH = 4096
+
 
 # ---------------------------------------------------------------------------
 # content pieces
@@ -62,19 +66,6 @@ class Piece:
     face: Optional[CubeFace] = None
 
 
-def _chunk_volume(corners: np.ndarray) -> float:
-    if corners.shape[0] == 2:
-        return float(np.linalg.norm(corners[1] - corners[0]))
-    u = corners[1] - corners[0]
-    v = corners[2] - corners[0]
-    g = float(u @ u) * float(v @ v) - float(u @ v) ** 2
-    return 0.5 * math.sqrt(max(g, 0.0))
-
-
-def _pieces_measure(pieces: Sequence[Piece]) -> float:
-    return float(sum(_chunk_volume(p.corners) for p in pieces))
-
-
 def _points_to_pieces(points: np.ndarray, pieces: Sequence[Piece]) -> np.ndarray:
     best = np.full(points.shape[0], np.inf)
     for p in pieces:
@@ -87,118 +78,298 @@ def _points_to_pieces(points: np.ndarray, pieces: Sequence[Piece]) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# convex splitting
+# batched convex splitting and radial projection
 # ---------------------------------------------------------------------------
+#
+# Chunks travel as (T, d+1, n) corner arrays.  Every step is a flat map:
+# chunk t becomes one or more output chunks, emitted in the order the
+# chunk-by-chunk code gives, with ``parent`` naming the chunk each came from.
+# The float operations are the scalar ones, element by element, so the
+# output is bit-identical to splitting and mapping one chunk at a time.
 
-def _split_cycle(pts: list[np.ndarray], vals: list[float]):
-    """Split a convex vertex cycle by the zero set of linear values.
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (R, n) arrays.
 
-    Returns (below_cycle, above_cycle); on-plane vertices (val == 0) belong
-    to both.  Degenerate outputs (< d+1 distinct points) are dropped later.
+    A stacked (1, n) @ (n, 1) matmul runs the BLAS dot that ``u @ v`` runs
+    on one pair of vectors, so each value equals the scalar product bit for
+    bit; ``(a * b).sum(-1)`` and ``einsum`` round differently.
     """
-    below: list[np.ndarray] = []
-    above: list[np.ndarray] = []
-    m = len(pts)
-    for i in range(m):
-        p, sp = pts[i], vals[i]
-        q, sq = pts[(i + 1) % m], vals[(i + 1) % m]
-        if sp <= 0.0:
-            below.append(p)
-        if sp >= 0.0:
-            above.append(p)
-        if (sp < 0.0 < sq) or (sq < 0.0 < sp):
-            t = sp / (sp - sq)
-            x = p + t * (q - p)
-            below.append(x)
-            above.append(x)
-    return below, above
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _cycle_to_chunks(cycle: list[np.ndarray], d: int) -> list[np.ndarray]:
-    if d == 1:
-        if len(cycle) < 2:
-            return []
-        return [np.array([cycle[0], cycle[-1]])]
-    out = []
-    for i in range(1, len(cycle) - 1):
-        out.append(np.array([cycle[0], cycle[i], cycle[i + 1]]))
+def _volumes(chunks) -> list[float]:
+    """Measure of each chunk (length or area) as Python floats.
+
+    A triangle's area is 0.5 * sqrt(max(|u|^2 |v|^2 - (u.v)^2, 0)).  The
+    square (u.v)^2 is taken on Python floats: ``x ** 2`` (libm ``pow``) and
+    numpy's square differ in the last bit on about 0.1% of inputs.
+    """
+    if len(chunks) == 0:
+        return []
+    c = np.asarray(chunks, dtype=float)
+    u = c[:, 1] - c[:, 0]
+    if c.shape[1] == 2:
+        return np.sqrt(_rowdot(u, u)).tolist()
+    v = c[:, 2] - c[:, 0]
+    g = _rowdot(u, u) * _rowdot(v, v) - np.array([x ** 2 for x in _rowdot(u, v).tolist()])
+    return (0.5 * np.sqrt(np.where(0.0 > g, 0.0, g))).tolist()
+
+
+def _pieces_measure(pieces: Sequence[Piece]) -> float:
+    return float(sum(_volumes([p.corners for p in pieces])))
+
+
+def _split_table(d: int):
+    """Output chunks of a d-simplex cut by a plane, per vertex sign pattern.
+
+    Pattern index: sum of (sign_i + 1) * 3**(d - i).  Tokens 0..d name the
+    vertices, d+1+i the crossing point on edge i -> i+1 (mod d+1).  A chunk
+    with no strictly negative or no strictly positive vertex is kept whole;
+    a triangle's below and above cycles are fanned from their first point,
+    below chunks first.  Returns (counts, tokens).
+    """
+    v = d + 1
+    patterns = []
+    for code in range(3 ** v):
+        s = [(code // 3 ** (d - i)) % 3 - 1 for i in range(v)]
+        if all(x <= 0 for x in s) or all(x >= 0 for x in s):
+            patterns.append([tuple(range(v))])
+        elif d == 1:
+            patterns.append([(0, 2), (2, 1)] if s[0] < 0 else [(2, 1), (0, 2)])
+        else:
+            below, above = [], []
+            for i in range(v):
+                if s[i] <= 0:
+                    below.append(i)
+                if s[i] >= 0:
+                    above.append(i)
+                if s[i] * s[(i + 1) % v] < 0:
+                    below.append(v + i)
+                    above.append(v + i)
+            patterns.append([(c[0], c[i], c[i + 1]) for c in (below, above)
+                             for i in range(1, len(c) - 1)])
+    width = max(len(p) for p in patterns)
+    tokens = np.zeros((len(patterns), width, v), dtype=np.intp)
+    for code, chunks in enumerate(patterns):
+        tokens[code, :len(chunks)] = chunks
+    return np.array([len(p) for p in patterns]), tokens
+
+
+_SPLIT = {d: _split_table(d) for d in (1, 2)}
+
+
+def _split_by_plane(pts: np.ndarray, active: np.ndarray, normals: np.ndarray,
+                    offsets: np.ndarray, snaps: np.ndarray, exact=None):
+    """Split each active chunk by its own plane {normal . x == offset}.
+
+    ``normals`` (A, n), ``offsets`` and ``snaps`` (A,) belong to the A active
+    chunks, in order; inactive chunks pass through unchanged.  Values within
+    the snap of the plane count as on it.  ``exact = (axis, value, tol)``
+    marks an axis-aligned plane: on-plane vertices and crossing points get
+    that coordinate assigned exactly, and a triangle that is cut also has
+    every cycle point within ``tol`` of the plane assigned.  Returns
+    (chunks, parent).
+    """
+    T, v, n = pts.shape
+    d = v - 1
+    idx = np.flatnonzero(active)
+    sub = pts[idx]
+    vals = _rowdot(np.repeat(normals, v, axis=0), sub.reshape(-1, n)).reshape(-1, v) \
+        - offsets[:, None]
+    on_plane = np.abs(vals) <= snaps[:, None]
+    vals[on_plane] = 0.0
+    if exact is not None:
+        axis, value, tol = exact
+        sub[on_plane, axis] = value
+    code = ((np.sign(vals) + 1).astype(np.intp) * 3 ** np.arange(d, -1, -1)).sum(axis=1)
+    counts, tokens = _SPLIT[d]
+    i0 = np.arange(1 if d == 1 else v)          # edge i runs from i0[i] to i1[i]
+    i1 = (i0 + 1) % v
+    sp, sq = vals[:, i0], vals[:, i1]
+    crossing = ((sp < 0.0) & (sq > 0.0)) | ((sq < 0.0) & (sp > 0.0))
+    t = np.divide(sp, sp - sq, out=np.zeros_like(sp), where=crossing)
+    p, q = sub[:, i0], sub[:, i1]
+    cross = p + t[..., None] * (q - p)
+    if exact is not None:
+        if d == 1:
+            cross[..., axis] = value
+        else:
+            cut = counts[code] > 1
+            cross_vals = _rowdot(np.repeat(normals, v, axis=0), cross.reshape(-1, n)) \
+                .reshape(-1, v) - offsets[:, None]
+            sub[cut[:, None] & (np.abs(vals) <= tol), axis] = value
+            cross[cut[:, None] & (np.abs(cross_vals) <= tol), axis] = value
+    ext = np.concatenate([sub, cross], axis=1)
+
+    n_out = np.ones(T, dtype=np.intp)
+    n_out[idx] = counts[code]
+    parent = np.repeat(np.arange(T), n_out)
+    slot = np.arange(parent.size) - np.repeat(np.cumsum(n_out) - n_out, n_out)
+    row_of = np.full(T, -1)
+    row_of[idx] = np.arange(idx.size)
+    row = row_of[parent]
+    cut_rows = row >= 0
+    out = pts[parent]
+    r = row[cut_rows]
+    out[cut_rows] = ext[r[:, None], tokens[code[r], slot[cut_rows]]]
+    return out, parent
+
+
+def _cone_planes(xi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 spanned: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Planes through each center xi[m] and the (k-2)-faces of the face boundary.
+
+    Returns normals (M, P, n) and offsets (M, P): P = 4 for k = 2, 12 for
+    k = 3, none otherwise.
+    """
+    M, n = xi.shape
+    k = len(spanned)
+    normals = []
+    if k == 2:
+        a0, a1 = spanned
+        for ca in (lo[a0], hi[a0]):
+            for cb in (lo[a1], hi[a1]):
+                normal = np.zeros((M, n))
+                normal[:, a0] = -(cb - xi[:, a1])
+                normal[:, a1] = ca - xi[:, a0]
+                normals.append(normal)
+    elif k == 3:
+        for e in spanned:
+            o0, o1 = [a for a in spanned if a != e]
+            for c0 in (lo[o0], hi[o0]):
+                for c1 in (lo[o1], hi[o1]):
+                    # u, v run from xi to the two ends of an edge along axis e
+                    u3 = np.empty((M, 3))
+                    v3 = np.empty((M, 3))
+                    for j, a in enumerate(spanned):
+                        u_end, v_end = ((lo[e], hi[e]) if a == e
+                                        else (c0, c0) if a == o0 else (c1, c1))
+                        u3[:, j] = u_end - xi[:, a]
+                        v3[:, j] = v_end - xi[:, a]
+                    normal = np.zeros((M, n))
+                    normal[:, spanned] = np.cross(u3, v3)
+                    normals.append(normal)
+    normals = np.stack(normals, axis=1) if normals else np.zeros((M, 0, n))
+    P = normals.shape[1]
+    offsets = _rowdot(normals.reshape(-1, n), np.repeat(xi, P, axis=0)).reshape(M, P)
+    return normals, offsets
+
+
+def _map_to_boundary(v: np.ndarray, xi: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray, spanned: list[int]) -> np.ndarray:
+    """Push each vertex v[i] radially from xi[i] onto the face boundary.
+
+    A vertex already on a bounding plane stays.  Otherwise the first spanned
+    axis with the smallest exit time wins, that coordinate is set to the
+    bound exactly, and the spanned coordinates are clamped into [lo, hi].
+    """
+    R = v.shape[0]
+    fixed = np.zeros(R, dtype=bool)
+    best_t = np.full(R, math.inf)
+    best_axis = np.full(R, -1)
+    best_bound = np.zeros(R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in spanned:
+            fixed |= (v[:, a] == lo[a]) | (v[:, a] == hi[a])
+            d = v[:, a] - xi[:, a]
+            up = d > 0.0
+            t = np.where(up, (hi[a] - xi[:, a]) / d, (lo[a] - xi[:, a]) / d)
+            better = (up | (d < 0.0)) & (t < best_t)
+            best_t[better] = t[better]
+            best_axis[better] = a
+            best_bound[better] = np.where(up, hi[a], lo[a])[better]
+        moving = np.flatnonzero(~fixed)
+        if np.any(best_axis[moving] < 0):
+            raise ValueError("projection center coincides with a content vertex")
+        x = xi[moving]
+        p = x + best_t[moving, None] * (v[moving] - x)
+    p[np.arange(moving.size), best_axis[moving]] = best_bound[moving]
+    for a in spanned:
+        # min(max(p, lo), hi) with Python's tie rules
+        m = np.where(lo[a] > p[:, a], lo[a], p[:, a])
+        p[:, a] = np.where(hi[a] < m, hi[a], m)
+    out = v.copy()
+    out[moving] = p
     return out
 
 
-def _split_chunk_by_plane(corners: np.ndarray, normal: np.ndarray, offset: float,
-                          snap: float, exact_axis: Optional[int] = None,
-                          exact_value: float = 0.0):
-    """Split one simplex by {normal . x == offset}.
+def _project_batch(corners: np.ndarray, centers: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray, spanned: list[int], s: float):
+    """Radially project one face's content from each of several centers.
 
-    Values within ``snap`` of the plane are treated as on-plane, and when
-    ``exact_axis`` is given (axis-aligned planes) every on-plane or crossing
-    vertex gets that coordinate assigned exactly.
+    ``corners`` (C, d+1, n) is the content, ``centers`` (M, n).  For every
+    center the chunks are split by its cone planes (a plane with a zero
+    normal is skipped for that center) and their vertices are mapped onto
+    the face boundary.  Returns (images, center_of, source_of): the image
+    chunks grouped by center, each center's in chunk-by-chunk order, with
+    the center and the input chunk each came from.
     """
-    d = corners.shape[0] - 1
-    pts = [corners[i].copy() for i in range(d + 1)]
-    vals = []
-    for p in pts:
-        v = float(normal @ p) - offset
-        if abs(v) <= snap:
-            v = 0.0
-            if exact_axis is not None:
-                p[exact_axis] = exact_value
-        vals.append(v)
-    if all(v <= 0.0 for v in vals):
-        return [np.array(pts)], []
-    if all(v >= 0.0 for v in vals):
-        return [], [np.array(pts)]
-    if d == 1:
-        # strict sign change: one crossing point (exact-assigned below)
-        p, q = pts
-        sp, sq = vals
-        t = sp / (sp - sq)
-        x = p + t * (q - p)
-        if exact_axis is not None:
-            x[exact_axis] = exact_value
-        if sp < 0.0:
-            return [np.array([p, x])], [np.array([x, q])]
-        return [np.array([x, q])], [np.array([p, x])]
-    below_c, above_c = _split_cycle(pts, vals)
-    if exact_axis is not None:
-        for cyc in (below_c, above_c):
-            for p in cyc:
-                if abs(float(normal @ p) - offset) <= max(snap, 1e-12 * (abs(offset) + 1.0)):
-                    p[exact_axis] = exact_value
-    below = [c for c in _cycle_to_chunks(below_c, d)]
-    above = [c for c in _cycle_to_chunks(above_c, d)]
-    return below, above
+    C, v, n = corners.shape
+    M = centers.shape[0]
+    pts = np.tile(corners, (M, 1, 1))
+    center_of = np.repeat(np.arange(M), C)
+    source_of = np.tile(np.arange(C), M)
+    normals, offsets = _cone_planes(centers, lo, hi, spanned)
+    P = normals.shape[1]
+    flat = normals.reshape(-1, n)
+    norms = np.sqrt(_rowdot(flat, flat)).reshape(M, P)
+    snap = 1e-13 * s
+    for j in range(P):
+        active = ~(norms[center_of, j] <= 0.0)
+        c = center_of[active]
+        pts, parent = _split_by_plane(pts, active, normals[c, j], offsets[c, j],
+                                      snap * norms[c, j])
+        center_of = center_of[parent]
+        source_of = source_of[parent]
+    images = _map_to_boundary(pts.reshape(-1, n), np.repeat(centers[center_of], v, axis=0),
+                              lo, hi, spanned)
+    return images.reshape(pts.shape), center_of, source_of
 
 
-def _split_chunks_collect(chunks: list[np.ndarray], normal, offset, snap,
-                          exact_axis=None, exact_value=0.0) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for c in chunks:
-        below, above = _split_chunk_by_plane(c, normal, offset, snap, exact_axis, exact_value)
-        out.extend(below)
-        out.extend(above)
-    return out
+def _project_face_content(chunks: list[np.ndarray], xi: np.ndarray, lo: np.ndarray,
+                          hi: np.ndarray, spanned: list[int], s: float) -> list[np.ndarray]:
+    """Images of ``chunks`` under the radial projection from one center."""
+    images, _, _ = _project_batch(np.asarray(chunks, dtype=float), xi[None, :],
+                                  lo, hi, spanned, s)
+    return list(images)
 
 
 # ---------------------------------------------------------------------------
 # grid-plane splitting and face assignment
 # ---------------------------------------------------------------------------
 
-def _split_at_grid_planes(corners: np.ndarray, grid: DyadicGrid, snap: float) -> list[np.ndarray]:
-    n = grid.ambient_dim
-    chunks = [np.array(corners, dtype=float)]
+def _split_at_grid_planes(corners: np.ndarray, grid: DyadicGrid, snap: float):
+    """Split simplices (S, d+1, n) at every grid plane their bounding box meets.
+
+    Each simplex meets its planes axis by axis, in increasing order, with
+    plane coordinates assigned exactly.  Returns (chunks, source_of).
+    """
+    S, v, n = corners.shape
+    chunks = np.array(corners, dtype=float)
+    source_of = np.arange(S)
+    if S == 0:
+        return chunks, source_of
     for a in range(n):
-        axis_normal = np.zeros(n)
-        axis_normal[a] = 1.0
-        lo = min(float(c[a]) for c in corners)
-        hi = max(float(c[a]) for c in corners)
-        p_lo = max(0, int(math.ceil((lo - grid.corner[a]) / grid.spacing - 1e-12)))
-        p_hi = min(grid.subdivisions, int(math.floor((hi - grid.corner[a]) / grid.spacing + 1e-12)))
-        for p in range(p_lo, p_hi + 1):
+        normal = np.zeros(n)
+        normal[a] = 1.0
+        rel_lo = (corners[:, :, a].min(axis=1) - grid.corner[a]) / grid.spacing
+        rel_hi = (corners[:, :, a].max(axis=1) - grid.corner[a]) / grid.spacing
+        p_lo = np.maximum(0, np.ceil(rel_lo - 1e-12)).astype(np.int64)
+        p_hi = np.minimum(grid.subdivisions, np.floor(rel_hi + 1e-12)).astype(np.int64)
+        for p in range(int(p_lo.min()), int(p_hi.max()) + 1):
+            active = (p_lo[source_of] <= p) & (p <= p_hi[source_of])
+            m = int(active.sum())
+            if m == 0:
+                continue
             value = grid.plane_coordinate(a, p)
-            chunks = _split_chunks_collect(chunks, axis_normal, value, snap,
-                                           exact_axis=a, exact_value=value)
-    return chunks
+            tol = max(snap, 1e-12 * (abs(value) + 1.0))
+            chunks, parent = _split_by_plane(chunks, active, np.tile(normal, (m, 1)),
+                                             np.full(m, value), np.full(m, snap),
+                                             exact=(a, value, tol))
+            source_of = source_of[parent]
+    return chunks, source_of
 
 
 def _inside_closed_cube(point: np.ndarray, grid: DyadicGrid, slack: float) -> bool:
@@ -247,91 +418,6 @@ def _canonical_piece(chunk: np.ndarray, face: CubeFace, grid: DyadicGrid,
         return chunk, face
     chunk = chunk + manifold.canonical_shift(face, grid.subdivisions)
     return chunk, _derive_face(chunk, grid, snap) or canon
-
-
-# ---------------------------------------------------------------------------
-# exact radial projection within one face
-# ---------------------------------------------------------------------------
-
-def _cone_planes(xi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 spanned: list[int]) -> list[tuple[np.ndarray, float]]:
-    n = xi.size
-    k = len(spanned)
-    planes: list[tuple[np.ndarray, float]] = []
-    if k == 2:
-        a0, a1 = spanned
-        for ca in (lo[a0], hi[a0]):
-            for cb in (lo[a1], hi[a1]):
-                normal = np.zeros(n)
-                normal[a0] = -(cb - xi[a1])
-                normal[a1] = ca - xi[a0]
-                planes.append((normal, float(normal @ xi)))
-    elif k == 3:
-        for e in spanned:
-            others = [a for a in spanned if a != e]
-            for c0 in (lo[others[0]], hi[others[0]]):
-                for c1 in (lo[others[1]], hi[others[1]]):
-                    p1 = xi.copy()
-                    p1[others[0]] = c0
-                    p1[others[1]] = c1
-                    p2 = p1.copy()
-                    p1[e] = lo[e]
-                    p2[e] = hi[e]
-                    u = p1 - xi
-                    v = p2 - xi
-                    u3 = np.array([u[a] for a in spanned])
-                    v3 = np.array([v[a] for a in spanned])
-                    n3 = np.cross(u3, v3)
-                    normal = np.zeros(n)
-                    for j, a in enumerate(spanned):
-                        normal[a] = n3[j]
-                    planes.append((normal, float(normal @ xi)))
-    return planes
-
-
-def _map_vertex_to_boundary(v: np.ndarray, xi: np.ndarray, lo: np.ndarray,
-                            hi: np.ndarray, spanned: list[int]) -> np.ndarray:
-    for a in spanned:
-        if v[a] == lo[a] or v[a] == hi[a]:
-            return v.copy()
-    best_t = math.inf
-    best_axis = -1
-    best_bound = 0.0
-    for a in spanned:
-        d = v[a] - xi[a]
-        if d > 0.0:
-            t = (hi[a] - xi[a]) / d
-            bound = hi[a]
-        elif d < 0.0:
-            t = (lo[a] - xi[a]) / d
-            bound = lo[a]
-        else:
-            continue
-        if t < best_t:
-            best_t, best_axis, best_bound = t, a, bound
-    if best_axis < 0:
-        raise ValueError("projection center coincides with a content vertex")
-    p = xi + best_t * (v - xi)
-    p[best_axis] = best_bound
-    for a in spanned:
-        p[a] = min(max(p[a], lo[a]), hi[a])
-    return p
-
-
-def _project_face_content(chunks: list[np.ndarray], xi: np.ndarray, lo: np.ndarray,
-                          hi: np.ndarray, spanned: list[int], s: float) -> list[np.ndarray]:
-    snap = 1e-13 * s
-    pieces = list(chunks)
-    for normal, offset in _cone_planes(xi, lo, hi, spanned):
-        norm = float(np.linalg.norm(normal))
-        if norm <= 0.0:
-            continue
-        pieces = _split_chunks_collect(pieces, normal, offset, snap * norm)
-    out = []
-    for c in pieces:
-        mapped = np.array([_map_vertex_to_boundary(v, xi, lo, hi, spanned) for v in c])
-        out.append(mapped)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +474,20 @@ def choose_center(grid: DyadicGrid, face: CubeFace, content: Sequence[Piece],
         if a not in spanned:
             samples[:, a] = lo[a]
     dists = _points_to_pieces(samples, content)
-    raw = [c.corners for c in content]
+    admissible = np.flatnonzero(~(dists < clearance_min))
     best_xi, best_val, best_clear = None, math.inf, 0.0
-    for i in range(samples.shape[0]):
-        if dists[i] < clearance_min:
-            continue
-        imgs = _project_face_content(raw, samples[i], lo, hi, spanned, grid.spacing)
-        val = float(sum(_chunk_volume(c) for c in imgs))
-        if val < best_val - 1e-15:
-            best_xi, best_val, best_clear = samples[i], val, float(dists[i])
+    raw = np.array([c.corners for c in content])
+    step = max(1, _CENTER_BATCH // len(raw))
+    for first in range(0, admissible.size, step):
+        group = admissible[first:first + step]
+        images, center_of, _ = _project_batch(raw, samples[group], lo, hi, spanned,
+                                              grid.spacing)
+        vols = _volumes(images)
+        ends = np.cumsum(np.bincount(center_of, minlength=group.size)).tolist()
+        for i, start, end in zip(group.tolist(), [0] + ends, ends):
+            val = float(sum(vols[start:end]))
+            if val < best_val - 1e-15:
+                best_xi, best_val, best_clear = samples[i], val, float(dists[i])
     if best_xi is None:
         logger.warning("chebyshev center sampling found no admissible candidate; falling back to far")
         return choose_center(grid, face, content, "far", trials, rng)
@@ -438,10 +529,10 @@ class ProjectionResult:
 
     def content_measure_by_face(self) -> dict:
         out: dict[CubeFace, float] = {}
-        for p in self.pieces:
+        for p, vol in zip(self.pieces, _volumes([p.corners for p in self.pieces])):
             if p.face is None:
                 continue
-            out[p.face] = out.get(p.face, 0.0) + _chunk_volume(p.corners)
+            out[p.face] = out.get(p.face, 0.0) + vol
         return out
 
 
@@ -481,19 +572,21 @@ def split_into_grid(mesh: EmbeddedMesh, grid: DyadicGrid,
     snap = SNAP_REL * grid.spacing
     lo_q = grid.corner
     hi_q = grid.corner + grid.size
+    outside = (np.any(corners_all.max(axis=1) < lo_q - snap, axis=1)
+               | np.any(corners_all.min(axis=1) > hi_q + snap, axis=1))
+    chunks, source_of = _split_at_grid_planes(corners_all[~outside], grid, snap)
+    ends = np.cumsum(np.bincount(source_of, minlength=int((~outside).sum())))
+    split_simplices = iter(np.split(chunks, ends[:-1]))
     pieces: list[Piece] = []
     outside_chunks: list[np.ndarray] = []
     outside_mults: list[int] = []
     for i in range(mesh.n_simplices):
-        corners = corners_all[i]
         mult = int(mesh.multiplicities[i])
-        bb_lo = corners.min(axis=0)
-        bb_hi = corners.max(axis=0)
-        if np.any(bb_hi < lo_q - snap) or np.any(bb_lo > hi_q + snap):
-            outside_chunks.append(corners)
+        if outside[i]:
+            outside_chunks.append(corners_all[i])
             outside_mults.append(mult)
             continue
-        for chunk in _split_at_grid_planes(corners, grid, snap):
+        for chunk in next(split_simplices):
             bary = chunk.mean(axis=0)
             if not _inside_closed_cube(bary, grid, snap):
                 outside_chunks.append(chunk)
@@ -537,8 +630,8 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     pieces, outside_chunks, outside_mults = split_into_grid(mesh, grid, manifold)
     measure_in = _pieces_measure(pieces)
     in_by_owner: dict[CubeFace, float] = {}
-    for p in pieces:
-        in_by_owner[p.owner] = in_by_owner.get(p.owner, 0.0) + _chunk_volume(p.corners)
+    for p, vol in zip(pieces, _volumes([p.corners for p in pieces])):
+        in_by_owner[p.owner] = in_by_owner.get(p.owner, 0.0) + vol
 
     snap = SNAP_REL * grid.spacing
     stages: list[StageRecord] = []
@@ -560,15 +653,15 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
             spanned = [a for a in range(n) if fkey.spans(a)]
             rng = _face_rng(seed, k, fkey)
             xi, info = choose_center(grid, fkey, batch, strategy, trials, rng)
-            raw = [p.corners for p in batch]
-            m_in = float(sum(_chunk_volume(c) for c in raw))
+            raw = np.array([p.corners for p in batch])
+            m_in = float(sum(_volumes(raw)))
+            images, _, source_of = _project_batch(raw, xi[None, :], lo, hi, spanned,
+                                                  grid.spacing)
             mapped_pieces: list[Piece] = []
-            for p in batch:
-                imgs = _project_face_content([p.corners], xi, lo, hi, spanned, grid.spacing)
-                for c in imgs:
-                    c, face = _canonical_piece(c, _derive_face(c, grid, snap) or fkey,
-                                               grid, manifold, snap)
-                    mapped_pieces.append(Piece(c, p.mult, p.owner, face))
+            for c, i in zip(images, source_of.tolist()):
+                c, face = _canonical_piece(c, _derive_face(c, grid, snap) or fkey,
+                                           grid, manifold, snap)
+                mapped_pieces.append(Piece(c, batch[i].mult, batch[i].owner, face))
             m_out = _pieces_measure(mapped_pieces)
             stage_in += m_in
             stage_out += m_out
@@ -582,8 +675,8 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
         stages.append(StageRecord(k, stage_in, stage_out, face_records))
 
     out_by_owner: dict[CubeFace, float] = {}
-    for p in pieces:
-        out_by_owner[p.owner] = out_by_owner.get(p.owner, 0.0) + _chunk_volume(p.corners)
+    for p, vol in zip(pieces, _volumes([p.corners for p in pieces])):
+        out_by_owner[p.owner] = out_by_owner.get(p.owner, 0.0) + vol
     per_cell = {}
     for cell, m_in in sorted(in_by_owner.items()):
         m_out = out_by_owner.get(cell, 0.0)
@@ -618,8 +711,7 @@ def verify_cell_locality(result: ProjectionResult, grid: DyadicGrid) -> tuple[bo
     content counts for every touching cell).  Returns (ok, worst slack).
     """
     out_geo: dict[CubeFace, float] = {}
-    for p in result.pieces:
-        vol = _chunk_volume(p.corners)
+    for p, vol in zip(result.pieces, _volumes([p.corners for p in result.pieces])):
         for cell in grid.containing_cells(p.face):
             out_geo[cell] = out_geo.get(cell, 0.0) + vol
     per_cell = result.per_cell
@@ -654,9 +746,10 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid, *,
     """
     d = result.skeleton_dim
     groups: dict[CubeFace, list[int]] = {}
+    vols = _volumes([p.corners for p in result.pieces])
     for idx, p in enumerate(result.pieces):
         if p.face.dim == d and not (result.plan.get("freeze_boundary") and grid.on_boundary(p.face)):
-            if _chunk_volume(p.corners) > 0.0:
+            if vols[idx] > 0.0:
                 groups.setdefault(p.face, []).append(idx)
     threshold = (grid.spacing / 2.0) ** d
     blockers = []
@@ -685,20 +778,21 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid, *,
     new_pieces = list(result.pieces)
     collapsed = 0.0
     for fkey, idxs in sorted(groups.items()):
-        xi = centers[fkey]
         lo, hi = grid.face_bounds(fkey)
         spanned = [a for a in range(grid.ambient_dim) if fkey.spans(a)]
-        for i in idxs:
-            p = new_pieces[i]
-            collapsed += _chunk_volume(p.corners)
-            imgs = _project_face_content([p.corners], xi, lo, hi, spanned, grid.spacing)
-            replaced = []
-            for c in imgs:
-                c, face = _canonical_piece(c, _derive_face(c, grid, snap) or fkey,
-                                           grid, manifold, snap)
-                replaced.append(Piece(c, p.mult, p.owner, face))
-            new_pieces[i] = replaced[0] if replaced else Piece(p.corners[:1].repeat(d + 1, 0), p.mult, p.owner, fkey)
-            new_pieces.extend(replaced[1:])
+        batch = [result.pieces[i] for i in idxs]
+        raw = np.array([p.corners for p in batch])
+        images, _, source_of = _project_batch(raw, centers[fkey][None, :], lo, hi, spanned,
+                                              grid.spacing)
+        replaced: list[list[Piece]] = [[] for _ in batch]
+        for c, j in zip(images, source_of.tolist()):
+            c, face = _canonical_piece(c, _derive_face(c, grid, snap) or fkey,
+                                       grid, manifold, snap)
+            replaced[j].append(Piece(c, batch[j].mult, batch[j].owner, face))
+        for i, p, vol, rep in zip(idxs, batch, _volumes(raw), replaced):
+            collapsed += vol
+            new_pieces[i] = rep[0] if rep else Piece(p.corners[:1].repeat(d + 1, 0), p.mult, p.owner, fkey)
+            new_pieces.extend(rep[1:])
     final = _assemble_mesh(d, grid.ambient_dim, new_pieces,
                            result.outside_chunks, result.outside_mults)
     report = {"fired": True, "faces": len(groups), "collapsed_measure": collapsed}
@@ -712,7 +806,7 @@ def interior_face_measure(result: ProjectionResult, grid: DyadicGrid) -> float:
     """Total content measure sitting in interiors of d-faces (not in lower skeleton)."""
     d = result.skeleton_dim
     total = 0.0
-    for p in result.pieces:
+    for p, vol in zip(result.pieces, _volumes([p.corners for p in result.pieces])):
         if p.face.dim == d:
-            total += _chunk_volume(p.corners)
+            total += vol
     return total

@@ -43,6 +43,10 @@ WEISZFELD_MAX_SWEEPS = 2000
 #: interior angles at degree-3 junctions should match 2*pi/3 to this (radians)
 ANGLE_AUDIT_TOL = 1e-4
 
+#: exhaustive search limit: 8 terminals are 10,395 topologies, 10 would be
+#: 34,459,425 built in memory before the first solve
+MAX_TERMINALS = 8
+
 
 @dataclass(frozen=True)
 class Terminal:
@@ -423,15 +427,18 @@ def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
                      beta: float = 1.0, require_balance: Optional[bool] = None) -> SteinerResult:
     """Best full-topology network over the terminals for the chosen cost.
 
-    Enumerates every full topology (practical up to ~8 terminals), optimizes
-    interior vertices, merges collapsed junctions, canonicalizes flows, and
-    returns the winner; ties break to the lexicographically smallest edge
-    list, so results are deterministic.  Charges must balance for mass or
-    m_beta costs (and for size when ``require_balance`` is set).
+    Enumerates every full topology (at most ``MAX_TERMINALS`` terminals),
+    optimizes interior vertices, merges collapsed junctions, canonicalizes
+    flows, and returns the winner; ties break to the lexicographically
+    smallest edge list, so results are deterministic.  Charges must balance
+    for mass or m_beta costs (and for size when ``require_balance`` is set).
     """
     terminals = list(terminals)
     if len(terminals) < 2:
         raise ValueError("need at least two terminals")
+    if len(terminals) > MAX_TERMINALS:
+        raise ValueError(f"{len(terminals)} terminals exceed the exhaustive search "
+                         f"limit of {MAX_TERMINALS}")
     n = terminals[0].point.size
     if any(t.point.size != n for t in terminals):
         raise ValueError("terminals must share one ambient dimension")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from click.testing import CliRunner
 from plateau_lab import cones
 from plateau_lab.cli import _jsonable, main
 from plateau_lab.geometry import meshio
+from plateau_lab.geometry.energy import MAX_SAMPLES
+from plateau_lab.steiner import MAX_TERMINALS
 
 from conftest import flat_slice_mesh
 
@@ -121,11 +124,35 @@ def test_flag_beats_config(runner, tmp_path):
     assert from_flag.exists() and not from_config.exists()
 
 
+def _no_constants(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_non_finite_numbers_are_json_strings():
     doc = _jsonable({"a": np.float64("inf"), "b": float("-inf"),
                      "c": np.array([np.nan])})
     assert doc == {"a": "inf", "b": "-inf", "c": ["nan"]}
     assert json.loads(meshio.dumps_json(doc)) == doc
+    # the writer itself never emits bare Infinity or NaN
+    raw = meshio.dumps_json({"a": math.inf, "b": -math.inf, "c": [np.float64("nan")]})
+    assert json.loads(raw, parse_constant=_no_constants) == {"a": "inf", "b": "-inf",
+                                                              "c": ["nan"]}
+
+
+@pytest.mark.parametrize("fail", ["write", "replace"])
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch, fail):
+    target = tmp_path / "out.json"
+    if fail == "replace":
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(meshio.os, "replace", refuse)
+        with pytest.raises(OSError):
+            meshio.atomic_write_text(target, "{}\n")
+    else:
+        # a lone surrogate cannot be encoded: the write fails after the open
+        with pytest.raises(UnicodeEncodeError):
+            meshio.atomic_write_text(target, "{\udc80}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_thread_cap_is_recorded(runner, square_instance):
@@ -191,6 +218,30 @@ def test_hausdorff_of_mesh_with_itself(runner, y_mesh):
 def test_douglas_circle(runner):
     r = runner.invoke(main, ["douglas", "--samples", "256"])
     assert summary_of(r)["energy"] == pytest.approx(16 * math.pi**2, rel=1e-3)
+
+
+def test_douglas_sample_cap(runner, tmp_path):
+    r = runner.invoke(main, ["douglas", "--samples", str(MAX_SAMPLES + 2)])
+    assert r.exit_code == 2
+    assert f"at most {MAX_SAMPLES}" in r.stderr
+    loop = tmp_path / "loop.csv"
+    m = MAX_SAMPLES + 2
+    loop.write_text("".join(f"{math.cos(2 * math.pi * i / m)!r},{math.sin(2 * math.pi * i / m)!r}\n"
+                            for i in range(m)))
+    r = runner.invoke(main, ["douglas", "--loop", str(loop)])
+    assert r.exit_code == 1
+    assert "exceed the limit" in r.stderr
+
+
+def test_steiner_terminal_cap_fails_fast(runner, tmp_path):
+    doc = {"terminals": [{"pos": [math.cos(i), math.sin(i)]} for i in range(10)]}
+    inst = tmp_path / "ten.json"
+    inst.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    r = runner.invoke(main, ["steiner", "--instance", str(inst)])
+    assert time.perf_counter() - start < 1.0
+    assert r.exit_code == 1
+    assert f"limit of {MAX_TERMINALS}" in r.stderr
 
 
 def test_minimize_flat_slice(runner, tmp_path):

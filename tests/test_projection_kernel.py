@@ -1,0 +1,381 @@
+"""The batched face kernel against the chunk-by-chunk projection it replaced.
+
+The oracle below is the scalar code the projection ran before it worked on
+arrays: split one chunk by one plane at a time, map one vertex at a time,
+measure one chunk at a time.  The kernel must give the same chunks, in the
+same order, with the same bytes.
+"""
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import numpy as np
+import pytest
+
+from plateau_lab import projection as proj
+from plateau_lab.grids import build_grid
+
+from test_projection import seeded_blob
+
+
+# ── scalar oracle ──
+
+def _split_cycle(pts, vals):
+    below, above = [], []
+    m = len(pts)
+    for i in range(m):
+        p, sp = pts[i], vals[i]
+        q, sq = pts[(i + 1) % m], vals[(i + 1) % m]
+        if sp <= 0.0:
+            below.append(p)
+        if sp >= 0.0:
+            above.append(p)
+        if (sp < 0.0 < sq) or (sq < 0.0 < sp):
+            t = sp / (sp - sq)
+            x = p + t * (q - p)
+            below.append(x)
+            above.append(x)
+    return below, above
+
+
+def _cycle_to_chunks(cycle, d):
+    if d == 1:
+        if len(cycle) < 2:
+            return []
+        return [np.array([cycle[0], cycle[-1]])]
+    return [np.array([cycle[0], cycle[i], cycle[i + 1]]) for i in range(1, len(cycle) - 1)]
+
+
+def oracle_split_chunk(corners, normal, offset, snap,
+                       exact_axis: Optional[int] = None, exact_value: float = 0.0):
+    d = corners.shape[0] - 1
+    pts = [corners[i].copy() for i in range(d + 1)]
+    vals = []
+    for p in pts:
+        v = float(normal @ p) - offset
+        if abs(v) <= snap:
+            v = 0.0
+            if exact_axis is not None:
+                p[exact_axis] = exact_value
+        vals.append(v)
+    if all(v <= 0.0 for v in vals):
+        return [np.array(pts)], []
+    if all(v >= 0.0 for v in vals):
+        return [], [np.array(pts)]
+    if d == 1:
+        p, q = pts
+        sp, sq = vals
+        t = sp / (sp - sq)
+        x = p + t * (q - p)
+        if exact_axis is not None:
+            x[exact_axis] = exact_value
+        if sp < 0.0:
+            return [np.array([p, x])], [np.array([x, q])]
+        return [np.array([x, q])], [np.array([p, x])]
+    below_c, above_c = _split_cycle(pts, vals)
+    if exact_axis is not None:
+        for cyc in (below_c, above_c):
+            for p in cyc:
+                if abs(float(normal @ p) - offset) <= max(snap, 1e-12 * (abs(offset) + 1.0)):
+                    p[exact_axis] = exact_value
+    return _cycle_to_chunks(below_c, d), _cycle_to_chunks(above_c, d)
+
+
+def oracle_split_collect(chunks, normal, offset, snap, exact_axis=None, exact_value=0.0):
+    out = []
+    for c in chunks:
+        below, above = oracle_split_chunk(c, normal, offset, snap, exact_axis, exact_value)
+        out.extend(below)
+        out.extend(above)
+    return out
+
+
+def oracle_grid_split(corners, grid, snap):
+    n = grid.ambient_dim
+    chunks = [np.array(corners, dtype=float)]
+    for a in range(n):
+        axis_normal = np.zeros(n)
+        axis_normal[a] = 1.0
+        lo = min(float(c[a]) for c in corners)
+        hi = max(float(c[a]) for c in corners)
+        p_lo = max(0, int(math.ceil((lo - grid.corner[a]) / grid.spacing - 1e-12)))
+        p_hi = min(grid.subdivisions, int(math.floor((hi - grid.corner[a]) / grid.spacing + 1e-12)))
+        for p in range(p_lo, p_hi + 1):
+            value = grid.plane_coordinate(a, p)
+            chunks = oracle_split_collect(chunks, axis_normal, value, snap,
+                                          exact_axis=a, exact_value=value)
+    return chunks
+
+
+def oracle_cone_planes(xi, lo, hi, spanned):
+    n = xi.size
+    planes = []
+    if len(spanned) == 2:
+        a0, a1 = spanned
+        for ca in (lo[a0], hi[a0]):
+            for cb in (lo[a1], hi[a1]):
+                normal = np.zeros(n)
+                normal[a0] = -(cb - xi[a1])
+                normal[a1] = ca - xi[a0]
+                planes.append((normal, float(normal @ xi)))
+    elif len(spanned) == 3:
+        for e in spanned:
+            others = [a for a in spanned if a != e]
+            for c0 in (lo[others[0]], hi[others[0]]):
+                for c1 in (lo[others[1]], hi[others[1]]):
+                    p1 = xi.copy()
+                    p1[others[0]] = c0
+                    p1[others[1]] = c1
+                    p2 = p1.copy()
+                    p1[e] = lo[e]
+                    p2[e] = hi[e]
+                    u = p1 - xi
+                    v = p2 - xi
+                    n3 = np.cross(np.array([u[a] for a in spanned]),
+                                  np.array([v[a] for a in spanned]))
+                    normal = np.zeros(n)
+                    for j, a in enumerate(spanned):
+                        normal[a] = n3[j]
+                    planes.append((normal, float(normal @ xi)))
+    return planes
+
+
+def oracle_map_vertex(v, xi, lo, hi, spanned):
+    for a in spanned:
+        if v[a] == lo[a] or v[a] == hi[a]:
+            return v.copy()
+    best_t, best_axis, best_bound = math.inf, -1, 0.0
+    for a in spanned:
+        d = v[a] - xi[a]
+        if d > 0.0:
+            t, bound = (hi[a] - xi[a]) / d, hi[a]
+        elif d < 0.0:
+            t, bound = (lo[a] - xi[a]) / d, lo[a]
+        else:
+            continue
+        if t < best_t:
+            best_t, best_axis, best_bound = t, a, bound
+    if best_axis < 0:
+        raise ValueError("projection center coincides with a content vertex")
+    p = xi + best_t * (v - xi)
+    p[best_axis] = best_bound
+    for a in spanned:
+        p[a] = min(max(p[a], lo[a]), hi[a])
+    return p
+
+
+def oracle_project(chunks, xi, lo, hi, spanned, s):
+    snap = 1e-13 * s
+    pieces = list(chunks)
+    for normal, offset in oracle_cone_planes(xi, lo, hi, spanned):
+        norm = float(np.linalg.norm(normal))
+        if norm <= 0.0:
+            continue
+        pieces = oracle_split_collect(pieces, normal, offset, snap * norm)
+    return [np.array([oracle_map_vertex(v, xi, lo, hi, spanned) for v in c]) for c in pieces]
+
+
+def oracle_volume(corners):
+    if corners.shape[0] == 2:
+        return float(np.linalg.norm(corners[1] - corners[0]))
+    u = corners[1] - corners[0]
+    v = corners[2] - corners[0]
+    g = float(u @ u) * float(v @ v) - float(u @ v) ** 2
+    return 0.5 * math.sqrt(max(g, 0.0))
+
+
+def oracle_chebyshev(grid, face, content, trials, rng):
+    lo, hi = grid.face_bounds(face)
+    spanned = [a for a in range(grid.ambient_dim) if face.spans(a)]
+    half_lo, half_hi = lo.copy(), hi.copy()
+    for a in spanned:
+        half_lo[a] = lo[a] + 0.25 * grid.spacing
+        half_hi[a] = hi[a] - 0.25 * grid.spacing
+    clearance_min = proj.CLEARANCE_REL * grid.face_diameter(face)
+    samples = rng.uniform(half_lo, half_hi, size=(max(1, trials), grid.ambient_dim))
+    for a in range(grid.ambient_dim):
+        if a not in spanned:
+            samples[:, a] = lo[a]
+    dists = proj._points_to_pieces(samples, content)
+    raw = [c.corners for c in content]
+    best_xi, best_val, best_clear = None, math.inf, 0.0
+    for i in range(samples.shape[0]):
+        if dists[i] < clearance_min:
+            continue
+        imgs = oracle_project(raw, samples[i], lo, hi, spanned, grid.spacing)
+        val = float(sum(oracle_volume(c) for c in imgs))
+        if val < best_val - 1e-15:
+            best_xi, best_val, best_clear = samples[i], val, float(dists[i])
+    assert best_xi is not None
+    return best_xi, {"strategy": "chebyshev", "clearance": best_clear,
+                     "trials": int(samples.shape[0]), "image_measure": best_val}
+
+
+# ── helpers ──
+
+def assert_same_chunks(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+#: (content dimension d, ambient n, spanned axes of the face); the pipeline
+#: projects d-dimensional content only out of faces of dimension k > d
+CASES = [(1, 2, [0, 1]), (1, 3, [0, 2]), (1, 3, [0, 1, 2]), (2, 3, [0, 1, 2])]
+
+
+def face_setup(n, spanned, rng):
+    """A face of side 1/4 with random lower corner; off-face axes are pinned."""
+    s = 0.25
+    lo = np.round(rng.uniform(-1.0, 1.0, size=n) * 8) / 8
+    hi = lo.copy()
+    hi[spanned] += s
+    return lo, hi, s
+
+
+def content_in_face(d, lo, hi, rng, count):
+    return rng.uniform(lo, hi, size=(count, d + 1, lo.size))
+
+
+def centers_in_face(lo, hi, spanned, s, rng, m):
+    half_lo, half_hi = lo.copy(), hi.copy()
+    half_lo[spanned] += 0.25 * s
+    half_hi[spanned] -= 0.25 * s
+    return rng.uniform(half_lo, half_hi, size=(m, lo.size))
+
+
+def pin_to_planes(chunks, xi, lo, hi, spanned, s, rng, jitter):
+    """Move some vertices onto a cone plane of xi: on a ray from xi to a face
+    corner (k = 2) or edge point (k = 3), plus ``jitter`` * s noise."""
+    corners = []
+    for bits in range(2 ** len(spanned)):
+        c = lo.copy()
+        for j, a in enumerate(spanned):
+            if bits >> j & 1:
+                c[a] = hi[a]
+        corners.append(c)
+    out = chunks.copy()
+    for t in range(out.shape[0]):
+        for i in range(out.shape[1]):
+            if rng.random() < 0.4:
+                target = corners[rng.integers(len(corners))]
+                lam = rng.choice([0.25, 0.5, 0.75])
+                p = xi + lam * (target - xi)
+                p[spanned] += jitter * s * rng.standard_normal(len(spanned))
+                out[t, i] = p
+    return out
+
+
+# ── kernel vs oracle ──
+
+@pytest.mark.parametrize("d,n,spanned", CASES)
+@pytest.mark.parametrize("jitter", [None, 0.0, 1e-15, 1e-12])
+def test_batched_projection_matches_scalar_oracle(d, n, spanned, jitter):
+    """Several centers per call; vertices free, exactly on a cone plane
+    (dyadic center, so the plane value is exactly 0), within snap of one,
+    and just outside snap."""
+    rng = np.random.default_rng(1000 * d + 10 * n + len(spanned))
+    for _ in range(4):
+        lo, hi, s = face_setup(n, spanned, rng)
+        xi = centers_in_face(lo, hi, spanned, s, rng, 5)
+        chunks = content_in_face(d, lo, hi, rng, 6)
+        if jitter is not None:
+            xi[0, spanned] = np.round(xi[0, spanned] * 64) / 64
+            chunks = pin_to_planes(chunks, xi[0], lo, hi, spanned, s, rng, jitter)
+        images, center_of, source_of = proj._project_batch(chunks, xi, lo, hi, spanned, s)
+        for m in range(xi.shape[0]):
+            want, want_src = [], []
+            for i, c in enumerate(chunks):
+                imgs = oracle_project([c], xi[m], lo, hi, spanned, s)
+                want += imgs
+                want_src += [i] * len(imgs)
+            mine = center_of == m
+            assert_same_chunks(images[mine], want)
+            assert source_of[mine].tolist() == want_src
+            # whole-batch scalar projection gives the same flat map
+            assert_same_chunks(images[mine], oracle_project(list(chunks), xi[m], lo, hi,
+                                                            spanned, s))
+        assert np.all(np.diff(center_of) >= 0)
+
+
+def test_exact_plane_hits_are_exercised():
+    """The on-plane case really reaches the zero-value branch."""
+    lo, hi = np.zeros(2), np.full(2, 0.25)
+    xi = np.array([0.125, 0.0625])
+    on = xi + 0.5 * (np.array([0.25, 0.25]) - xi)
+    normal, offset = oracle_cone_planes(xi, lo, hi, [0, 1])[3]
+    assert float(normal @ on) - offset == 0.0
+    seg = np.array([[on, [0.2, 0.01]]])
+    assert_same_chunks(proj._project_face_content(list(seg), xi, lo, hi, [0, 1], 0.25),
+                       oracle_project(list(seg), xi, lo, hi, [0, 1], 0.25))
+
+
+def test_center_on_a_vertex_raises_like_the_oracle():
+    lo, hi = np.zeros(3), np.full(3, 0.25)
+    xi = np.array([0.125, 0.125, 0.125])
+    tri = np.array([[xi, [0.2, 0.1, 0.05], [0.05, 0.2, 0.1]]])
+    with pytest.raises(ValueError, match="coincides"):
+        oracle_project(list(tri), xi, lo, hi, [0, 1, 2], 0.25)
+    with pytest.raises(ValueError, match="coincides"):
+        proj._project_batch(tri, xi[None, :], lo, hi, [0, 1, 2], 0.25)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_volumes_match_scalar_measure(d):
+    rng = np.random.default_rng(7 + d)
+    chunks = rng.standard_normal((400, d + 1, 3)) * 10.0 ** rng.uniform(-6, 3, (400, 1, 1))
+    chunks[::5, 1] = chunks[::5, 0]        # degenerate chunks
+    if d == 2:                             # collinear: the Gram term rounds to either sign
+        chunks[1::5, 2] = chunks[1::5, 0] + 0.3 * (chunks[1::5, 1] - chunks[1::5, 0])
+    got = proj._volumes(chunks)
+    assert got == [oracle_volume(c) for c in chunks]
+    assert proj._volumes([]) == []
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 3), (2, 3)])
+@pytest.mark.parametrize("corner,size", [(-0.5, 2.0), (1000.0, 2.0 ** -6)])
+def test_grid_split_matches_scalar_oracle(d, n, corner, size):
+    """Batched exact-axis split vs per-simplex scalar split, including
+    vertices on grid planes, within the snap of them, and (far from the
+    origin, where the cycle tolerance 1e-12 * (|plane| + 1) exceeds the
+    snap) between the snap and that tolerance."""
+    rng = np.random.default_rng(50 + d + n)
+    grid = build_grid(np.full(n, corner), size, 8)
+    snap = proj.SNAP_REL * grid.spacing
+    tol = 1e-12 * (abs(corner) + 1.0)
+    corners = rng.uniform(corner - 0.05 * size, corner + 1.05 * size, size=(40, d + 1, n))
+    planes = grid.corner[0] + grid.spacing * np.arange(grid.subdivisions + 1)
+    pick = rng.random(corners.shape) < 0.3
+    near = planes[rng.integers(planes.size, size=corners.shape)]
+    near = near + rng.choice([0.0, 0.5 * snap, -0.5 * snap, 2.0 * snap, 0.5 * tol],
+                             size=corners.shape)
+    corners = np.where(pick, near, corners)
+    chunks, source_of = proj._split_at_grid_planes(corners, grid, snap)
+    want, want_src = [], []
+    for i, c in enumerate(corners):
+        got = oracle_grid_split(c, grid, snap)
+        want += got
+        want_src += [i] * len(got)
+    assert_same_chunks(chunks, want)
+    assert source_of.tolist() == want_src
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("one_center_per_call", [False, True])
+def test_chebyshev_center_matches_scalar_oracle(seed, one_center_per_call, monkeypatch):
+    if one_center_per_call:
+        monkeypatch.setattr(proj, "_CENTER_BATCH", 1)
+    grid = build_grid(np.zeros(3), 1.0, 2)
+    pieces, _, _ = proj.split_into_grid(seeded_blob(seed), grid)
+    faces = {}
+    for p in pieces:
+        if p.face.dim == 3:
+            faces.setdefault(p.face, []).append(p)
+    assert faces
+    for face in sorted(faces)[:3]:
+        got = proj.choose_center(grid, face, faces[face], "chebyshev", 8,
+                                 proj._face_rng(seed, 3, face))
+        want = oracle_chebyshev(grid, face, faces[face], 8, proj._face_rng(seed, 3, face))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
