@@ -144,17 +144,20 @@ def _load_grid(path):
         errors.append("grid spec needs an integer 'N' >= 1")
     if errors:
         _fail_config(errors)
-    corner = np.asarray(corner, dtype=float)
-    grid = DyadicGrid(corner, float(size), int(N))
-    ident = spec.get("identifications")
-    manifold = None
-    if ident == "torus":
-        manifold = FlatManifold.torus(corner.size, float(size), corner)
-    elif isinstance(ident, list):
-        if any(ident):
-            manifold = FlatManifold(corner, float(size), tuple(bool(b) for b in ident))
-    elif ident is not None:
-        _fail_config(["grid spec 'identifications' must be 'torus' or a boolean list"])
+    try:
+        corner = np.asarray(corner, dtype=float)
+        grid = DyadicGrid(corner, float(size), int(N))
+        ident = spec.get("identifications")
+        manifold = None
+        if ident == "torus":
+            manifold = FlatManifold.torus(corner.size, float(size), corner)
+        elif isinstance(ident, list):
+            if any(ident):
+                manifold = FlatManifold(corner, float(size), tuple(bool(b) for b in ident))
+        elif ident is not None:
+            _fail_config(["grid spec 'identifications' must be 'torus' or a boolean list"])
+    except ValueError as e:
+        _fail_config([f"grid spec: {e}"])
     return grid, manifold
 
 

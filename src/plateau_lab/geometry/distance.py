@@ -100,20 +100,25 @@ def _points_to_triangle(points: np.ndarray, a: np.ndarray, b: np.ndarray,
     return np.linalg.norm(points - closest, axis=1)
 
 
+def points_to_simplices(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Exact distance from each point (P, n) to the union of segments or
+    triangles given as corners (S, d+1, n); inf when S = 0."""
+    best = np.full(points.shape[0], np.inf)
+    for c in corners:
+        if c.shape[0] == 2:
+            d = _points_to_segment(points, c[0], c[1])
+        else:
+            d = _points_to_triangle(points, c[0], c[1], c[2])
+        np.minimum(best, d, out=best)
+    return best
+
+
 def point_mesh_distance(points, mesh: EmbeddedMesh) -> np.ndarray:
     """Exact euclidean distance from each point to the mesh support."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if mesh.n_simplices == 0:
         raise ValueError("distance to an empty mesh is undefined")
-    corners = mesh.simplex_corners()
-    best = np.full(pts.shape[0], np.inf)
-    for i in range(mesh.n_simplices):
-        if mesh.dimension == 1:
-            d = _points_to_segment(pts, corners[i, 0], corners[i, 1])
-        else:
-            d = _points_to_triangle(pts, corners[i, 0], corners[i, 1], corners[i, 2])
-        np.minimum(best, d, out=best)
-    return best
+    return points_to_simplices(pts, mesh.simplex_corners())
 
 
 def sample_mesh(mesh: EmbeddedMesh, spacing: float,

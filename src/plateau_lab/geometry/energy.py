@@ -17,17 +17,20 @@ import math
 
 import numpy as np
 
-#: the energy holds m x m x n pairwise differences: 2,048 samples of a
-#: circle in R^3 peak at 255 MiB of resident memory
+from .core import MAX_AMBIENT_DIM
+
+#: the energy holds m x m x n pairwise differences: 2,048 samples of a circle
+#: peak at 255 MiB of resident memory in R^3 and 351 MiB in R^6 (n <= 6)
 MAX_SAMPLES = 2048
 
 
 def douglas_energy(samples) -> float:
     """Energy of a uniformly sampled closed curve (m even, 8 <= m <= MAX_SAMPLES).
 
-    ``samples``: (m, n) array of curve points at angles 2*pi*i/m.  Raises on
-    consecutive duplicate samples (the parametrization must be injective on
-    neighbors for the difference quotients to mean anything).
+    ``samples``: (m, n) array of curve points at angles 2*pi*i/m, n at most
+    MAX_AMBIENT_DIM.  Raises on consecutive duplicate samples (the
+    parametrization must be injective on neighbors for the difference
+    quotients to mean anything).
     """
     f = np.asarray(samples, dtype=float)
     if f.ndim != 2:
@@ -37,6 +40,8 @@ def douglas_energy(samples) -> float:
         raise ValueError("need an even number m >= 8 of samples")
     if m > MAX_SAMPLES:
         raise ValueError(f"{m} samples exceed the limit of {MAX_SAMPLES}")
+    if f.shape[1] > MAX_AMBIENT_DIM:
+        raise ValueError(f"{f.shape[1]} columns exceed the limit of {MAX_AMBIENT_DIM}")
     steps = np.linalg.norm(np.roll(f, -1, axis=0) - f, axis=1)
     scale = float(np.max(np.linalg.norm(f - f.mean(axis=0), axis=1)))
     if np.any(steps <= 1e-15 * max(scale, 1.0)) and scale > 0.0:

@@ -296,13 +296,3 @@ class FlatManifold:
             if self.identified[a]:
                 lat[a] = lat[a] % N
         return CubeFace(face.axes, tuple(lat))
-
-    def canonical_shift(self, face: CubeFace, subdivisions: int) -> np.ndarray:
-        """Translation carrying the face representative onto its canonical key."""
-        N = subdivisions
-        s = self.size / N
-        shift = np.zeros(self.ambient_dim)
-        for a in range(self.ambient_dim):
-            if self.identified[a]:
-                shift[a] = (face.lattice[a] % N - face.lattice[a]) * s
-        return shift

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional
 
 import numpy as np
 
 from .geometry.core import EmbeddedMesh, refine
-from .geometry.distance import _points_to_segment, _points_to_triangle
+from .geometry.distance import points_to_simplices
 from .grids import CubeFace, DyadicGrid, FlatManifold
 
 logger = logging.getLogger(__name__)
@@ -57,24 +57,74 @@ _CENTER_BATCH = 4096
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Piece:
-    """One content simplex: corner block, multiplicity, owner cell, min face."""
+class PieceTable:
+    """Content simplices as parallel arrays, one row per piece.
+
+    ``corners`` (P, d+1, n), ``mult`` (P,), ``face`` and ``owner`` (P, n+1):
+    the minimal grid face and the owner cell as key rows [axes, lattice...],
+    whose row order is CubeFace order; ``vol`` (P,) the measure of each
+    piece, taken once from its corners when omitted.
+    """
 
     corners: np.ndarray
-    mult: int
-    owner: Optional[CubeFace] = None
-    face: Optional[CubeFace] = None
+    mult: np.ndarray
+    face: np.ndarray
+    owner: np.ndarray
+    vol: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.vol is None:
+            self.vol = np.array(_volumes(self.corners), dtype=float)
+
+    def __len__(self) -> int:
+        return len(self.mult)
+
+    def take(self, rows) -> "PieceTable":
+        return PieceTable(self.corners[rows], self.mult[rows], self.face[rows],
+                          self.owner[rows], self.vol[rows])
+
+    @staticmethod
+    def concat(tables) -> "PieceTable":
+        return PieceTable(*(np.concatenate([getattr(t, f.name) for t in tables])
+                            for f in fields(PieceTable)))
 
 
-def _points_to_pieces(points: np.ndarray, pieces: Sequence[Piece]) -> np.ndarray:
-    best = np.full(points.shape[0], np.inf)
-    for p in pieces:
-        if p.corners.shape[0] == 2:
-            d = _points_to_segment(points, p.corners[0], p.corners[1])
-        else:
-            d = _points_to_triangle(points, p.corners[0], p.corners[1], p.corners[2])
-        np.minimum(best, d, out=best)
-    return best
+def _cube_face(key) -> CubeFace:
+    return CubeFace(int(key[0]), tuple(int(x) for x in key[1:]))
+
+
+def _spans(keys: np.ndarray, n: int) -> np.ndarray:
+    """(R, n) mask of the axes each key row spans."""
+    return (keys[:, :1] >> np.arange(n)) & 1 == 1
+
+
+def _faces_of_dim(keys: np.ndarray, dim: int, grid: DyadicGrid, freeze_boundary) -> np.ndarray:
+    """Rows whose face has dimension ``dim`` and, with ``freeze_boundary``,
+    does not lie inside the boundary of Q (``DyadicGrid.on_boundary``)."""
+    spans = _spans(keys, grid.ambient_dim)
+    on_edge = ~spans & ((keys[:, 1:] == 0) | (keys[:, 1:] == grid.subdivisions))
+    return (spans.sum(axis=1) == dim) & ~(bool(freeze_boundary) & on_edge.any(axis=1))
+
+
+def _face_groups(keys: np.ndarray, select: np.ndarray) -> list[tuple[CubeFace, np.ndarray]]:
+    """Distinct faces of the selected rows in sorted order, each with its rows in order."""
+    rows = np.flatnonzero(select)
+    faces, group = np.unique(keys[rows], axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    members = np.split(rows[np.argsort(group, kind="stable")],
+                       np.cumsum(np.bincount(group, minlength=len(faces)))[:-1])
+    return [(_cube_face(f), m) for f, m in zip(faces, members)]
+
+
+def _total(vol: np.ndarray) -> float:
+    """0.0 + v[0] + v[1] + ..., left to right on every Python version."""
+    return float(np.cumsum(np.concatenate([[0.0], vol]))[-1])
+
+
+def _ledger(keys: np.ndarray, vol: np.ndarray) -> dict:
+    """{CubeFace: total measure} per distinct key row, in order of first appearance."""
+    groups = sorted(_face_groups(keys, np.ones(len(keys), dtype=bool)), key=lambda g: g[1][0])
+    return {face: _total(vol[rows]) for face, rows in groups}
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +165,6 @@ def _volumes(chunks) -> list[float]:
     v = c[:, 2] - c[:, 0]
     g = _rowdot(u, u) * _rowdot(v, v) - np.array([x ** 2 for x in _rowdot(u, v).tolist()])
     return (0.5 * np.sqrt(np.where(0.0 > g, 0.0, g))).tolist()
-
-
-def _pieces_measure(pieces: Sequence[Piece]) -> float:
-    return float(sum(_volumes([p.corners for p in pieces])))
 
 
 def _split_table(d: int):
@@ -328,14 +374,6 @@ def _project_batch(corners: np.ndarray, centers: np.ndarray, lo: np.ndarray,
     return images.reshape(pts.shape), center_of, source_of
 
 
-def _project_face_content(chunks: list[np.ndarray], xi: np.ndarray, lo: np.ndarray,
-                          hi: np.ndarray, spanned: list[int], s: float) -> list[np.ndarray]:
-    """Images of ``chunks`` under the radial projection from one center."""
-    images, _, _ = _project_batch(np.asarray(chunks, dtype=float), xi[None, :],
-                                  lo, hi, spanned, s)
-    return list(images)
-
-
 # ---------------------------------------------------------------------------
 # grid-plane splitting and face assignment
 # ---------------------------------------------------------------------------
@@ -372,63 +410,66 @@ def _split_at_grid_planes(corners: np.ndarray, grid: DyadicGrid, snap: float):
     return chunks, source_of
 
 
-def _inside_closed_cube(point: np.ndarray, grid: DyadicGrid, slack: float) -> bool:
-    lo = grid.corner - slack
-    hi = grid.corner + grid.size + slack
-    return bool(np.all(point >= lo) and np.all(point <= hi))
+def _derive_faces(corners: np.ndarray, grid: DyadicGrid) -> np.ndarray:
+    """Key row of the minimal grid face of each chunk (R, d+1, n).
 
-
-def _derive_face(corners: np.ndarray, grid: DyadicGrid, snap: float) -> Optional[CubeFace]:
-    """Minimal grid face containing the simplex; snaps near-plane coordinates."""
-    n, N, s = grid.ambient_dim, grid.subdivisions, grid.spacing
-    mask = 0
-    lattice = []
-    for a in range(n):
-        vals = corners[:, a]
-        rel = (vals - grid.corner[a]) / s
-        p = int(round(float(rel[0])))
-        plane = grid.plane_coordinate(a, p)
-        if 0 <= p <= N and np.all(np.abs(vals - plane) <= snap):
-            corners[:, a] = plane
-            lattice.append(p)
-            continue
-        mask |= 1 << a
-        bary = float(np.mean(rel))
-        idx = min(max(int(math.floor(bary)), 0), N - 1)
-        lattice.append(idx)
-    face = CubeFace(mask, tuple(lattice))
-    return face if grid.is_valid(face) else None
-
-
-def _owner_cell(face: CubeFace, grid: DyadicGrid) -> CubeFace:
-    return min(grid.containing_cells(face))
-
-
-def _canonical_piece(chunk: np.ndarray, face: CubeFace, grid: DyadicGrid,
-                     manifold: Optional[FlatManifold], snap: float):
-    """Translate a chunk onto its face's canonical representative (periodic axes).
-
-    Returns the (possibly shifted) chunk and its face, re-derived after the
-    shift and falling back to the canonical key when re-derivation fails.
+    An axis is pinned at the first vertex's nearest plane p in 0..N when
+    every vertex lies within the snap of it, and those coordinates are set
+    to the plane in place; otherwise the barycenter's cell, clamped into the
+    grid, spans it.  So every key is a valid face.
     """
+    n, N, s = corners.shape[2], grid.subdivisions, grid.spacing
+    snap = SNAP_REL * s
+    keys = np.zeros((len(corners), n + 1), dtype=np.int64)
+    for a in range(n):
+        vals = corners[:, :, a]
+        rel = (vals - grid.corner[a]) / s
+        p = np.rint(np.clip(rel[:, 0], -1, N + 1)).astype(np.int64)   # clip: no int64 overflow
+        plane = grid.corner[a] + p * s
+        pinned = (0 <= p) & (p <= N) & np.all(np.abs(vals - plane[:, None]) <= snap, axis=1)
+        vals[pinned] = plane[pinned, None]
+        cell = np.clip(np.floor(rel.mean(axis=1)), 0, N - 1).astype(np.int64)
+        keys[:, 0] |= np.where(pinned, 0, 1 << a)
+        keys[:, a + 1] = np.where(pinned, p, cell)
+    return keys
+
+
+def _assign_faces(corners: np.ndarray, grid: DyadicGrid,
+                  manifold: Optional[FlatManifold]) -> np.ndarray:
+    """Face key rows of chunks (R, d+1, n), snapping them in place.  On
+    periodic axes a chunk on a non-canonical face key moves onto the
+    canonical representative and its face is derived again."""
+    keys = _derive_faces(corners, grid)
     if manifold is None:
-        return chunk, face
-    canon = manifold.canonical_face(face, grid.subdivisions)
-    if canon == face:
-        return chunk, face
-    chunk = chunk + manifold.canonical_shift(face, grid.subdivisions)
-    return chunk, _derive_face(chunk, grid, snap) or canon
+        return keys
+    N = grid.subdivisions
+    lat = keys[:, 1:]
+    ident = np.array(manifold.identified)
+    moved = np.any(ident & (lat % N != lat), axis=1)
+    shift = np.where(ident, (lat[moved] % N - lat[moved]) * (manifold.size / N), 0.0)
+    shifted = corners[moved] + shift[:, None, :]
+    keys[moved] = _derive_faces(shifted, grid)
+    corners[moved] = shifted
+    return keys
+
+
+def _owner_cells(keys: np.ndarray, grid: DyadicGrid) -> np.ndarray:
+    """Key row of the lexicographically smallest cell containing each face."""
+    lat = keys[:, 1:]
+    cells = np.where(_spans(keys, grid.ambient_dim), lat, np.maximum(lat - 1, 0))
+    return np.column_stack([np.full(len(keys), grid.full_mask), cells])
 
 
 # ---------------------------------------------------------------------------
 # center selection
 # ---------------------------------------------------------------------------
 
-def choose_center(grid: DyadicGrid, face: CubeFace, content: Sequence[Piece],
+def choose_center(grid: DyadicGrid, face: CubeFace, content: np.ndarray,
                   strategy: str = "chebyshev", trials: int = 32,
                   rng: Optional[np.random.Generator] = None) -> tuple[np.ndarray, dict]:
     """Pick a projection center in the concentric half-face.
 
+    ``content`` holds the face's pieces as corners (C, d+1, n).
     ``far``: deterministic sample-grid argmax of the distance to the content
     (ties break to the first sample), reporting the a-priori ratio bound
     (diam(S)/dist)^d.  ``chebyshev``: best of ``trials`` seeded uniform
@@ -445,7 +486,7 @@ def choose_center(grid: DyadicGrid, face: CubeFace, content: Sequence[Piece],
         half_lo[a] = lo[a] + 0.25 * grid.spacing
         half_hi[a] = hi[a] - 0.25 * grid.spacing
     center = 0.5 * (half_lo + half_hi)
-    if not content:
+    if len(content) == 0:
         return center, {"strategy": strategy, "ratio_bound": 0.0, "clearance": math.inf}
     clearance_min = CLEARANCE_REL * diam
 
@@ -456,14 +497,14 @@ def choose_center(grid: DyadicGrid, face: CubeFace, content: Sequence[Piece],
         pts = np.tile(center, (mesh[0].size, 1))
         for j, a in enumerate(spanned):
             pts[:, a] = mesh[j].ravel()
-        dist = _points_to_pieces(pts, content)
+        dist = points_to_simplices(pts, content)
         idx = int(np.argmax(dist))
         best = pts[idx]
         d_best = float(dist[idx])
         if d_best < clearance_min:
             raise ValueError("no admissible projection center in the half-face")
         return best, {"strategy": "far", "clearance": d_best,
-                      "ratio_bound": (diam / d_best) ** (len(content[0].corners) - 1)}
+                      "ratio_bound": (diam / d_best) ** (content.shape[1] - 1)}
 
     if strategy != "chebyshev":
         raise ValueError(f"unknown center strategy {strategy!r}")
@@ -473,14 +514,13 @@ def choose_center(grid: DyadicGrid, face: CubeFace, content: Sequence[Piece],
     for a in range(grid.ambient_dim):
         if a not in spanned:
             samples[:, a] = lo[a]
-    dists = _points_to_pieces(samples, content)
+    dists = points_to_simplices(samples, content)
     admissible = np.flatnonzero(~(dists < clearance_min))
     best_xi, best_val, best_clear = None, math.inf, 0.0
-    raw = np.array([c.corners for c in content])
-    step = max(1, _CENTER_BATCH // len(raw))
+    step = max(1, _CENTER_BATCH // len(content))
     for first in range(0, admissible.size, step):
         group = admissible[first:first + step]
-        images, center_of, _ = _project_batch(raw, samples[group], lo, hi, spanned,
+        images, center_of, _ = _project_batch(content, samples[group], lo, hi, spanned,
                                               grid.spacing)
         vols = _volumes(images)
         ends = np.cumsum(np.bincount(center_of, minlength=group.size)).tolist()
@@ -506,10 +546,6 @@ class StageRecord:
     measure_out: float
     faces: dict
 
-    @property
-    def ratio(self) -> float:
-        return self.measure_out / self.measure_in if self.measure_in > 1e-300 else 0.0
-
 
 @dataclass
 class ProjectionResult:
@@ -520,20 +556,15 @@ class ProjectionResult:
     stages: list
     per_cell: dict
     plan: dict
+    pieces: PieceTable = field(repr=False)
+    outside_chunks: list = field(repr=False)
+    outside_mults: list = field(repr=False)
     error_bound: float = 0.0
     collapse_applied: bool = False
     collapse_report: Optional[dict] = None
-    pieces: list = field(default_factory=list, repr=False)
-    outside_chunks: list = field(default_factory=list, repr=False)
-    outside_mults: list = field(default_factory=list, repr=False)
 
     def content_measure_by_face(self) -> dict:
-        out: dict[CubeFace, float] = {}
-        for p, vol in zip(self.pieces, _volumes([p.corners for p in self.pieces])):
-            if p.face is None:
-                continue
-            out[p.face] = out.get(p.face, 0.0) + vol
-        return out
+        return _ledger(self.pieces.face, self.pieces.vol)
 
 
 def _face_rng(seed: int, stage: int, face: CubeFace) -> np.random.Generator:
@@ -541,18 +572,35 @@ def _face_rng(seed: int, stage: int, face: CubeFace) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def _assemble_mesh(dimension: int, ambient: int, pieces: Sequence[Piece],
-                   outside_chunks: Sequence[np.ndarray], outside_mults: Sequence[int]) -> EmbeddedMesh:
-    chunks = [np.asarray(c, dtype=float) for c in outside_chunks]
-    mults = [int(m) for m in outside_mults]
-    for p in pieces:
-        chunks.append(p.corners)
-        mults.append(p.mult)
+def _assemble_mesh(dimension: int, ambient: int, pieces: PieceTable,
+                   outside_chunks: list, outside_mults: list) -> EmbeddedMesh:
+    chunks = list(outside_chunks) + list(pieces.corners)
     if not chunks:
         return EmbeddedMesh.empty(dimension, ambient)
     base = EmbeddedMesh.from_simplex_list(dimension, chunks, allow_degenerate=True)
+    mults = list(outside_mults) + pieces.mult.tolist()
     return EmbeddedMesh(dimension, base.vertices, base.simplices,
                         np.array(mults, dtype=np.int64), allow_degenerate=True)
+
+
+def _project_groups(pieces: PieceTable, groups: list, centers: list,
+                    grid: DyadicGrid, manifold: Optional[FlatManifold]):
+    """Image pieces of each face group under the projection from its center,
+    group by group and in row order, with mult and owner of their source.
+    Returns (images, source row of each image, end of each group's images)."""
+    chunks, sources = [pieces.corners[:0]], [np.zeros(0, dtype=np.intp)]
+    for (face, rows), xi in zip(groups, centers):
+        lo, hi = grid.face_bounds(face)
+        spanned = [a for a in range(grid.ambient_dim) if face.spans(a)]
+        images, _, source_of = _project_batch(pieces.corners[rows], xi[None, :],
+                                              lo, hi, spanned, grid.spacing)
+        chunks.append(images)
+        sources.append(rows[source_of])
+    corners = np.concatenate(chunks)
+    source = np.concatenate(sources)
+    face = _assign_faces(corners, grid, manifold)
+    ends = np.cumsum([len(c) for c in chunks[1:]]).tolist()
+    return PieceTable(corners, pieces.mult[source], face, pieces.owner[source]), source, ends
 
 
 # ---------------------------------------------------------------------------
@@ -566,40 +614,27 @@ def split_into_grid(mesh: EmbeddedMesh, grid: DyadicGrid,
     Returns (pieces, outside_chunks, outside_mults).  Pieces carry exact
     plane coordinates, their minimal face (canonical on periodic axes,
     translating the piece into the canonical representative), and their owner
-    cell.  Simplices whose bounding box misses Q are passed through verbatim.
+    cell.  Simplices whose bounding box misses Q are passed through verbatim,
+    and so are chunks whose barycenter misses Q, all in simplex order.
     """
     corners_all = mesh.simplex_corners()
     snap = SNAP_REL * grid.spacing
-    lo_q = grid.corner
-    hi_q = grid.corner + grid.size
-    outside = (np.any(corners_all.max(axis=1) < lo_q - snap, axis=1)
-               | np.any(corners_all.min(axis=1) > hi_q + snap, axis=1))
-    chunks, source_of = _split_at_grid_planes(corners_all[~outside], grid, snap)
-    ends = np.cumsum(np.bincount(source_of, minlength=int((~outside).sum())))
-    split_simplices = iter(np.split(chunks, ends[:-1]))
-    pieces: list[Piece] = []
-    outside_chunks: list[np.ndarray] = []
-    outside_mults: list[int] = []
-    for i in range(mesh.n_simplices):
-        mult = int(mesh.multiplicities[i])
-        if outside[i]:
-            outside_chunks.append(corners_all[i])
-            outside_mults.append(mult)
-            continue
-        for chunk in next(split_simplices):
-            bary = chunk.mean(axis=0)
-            if not _inside_closed_cube(bary, grid, snap):
-                outside_chunks.append(chunk)
-                outside_mults.append(mult)
-                continue
-            face = _derive_face(chunk, grid, snap)
-            if face is None:
-                outside_chunks.append(chunk)
-                outside_mults.append(mult)
-                continue
-            chunk, face = _canonical_piece(chunk, face, grid, manifold, snap)
-            pieces.append(Piece(chunk, mult, _owner_cell(face, grid), face))
-    return pieces, outside_chunks, outside_mults
+    lo_q, hi_q = grid.corner, grid.corner + grid.size
+    missed = (np.any(corners_all.max(axis=1) < lo_q - snap, axis=1)
+              | np.any(corners_all.min(axis=1) > hi_q + snap, axis=1))
+    split = np.flatnonzero(~missed)
+    chunks, source_of = _split_at_grid_planes(corners_all[split], grid, snap)
+    source_of = split[source_of]
+    bary = chunks.mean(axis=1)
+    inside = np.all((bary >= lo_q - snap) & (bary <= hi_q + snap), axis=1)
+    source = np.concatenate([np.flatnonzero(missed), source_of[~inside]])
+    order = np.argsort(source, kind="stable")
+    outside_chunks = list(np.concatenate([corners_all[missed], chunks[~inside]])[order])
+    outside_mults = mesh.multiplicities[source[order]].tolist()
+    corners = chunks[inside]
+    face = _assign_faces(corners, grid, manifold)
+    return (PieceTable(corners, mesh.multiplicities[source_of[inside]], face,
+                       _owner_cells(face, grid)), outside_chunks, outside_mults)
 
 
 def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
@@ -628,55 +663,34 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     d = mesh.dimension
     n = grid.ambient_dim
     pieces, outside_chunks, outside_mults = split_into_grid(mesh, grid, manifold)
-    measure_in = _pieces_measure(pieces)
-    in_by_owner: dict[CubeFace, float] = {}
-    for p, vol in zip(pieces, _volumes([p.corners for p in pieces])):
-        in_by_owner[p.owner] = in_by_owner.get(p.owner, 0.0) + vol
+    measure_in = _total(pieces.vol)
+    in_by_owner = _ledger(pieces.owner, pieces.vol)
 
-    snap = SNAP_REL * grid.spacing
     stages: list[StageRecord] = []
     for k in range(n, d, -1):
-        groups: dict[CubeFace, list[Piece]] = {}
-        passthrough: list[Piece] = []
-        for p in pieces:
-            if p.face.dim == k and not (freeze_boundary and grid.on_boundary(p.face)):
-                groups.setdefault(p.face, []).append(p)
-            else:
-                passthrough.append(p)
-        face_records: dict = {}
+        moving = _faces_of_dim(pieces.face, k, grid, freeze_boundary)
+        groups = _face_groups(pieces.face, moving)
+        chosen = [choose_center(grid, fkey, pieces.corners[rows], strategy, trials,
+                                _face_rng(seed, k, fkey)) for fkey, rows in groups]
+        images, _, ends = _project_groups(pieces, groups, [xi for xi, _ in chosen],
+                                          grid, manifold)
+        face_records = {}
         stage_in = 0.0
         stage_out = 0.0
-        new_pieces: list[Piece] = list(passthrough)
-        for fkey in sorted(groups.keys()):
-            batch = groups[fkey]
-            lo, hi = grid.face_bounds(fkey)
-            spanned = [a for a in range(n) if fkey.spans(a)]
-            rng = _face_rng(seed, k, fkey)
-            xi, info = choose_center(grid, fkey, batch, strategy, trials, rng)
-            raw = np.array([p.corners for p in batch])
-            m_in = float(sum(_volumes(raw)))
-            images, _, source_of = _project_batch(raw, xi[None, :], lo, hi, spanned,
-                                                  grid.spacing)
-            mapped_pieces: list[Piece] = []
-            for c, i in zip(images, source_of.tolist()):
-                c, face = _canonical_piece(c, _derive_face(c, grid, snap) or fkey,
-                                           grid, manifold, snap)
-                mapped_pieces.append(Piece(c, batch[i].mult, batch[i].owner, face))
-            m_out = _pieces_measure(mapped_pieces)
+        for (fkey, rows), (xi, info), start, end in zip(groups, chosen, [0] + ends, ends):
+            m_in = _total(pieces.vol[rows])
+            m_out = _total(images.vol[start:end])
             stage_in += m_in
             stage_out += m_out
+            face_records[fkey] = info
             info["center"] = [float(x) for x in xi]
             info["measure_in"] = m_in
             info["measure_out"] = m_out
             info["measured_ratio"] = m_out / m_in if m_in > 1e-300 else 0.0
-            face_records[fkey] = info
-            new_pieces.extend(mapped_pieces)
-        pieces = new_pieces
+        pieces = PieceTable.concat([pieces.take(~moving), images])
         stages.append(StageRecord(k, stage_in, stage_out, face_records))
 
-    out_by_owner: dict[CubeFace, float] = {}
-    for p, vol in zip(pieces, _volumes([p.corners for p in pieces])):
-        out_by_owner[p.owner] = out_by_owner.get(p.owner, 0.0) + vol
+    out_by_owner = _ledger(pieces.owner, pieces.vol)
     per_cell = {}
     for cell, m_in in sorted(in_by_owner.items()):
         m_out = out_by_owner.get(cell, 0.0)
@@ -687,21 +701,19 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     plan = {"strategy": strategy, "trials": trials, "seed": seed,
             "eta": eta, "freeze_boundary": freeze_boundary,
             "periodic": manifold is not None}
-    return ProjectionResult(final, d, measure_in, _pieces_measure(pieces),
-                            stages, per_cell, plan, 0.0,
-                            pieces=pieces, outside_chunks=outside_chunks,
-                            outside_mults=outside_mults)
+    return ProjectionResult(final, d, measure_in, _total(pieces.vol),
+                            stages, per_cell, plan, pieces, outside_chunks, outside_mults)
 
 
 def skeleton_deviation(result: ProjectionResult, grid: DyadicGrid) -> float:
     """Max distance from any content vertex to its assigned face (0 = exact)."""
-    worst = 0.0
-    for p in result.pieces:
-        lo, hi = grid.face_bounds(p.face)
-        over = np.maximum(np.maximum(lo - p.corners, p.corners - hi), 0.0)
-        if over.size:
-            worst = max(worst, float(np.max(np.linalg.norm(over, axis=1))))
-    return worst
+    pieces = result.pieces
+    lat = pieces.face[:, None, 1:]
+    lo = grid.corner + lat * grid.spacing          # ``DyadicGrid.face_bounds``
+    hi = np.where(_spans(pieces.face, grid.ambient_dim)[:, None, :],
+                  grid.corner + (lat + 1) * grid.spacing, lo)
+    over = np.maximum(np.maximum(lo - pieces.corners, pieces.corners - hi), 0.0)
+    return float(np.linalg.norm(over, axis=2).max(initial=0.0))
 
 
 def verify_cell_locality(result: ProjectionResult, grid: DyadicGrid) -> tuple[bool, float]:
@@ -710,10 +722,16 @@ def verify_cell_locality(result: ProjectionResult, grid: DyadicGrid) -> tuple[bo
     Both sides are evaluated geometrically (closed cells; shared boundary
     content counts for every touching cell).  Returns (ok, worst slack).
     """
-    out_geo: dict[CubeFace, float] = {}
-    for p, vol in zip(result.pieces, _volumes([p.corners for p in result.pieces])):
-        for cell in grid.containing_cells(p.face):
-            out_geo[cell] = out_geo.get(cell, 0.0) + vol
+    pieces, n = result.pieces, grid.ambient_dim
+    # every piece against the 2**n choices of cell p-1 or p on each pinned
+    # axis p; the valid choices are the piece's ``containing_cells``
+    spans = _spans(pieces.face, n)[:, None, :]
+    upper = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    lat = np.where(spans, pieces.face[:, None, 1:], pieces.face[:, None, 1:] - 1 + upper)
+    valid = np.all((lat >= 0) & (lat < grid.subdivisions) & ~(spans & (upper == 1)), axis=2)
+    cells = np.concatenate([np.full(lat.shape[:2] + (1,), grid.full_mask), lat], axis=2)
+    vol = np.broadcast_to(pieces.vol[:, None], valid.shape)
+    out_geo = _ledger(cells[valid], vol[valid])
     per_cell = result.per_cell
     worst = math.inf
     ok = True
@@ -745,68 +763,45 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid, *,
     ``collapse_applied`` False and the blocking faces reported.
     """
     d = result.skeleton_dim
-    groups: dict[CubeFace, list[int]] = {}
-    vols = _volumes([p.corners for p in result.pieces])
-    for idx, p in enumerate(result.pieces):
-        if p.face.dim == d and not (result.plan.get("freeze_boundary") and grid.on_boundary(p.face)):
-            if vols[idx] > 0.0:
-                groups.setdefault(p.face, []).append(idx)
+    pieces = result.pieces
+    moving = _faces_of_dim(pieces.face, d, grid, result.plan.get("freeze_boundary")) \
+        & (pieces.vol > 0.0)
+    groups = _face_groups(pieces.face, moving)
     threshold = (grid.spacing / 2.0) ** d
     blockers = []
-    centers: dict[CubeFace, np.ndarray] = {}
-    for fkey in sorted(groups.keys()):
-        batch = [result.pieces[i] for i in groups[fkey]]
-        m = _pieces_measure(batch)
+    centers = []
+    for fkey, rows in groups:
+        m = _total(pieces.vol[rows])
         if m >= threshold:
             blockers.append({"face": str(fkey), "reason": "content at least half-face measure",
                              "measure": m})
             continue
         try:
-            rng = _face_rng(seed, d, fkey)
-            xi, _ = choose_center(grid, fkey, batch, strategy, trials, rng)
+            xi, _ = choose_center(grid, fkey, pieces.corners[rows], strategy, trials,
+                                  _face_rng(seed, d, fkey))
         except ValueError:
             blockers.append({"face": str(fkey), "reason": "no admissible center"})
             continue
-        centers[fkey] = xi
+        centers.append(xi)
     if blockers:
-        report = {"fired": False, "blockers": blockers}
-        return ProjectionResult(result.mesh, d, result.measure_in, result.measure_out,
-                                result.stages, result.per_cell, result.plan,
-                                result.error_bound, False, report,
-                                result.pieces, result.outside_chunks, result.outside_mults)
-    snap = SNAP_REL * grid.spacing
-    new_pieces = list(result.pieces)
-    collapsed = 0.0
-    for fkey, idxs in sorted(groups.items()):
-        lo, hi = grid.face_bounds(fkey)
-        spanned = [a for a in range(grid.ambient_dim) if fkey.spans(a)]
-        batch = [result.pieces[i] for i in idxs]
-        raw = np.array([p.corners for p in batch])
-        images, _, source_of = _project_batch(raw, centers[fkey][None, :], lo, hi, spanned,
-                                              grid.spacing)
-        replaced: list[list[Piece]] = [[] for _ in batch]
-        for c, j in zip(images, source_of.tolist()):
-            c, face = _canonical_piece(c, _derive_face(c, grid, snap) or fkey,
-                                       grid, manifold, snap)
-            replaced[j].append(Piece(c, batch[j].mult, batch[j].owner, face))
-        for i, p, vol, rep in zip(idxs, batch, _volumes(raw), replaced):
-            collapsed += vol
-            new_pieces[i] = rep[0] if rep else Piece(p.corners[:1].repeat(d + 1, 0), p.mult, p.owner, fkey)
-            new_pieces.extend(rep[1:])
+        return replace(result, collapse_applied=False,
+                       collapse_report={"fired": False, "blockers": blockers})
+    images, source, _ = _project_groups(pieces, groups, centers, grid, manifold)
+    # a source's first image takes its row; the other images are appended
+    first = np.diff(source, prepend=-1) != 0
+    rows = np.arange(len(pieces))
+    rows[source[first]] = len(pieces) + np.flatnonzero(first)
+    rows = np.r_[rows, len(pieces) + np.flatnonzero(~first)]
+    new_pieces = PieceTable.concat([pieces, images]).take(rows)
+    collapsed = _total(pieces.vol[source[first]])
     final = _assemble_mesh(d, grid.ambient_dim, new_pieces,
                            result.outside_chunks, result.outside_mults)
     report = {"fired": True, "faces": len(groups), "collapsed_measure": collapsed}
-    return ProjectionResult(final, d, result.measure_in, _pieces_measure(new_pieces),
-                            result.stages, result.per_cell, result.plan,
-                            result.error_bound, True, report,
-                            new_pieces, result.outside_chunks, result.outside_mults)
+    return replace(result, mesh=final, measure_out=_total(new_pieces.vol),
+                   collapse_applied=True, collapse_report=report, pieces=new_pieces)
 
 
 def interior_face_measure(result: ProjectionResult, grid: DyadicGrid) -> float:
     """Total content measure sitting in interiors of d-faces (not in lower skeleton)."""
-    d = result.skeleton_dim
-    total = 0.0
-    for p, vol in zip(result.pieces, _volumes([p.corners for p in result.pieces])):
-        if p.face.dim == d:
-            total += vol
-    return total
+    pieces = result.pieces
+    return _total(pieces.vol[_faces_of_dim(pieces.face, result.skeleton_dim, grid, False)])

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,10 +175,9 @@ def test_criterion_05_ff_projection():
                              np.array([[0, 1]]))
     sq = build_grid(np.zeros(2), 1.0, 1)
     pieces, _, _ = proj.split_into_grid(diag_mesh, sq)
-    lo, hi = sq.face_bounds(pieces[0].owner)
-    imgs = proj._project_face_content([p.corners for p in pieces],
-                                      np.array([0.7, 0.3]), lo, hi, [0, 1],
-                                      sq.spacing)
+    lo, hi = sq.face_bounds(proj._cube_face(pieces.owner[0]))
+    imgs, _, _ = proj._project_batch(pieces.corners, np.array([[0.7, 0.3]]), lo, hi,
+                                     [0, 1], sq.spacing)
     diag_len = sum(float(np.linalg.norm(c[1] - c[0])) for c in imgs)
     d_ok = abs(diag_len - 2.0) <= 1e-3
 
@@ -362,7 +362,7 @@ def _hash_dir(root) -> dict:
     for name in sorted(os.listdir(root)):
         p = os.path.join(root, name)
         if os.path.isfile(p):
-            out[name] = hashlib.sha256(open(p, "rb").read()).hexdigest()
+            out[name] = hashlib.sha256(Path(p).read_bytes()).hexdigest()
     return out
 
 

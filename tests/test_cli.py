@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from click.testing import CliRunner
 from plateau_lab import cones
 from plateau_lab.cli import _jsonable, main
 from plateau_lab.geometry import meshio
+from plateau_lab.geometry.core import MAX_AMBIENT_DIM
 from plateau_lab.geometry.energy import MAX_SAMPLES
 from plateau_lab.steiner import MAX_TERMINALS
 
@@ -54,7 +56,7 @@ def summary_of(result):
 
 
 def sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_steiner_square(runner, square_instance, tmp_path):
@@ -233,6 +235,16 @@ def test_douglas_sample_cap(runner, tmp_path):
     assert "exceed the limit" in r.stderr
 
 
+def test_douglas_column_cap(runner, tmp_path):
+    """A loop with more columns than MAX_AMBIENT_DIM fails before the m x m x n array."""
+    loop = tmp_path / "wide.csv"
+    loop.write_text("".join(",".join([repr(math.cos(i * math.pi / 4)), repr(math.sin(i * math.pi / 4))]
+                                     + ["0.0"] * (MAX_AMBIENT_DIM - 1)) + "\n" for i in range(8)))
+    r = runner.invoke(main, ["douglas", "--loop", str(loop)])
+    assert r.exit_code == 1
+    assert f"{MAX_AMBIENT_DIM + 1} columns exceed the limit of {MAX_AMBIENT_DIM}" in r.stderr
+
+
 def test_steiner_terminal_cap_fails_fast(runner, tmp_path):
     doc = {"terminals": [{"pos": [math.cos(i), math.sin(i)]} for i in range(10)]}
     inst = tmp_path / "ten.json"
@@ -276,6 +288,22 @@ def test_ff_project_determinism(runner, tmp_path):
         assert r.exit_code == 0, r.stderr
         hashes.append((sha(out), sha(rep)))
     assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"corner": [0, 0, 0], "size": 1.0, "N": 100000}, "exceeds the cap"),
+    ({"corner": [0] * 7, "size": 1.0, "N": 1}, "dimension 2..6"),
+    ({"corner": [0, 0, 0], "size": 1.0, "N": 2, "identifications": [True, False]},
+     "identification flags must match"),
+])
+def test_grid_spec_errors_are_config_errors(runner, tmp_path, spec, message):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(spec))
+    mesh = tmp_path / "tri.off"
+    meshio.write_mesh(str(mesh), flat_slice_mesh(level=0.5, n=2))
+    r = runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh)])
+    assert r.exit_code == 2
+    assert "config error: grid spec:" in r.stderr and message in r.stderr
 
 
 def test_ff_project_report_is_local(runner, tmp_path):

@@ -2,8 +2,9 @@
 
 The oracle below is the scalar code the projection ran before it worked on
 arrays: split one chunk by one plane at a time, map one vertex at a time,
-measure one chunk at a time.  The kernel must give the same chunks, in the
-same order, with the same bytes.
+measure one chunk at a time, derive each chunk's face and owner cell one
+chunk at a time, and sum the ledgers one piece at a time.  The kernel must
+give the same chunks, in the same order, with the same bytes.
 """
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from plateau_lab import projection as proj
-from plateau_lab.grids import build_grid
+from plateau_lab.geometry.core import EmbeddedMesh
+from plateau_lab.geometry.distance import points_to_simplices
+from plateau_lab.grids import CubeFace, FlatManifold, build_grid
 
 from test_projection import seeded_blob
 
@@ -197,8 +200,8 @@ def oracle_chebyshev(grid, face, content, trials, rng):
     for a in range(grid.ambient_dim):
         if a not in spanned:
             samples[:, a] = lo[a]
-    dists = proj._points_to_pieces(samples, content)
-    raw = [c.corners for c in content]
+    dists = points_to_simplices(samples, content)
+    raw = list(content)
     best_xi, best_val, best_clear = None, math.inf, 0.0
     for i in range(samples.shape[0]):
         if dists[i] < clearance_min:
@@ -210,6 +213,105 @@ def oracle_chebyshev(grid, face, content, trials, rng):
     assert best_xi is not None
     return best_xi, {"strategy": "chebyshev", "clearance": best_clear,
                      "trials": int(samples.shape[0]), "image_measure": best_val}
+
+
+def oracle_derive_face(corners, grid, snap) -> Optional[CubeFace]:
+    """Minimal grid face containing the simplex; snaps near-plane coordinates."""
+    n, N, s = grid.ambient_dim, grid.subdivisions, grid.spacing
+    mask = 0
+    lattice = []
+    for a in range(n):
+        vals = corners[:, a]
+        rel = (vals - grid.corner[a]) / s
+        p = int(round(float(rel[0])))
+        plane = grid.plane_coordinate(a, p)
+        if 0 <= p <= N and np.all(np.abs(vals - plane) <= snap):
+            corners[:, a] = plane
+            lattice.append(p)
+            continue
+        mask |= 1 << a
+        bary = float(np.mean(rel))
+        idx = min(max(int(math.floor(bary)), 0), N - 1)
+        lattice.append(idx)
+    face = CubeFace(mask, tuple(lattice))
+    return face if grid.is_valid(face) else None
+
+
+def oracle_owner_cell(face, grid):
+    return min(grid.containing_cells(face))
+
+
+def oracle_canonical_piece(chunk, face, grid, manifold, snap):
+    """Translate a chunk onto its face's canonical representative (periodic axes)."""
+    if manifold is None:
+        return chunk, face
+    canon = manifold.canonical_face(face, grid.subdivisions)
+    if canon == face:
+        return chunk, face
+    N = grid.subdivisions
+    shift = np.zeros(grid.ambient_dim)
+    for a in range(grid.ambient_dim):
+        if manifold.identified[a]:
+            shift[a] = (face.lattice[a] % N - face.lattice[a]) * (manifold.size / N)
+    chunk = chunk + shift
+    return chunk, oracle_derive_face(chunk, grid, snap) or canon
+
+
+def oracle_split_into_grid(mesh, grid, manifold):
+    """Chunk-by-chunk split_into_grid; pieces are (corners, mult, face, owner)."""
+    corners_all = mesh.simplex_corners()
+    snap = proj.SNAP_REL * grid.spacing
+    lo_q, hi_q = grid.corner, grid.corner + grid.size
+    outside = (np.any(corners_all.max(axis=1) < lo_q - snap, axis=1)
+               | np.any(corners_all.min(axis=1) > hi_q + snap, axis=1))
+    chunks, source_of = proj._split_at_grid_planes(corners_all[~outside], grid, snap)
+    ends = np.cumsum(np.bincount(source_of, minlength=int((~outside).sum())))
+    split_simplices = iter(np.split(chunks, ends[:-1]))
+    pieces, outside_chunks, outside_mults = [], [], []
+    for i in range(mesh.n_simplices):
+        mult = int(mesh.multiplicities[i])
+        if outside[i]:
+            outside_chunks.append(corners_all[i])
+            outside_mults.append(mult)
+            continue
+        for chunk in next(split_simplices):
+            bary = chunk.mean(axis=0)
+            face = None
+            if np.all(bary >= lo_q - snap) and np.all(bary <= hi_q + snap):
+                face = oracle_derive_face(chunk, grid, snap)
+            if face is None:
+                outside_chunks.append(chunk)
+                outside_mults.append(mult)
+                continue
+            chunk, face = oracle_canonical_piece(chunk, face, grid, manifold, snap)
+            pieces.append((chunk, mult, face, oracle_owner_cell(face, grid)))
+    return pieces, outside_chunks, outside_mults
+
+
+def running_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def oracle_cell_locality(result, grid):
+    """verify_cell_locality summed piece by piece over ``containing_cells``."""
+    out_geo = {}
+    for c, key in zip(result.pieces.corners, result.pieces.face):
+        for cell in grid.containing_cells(proj._cube_face(key)):
+            out_geo[cell] = out_geo.get(cell, 0.0) + oracle_volume(c)
+    worst, ok = math.inf, True
+    for cell in set(out_geo) | set(result.per_cell):
+        lhs = out_geo.get(cell, 0.0)
+        rhs = 0.0
+        for nb in grid.cell_neighbors(cell):
+            rec = result.per_cell.get(nb)
+            if rec is not None:
+                rhs += rec["ratio"] * rec["measure_in"]
+        worst = min(worst, rhs - lhs)
+        ok = ok and not lhs > rhs + 1e-9 * max(1.0, lhs)
+    return ok, (0.0 if worst is math.inf else worst)
 
 
 # ── helpers ──
@@ -307,7 +409,7 @@ def test_exact_plane_hits_are_exercised():
     normal, offset = oracle_cone_planes(xi, lo, hi, [0, 1])[3]
     assert float(normal @ on) - offset == 0.0
     seg = np.array([[on, [0.2, 0.01]]])
-    assert_same_chunks(proj._project_face_content(list(seg), xi, lo, hi, [0, 1], 0.25),
+    assert_same_chunks(proj._project_batch(seg, xi[None, :], lo, hi, [0, 1], 0.25)[0],
                        oracle_project(list(seg), xi, lo, hi, [0, 1], 0.25))
 
 
@@ -369,13 +471,148 @@ def test_chebyshev_center_matches_scalar_oracle(seed, one_center_per_call, monke
     grid = build_grid(np.zeros(3), 1.0, 2)
     pieces, _, _ = proj.split_into_grid(seeded_blob(seed), grid)
     faces = {}
-    for p in pieces:
-        if p.face.dim == 3:
-            faces.setdefault(p.face, []).append(p)
+    for corners, key in zip(pieces.corners, pieces.face):
+        face = proj._cube_face(key)
+        if face.dim == 3:
+            faces.setdefault(face, []).append(corners)
     assert faces
     for face in sorted(faces)[:3]:
-        got = proj.choose_center(grid, face, faces[face], "chebyshev", 8,
+        content = np.array(faces[face])
+        got = proj.choose_center(grid, face, content, "chebyshev", 8,
                                  proj._face_rng(seed, 3, face))
-        want = oracle_chebyshev(grid, face, faces[face], 8, proj._face_rng(seed, 3, face))
+        want = oracle_chebyshev(grid, face, content, 8, proj._face_rng(seed, 3, face))
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1] == want[1]
+
+
+# ── face assignment, split and ledgers vs the per-piece oracle ──
+
+def key_of(face):
+    return [face.axes, *face.lattice]
+
+
+#: box and periodic grids, one far from the origin with two of three axes identified
+GRIDS = [
+    (build_grid(np.zeros(3), 1.0, 4), None),
+    (build_grid(np.zeros(3), 1.0, 4), FlatManifold.torus(3)),
+    (build_grid(np.full(3, 1000.0), 2.0 ** -6, 8),
+     FlatManifold(np.full(3, 1000.0), 2.0 ** -6, (True, False, True))),
+    (build_grid(np.array([-0.5, 0.25]), 2.0, 4), None),
+    (build_grid(np.array([-0.5, 0.25]), 2.0, 4), FlatManifold.torus(2, 2.0, [-0.5, 0.25])),
+]
+
+
+@pytest.mark.parametrize("g", range(len(GRIDS)))
+@pytest.mark.parametrize("d", [1, 2])
+def test_face_assignment_matches_scalar_oracle(g, d):
+    """Batched face derivation, canonicalization and owner cells against the
+    chunk-by-chunk oracle.  Axes of a chunk sit on a grid plane (inside Q or
+    one plane beyond it), within the snap of one, or just outside the snap;
+    a fifth of the chunks lie outside Q, where the oracle still finds a
+    valid face because the lattice is clamped."""
+    grid, manifold = GRIDS[g]
+    n, N = grid.ambient_dim, grid.subdivisions
+    snap = proj.SNAP_REL * grid.spacing
+    rng = np.random.default_rng(10 * g + d)
+    chunks = grid.corner + grid.size * rng.uniform(-0.1, 1.1, size=(400, d + 1, n))
+    for c in chunks:
+        for a in range(n):
+            if rng.random() < 0.5:
+                plane = grid.plane_coordinate(a, int(rng.integers(-1, N + 2)))
+                c[:, a] = plane + rng.choice([0.0, 0.5 * snap, -0.5 * snap, 2.0 * snap], size=d + 1)
+    got = chunks.copy()
+    keys = proj._assign_faces(got, grid, manifold)
+    owners = proj._owner_cells(keys, grid)
+    shifted = 0
+    for c, got_c, key, owner in zip(chunks, got, keys, owners):
+        want = c.copy()
+        face = oracle_derive_face(want, grid, snap)
+        assert face is not None
+        want, canon = oracle_canonical_piece(want, face, grid, manifold, snap)
+        shifted += canon != face
+        assert got_c.tobytes() == want.tobytes()
+        assert key.tolist() == key_of(canon)
+        assert owner.tolist() == key_of(oracle_owner_cell(canon, grid))
+    assert np.any(keys[:, 0] != grid.full_mask) and np.any(keys[:, 0] == grid.full_mask)
+    assert (shifted > 0) == (manifold is not None)
+
+
+@pytest.mark.parametrize("g", range(len(GRIDS)))
+def test_split_into_grid_matches_scalar_oracle(g):
+    grid, manifold = GRIDS[g]
+    n = grid.ambient_dim
+    d = n - 1
+    rng = np.random.default_rng(70 + g)
+    verts = grid.corner + grid.size * rng.uniform(-0.3, 1.3, size=(30 * (d + 1), n))
+    verts[-(d + 1):] += 5.0 * grid.size                   # one simplex misses Q
+    on_plane = grid.corner + grid.spacing * np.round((verts - grid.corner) / grid.spacing)
+    verts = np.where(rng.random(verts.shape) < 0.3, on_plane, verts)
+    mesh = EmbeddedMesh(d, verts, np.arange(len(verts)).reshape(-1, d + 1),
+                        rng.integers(1, 4, 30), allow_degenerate=True)
+    pieces, outside, outside_mults = proj.split_into_grid(mesh, grid, manifold)
+    want, want_outside, want_mults = oracle_split_into_grid(mesh, grid, manifold)
+    assert len(pieces) == len(want) and len(want_outside) > 1
+    assert_same_chunks(pieces.corners, [w[0] for w in want])
+    assert pieces.mult.tolist() == [w[1] for w in want]
+    assert pieces.face.tolist() == [key_of(w[2]) for w in want]
+    assert pieces.owner.tolist() == [key_of(w[3]) for w in want]
+    assert pieces.vol.tolist() == [oracle_volume(w[0]) for w in want]
+    assert_same_chunks(outside, want_outside)
+    assert outside_mults == want_mults
+
+
+def seeded_segments(seed: int, count: int = 12):
+    r = np.random.default_rng(seed)
+    return EmbeddedMesh(1, r.uniform(-0.4, 1.6, size=(2 * count, 2)),
+                        np.arange(2 * count).reshape(count, 2))
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_ledgers_match_per_piece_recomputation(case):
+    """per_cell, content_measure_by_face (values and key order), the stage
+    totals and the locality check, summed piece by piece."""
+    periodic = case % 2 == 1
+    if case < 4:
+        mesh, grid = seeded_blob(case), build_grid(np.zeros(3), 1.0, 2)
+    else:
+        mesh, grid = seeded_segments(case), build_grid(np.array([-0.5, 0.25]), 2.0, 4)
+    manifold = FlatManifold(grid.corner, grid.size, (True,) * grid.ambient_dim) if periodic else None
+    res = proj.project_to_skeleton(mesh, grid, strategy="far", manifold=manifold)
+    split, _, _ = proj.split_into_grid(mesh, grid, manifold)
+
+    def by_key(table, keys):
+        out = {}
+        for c, key in zip(table.corners, keys):
+            f = proj._cube_face(key)
+            out[f] = out.get(f, 0.0) + oracle_volume(c)
+        return out
+
+    in_by_owner = by_key(split, split.owner)
+    out_by_owner = by_key(res.pieces, res.pieces.owner)
+    want_cells = {}
+    for cell, m_in in sorted(in_by_owner.items()):
+        m_out = out_by_owner.get(cell, 0.0)
+        want_cells[cell] = {"measure_in": m_in, "measure_out": m_out,
+                            "ratio": m_out / m_in if m_in > 1e-300 else 0.0}
+    assert list(res.per_cell.items()) == list(want_cells.items())
+    by_face = by_key(res.pieces, res.pieces.face)
+    assert list(res.content_measure_by_face().items()) == list(by_face.items())
+
+    assert res.measure_in == running_sum(oracle_volume(c) for c in split.corners)
+    assert res.measure_out == running_sum(oracle_volume(c) for c in res.pieces.corners)
+    for st in res.stages:
+        assert st.measure_in == running_sum(i["measure_in"] for i in st.faces.values())
+        assert st.measure_out == running_sum(i["measure_out"] for i in st.faces.values())
+    first = {}
+    for c, key in zip(split.corners, split.face):
+        f = proj._cube_face(key)
+        if f.dim == grid.ambient_dim:
+            first.setdefault(f, []).append(oracle_volume(c))
+    assert list(res.stages[0].faces) == sorted(first)
+    assert [i["measure_in"] for i in res.stages[0].faces.values()] == \
+        [running_sum(first[f]) for f in sorted(first)]
+
+    assert proj.verify_cell_locality(res, grid) == oracle_cell_locality(res, grid)
+    assert proj.interior_face_measure(res, grid) == running_sum(
+        oracle_volume(c) for c, key in zip(res.pieces.corners, res.pieces.face)
+        if proj._cube_face(key).dim == mesh.dimension)
