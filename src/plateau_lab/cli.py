@@ -151,11 +151,12 @@ def _load_grid(path):
         manifold = None
         if ident == "torus":
             manifold = FlatManifold.torus(corner.size, float(size), corner)
-        elif isinstance(ident, list):
-            if any(ident):
-                manifold = FlatManifold(corner, float(size), tuple(bool(b) for b in ident))
+        elif isinstance(ident, list) and all(isinstance(b, bool) for b in ident):
+            # built even when no axis is marked, so that it checks the length
+            flat = FlatManifold(corner, float(size), tuple(ident))
+            manifold = flat if any(ident) else None
         elif ident is not None:
-            _fail_config(["grid spec 'identifications' must be 'torus' or a boolean list"])
+            _fail_config(["grid spec: 'identifications' must be 'torus' or a boolean list"])
     except ValueError as e:
         _fail_config([f"grid spec: {e}"])
     return grid, manifold

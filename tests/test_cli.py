@@ -19,6 +19,7 @@ from plateau_lab import cones
 from plateau_lab.cli import _jsonable, main
 from plateau_lab.geometry import meshio
 from plateau_lab.geometry.core import MAX_AMBIENT_DIM
+from plateau_lab.geometry.distance import MAX_SAMPLE_POINTS
 from plateau_lab.geometry.energy import MAX_SAMPLES
 from plateau_lab.steiner import MAX_TERMINALS
 
@@ -217,6 +218,26 @@ def test_hausdorff_of_mesh_with_itself(runner, y_mesh):
     assert summary_of(r)["distance"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_hausdorff_sampling_cap_fails_fast(runner, y_mesh):
+    start = time.perf_counter()
+    r = runner.invoke(main, ["hausdorff", "--mesh-a", y_mesh, "--mesh-b", y_mesh,
+                             "--center", "0,0,0", "--radius", "1.0", "--spacing", "1e-7"])
+    assert time.perf_counter() - start < 5.0
+    assert r.exit_code == 1
+    assert f"exceeds the cap of {MAX_SAMPLE_POINTS}" in r.stderr
+
+
+@pytest.mark.parametrize("spacing", ["0", "-0.5", "nan", "inf"])
+def test_hausdorff_bad_spacing_with_an_empty_mesh(runner, y_mesh, tmp_path, spacing):
+    """An invalid pitch is refused even when one side has nothing to sample."""
+    empty = tmp_path / "empty.off"
+    empty.write_text("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n")
+    r = runner.invoke(main, ["hausdorff", "--mesh-a", y_mesh, "--mesh-b", str(empty),
+                             "--center", "0,0,0", "--radius", "1.0", "--spacing", spacing])
+    assert r.exit_code == 1
+    assert "spacing must be positive and finite" in r.stderr
+
+
 def test_douglas_circle(runner):
     r = runner.invoke(main, ["douglas", "--samples", "256"])
     assert summary_of(r)["energy"] == pytest.approx(16 * math.pi**2, rel=1e-3)
@@ -295,6 +316,10 @@ def test_ff_project_determinism(runner, tmp_path):
     ({"corner": [0] * 7, "size": 1.0, "N": 1}, "dimension 2..6"),
     ({"corner": [0, 0, 0], "size": 1.0, "N": 2, "identifications": [True, False]},
      "identification flags must match"),
+    ({"corner": [0, 0, 0], "size": 1.0, "N": 2, "identifications": [False, False]},
+     "identification flags must match"),
+    ({"corner": [0, 0, 0], "size": 1.0, "N": 2, "identifications": [0, 0, 0]},
+     "boolean list"),
 ])
 def test_grid_spec_errors_are_config_errors(runner, tmp_path, spec, message):
     grid = tmp_path / "grid.json"
