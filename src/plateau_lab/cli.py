@@ -223,13 +223,25 @@ def _command(name: str | None = None):
     """Register a subcommand with ``--config`` and ``--seed`` in front.
 
     The body receives one dict keyed by click's parameter names, with the
-    config file merged under the flags given on the command line.
+    config file merged under the flags given on the command line.  Required
+    options are checked after the merge, so the config may supply them.
     """
     def register(fn):
         @functools.wraps(fn)
         def callback(**params):
-            fn(_merge_config(click.get_current_context(), params))
-        return main.command(name)(_config_opt(_seed_opt(callback)))
+            vals = _merge_config(click.get_current_context(), params)
+            missing = [f"missing option '{p.opts[0]}'" for p in required
+                       if vals[p.name] is None]
+            if missing:
+                _fail_config(missing)
+            fn(vals)
+        cmd = main.command(name)(_config_opt(_seed_opt(callback)))
+        required = [p for p in cmd.params if p.required]
+        for p in required:
+            p.required = False
+            # the mark click prints for a required option
+            p.help = f"{p.help}  [required]" if p.help else "[required]"
+        return cmd
     return register
 
 

@@ -8,6 +8,7 @@ window plus a seeded rotation search refined with a pattern-search descent.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -53,7 +54,7 @@ def _gauge_adjustment(gauge: Optional[Gauge], radius: float) -> float:
 
 
 def density_profile(mesh: EmbeddedMesh, center, radii: Sequence[float],
-                    gauge: Optional[Gauge] = None, flat_tol: float = FLAT_TOL) -> dict:
+                    gauge: Optional[Gauge] = None) -> dict:
     """Density per radius plus trend diagnostics.
 
     The adjusted column multiplies the density by the integrated gauge
@@ -76,11 +77,11 @@ def density_profile(mesh: EmbeddedMesh, center, radii: Sequence[float],
         "radii": rs,
         "densities": dens,
         "adjusted": adj,
-        "flat": spread <= flat_tol,
+        "flat": spread <= FLAT_TOL,
         "spread": spread,
         "monotone_adjusted": monotone,
         "drift": adj[-1] - adj[0] if all(map(math.isfinite, adj)) else math.inf,
-        "low_density": min(dens) < floor - flat_tol,
+        "low_density": min(dens) < floor - FLAT_TOL,
     }
 
 
@@ -123,8 +124,7 @@ class SlidingContext:
 
 
 def sliding_profile(mesh: EmbeddedMesh, center, radii: Sequence[float],
-                    context: SlidingContext, gauge: Optional[Gauge] = None,
-                    flat_tol: float = FLAT_TOL) -> dict:
+                    context: SlidingContext, gauge: Optional[Gauge] = None) -> dict:
     """Density profile with the boundary shade added to every ball."""
     rs = sorted(float(r) for r in radii)
     if not rs or rs[0] <= 0.0:
@@ -142,7 +142,7 @@ def sliding_profile(mesh: EmbeddedMesh, center, radii: Sequence[float],
     out["monotone_adjusted"] = all(b >= a - tol for a, b in zip(adj, adj[1:]))
     mean = sum(out["shaded_densities"]) / len(rs)
     spread = (max(out["shaded_densities"]) - min(out["shaded_densities"])) / mean if mean > 0 else math.inf
-    out["flat"] = spread <= flat_tol
+    out["flat"] = spread <= FLAT_TOL
     out["spread"] = spread
     return out
 
@@ -178,12 +178,11 @@ def blowup(mesh: EmbeddedMesh, center, radius: float, clip: bool = True,
 
 
 def big_projection_check(mesh: EmbeddedMesh, center, radius: float,
-                         tau: float = 0.25, direction=None,
-                         spacing: Optional[float] = None) -> dict:
+                         tau: float = 0.25) -> dict:
     """Does the shadow of E cap B(x, r) cover a coaxial disk of radius (1-tau) r?
 
-    The content is sampled inside the ball, projected along ``direction``
-    (smallest principal direction of the samples when omitted), and binned on
+    The content is sampled inside the ball, projected along the smallest
+    principal direction of the samples (reported as ``axis``), and binned on
     a raster of pitch tau*r/8.  Every raster cell whose center lies within
     (1-tau) r must catch a sample; uncovered cells are reported with their
     world positions, localizing any hole to raster resolution.
@@ -194,21 +193,13 @@ def big_projection_check(mesh: EmbeddedMesh, center, radius: float,
     d = mesh.dimension
     r = float(radius)
     pitch = tau * r / 8.0
-    step = spacing if spacing is not None else pitch / 2.0
-    pts = sample_mesh(mesh, step, Ball(c, r))
+    pts = sample_mesh(mesh, pitch / 2.0, Ball(c, r))
     if pts.shape[0] == 0:
         return {"ok": False, "reason": "no content inside the ball",
                 "covered_fraction": 0.0, "holes": []}
     rel = pts - c[None, :]
-    if direction is not None:
-        axis = as_point(direction)
-        axis = axis / np.linalg.norm(axis)
-        basis = _complete_basis(axis)[:, :d] if d == 2 else axis[:, None]
-        if d == 1:
-            basis = axis[:, None]
-    else:
-        _, _, vt = np.linalg.svd(rel - rel.mean(axis=0), full_matrices=False)
-        basis = vt[:d].T          # leading principal directions
+    _, _, vt = np.linalg.svd(rel - rel.mean(axis=0), full_matrices=False)
+    basis = vt[:d].T              # leading principal directions
     coords = rel @ basis          # (M, d) shadow coordinates
     m = int(math.ceil(2.0 * r / pitch))
     idx = np.floor((coords + r) / pitch).astype(int)
@@ -234,7 +225,7 @@ def big_projection_check(mesh: EmbeddedMesh, center, radius: float,
             "covered_fraction": frac,
             "required_cells": required, "missing_cells": int(len(missing)),
             "pitch": pitch, "holes": holes,
-            "axis": [float(x) for x in (basis[:, -1] if d == 2 else basis[:, 0])]}
+            "axis": [float(x) for x in vt[-1]]}
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +266,17 @@ def _axis_angle(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + math.sin(theta) * K + (1 - math.cos(theta)) * (K @ K)
 
 
+def _planar_rotation(w) -> np.ndarray:
+    ca, sa = math.cos(w[0]), math.sin(w[0])
+    return np.array([[ca, -sa], [sa, ca]])
+
+
 def _rotation_net(seed: int, count: int, n: int) -> list:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     out = [np.eye(n)]
     if n == 2:
         for a in rng.uniform(0.0, 2.0 * math.pi, size=count):
-            ca, sa = math.cos(a), math.sin(a)
-            out.append(np.array([[ca, -sa], [sa, ca]]))
+            out.append(_planar_rotation([a]))
     else:
         qs = rng.normal(size=(count, 4))
         for q in qs:
@@ -289,44 +284,36 @@ def _rotation_net(seed: int, count: int, n: int) -> list:
     return out
 
 
-class _ResidualEvaluator:
-    """Two-sided normalized sup distance between E cap B and a posed cone."""
-
-    def __init__(self, mesh: EmbeddedMesh, center: np.ndarray, radius: float,
-                 cone_mesh: EmbeddedMesh, e_spacing: float, cone_spacing: float):
-        self.mesh = mesh
-        self.center = center
-        self.radius = radius
-        self.cone = cone_mesh
-        self.e_samples = sample_mesh(mesh, e_spacing, Ball(center, radius))
-        self.e_coarse = self.e_samples[::4] if self.e_samples.shape[0] > 256 else self.e_samples
-        self.cone_samples = sample_mesh(cone_mesh, cone_spacing,
-                                        Ball(np.zeros(mesh.ambient_dim), radius))
-
-    def one_sided(self, rot: np.ndarray, coarse: bool = False) -> float:
-        """sup dist(E-samples -> cone) / r in the cone frame."""
-        samples = self.e_coarse if coarse else self.e_samples
-        if samples.shape[0] == 0:
-            return math.inf
-        local = (samples - self.center) @ rot
-        return float(point_mesh_distance(local, self.cone).max()) / self.radius
-
-    def two_sided(self, rot: np.ndarray) -> float:
-        a = self.one_sided(rot)
-        if self.cone_samples.shape[0] == 0:
-            return a
-        world = self.cone_samples @ rot.T + self.center
-        b = float(point_mesh_distance(world, self.mesh).max()) / self.radius
-        return max(a, b)
+def _one_sided(samples: np.ndarray, center: np.ndarray, rot: np.ndarray,
+               cone: EmbeddedMesh, radius: float) -> float:
+    """sup dist(E-samples -> posed cone) / r, measured in the cone frame."""
+    if samples.shape[0] == 0:
+        return math.inf
+    local = (samples - center) @ rot
+    return float(point_mesh_distance(local, cone).max()) / radius
 
 
-def _pattern_descent(fun, x0: np.ndarray, f0: float, step: float,
-                     depth: float, max_iter: Optional[int] = None):
+def _sample_cone(cone: EmbeddedMesh, radius: float) -> np.ndarray:
+    """Samples of the cone inside B(0, r) at pitch r/24, in the cone frame."""
+    return sample_mesh(cone, radius / 24.0, Ball(np.zeros(cone.ambient_dim), radius))
+
+
+def _two_sided(mesh: EmbeddedMesh, samples: np.ndarray, center: np.ndarray,
+               rot: np.ndarray, cone: EmbeddedMesh, cone_samples: np.ndarray,
+               radius: float) -> float:
+    """Two-sided normalized sup distance between E cap B and the posed cone."""
+    a = _one_sided(samples, center, rot, cone, radius)
+    if cone_samples.shape[0] == 0:
+        return a
+    world = cone_samples @ rot.T + center
+    return max(a, float(point_mesh_distance(world, mesh).max()) / radius)
+
+
+def _pattern_descent(fun, x0: np.ndarray, f0: float, step: float, depth: float):
     """Coordinate pattern search: probe +-step per axis, shrink on failure."""
     x, fx = np.array(x0, dtype=float), f0
-    if max_iter is None:
-        # enough probes to halve the step from its start down to the depth
-        max_iter = 24 * max(4, int(math.log2(max(step / max(depth, 1e-12), 2.0))) + 2)
+    # enough probes to halve the step from its start down to the depth
+    max_iter = 24 * max(4, int(math.log2(max(step / max(depth, 1e-12), 2.0))) + 2)
     it = 0
     while step > depth and it < max_iter:
         improved = False
@@ -355,61 +342,50 @@ class ConeFit:
     params: dict
 
 
-def _fit_interior(mesh: EmbeddedMesh, center: np.ndarray, radius: float,
-                  name: str, seed: int, rotations: int, depth: float,
-                  e_spacing: float, cone_spacing: float) -> ConeFit:
-    cone_mesh = cones.build_cone(name, extent=1.02 * radius, ambient=mesh.ambient_dim)
-    ev = _ResidualEvaluator(mesh, center, radius, cone_mesh, e_spacing, cone_spacing)
-    net = _rotation_net(seed, rotations, mesh.ambient_dim)
-    ranked = sorted(range(len(net)), key=lambda i: ev.one_sided(net[i], coarse=True))
+def _fit_interior(mesh: EmbeddedMesh, samples: np.ndarray, coarse: np.ndarray,
+                  center: np.ndarray, radius: float, name: str, seed: int,
+                  rotations: int, depth: float) -> ConeFit:
+    n = mesh.ambient_dim
+    cone = cones.build_cone(name, extent=1.02 * radius, ambient=n)
+    cone_samples = _sample_cone(cone, radius)
+    pose = _planar_rotation if n == 2 else _axis_angle
+    net = _rotation_net(seed, rotations, n)
+    ranked = sorted(range(len(net)),
+                    key=lambda i: _one_sided(coarse, center, net[i], cone, radius))
     best_rot, best_val = None, math.inf
     for i in ranked[:2]:
         base = net[i]
-        if mesh.ambient_dim == 2:
-            fun = lambda w: ev.two_sided(base @ np.array(
-                [[math.cos(w[0]), -math.sin(w[0])], [math.sin(w[0]), math.cos(w[0])]]))
-            w, val = _pattern_descent(fun, np.zeros(1), ev.two_sided(base), 0.2, depth)
-            rot = base @ np.array([[math.cos(w[0]), -math.sin(w[0])],
-                                   [math.sin(w[0]), math.cos(w[0])]])
-        else:
-            fun = lambda w: ev.two_sided(base @ _axis_angle(w))
-            w, val = _pattern_descent(fun, np.zeros(3), ev.two_sided(base), 0.2, depth)
-            rot = base @ _axis_angle(w)
+        fun = lambda w: _two_sided(mesh, samples, center, base @ pose(w), cone,
+                                   cone_samples, radius)
+        f0 = _two_sided(mesh, samples, center, base, cone, cone_samples, radius)
+        w, val = _pattern_descent(fun, np.zeros(n * (n - 1) // 2), f0, 0.2, depth)
         if val < best_val:
-            best_rot, best_val = rot, val
+            best_rot, best_val = base @ pose(w), val
     return ConeFit(name, best_val, best_rot, {})
 
 
-def _fit_boundary(mesh: EmbeddedMesh, center: np.ndarray, radius: float,
-                  name: str, context: SlidingContext, depth: float,
-                  e_spacing: float, cone_spacing: float) -> ConeFit:
+def _fit_boundary(mesh: EmbeddedMesh, samples: np.ndarray, center: np.ndarray,
+                  radius: float, name: str, context: SlidingContext,
+                  depth: float) -> ConeFit:
     frame = _complete_basis(context.line.direction)
 
-    def make(phis):
+    def residual(phis):
         if name == "halfplane":
-            return cones.halfplane_azimuth_cone(phis[0], extent=1.02 * radius)
-        return cones.v_cone_azimuths(phis[0], phis[1], extent=1.02 * radius)
+            cone = cones.halfplane_azimuth_cone(phis[0], extent=1.02 * radius)
+        else:
+            cone = cones.v_cone_azimuths(phis[0], phis[1], extent=1.02 * radius)
+        return _two_sided(mesh, samples, center, frame, cone, _sample_cone(cone, radius),
+                          radius)
 
     k = 1 if name == "halfplane" else 2
     grid = np.linspace(0.0, 2.0 * math.pi, 25 if k == 2 else 64, endpoint=False)
-
-    def residual(phis):
-        cone_mesh = make(phis)
-        ev = _ResidualEvaluator(mesh, center, radius, cone_mesh, e_spacing, cone_spacing)
-        return ev.two_sided(frame)
-
+    # combinations visit the pairs in nested-loop order, so the strict < keeps
+    # the first of tied candidates
     best_p, best_val = None, math.inf
-    if k == 1:
-        for p in grid:
-            v = residual([p])
-            if v < best_val:
-                best_p, best_val = np.array([p]), v
-    else:
-        for i, p1 in enumerate(grid):
-            for p2 in grid[i + 1:]:
-                v = residual([p1, p2])
-                if v < best_val:
-                    best_p, best_val = np.array([p1, p2]), v
+    for phis in itertools.combinations(grid, k):
+        v = residual(phis)
+        if v < best_val:
+            best_p, best_val = np.array(phis), v
     best_p, best_val = _pattern_descent(residual, best_p, best_val, 0.2, depth)
     params = {"azimuths": [float(x) for x in best_p]}
     if k == 2:
@@ -420,24 +396,21 @@ def _fit_boundary(mesh: EmbeddedMesh, center: np.ndarray, radius: float,
 
 def classify_point(mesh: EmbeddedMesh, center, radius: float, *,
                    context: Optional[SlidingContext] = None, seed: int = 0,
-                   rotations: int = ROTATION_NET, depth: float = 1e-4,
-                   window: float = DENSITY_WINDOW, flat_tol: float = FLAT_TOL,
-                   residual_ok: float = RESIDUAL_OK,
-                   e_spacing: Optional[float] = None,
-                   cone_spacing: Optional[float] = None) -> dict:
+                   rotations: int = ROTATION_NET, depth: float = 1e-4) -> dict:
     """Match the ball around a point against the cone catalog.
 
     Steps: measure the density, prescreen the profile for scale-invariance,
     shortlist catalog cones within the density window, then fit each
     candidate by seeded rotation net plus pattern descent (interior points)
-    or by azimuth search around the boundary line (sliding points).  The
-    report carries every stage; ``ok`` requires a flat profile and a
-    candidate residual at most ``residual_ok``.
+    or by azimuth search around the boundary line (sliding points).  E cap B
+    is sampled once, at pitch r/64, and every fit measures against those
+    samples.  The report carries every stage; ``ok`` requires a flat profile
+    and a candidate residual at most ``RESIDUAL_OK``.
     """
     c = as_point(center)
     r = float(radius)
     d = mesh.dimension
-    profile = density_profile(mesh, c, [0.25 * r, 0.5 * r, 0.75 * r, r], flat_tol=flat_tol)
+    profile = density_profile(mesh, c, [0.25 * r, 0.5 * r, 0.75 * r, r])
     theta = profile["densities"][-1]
     report = {"density": theta, "profile": profile, "context": context is not None}
     if not profile["flat"]:
@@ -445,7 +418,7 @@ def classify_point(mesh: EmbeddedMesh, center, radius: float, *,
                       reason="density is not scale-invariant across the probe radii")
         return report
     names = cones.catalog(d, boundary=context is not None)
-    cands = [nm for nm in names if abs(cones.CONE_DENSITY[nm] - theta) <= window]
+    cands = [nm for nm in names if abs(cones.CONE_DENSITY[nm] - theta) <= DENSITY_WINDOW]
     if context is not None:
         # an on-boundary point cannot be an unconstrained interior shape of
         # the same density: prefer the sliding candidates when both match
@@ -457,18 +430,19 @@ def classify_point(mesh: EmbeddedMesh, center, radius: float, *,
         report.update(best=None, ok=False,
                       reason="density matches no catalog constant within the window")
         return report
-    e_sp = e_spacing if e_spacing is not None else r / 64.0
-    c_sp = cone_spacing if cone_spacing is not None else r / 24.0
+    samples = sample_mesh(mesh, r / 64.0, Ball(c, r))
+    # the rotation net is ranked on every fourth sample
+    coarse = samples[::4] if samples.shape[0] > 256 else samples
     fits = []
     for nm in cands:
         if context is not None and nm in cones.BOUNDARY_CONES:
-            fits.append(_fit_boundary(mesh, c, r, nm, context, depth, e_sp, c_sp))
+            fits.append(_fit_boundary(mesh, samples, c, r, nm, context, depth))
         else:
-            fits.append(_fit_interior(mesh, c, r, nm, seed, rotations, depth, e_sp, c_sp))
+            fits.append(_fit_interior(mesh, samples, coarse, c, r, nm, seed, rotations, depth))
     fits.sort(key=lambda f: f.residual)
     best = fits[0]
     report["fits"] = [{"name": f.name, "residual": f.residual, **f.params} for f in fits]
     report["best"] = {"name": best.name, "residual": best.residual,
                       "rotation": best.rotation.tolist(), **best.params}
-    report["ok"] = best.residual <= residual_ok
+    report["ok"] = best.residual <= RESIDUAL_OK
     return report

@@ -24,7 +24,7 @@ MAX_AMBIENT_DIM = 6
 #: relative d-volume below which a simplex counts as degenerate
 DEGENERACY_REL_TOL = 1e-14
 
-#: default cap on the number of simplices refine() may produce
+#: cap on the number of simplices refine() may produce
 DEFAULT_REFINE_CAP = 2_000_000
 
 
@@ -325,12 +325,12 @@ def mass(mesh: EmbeddedMesh) -> float:
     return float(np.sum(np.abs(mesh.multiplicities) * vols))
 
 
-def refine(mesh: EmbeddedMesh, eta: float, max_simplices: int = DEFAULT_REFINE_CAP) -> EmbeddedMesh:
+def refine(mesh: EmbeddedMesh, eta: float) -> EmbeddedMesh:
     """Subdivide until every simplex has diameter <= eta.
 
     Segments are halved and triangles are 4-split, k = ceil(log2(diam/eta))
     times per input simplex, so measure is preserved exactly and the vertex
-    set only grows.  Raises if the output would exceed ``max_simplices``.
+    set only grows.  Raises if the output would exceed ``DEFAULT_REFINE_CAP``.
     """
     if not (eta > 0):
         raise ValueError("eta must be positive")
@@ -342,8 +342,8 @@ def refine(mesh: EmbeddedMesh, eta: float, max_simplices: int = DEFAULT_REFINE_C
     levels[need] = np.ceil(np.log2(diam[need] / eta)).astype(np.int64)
     branching = (2 if mesh.dimension == 1 else 4) ** levels
     total = int(branching.sum())
-    if total > max_simplices:
-        raise ValueError(f"refine would produce {total} simplices (cap {max_simplices})")
+    if total > DEFAULT_REFINE_CAP:
+        raise ValueError(f"refine would produce {total} simplices (cap {DEFAULT_REFINE_CAP})")
 
     chunks: list[np.ndarray] = []
     mults: list[int] = []

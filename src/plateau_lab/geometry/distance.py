@@ -252,10 +252,10 @@ def sample_mesh(mesh: EmbeddedMesh, spacing: float,
             out.append(pa + t[:, None] * (pb - pa))
         else:
             a, b, c, k = lattice
-            ii, jj = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
-            keep = (ii + jj) <= k
-            s = (ii[keep] / k)[:, None]
-            t = (jj[keep] / k)[:, None]
+            # (i, j - i) walks i + (j - i) <= k row by row, with no (k+1)^2 grid
+            i, j = np.triu_indices(k + 1)
+            s = (i / k)[:, None]
+            t = ((j - i) / k)[:, None]
             pts = a + s * (b - a) + t * (c - a)
             if ball is not None:
                 pts = pts[np.linalg.norm(pts - ball.center, axis=1) <= ball.radius]

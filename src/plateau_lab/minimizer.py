@@ -33,8 +33,17 @@ from .projection import ProjectionResult, project_to_skeleton
 
 logger = logging.getLogger(__name__)
 
-#: default audit ball radius, in cell sides
+#: audit ball radius, in cell sides
 AUDIT_RADIUS_CELLS = 2.0
+
+#: audit balls recorded per report
+AUDIT_KEEP = 32
+
+#: descent rounds before ``minimize_faceset`` stops and reports a stall
+MAX_ROUNDS = 100000
+
+#: ball-ladder radii of ``run_scheme``, as fractions of the domain size
+LADDER_RADII = (0.25, 0.125)
 
 
 @dataclass(frozen=True)
@@ -361,8 +370,7 @@ class MinimizeResult:
     seed: int
 
 
-def minimize_faceset(fs: FaceSet, *, policy: str = "greedy", seed: int = 0,
-                     max_rounds: int = 100000) -> MinimizeResult:
+def minimize_faceset(fs: FaceSet, *, policy: str = "greedy", seed: int = 0) -> MinimizeResult:
     """Descend by improving moves until none remains.
 
     ``greedy`` applies the single best move per round; ``priority`` first
@@ -376,14 +384,13 @@ def minimize_faceset(fs: FaceSet, *, policy: str = "greedy", seed: int = 0,
     log = DeformationLog()
     start = fs.measure()
     rounds = 0
-    while rounds < max_rounds:
+    while rounds < MAX_ROUNDS:
         if policy == "priority":
             picks = collapse_moves(fs)
             if not picks:
                 picks = admissible_moves(fs)
         else:
             picks = admissible_moves(fs)
-        picks = [m for m in picks if m.delta_faces < 0]
         if not picks:
             break
         move = min(picks, key=Move.sort_key)
@@ -392,9 +399,9 @@ def minimize_faceset(fs: FaceSet, *, policy: str = "greedy", seed: int = 0,
         rounds += 1
         log.record(move.kind, move.ball, move.toggles, before, fs.measure(),
                    move.variant)
-    stalled = rounds >= max_rounds
+    stalled = rounds >= MAX_ROUNDS
     if stalled:
-        logger.warning("minimization stopped at the round cap %d", max_rounds)
+        logger.warning("minimization stopped at the round cap %d", MAX_ROUNDS)
     return MinimizeResult(fs, start, fs.measure(), log, rounds, stalled, policy, seed)
 
 
@@ -548,13 +555,11 @@ class HaircutReport:
     improvable: bool
 
 
-def quasiminimality_audit(fs: FaceSet, trials: int = 1000,
-                          max_radius: Optional[float] = None, seed: int = 0,
-                          keep: int = 32) -> HaircutReport:
+def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0) -> HaircutReport:
     """Hunt for ball-local improvements among the move vocabulary.
 
     Each trial draws a ball (center uniform over the grid domain, radius
-    uniform up to ``max_radius``, default two cell sides) and applies the
+    uniform up to ``AUDIT_RADIUS_CELLS`` cell sides) and applies the
     best improving move whose toggled faces all lie in the closed ball, if
     any.  The trial ratio is (local measure before) / (local measure after);
     the worst ratio over the trials estimates the quasiminimality constant,
@@ -562,8 +567,7 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000,
     """
     grid = fs.grid
     s = grid.spacing
-    if max_radius is None:
-        max_radius = AUDIT_RADIUS_CELLS * s
+    max_radius = AUDIT_RADIUS_CELLS * s
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(0xA0D17,)))
     top = sorted(fs.top_faces())
@@ -610,10 +614,10 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000,
         else:
             improving += 1
             ratio = before / best if best > 0 else math.inf
-        if ratio > worst or len(balls) < keep:
+        if ratio > worst or len(balls) < AUDIT_KEEP:
             balls.append({"center": [float(x) for x in center], "radius": float(r),
                           "faces": before, "ratio": float(ratio)})
-            balls = balls[-keep:]
+            balls = balls[-AUDIT_KEEP:]
         worst = max(worst, ratio)
     return HaircutReport(worst, improving, trials, max_radius, balls,
                          improving > 0)
@@ -638,10 +642,9 @@ class SchemeResult:
 
 
 def run_scheme(mesh: EmbeddedMesh, subdivision_levels: Sequence[int], *,
-               manifold_size: Optional[float] = None, corner=None,
+               manifold_size: Optional[float] = None,
                threshold: float = 0.5, strategy: str = "far",
                policy: str = "greedy", seed: int = 0, audit_trials: int = 200,
-               ladder_radii: Sequence[float] = (0.25, 0.125),
                ladder_centers: int = 8) -> SchemeResult:
     """Initialize, minimize, core-reduce and audit per grid level.
 
@@ -652,7 +655,7 @@ def run_scheme(mesh: EmbeddedMesh, subdivision_levels: Sequence[int], *,
     from .geometry.distance import local_hausdorff_distance
 
     n = mesh.ambient_dim
-    base = np.zeros(n) if corner is None else np.asarray(corner, dtype=float)
+    base = np.zeros(n)
     size = manifold_size if manifold_size is not None else 1.0
     manifold = FlatManifold.torus(n, size, base) if manifold_size is not None else None
     levels = []
@@ -675,7 +678,7 @@ def run_scheme(mesh: EmbeddedMesh, subdivision_levels: Sequence[int], *,
         for (ia, ma), mb in zip(enumerate(meshes), meshes[1:]):
             row = {"coarse": levels[ia].subdivisions,
                    "fine": levels[ia + 1].subdivisions, "gaps": []}
-            for r in ladder_radii:
+            for r in LADDER_RADII:
                 gaps = []
                 for c in centers:
                     try:

@@ -642,8 +642,7 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
                         strategy: str = "chebyshev",
                         trials: int = 32,
                         seed: int = 0,
-                        manifold: Optional[FlatManifold] = None,
-                        freeze_boundary: Optional[bool] = None) -> ProjectionResult:
+                        manifold: Optional[FlatManifold] = None) -> ProjectionResult:
     """Project mesh content onto the d-skeleton of the grid (d = mesh dimension).
 
     Stages run k = n .. d+1; at each stage every face with content picks a
@@ -656,8 +655,7 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
         raise ValueError("content dimension must be below the grid dimension")
     if mesh.ambient_dim != grid.ambient_dim:
         raise ValueError("mesh and grid ambient dimensions differ")
-    if freeze_boundary is None:
-        freeze_boundary = manifold is None
+    freeze_boundary = manifold is None
     if eta is not None:
         mesh = refine(mesh, eta)
     d = mesh.dimension

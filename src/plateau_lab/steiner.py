@@ -142,8 +142,7 @@ class MultiplicityNet:
                             np.array([int(m) for m in self.multiplicities[keep]]))
 
 
-def check_kirchhoff(net: MultiplicityNet, terminals: Sequence[Terminal],
-                    merge_tol: Optional[float] = None) -> None:
+def check_kirchhoff(net: MultiplicityNet, terminals: Sequence[Terminal]) -> None:
     """Verify flow conservation against the terminal charges.
 
     Terminal vertices must have net outflow equal to their charge; every
@@ -152,7 +151,7 @@ def check_kirchhoff(net: MultiplicityNet, terminals: Sequence[Terminal],
     """
     pts = net.points
     scale = _instance_scale([t.point for t in terminals]) or 1.0
-    tol = merge_tol if merge_tol is not None else MERGE_REL_TOL * scale
+    tol = MERGE_REL_TOL * scale
     charge = np.zeros(len(pts), dtype=np.int64)
     seen = set()
     for t in terminals:
@@ -424,14 +423,14 @@ class SteinerResult:
 
 
 def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
-                     beta: float = 1.0, require_balance: Optional[bool] = None) -> SteinerResult:
+                     beta: float = 1.0) -> SteinerResult:
     """Best full-topology network over the terminals for the chosen cost.
 
     Enumerates every full topology (at most ``MAX_TERMINALS`` terminals),
     optimizes interior vertices, merges collapsed junctions, canonicalizes
     flows, and returns the winner; ties break to the lexicographically
     smallest edge list, so results are deterministic.  Charges must balance
-    for mass or m_beta costs (and for size when ``require_balance`` is set).
+    for mass or m_beta costs.
     """
     terminals = list(terminals)
     if len(terminals) < 2:
@@ -442,9 +441,7 @@ def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
     n = terminals[0].point.size
     if any(t.point.size != n for t in terminals):
         raise ValueError("terminals must share one ambient dimension")
-    if require_balance is None:
-        require_balance = functional in ("mass", "m_beta")
-    if require_balance and not _charges_balanced(terminals):
+    if functional in ("mass", "m_beta") and not _charges_balanced(terminals):
         raise ValueError("terminal charges must sum to zero")
     if functional == "size":
         # the size problem is the classical connected one: charges play no

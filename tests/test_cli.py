@@ -127,6 +127,27 @@ def test_flag_beats_config(runner, tmp_path):
     assert from_flag.exists() and not from_config.exists()
 
 
+def test_config_supplies_a_required_option(runner, square_instance, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"instance": square_instance}))
+    by_config = runner.invoke(main, ["steiner", "--config", str(conf)])
+    by_flag = runner.invoke(main, ["steiner", "--instance", square_instance])
+    summary_of(by_config)
+    assert by_config.stdout == by_flag.stdout
+
+
+def test_missing_required_option_is_named(runner, tmp_path):
+    r = runner.invoke(main, ["steiner"])
+    assert r.exit_code == 2
+    assert "'--instance'" in r.stderr
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": 3}))
+    r = runner.invoke(main, ["hausdorff", "--config", str(conf), "--mesh-a", "a.off"])
+    assert r.exit_code == 2
+    assert all(f"'{o}'" in r.stderr for o in ("--mesh-b", "--center", "--radius"))
+    assert "--mesh-a" not in r.stderr
+
+
 def _no_constants(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -135,6 +135,16 @@ def test_tilted_disk_still_passes():
     assert rep["ok"] and rep["covered_fraction"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("th", [0.0, 0.4])
+def test_projection_axis_is_the_disk_normal(th):
+    rot = np.array([[1, 0, 0],
+                    [0, math.cos(th), -math.sin(th)],
+                    [0, math.sin(th), math.cos(th)]])
+    disk = polar_annulus(1e-9, 1.3).transformed(rotation=rot)
+    rep = diag.big_projection_check(disk, np.zeros(3), 1.0)
+    assert abs(float(np.dot(rep["axis"], rot[:, 2]))) >= 1 - 1e-9
+
+
 # ── classification, cheap cases only ──
 
 def test_plane_classifies_as_plane():
@@ -149,3 +159,36 @@ def test_empty_neighborhood_is_unclassified():
     rep = diag.classify_point(patch, np.array([5.0, 5.0, 0.0]), 1.0,
                               rotations=64, depth=1e-2)
     assert rep["best"] is None or rep["best"]["name"] == "unclassified"
+
+
+# ── classification at a sliding boundary ──
+# depth 0.2 equals the first pattern step, so only the azimuth grid runs
+
+def test_halfplane_on_its_edge_line_classifies_from_one_sample_set(monkeypatch):
+    hp = cones.halfplane_cone(extent=1.5)
+    calls = []
+    sample_mesh = diag.sample_mesh
+
+    def counting(mesh, *args, **kwargs):
+        calls.append(mesh is hp)
+        return sample_mesh(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(diag, "sample_mesh", counting)
+    rep = diag.classify_point(hp, np.zeros(3), 1.0, context=halfplane_context(),
+                              depth=0.2)
+    assert rep["best"]["name"] == "halfplane"
+    assert rep["best"]["residual"] <= diag.RESIDUAL_OK
+    assert rep["ok"]
+    assert calls.count(True) == 1      # the 64 azimuths share one sample set
+    assert calls.count(False) == 64    # one posed cone per azimuth
+
+
+def test_open_book_classifies_as_v_with_its_dihedral():
+    beta = 2.0
+    book = cones.v_cone(beta, extent=1.5)
+    spine = diag.SlidingContext(LineBoundary(np.zeros(3), np.array([0.0, 0.0, 1.0])),
+                                np.array([1.0, 0.0, 0.0]))
+    rep = diag.classify_point(book, np.zeros(3), 1.0, context=spine, depth=0.2)
+    assert rep["best"]["name"] == "v"
+    assert abs(rep["best"]["dihedral"] - beta) <= 2 * math.pi / 25
+
