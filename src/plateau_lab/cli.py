@@ -55,21 +55,32 @@ def _fail_domain(message: str) -> None:
 
 
 def _merge_config(ctx: click.Context, values: dict) -> dict:
-    """Overlay config-file values under explicitly passed flags."""
+    """Overlay config-file values under explicitly passed flags.
+
+    Each value is read as the text a flag would carry (a JSON list as its
+    comma-joined items) and goes through its option's click type.
+    """
     path = values.pop("config", None)
     if path is None:
         return values
     raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         _fail_config([f"config {path} must hold a JSON object"])
+    params = {p.name: p for p in ctx.command.params}
     errors = []
     for key, val in raw.items():
         name = key.replace("-", "_")
         if name not in values:
             errors.append(f"unknown field {key!r}")
             continue
-        if ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
-            values[name] = val
+        if ctx.get_parameter_source(name) == ParameterSource.COMMANDLINE:
+            continue
+        if val is not None:
+            val = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+        try:
+            values[name] = params[name].type_cast_value(ctx, val)
+        except click.BadParameter as e:
+            errors.append(f"{key}: {e.message}")
     if errors:
         _fail_config(errors)
     return values
@@ -85,14 +96,10 @@ def _threads() -> int | None:
         _fail_config([f"PLATEAU_THREADS must be an integer, got {raw!r}"])
 
 
-def _vector(text, name: str) -> np.ndarray:
-    if isinstance(text, (list, tuple)):
-        vals = list(text)
-    else:
-        vals = str(text).split(",")
+def _vector(text: str, name: str) -> np.ndarray:
     try:
-        arr = np.array([float(v) for v in vals], dtype=float)
-    except (TypeError, ValueError):
+        arr = np.array([float(v) for v in text.split(",")], dtype=float)
+    except ValueError:
         _fail_config([f"{name} must be a comma-separated number list, got {text!r}"])
     if arr.size == 0:
         _fail_config([f"{name} must not be empty"])
@@ -284,13 +291,7 @@ def steiner(vals):
     b = vals["beta"] if vals["beta"] is not None else float(spec.get("beta", 1.0))
     try:
         result = optimize_steiner(terms, functional=func, beta=b)
-        if func == "size":
-            # connected-size nets carry unit spanning flows, not the charges
-            audit_terms = ([Terminal(t.point, 1) for t in terms[:-1]]
-                           + [Terminal(terms[-1].point, -(len(terms) - 1))])
-        else:
-            audit_terms = terms
-        check_kirchhoff(result.net, audit_terms)
+        check_kirchhoff(result.net, [Terminal(t.point, q) for t, q in zip(terms, result.charges)])
     except ValueError as e:
         _fail_domain(str(e))
     net = result.net
@@ -348,11 +349,11 @@ def ff_project(vals):
     try:
         result = project_to_skeleton(mesh, grid, eta=eta_val,
                                      strategy=vals["strategy"],
-                                     trials=int(vals["trials"]),
-                                     seed=int(vals["seed"]), manifold=manifold)
+                                     trials=vals["trials"],
+                                     seed=vals["seed"], manifold=manifold)
         if vals["collapse"]:
             result = extra_collapse(result, grid, manifold=manifold,
-                                    seed=int(vals["seed"]))
+                                    seed=vals["seed"])
     except ValueError as e:
         _fail_domain(str(e))
     locality_ok, locality_slack = verify_cell_locality(result, grid)
@@ -470,10 +471,10 @@ def classify(vals):
     context = _build_context(vals)
     try:
         report = classify_point(mesh, _vector(vals["center"], "center"),
-                                float(vals["radius"]), context=context,
-                                seed=int(vals["seed"]),
-                                rotations=int(vals["rotations"]),
-                                depth=float(vals["depth"]))
+                                vals["radius"], context=context,
+                                seed=vals["seed"],
+                                rotations=vals["rotations"],
+                                depth=vals["depth"])
     except ValueError as e:
         _fail_domain(str(e))
     artifacts = []
@@ -497,7 +498,7 @@ def cone_check(vals):
     mesh = _read_mesh(vals["mesh"])
     try:
         rep = cone_slice_check(mesh, _vector(vals["center"], "center"),
-                               float(vals["radius"]), tol=float(vals["tol"]))
+                               vals["radius"], tol=vals["tol"])
     except ValueError as e:
         _fail_domain(str(e))
     artifacts = []
@@ -520,7 +521,7 @@ def blowup(vals):
     mesh = _read_mesh(vals["mesh"])
     try:
         small = diagnostics.blowup(mesh, _vector(vals["center"], "center"),
-                                   float(vals["radius"]), clip=bool(vals["clip"]))
+                                   vals["radius"], clip=vals["clip"])
     except ValueError as e:
         _fail_domain(str(e))
     artifacts = [(vals["out"], _mesh_text(vals["out"], small))]
@@ -545,13 +546,13 @@ def hausdorff(vals):
     """Normalized two-sided local gap between two meshes on a ball."""
     ma = _read_mesh(vals["mesh_a"])
     mb = _read_mesh(vals["mesh_b"])
-    ball = Ball(_vector(vals["center"], "center"), float(vals["radius"]))
+    ball = Ball(_vector(vals["center"], "center"), vals["radius"])
     try:
         dist = local_hausdorff_distance(ma, mb, ball,
-                                        spacing=vals["spacing"] and float(vals["spacing"]))
+                                        spacing=vals["spacing"])
     except ValueError as e:
         _fail_domain(str(e))
-    rep = {"distance": dist, "radius": float(vals["radius"]),
+    rep = {"distance": dist, "radius": vals["radius"],
            "center": [float(x) for x in ball.center]}
     artifacts = []
     if vals["out"]:
@@ -584,7 +585,7 @@ def hausdorff(vals):
 def minimize(vals):
     """Discrete Plateau descent over a ladder of grid refinements."""
     mesh = _read_mesh(vals["init"])
-    name = str(vals["manifold"])
+    name = vals["manifold"]
     periodic = name.startswith("torus")
     if not (periodic or name.startswith("box")):
         _fail_config([f"manifold must be torus<n> or box<n>, got {name!r}"])
@@ -600,11 +601,11 @@ def minimize(vals):
         _fail_config(["levels must be positive"])
     try:
         scheme = run_scheme(mesh, level_list,
-                            manifold_size=float(vals["size"]) if periodic else None,
-                            threshold=float(vals["threshold"]),
+                            manifold_size=vals["size"] if periodic else None,
+                            threshold=vals["threshold"],
                             strategy=vals["strategy"], policy=vals["policy"],
-                            seed=int(vals["seed"]),
-                            audit_trials=int(vals["audit_trials"]))
+                            seed=vals["seed"],
+                            audit_trials=vals["audit_trials"])
     except ValueError as e:
         _fail_domain(str(e))
     last = scheme.levels[-1]
@@ -665,13 +666,13 @@ def douglas(vals):
                             for row in rows if row.strip()])
         except ValueError:
             _fail_config([f"loop {vals['loop']} must be numeric CSV rows"])
-        label = str(vals["loop"])
+        label = vals["loop"]
     else:
-        if int(vals["samples"]) < 8:
+        if vals["samples"] < 8:
             _fail_config(["need at least 8 samples"])
-        if int(vals["samples"]) > MAX_SAMPLES:
+        if vals["samples"] > MAX_SAMPLES:
             _fail_config([f"samples must be at most {MAX_SAMPLES}"])
-        pts = circle_samples(int(vals["samples"]), float(vals["radius"]))
+        pts = circle_samples(vals["samples"], vals["radius"])
         label = "circle"
     try:
         energy = douglas_energy(pts)

@@ -67,13 +67,11 @@ def _pad(vec: Sequence[float], ambient: int) -> np.ndarray:
     return v
 
 
-def line_cone(extent: float = 1.0, ambient: int = 2,
-              direction: Optional[Sequence[float]] = None) -> EmbeddedMesh:
-    """A straight line through the origin, as two apex rays."""
-    u = _pad(direction if direction is not None else [1.0] + [0.0] * (ambient - 1), ambient)
-    u = u / np.linalg.norm(u)
+def line_cone(extent: float = 1.0, ambient: int = 2) -> EmbeddedMesh:
+    """The x-axis through the origin, as two apex rays."""
+    u = _pad([1.0], ambient)
     o = np.zeros(ambient)
-    return EmbeddedMesh.from_segments([[o, extent * u], [o, -extent * u]])
+    return EmbeddedMesh.from_simplex_list(1, [[o, extent * u], [o, -extent * u]])
 
 
 def v1_cone(beta: float, extent: float = 1.0, ambient: int = 2) -> EmbeddedMesh:
@@ -83,7 +81,7 @@ def v1_cone(beta: float, extent: float = 1.0, ambient: int = 2) -> EmbeddedMesh:
     o = np.zeros(ambient)
     u1 = _pad([1.0, 0.0], ambient)
     u2 = _pad([math.cos(beta), math.sin(beta)], ambient)
-    return EmbeddedMesh.from_segments([[o, extent * u1], [o, extent * u2]])
+    return EmbeddedMesh.from_simplex_list(1, [[o, extent * u1], [o, extent * u2]])
 
 
 def y1_cone(extent: float = 1.0, ambient: int = 2) -> EmbeddedMesh:
@@ -93,21 +91,21 @@ def y1_cone(extent: float = 1.0, ambient: int = 2) -> EmbeddedMesh:
     for k in range(3):
         a = 2.0 * math.pi * k / 3.0
         segs.append([o, extent * _pad([math.cos(a), math.sin(a)], ambient)])
-    return EmbeddedMesh.from_segments(segs)
+    return EmbeddedMesh.from_simplex_list(1, segs)
 
 
 def plane_cone(extent: float = 1.0) -> EmbeddedMesh:
     """The xy-plane through the origin as a two-triangle square in 3-space."""
     R = extent
     p = [[-R, -R, 0.0], [R, -R, 0.0], [R, R, 0.0], [-R, R, 0.0]]
-    return EmbeddedMesh.from_triangles([[p[0], p[1], p[2]], [p[0], p[2], p[3]]])
+    return EmbeddedMesh.from_simplex_list(2, [[p[0], p[1], p[2]], [p[0], p[2], p[3]]])
 
 
 def halfplane_cone(extent: float = 1.0) -> EmbeddedMesh:
     """The half-plane x >= 0 of the xy-plane; its edge is the y-axis."""
     R = extent
     p = [[0.0, -R, 0.0], [R, -R, 0.0], [R, R, 0.0], [0.0, R, 0.0]]
-    return EmbeddedMesh.from_triangles([[p[0], p[1], p[2]], [p[0], p[2], p[3]]])
+    return EmbeddedMesh.from_simplex_list(2, [[p[0], p[1], p[2]], [p[0], p[2], p[3]]])
 
 
 def _halfplane_sheet(phi: float, extent: float) -> list:
@@ -123,18 +121,18 @@ def v_cone(beta: float, extent: float = 1.0) -> EmbeddedMesh:
     if not (0.0 < beta < 2.0 * math.pi):
         raise ValueError("dihedral angle must be in (0, 2*pi)")
     tris = _halfplane_sheet(0.0, extent) + _halfplane_sheet(beta, extent)
-    return EmbeddedMesh.from_triangles(tris)
+    return EmbeddedMesh.from_simplex_list(2, tris)
 
 
 def v_cone_azimuths(phi1: float, phi2: float, extent: float = 1.0) -> EmbeddedMesh:
     """Two half-planes sharing the z-axis at explicit azimuths."""
     tris = _halfplane_sheet(phi1, extent) + _halfplane_sheet(phi2, extent)
-    return EmbeddedMesh.from_triangles(tris)
+    return EmbeddedMesh.from_simplex_list(2, tris)
 
 
 def halfplane_azimuth_cone(phi: float, extent: float = 1.0) -> EmbeddedMesh:
     """One half-plane hinged on the z-axis at the given azimuth."""
-    return EmbeddedMesh.from_triangles(_halfplane_sheet(phi, extent))
+    return EmbeddedMesh.from_simplex_list(2, _halfplane_sheet(phi, extent))
 
 
 def y_cone(extent: float = 1.0) -> EmbeddedMesh:
@@ -142,7 +140,7 @@ def y_cone(extent: float = 1.0) -> EmbeddedMesh:
     tris = []
     for k in range(3):
         tris.extend(_halfplane_sheet(2.0 * math.pi * k / 3.0, extent))
-    return EmbeddedMesh.from_triangles(tris)
+    return EmbeddedMesh.from_simplex_list(2, tris)
 
 
 def t_cone(extent: float = 1.0) -> EmbeddedMesh:
@@ -159,26 +157,26 @@ def t_cone(extent: float = 1.0) -> EmbeddedMesh:
     for i in range(4):
         for j in range(i + 1, 4):
             tris.append([o, c * TETRA_DIRECTIONS[i], c * TETRA_DIRECTIONS[j]])
-    return EmbeddedMesh.from_triangles(tris)
+    return EmbeddedMesh.from_simplex_list(2, tris)
 
 
 _BUILDERS = {
     "line": lambda extent, ambient=3: line_cone(extent, ambient),
-    "v1": lambda extent, ambient=3, beta=math.pi / 2: v1_cone(beta, extent, ambient),
+    "v1": lambda extent, ambient=3: v1_cone(math.pi / 2, extent, ambient),
     "y1": lambda extent, ambient=3: y1_cone(extent, ambient),
     "plane": lambda extent, ambient=3: plane_cone(extent),
     "halfplane": lambda extent, ambient=3: halfplane_cone(extent),
-    "v": lambda extent, ambient=3, beta=math.pi / 2: v_cone(beta, extent),
+    "v": lambda extent, ambient=3: v_cone(math.pi / 2, extent),
     "y": lambda extent, ambient=3: y_cone(extent),
     "t": lambda extent, ambient=3: t_cone(extent),
 }
 
 
-def build_cone(name: str, extent: float = 1.0, ambient: int = 3, **params) -> EmbeddedMesh:
+def build_cone(name: str, extent: float = 1.0, ambient: int = 3) -> EmbeddedMesh:
     """Build a catalog cone by name (see module docstring for the names)."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown cone {name!r}; catalog: {sorted(_BUILDERS)}")
-    return _BUILDERS[name](extent, ambient=ambient, **params)
+    return _BUILDERS[name](extent, ambient=ambient)
 
 
 def catalog(dimension: Optional[int] = None, boundary: bool = False) -> list:

@@ -117,7 +117,7 @@ class SlidingContext:
         R = 2.0 * extent
         p0 = foot - R * u
         p1 = foot + R * u
-        return EmbeddedMesh.from_triangles([
+        return EmbeddedMesh.from_simplex_list(2, [
             [p0, p1, p1 - R * w],
             [p0, p1 - R * w, p0 - R * w],
         ])

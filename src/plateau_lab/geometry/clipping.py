@@ -397,8 +397,7 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball, inside: bool = True,
                 mults.append(int(mesh.multiplicities[i]))
         if not chunks:
             return EmbeddedMesh.empty(1, n)
-        out = EmbeddedMesh.from_segments(chunks)
-        return EmbeddedMesh(1, out.vertices, out.simplices, np.array(mults, dtype=np.int64))
+        return EmbeddedMesh.from_simplex_list(1, chunks, mults)
 
     m_sides = polygon_sides_for_tolerance(tol)
     angles = 2.0 * math.pi * np.arange(m_sides) / m_sides
@@ -465,9 +464,7 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball, inside: bool = True,
 
     if not chunks:
         return EmbeddedMesh.empty(2, n)
-    out = EmbeddedMesh.from_simplex_list(2, chunks, allow_degenerate=True)
-    return EmbeddedMesh(2, out.vertices, out.simplices, np.array(mults, dtype=np.int64),
-                        allow_degenerate=True)
+    return EmbeddedMesh.from_simplex_list(2, chunks, mults, allow_degenerate=True)
 
 
 def _point_triangle_distance_2d(pt: np.ndarray, tri: np.ndarray) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class Ball:
     def ambient_dim(self) -> int:
         return self.center.size
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius
-
 
 @dataclass(frozen=True)
 class Gauge:
@@ -96,13 +92,6 @@ class Gauge:
             raise ValueError("gauge exponent must be finite and > 0")
         if not (self.cutoff > 0.0 and math.isfinite(self.cutoff)):
             raise ValueError("gauge cutoff must be finite and > 0")
-
-    def __call__(self, r: float) -> float:
-        if r < 0:
-            raise ValueError("gauge argument must be >= 0")
-        if r > self.cutoff:
-            return math.inf
-        return self.scale * r ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -127,10 +116,6 @@ class LineBoundary:
         """Orthogonal projection of x onto the line."""
         x = np.asarray(x, dtype=float)
         return self.base + np.dot(x - self.base, self.direction) * self.direction
-
-    def distance(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.foot(x)))
 
 
 @dataclass(frozen=True)
@@ -202,43 +187,22 @@ class EmbeddedMesh:
         return cls(dimension, np.zeros((0, ambient_dim)), np.zeros((0, dimension + 1), dtype=np.int64))
 
     @classmethod
-    def from_simplex_list(cls, dimension: int, chunks: Sequence[np.ndarray],
+    def from_simplex_list(cls, dimension: int, corners, multiplicities=None,
                           allow_degenerate: bool = False) -> "EmbeddedMesh":
-        """Build a mesh from a list of (d+1, n) vertex blocks, deduplicating vertices."""
-        if not len(chunks):
+        """Build a mesh from simplex corners: an (S, d+1, n) array or a list of
+        (d+1, n) blocks.  Corners with equal bytes become one vertex (so -0.0
+        and 0.0 stay apart), numbered in order of first appearance."""
+        if not len(corners):
             raise ValueError("empty simplex list; use EmbeddedMesh.empty")
-        n = np.asarray(chunks[0], dtype=float).shape[1]
-        key_to_idx: dict[bytes, int] = {}
-        verts: list[np.ndarray] = []
-        rows = []
-        for chunk in chunks:
-            block = np.asarray(chunk, dtype=float)
-            row = []
-            for v in block:
-                key = v.tobytes()
-                idx = key_to_idx.get(key)
-                if idx is None:
-                    idx = len(verts)
-                    key_to_idx[key] = idx
-                    verts.append(v)
-                row.append(idx)
-            rows.append(row)
-        return cls(dimension, np.array(verts, dtype=float).reshape(len(verts), n),
-                   np.array(rows, dtype=np.int64), allow_degenerate=allow_degenerate)
-
-    @classmethod
-    def from_segments(cls, segments: Iterable, **kw) -> "EmbeddedMesh":
-        chunks = [np.asarray(s, dtype=float) for s in segments]
-        if not chunks:
-            raise ValueError("no segments given")
-        return cls.from_simplex_list(1, chunks, **kw)
-
-    @classmethod
-    def from_triangles(cls, triangles: Iterable, **kw) -> "EmbeddedMesh":
-        chunks = [np.asarray(t, dtype=float) for t in triangles]
-        if not chunks:
-            raise ValueError("no triangles given")
-        return cls.from_simplex_list(2, chunks, **kw)
+        corners = np.asarray(corners, dtype=float)
+        rows = np.ascontiguousarray(corners.reshape(-1, corners.shape[-1]))
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(order.size)
+        return cls(dimension, rows[first[order]], number[inverse].reshape(corners.shape[:-1]),
+                   multiplicities, allow_degenerate)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -262,13 +226,6 @@ class EmbeddedMesh:
             for k in range(j + 1, d + 1):
                 out = np.maximum(out, np.linalg.norm(corners[:, j] - corners[:, k], axis=1))
         return out
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.n_simplices:
-            z = np.zeros(self.ambient_dim)
-            return z, z
-        used = self.vertices[np.unique(self.simplices)]
-        return used.min(axis=0), used.max(axis=0)
 
     def transformed(self, rotation: Optional[np.ndarray] = None,
                     translation: Optional[np.ndarray] = None,
@@ -325,56 +282,51 @@ def mass(mesh: EmbeddedMesh) -> float:
     return float(np.sum(np.abs(mesh.multiplicities) * vols))
 
 
+#: midpoints appended to a simplex's corners, and the children of one split
+#: as rows of the extended corner list, in the order the split emits them
+_SPLIT_MIDPOINTS = {1: [(0, 1)], 2: [(0, 1), (1, 2), (2, 0)]}
+_SPLIT_CHILDREN = {1: [[0, 2], [2, 1]],
+                   2: [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]}
+
+
 def refine(mesh: EmbeddedMesh, eta: float) -> EmbeddedMesh:
     """Subdivide until every simplex has diameter <= eta.
 
     Segments are halved and triangles are 4-split, k = ceil(log2(diam/eta))
     times per input simplex, so measure is preserved exactly and the vertex
-    set only grows.  Raises if the output would exceed ``DEFAULT_REFINE_CAP``.
+    set only grows.  Each pass splits every simplex with levels left into its
+    children in place, so the rows come out in depth-first order.  Raises if
+    the output would exceed ``DEFAULT_REFINE_CAP``.
     """
     if not (eta > 0):
         raise ValueError("eta must be positive")
     if mesh.n_simplices == 0:
         return mesh
+    d = mesh.dimension
     diam = mesh._simplex_diameters()
     levels = np.zeros(mesh.n_simplices, dtype=np.int64)
     need = diam > eta
     levels[need] = np.ceil(np.log2(diam[need] / eta)).astype(np.int64)
-    branching = (2 if mesh.dimension == 1 else 4) ** levels
-    total = int(branching.sum())
+    # counted in floats, where 2**(d*k) cannot wrap as int64 does at k = 64 / d
+    with np.errstate(over="ignore"):
+        total = float(np.ldexp(1.0, d * levels).sum())
     if total > DEFAULT_REFINE_CAP:
-        raise ValueError(f"refine would produce {total} simplices (cap {DEFAULT_REFINE_CAP})")
-
-    chunks: list[np.ndarray] = []
-    mults: list[int] = []
-
-    def split_segment(a, b, k):
-        if k == 0:
-            chunks.append(np.array([a, b]))
-            return
-        m = 0.5 * (a + b)
-        split_segment(a, m, k - 1)
-        split_segment(m, b, k - 1)
-
-    def split_triangle(a, b, c, k):
-        if k == 0:
-            chunks.append(np.array([a, b, c]))
-            return
-        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-        split_triangle(a, ab, ca, k - 1)
-        split_triangle(ab, b, bc, k - 1)
-        split_triangle(ca, bc, c, k - 1)
-        split_triangle(ab, bc, ca, k - 1)
+        raise ValueError(f"refine would produce {total:.0f} simplices (cap {DEFAULT_REFINE_CAP})")
 
     corners = mesh.simplex_corners()
-    for i in range(mesh.n_simplices):
-        before = len(chunks)
-        if mesh.dimension == 1:
-            split_segment(corners[i, 0], corners[i, 1], int(levels[i]))
-        else:
-            split_triangle(corners[i, 0], corners[i, 1], corners[i, 2], int(levels[i]))
-        mults.extend([int(mesh.multiplicities[i])] * (len(chunks) - before))
-
-    out = EmbeddedMesh.from_simplex_list(mesh.dimension, chunks, allow_degenerate=mesh.allow_degenerate)
-    return EmbeddedMesh(out.dimension, out.vertices, out.simplices,
-                        np.array(mults, dtype=np.int64), allow_degenerate=mesh.allow_degenerate)
+    mults = mesh.multiplicities
+    children = np.array(_SPLIT_CHILDREN[d])
+    for _ in range(int(levels.max())):
+        split = levels > 0
+        counts = np.where(split, len(children), 1)
+        start = np.cumsum(counts) - counts
+        c = corners[split]
+        extended = np.concatenate([c] + [0.5 * (c[:, i:i + 1] + c[:, j:j + 1])
+                                         for i, j in _SPLIT_MIDPOINTS[d]], axis=1)
+        out = np.empty((int(counts.sum()),) + corners.shape[1:])
+        out[start[~split]] = corners[~split]
+        out[start[split][:, None] + np.arange(len(children))] = extended[:, children]
+        corners = out
+        levels = np.repeat(levels - split, counts)
+        mults = np.repeat(mults, counts)
+    return EmbeddedMesh.from_simplex_list(d, corners, mults, mesh.allow_degenerate)

@@ -71,42 +71,29 @@ def _points_to_triangle(points: np.ndarray, a: np.ndarray, b: np.ndarray,
     d5 = cp @ ab
     d6 = cp @ ac
 
-    closest = np.empty_like(points)
-    done = np.zeros(points.shape[0], dtype=bool)
-
-    def assign(mask, value):
-        nonlocal done
-        m = mask & ~done
-        if np.any(m):
-            closest[m] = value[m] if value.ndim == 2 else value[None, :]
-            done[m] = True
-
-    assign((d1 <= 0) & (d2 <= 0), a)
-    assign((d3 >= 0) & (d4 <= d3), b)
-    assign((d6 >= 0) & (d5 <= d6), c)
-
-    vc = d1 * d4 - d3 * d2
-    mask = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    denom = np.where(d1 - d3 != 0, d1 - d3, 1.0)
-    assign(mask, a + (d1 / denom)[:, None] * ab)
-
-    vb = d5 * d2 - d1 * d6
-    mask = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    denom = np.where(d2 - d6 != 0, d2 - d6, 1.0)
-    assign(mask, a + (d2 / denom)[:, None] * ac)
-
     va = d3 * d6 - d5 * d4
-    mask = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-    denom = np.where((d4 - d3) + (d5 - d6) != 0, (d4 - d3) + (d5 - d6), 1.0)
-    assign(mask, b + ((d4 - d3) / denom)[:, None] * (c - b))
-
-    rest = ~done
-    if np.any(rest):
-        total = va + vb + vc
-        total = np.where(total != 0, total, 1.0)
-        v = vb / total
-        w = vc / total
-        closest[rest] = a + v[rest, None] * ab + w[rest, None] * ac
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+    # np.select keeps the first region that holds, as the region walk does;
+    # each region's closest point (a vertex, an edge point or, in region 6,
+    # the face point) is then computed on that region's rows only
+    region = np.select([(d1 <= 0) & (d2 <= 0),
+                        (d3 >= 0) & (d4 <= d3),
+                        (d6 >= 0) & (d5 <= d6),
+                        (vc <= 0) & (d1 >= 0) & (d3 <= 0),
+                        (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+                        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)], range(6), default=6)
+    closest = np.empty_like(points)
+    for k, vertex in enumerate((a, b, c)):
+        closest[region == k] = vertex
+    edges = ((a, ab, d1, d1 - d3), (a, ac, d2, d2 - d6), (b, c - b, d4 - d3, (d4 - d3) + (d5 - d6)))
+    for k, (start, step, num, den) in enumerate(edges, start=3):
+        m = region == k
+        closest[m] = start + (num[m] / np.where(den[m] != 0, den[m], 1.0))[:, None] * step
+    m = region == 6
+    total = va[m] + vb[m] + vc[m]
+    total = np.where(total != 0, total, 1.0)
+    closest[m] = a + (vb[m] / total)[:, None] * ab + (vc[m] / total)[:, None] * ac
     return np.linalg.norm(points - closest, axis=1)
 
 

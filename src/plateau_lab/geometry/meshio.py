@@ -218,7 +218,7 @@ def mesh_from_segment_csv(text: str) -> EmbeddedMesh:
         segs.append(np.array([vals[:n], vals[n:]], dtype=float))
     if not segs:
         raise ValueError("no segments in CSV")
-    return EmbeddedMesh.from_segments(segs, allow_degenerate=True)
+    return EmbeddedMesh.from_simplex_list(1, segs, allow_degenerate=True)
 
 
 # ---------------------------------------------------------------------------

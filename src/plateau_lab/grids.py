@@ -46,10 +46,6 @@ class CubeFace:
         return bool((self.axes >> axis) & 1)
 
 
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 @dataclass(frozen=True)
 class DyadicGrid:
     """N^n dyadic complex over the cube [corner, corner + size]^n."""
@@ -88,16 +84,13 @@ class DyadicGrid:
     def plane_coordinate(self, axis: int, index: int) -> float:
         return float(self.corner[axis] + index * self.spacing)
 
-    def planes(self, axis: int) -> np.ndarray:
-        return self.corner[axis] + self.spacing * np.arange(self.subdivisions + 1)
-
     # -- face enumeration ------------------------------------------------------
 
     def count_faces(self, dim: int) -> int:
         n, N = self.ambient_dim, self.subdivisions
         if not (0 <= dim <= n):
             raise ValueError("face dimension out of range")
-        return _binom(n, dim) * N ** dim * (N + 1) ** (n - dim)
+        return math.comb(n, dim) * N ** dim * (N + 1) ** (n - dim)
 
     def faces(self, dim: int) -> Iterator[CubeFace]:
         n, N = self.ambient_dim, self.subdivisions

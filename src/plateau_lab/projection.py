@@ -577,10 +577,8 @@ def _assemble_mesh(dimension: int, ambient: int, pieces: PieceTable,
     chunks = list(outside_chunks) + list(pieces.corners)
     if not chunks:
         return EmbeddedMesh.empty(dimension, ambient)
-    base = EmbeddedMesh.from_simplex_list(dimension, chunks, allow_degenerate=True)
     mults = list(outside_mults) + pieces.mult.tolist()
-    return EmbeddedMesh(dimension, base.vertices, base.simplices,
-                        np.array(mults, dtype=np.int64), allow_degenerate=True)
+    return EmbeddedMesh.from_simplex_list(dimension, chunks, mults, allow_degenerate=True)
 
 
 def _project_groups(pieces: PieceTable, groups: list, centers: list,

@@ -137,9 +137,7 @@ class MultiplicityNet:
                 for (a, b), k in zip(self.edges, keep) if k]
         if not segs:
             return EmbeddedMesh.empty(1, self.ambient_dim)
-        mesh = EmbeddedMesh.from_simplex_list(1, segs)
-        return EmbeddedMesh(1, mesh.vertices, mesh.simplices,
-                            np.array([int(m) for m in self.multiplicities[keep]]))
+        return EmbeddedMesh.from_simplex_list(1, segs, self.multiplicities[keep])
 
 
 def check_kirchhoff(net: MultiplicityNet, terminals: Sequence[Terminal]) -> None:
@@ -419,6 +417,8 @@ class SteinerResult:
     n_topologies: int
     upper_bound: float
     audit: dict
+    #: the terminal charges the net's flows satisfy: spanning charges for size
+    charges: tuple
     runner_up: Optional[float] = None
 
 
@@ -447,17 +447,16 @@ def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
         # the size problem is the classical connected one: charges play no
         # role, every tree edge counts with weight 1, so use spanning charges
         # whose partial sums never vanish (keeping all tree flows nonzero)
-        charges = [1] * (len(terminals) - 1) + [-(len(terminals) - 1)]
+        charges = (1,) * (len(terminals) - 1) + (-(len(terminals) - 1),)
     else:
-        charges = [t.charge for t in terminals]
+        charges = tuple(t.charge for t in terminals)
     scale = _instance_scale([t.point for t in terminals])
     tops = enumerate_topologies(len(terminals))
     best: Optional[tuple] = None
     runner: Optional[float] = None
     for topo in tops:
         flows = _tree_flows(topo, charges)
-        weights = (np.ones(len(flows)) if functional == "size"
-                   else _edge_weights(flows, functional, beta))
+        weights = _edge_weights(flows, functional, beta)
         pos = _optimize_interior(topo, terminals, weights, scale)
         pts, e_arr, f_arr = _merge_collapsed(pos, np.array(topo.edges), flows,
                                              len(terminals), scale)
@@ -485,4 +484,4 @@ def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
     ub = star_upper_bound(terminals, functional, beta)
     if cost > ub + 1e-9 * max(1.0, ub):
         logger.warning("optimizer exceeded the star upper bound: %.12g > %.12g", cost, ub)
-    return SteinerResult(net, cost, functional, beta, topo, len(tops), ub, audit, runner)
+    return SteinerResult(net, cost, functional, beta, topo, len(tops), ub, audit, charges, runner)

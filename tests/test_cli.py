@@ -136,6 +136,30 @@ def test_config_supplies_a_required_option(runner, square_instance, tmp_path):
     assert by_config.stdout == by_flag.stdout
 
 
+def test_config_values_go_through_the_option_types(runner, square_instance, y_mesh, tmp_path):
+    """A bad config value is a config error naming its option, as the same
+    bad flag is; a good one is converted as the flag would be."""
+    conf = tmp_path / "conf.json"
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"corner": [-2, -2, -2], "size": 4.0, "N": 2}))
+    cases = [(["steiner", "--instance", square_instance], {"seed": "x"}, "seed"),
+             (["ff-project", "--grid", str(grid), "--mesh", y_mesh], {"trials": "x"}, "trials"),
+             (["classify", "--mesh", y_mesh, "--center", "0,0,0"], {"radius": "abc"}, "radius"),
+             (["blowup", "--mesh", y_mesh, "--center", "0,0,0", "--radius", "1",
+               "--out", str(tmp_path / "b.off")], {"clip": "maybe"}, "clip")]
+    for args, doc, name in cases:
+        conf.write_text(json.dumps(doc))
+        r = runner.invoke(main, [*args, "--config", str(conf)])
+        assert r.exit_code == 2, (name, r.stdout, r.stderr)
+        assert r.stderr.startswith(f"config error: {name}:"), r.stderr
+    conf.write_text(json.dumps({"center": [0, 0, 0], "radius": "1"}))
+    by_config = runner.invoke(main, ["cone-check", "--mesh", y_mesh, "--config", str(conf)])
+    by_flag = runner.invoke(main, ["cone-check", "--mesh", y_mesh, "--center", "0,0,0",
+                                   "--radius", "1"])
+    summary_of(by_config)
+    assert by_config.stdout == by_flag.stdout
+
+
 def test_missing_required_option_is_named(runner, tmp_path):
     r = runner.invoke(main, ["steiner"])
     assert r.exit_code == 2

@@ -1,10 +1,12 @@
-"""The culled sup-distance and sampling against the full loops they replaced.
+"""The culled sup-distance, sampling and triangle kernel against the code
+they replaced.
 
 The oracle for ``sup_distance`` is the max over the full point x simplex
 distance table of ``points_to_simplices``; the oracle for ``sample_mesh`` is
-the per-simplex loop it ran before simplices were culled by bounding balls.
-The culled code must give the same float, and the same sample bytes in the
-same order.
+the per-simplex loop it ran before simplices were culled by bounding balls;
+the oracle for ``_points_to_triangle`` is its region walk with masked
+writes.  The new code must give the same floats, and the same sample bytes
+in the same order.
 """
 from __future__ import annotations
 
@@ -65,6 +67,65 @@ def oracle_sample_mesh(mesh, spacing, ball=None):
     if not out:
         return np.zeros((0, mesh.ambient_dim))
     return np.vstack(out)
+
+
+def oracle_points_to_triangle(points, a, b, c):
+    ab = b - a
+    ac = c - a
+    cross_sq = float(ab @ ab) * float(ac @ ac) - float(ab @ ac) ** 2
+    if cross_sq <= 1e-24 * max(float(ab @ ab), float(ac @ ac), 1e-300) ** 2:
+        return np.minimum.reduce([
+            _points_to_segment(points, a, b),
+            _points_to_segment(points, a, c),
+            _points_to_segment(points, b, c),
+        ])
+    ap = points - a
+    d1 = ap @ ab
+    d2 = ap @ ac
+    bp = points - b
+    d3 = bp @ ab
+    d4 = bp @ ac
+    cp = points - c
+    d5 = cp @ ab
+    d6 = cp @ ac
+
+    closest = np.empty_like(points)
+    done = np.zeros(points.shape[0], dtype=bool)
+
+    def assign(mask, value):
+        nonlocal done
+        m = mask & ~done
+        if np.any(m):
+            closest[m] = value[m] if value.ndim == 2 else value[None, :]
+            done[m] = True
+
+    assign((d1 <= 0) & (d2 <= 0), a)
+    assign((d3 >= 0) & (d4 <= d3), b)
+    assign((d6 >= 0) & (d5 <= d6), c)
+
+    vc = d1 * d4 - d3 * d2
+    mask = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+    denom = np.where(d1 - d3 != 0, d1 - d3, 1.0)
+    assign(mask, a + (d1 / denom)[:, None] * ab)
+
+    vb = d5 * d2 - d1 * d6
+    mask = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+    denom = np.where(d2 - d6 != 0, d2 - d6, 1.0)
+    assign(mask, a + (d2 / denom)[:, None] * ac)
+
+    va = d3 * d6 - d5 * d4
+    mask = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
+    denom = np.where((d4 - d3) + (d5 - d6) != 0, (d4 - d3) + (d5 - d6), 1.0)
+    assign(mask, b + ((d4 - d3) / denom)[:, None] * (c - b))
+
+    rest = ~done
+    if np.any(rest):
+        total = va + vb + vc
+        total = np.where(total != 0, total, 1.0)
+        v = vb / total
+        w = vc / total
+        closest[rest] = a + v[rest, None] * ab + w[rest, None] * ac
+    return np.linalg.norm(points - closest, axis=1)
 
 
 # ── inputs ──
@@ -200,6 +261,50 @@ def test_kernel_rows_are_independent(n):
             assert kernel(pts[shuffled]).tobytes() == full[shuffled].tobytes()
             start = int(rng.integers(0, 2049 - size))
             assert kernel(pts[start:start + size]).tobytes() == full[start:start + size].tobytes()
+
+
+# ── the triangle kernel ──
+
+def kernel_triangles(n, rng):
+    """Regular, sliver and degenerate triangles in R^n."""
+    a, b, c = rng.uniform(0.0, 1.0, (3, n))
+    e = rng.normal(size=n)
+    return {
+        "regular": (a, b, c),
+        "right": (np.zeros(n), np.eye(n)[0], np.eye(n)[1]),
+        "sliver": (a, b, a + 1.7 * (b - a) + 1e-9 * e),
+        "needle": (a, b, b + 1e-10 * e),
+        "collinear": (a, b, a + 0.5 * (b - a)),
+        "repeated": (a, a, c),
+        "point": (a, a, a),
+    }
+
+
+def kernel_points(tri, rng, n):
+    """Points on the vertices, on the edges, on the face, near and far."""
+    a, b, c = tri
+    t = rng.uniform(0.0, 1.0, (60, 1))
+    w = rng.dirichlet(np.ones(3), 200)
+    on_face = w[:, :1] * a + w[:, 1:2] * b + w[:, 2:] * c
+    return np.vstack([
+        np.array([a, b, c]),
+        0.5 * (a + b)[None, :], 0.5 * (b + c)[None, :], 0.5 * (c + a)[None, :],
+        a + t * (b - a), b + t * (c - b), c + t * (a - c),
+        on_face,
+        on_face + rng.normal(0.0, 1e-3, on_face.shape),
+        rng.uniform(-1.0, 2.0, (500, n)),
+        rng.uniform(-1.0, 1.0, (50, n)) + 1e3,
+    ])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_triangle_kernel_matches_oracle(n, seed):
+    rng = np.random.default_rng([seed, n])
+    for name, tri in kernel_triangles(n, rng).items():
+        pts = kernel_points(tri, rng, n)
+        got = _points_to_triangle(pts, *tri)
+        assert got.tobytes() == oracle_points_to_triangle(pts, *tri).tobytes(), name
 
 
 # ── sample_mesh ──
