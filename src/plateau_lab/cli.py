@@ -24,11 +24,10 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from . import cones
-from .diagnostics import (SlidingContext, blowup, classify_point,
+from .diagnostics import (SlidingContext, classify_point,
                           cone_slice_check, density_profile, sliding_profile)
 from .geometry import meshio
-from .geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary, measure
+from .geometry.core import Ball, EmbeddedMesh, LineBoundary, measure
 from .geometry.distance import local_hausdorff_distance
 from .geometry.energy import MAX_SAMPLES, circle_samples, douglas_energy
 from .grids import DyadicGrid, FlatManifold

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Ball, EmbeddedMesh, measure, simplex_volumes
+from .core import Ball, EmbeddedMesh, simplex_volumes
 
 logger = logging.getLogger(__name__)
 

@@ -24,6 +24,10 @@ MAX_AMBIENT_DIM = 6
 #: relative d-volume below which a simplex counts as degenerate
 DEGENERACY_REL_TOL = 1e-14
 
+#: the degeneracy check at construction runs over blocks of this many
+#: simplices, so it never holds a full-size corner array
+CHECK_BLOCK = 1 << 16
+
 #: cap on the number of simplices refine() may produce
 DEFAULT_REFINE_CAP = 2_000_000
 
@@ -174,9 +178,8 @@ class EmbeddedMesh:
         object.__setattr__(self, "simplices", _freeze(simp))
         object.__setattr__(self, "multiplicities", _freeze(mult))
         if not self.allow_degenerate and simp.shape[0]:
-            vols = simplex_volumes(self)
-            scale = self._simplex_diameters() ** d
-            bad = np.nonzero(vols <= DEGENERACY_REL_TOL * np.maximum(scale, 1e-300))[0]
+            bad = np.nonzero(np.concatenate([_degenerate(verts[simp[i:i + CHECK_BLOCK]], d)[1]
+                                             for i in range(0, simp.shape[0], CHECK_BLOCK)]))[0]
             if bad.size:
                 raise ValueError(f"degenerate simplex at rows {bad[:8].tolist()} (pass allow_degenerate to keep)")
 
@@ -219,13 +222,7 @@ class EmbeddedMesh:
         return self.vertices[self.simplices]
 
     def _simplex_diameters(self) -> np.ndarray:
-        corners = self.simplex_corners()
-        d = self.dimension
-        out = np.zeros(corners.shape[0])
-        for j in range(d + 1):
-            for k in range(j + 1, d + 1):
-                out = np.maximum(out, np.linalg.norm(corners[:, j] - corners[:, k], axis=1))
-        return out
+        return _corner_diameters(self.simplex_corners(), self.dimension)
 
     def transformed(self, rotation: Optional[np.ndarray] = None,
                     translation: Optional[np.ndarray] = None,
@@ -240,12 +237,11 @@ class EmbeddedMesh:
                             self.multiplicities.copy(), allow_degenerate=self.allow_degenerate)
 
 
-def simplex_volumes(mesh: EmbeddedMesh) -> np.ndarray:
-    """Unsigned d-volume per simplex (Gram determinant; exact for d<=2)."""
-    corners = mesh.simplex_corners()
+def _corner_volumes(corners: np.ndarray, d: int) -> np.ndarray:
+    """Unsigned d-volume per (d+1, n) corner block (Gram determinant; exact for d<=2)."""
     if corners.shape[0] == 0:
         return np.zeros(0)
-    if mesh.dimension == 1:
+    if d == 1:
         return np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
     u = corners[:, 1] - corners[:, 0]
     v = corners[:, 2] - corners[:, 0]
@@ -256,15 +252,34 @@ def simplex_volumes(mesh: EmbeddedMesh) -> np.ndarray:
     return 0.5 * np.sqrt(gram)
 
 
+def simplex_volumes(mesh: EmbeddedMesh) -> np.ndarray:
+    """Unsigned d-volume per simplex."""
+    return _corner_volumes(mesh.simplex_corners(), mesh.dimension)
+
+
+def _corner_diameters(corners: np.ndarray, d: int) -> np.ndarray:
+    out = np.zeros(corners.shape[0])
+    for j in range(d + 1):
+        for k in range(j + 1, d + 1):
+            out = np.maximum(out, np.linalg.norm(corners[:, j] - corners[:, k], axis=1))
+    return out
+
+
+def _degenerate(corners: np.ndarray, d: int) -> tuple:
+    """Volumes of (S, d+1, n) corners and the mask of degenerate rows (see the tolerance)."""
+    vols = _corner_volumes(corners, d)
+    scale = _corner_diameters(corners, d) ** d
+    return vols, vols <= DEGENERACY_REL_TOL * np.maximum(scale, 1e-300)
+
+
 def _effective_volumes(mesh: EmbeddedMesh) -> np.ndarray:
     """Simplex volumes with degenerate rows (if allowed) zeroed out."""
-    vols = simplex_volumes(mesh)
-    if mesh.allow_degenerate and vols.size:
-        scale = mesh._simplex_diameters() ** mesh.dimension
-        degenerate = vols <= DEGENERACY_REL_TOL * np.maximum(scale, 1e-300)
-        if degenerate.any():
-            logger.debug("measure: %d degenerate simplices contribute 0", int(degenerate.sum()))
-            vols = np.where(degenerate, 0.0, vols)
+    if not (mesh.allow_degenerate and mesh.n_simplices):
+        return simplex_volumes(mesh)
+    vols, degenerate = _degenerate(mesh.simplex_corners(), mesh.dimension)
+    if degenerate.any():
+        logger.debug("measure: %d degenerate simplices contribute 0", int(degenerate.sum()))
+        vols = np.where(degenerate, 0.0, vols)
     return vols
 
 

@@ -19,11 +19,11 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .geometry.core import EmbeddedMesh, as_point
+from .geometry.core import as_point
 
 logger = logging.getLogger(__name__)
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry.core import as_point
+from .geometry.core import EmbeddedMesh, as_point
 
 logger = logging.getLogger(__name__)
 
@@ -63,10 +63,6 @@ class Terminal:
         object.__setattr__(self, "charge", int(self.charge))
 
 
-def _charges_balanced(terminals: Sequence[Terminal]) -> bool:
-    return sum(t.charge for t in terminals) == 0
-
-
 @dataclass
 class MultiplicityNet:
     """Straight segments with integer multiplicities and oriented flows."""
@@ -95,8 +91,6 @@ class MultiplicityNet:
         return np.abs(self.flows)
 
     def lengths(self) -> np.ndarray:
-        if not self.edges.size:
-            return np.zeros(0)
         return np.linalg.norm(self.points[self.edges[:, 1]] - self.points[self.edges[:, 0]], axis=1)
 
     def size(self) -> float:
@@ -125,19 +119,16 @@ class MultiplicityNet:
     def vertex_balance(self) -> np.ndarray:
         """Net outflow per vertex (outgoing minus incoming signed flow)."""
         bal = np.zeros(len(self.points), dtype=np.int64)
-        for (a, b), f in zip(self.edges, self.flows):
-            bal[a] += f
-            bal[b] -= f
+        np.add.at(bal, self.edges[:, 0], self.flows)
+        np.subtract.at(bal, self.edges[:, 1], self.flows)
         return bal
 
-    def as_segments_mesh(self):
-        from .geometry.core import EmbeddedMesh
+    def as_segments_mesh(self) -> EmbeddedMesh:
         keep = self.multiplicities > 0
-        segs = [np.array([self.points[a], self.points[b]])
-                for (a, b), k in zip(self.edges, keep) if k]
-        if not segs:
+        if not keep.any():
             return EmbeddedMesh.empty(1, self.ambient_dim)
-        return EmbeddedMesh.from_simplex_list(1, segs, self.multiplicities[keep])
+        return EmbeddedMesh.from_simplex_list(1, self.points[self.edges[keep]],
+                                              self.multiplicities[keep])
 
 
 def check_kirchhoff(net: MultiplicityNet, terminals: Sequence[Terminal]) -> None:
@@ -148,7 +139,7 @@ def check_kirchhoff(net: MultiplicityNet, terminals: Sequence[Terminal]) -> None
     offending vertex otherwise.
     """
     pts = net.points
-    scale = _instance_scale([t.point for t in terminals]) or 1.0
+    scale = _instance_scale([t.point for t in terminals])
     tol = MERGE_REL_TOL * scale
     charge = np.zeros(len(pts), dtype=np.int64)
     seen = set()
@@ -242,14 +233,13 @@ def _tree_flows(topology: NetTopology, charges: Sequence[int]) -> np.ndarray:
             total += c
         return total
 
-    root_total = subtree_charge(0, -1)
-    if root_total != 0:
+    if subtree_charge(0, -1) != 0:
         raise ValueError("terminal charges must sum to zero")
     return flows
 
 
 # ---------------------------------------------------------------------------
-# geometric optimization of one topology
+# geometric optimization of the topologies
 # ---------------------------------------------------------------------------
 
 def _edge_weights(flows: np.ndarray, functional: str, beta: float) -> np.ndarray:
@@ -263,56 +253,80 @@ def _edge_weights(flows: np.ndarray, functional: str, beta: float) -> np.ndarray
     raise ValueError(f"unknown functional {functional!r}")
 
 
-def _optimize_interior(topology: NetTopology, terminals: Sequence[Terminal],
-                       weights: np.ndarray, scale: float) -> np.ndarray:
-    """Damped Weiszfeld sweeps for the interior vertex positions."""
-    N = topology.n_terminals
-    V = N + topology.n_interior
-    n = terminals[0].point.size
-    pos = np.zeros((V, n))
-    for i, t in enumerate(terminals):
-        pos[i] = t.point
+def _norms(D: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, kept as a length-1 axis, bit for bit
+    as ``np.linalg.norm`` of each vector: a stacked (1, n) @ (n, 1) matmul is
+    the same BLAS dot (``einsum`` or ``(D * D).sum(-1)`` round differently)."""
+    return np.sqrt(np.matmul(D[..., None, :], D[..., :, None]))[..., 0]
+
+
+def _optimize_interiors(topologies: Sequence[NetTopology], terminals: Sequence[Terminal],
+                        weights: Sequence[np.ndarray], scale: float) -> np.ndarray:
+    """Damped Weiszfeld sweeps for the interior vertices of full topologies,
+    one row of edge ``weights`` each; returns (T, 2N-2, n) positions.
+
+    The topologies sweep together, Gauss-Seidel slot by slot, summing each
+    vertex's three neighbours in adjacency (edge) order; each leaves the batch
+    on the sweep its own largest step falls to the tolerance.  So every
+    topology gets the floats of a solve on its own.
+    """
+    N, T = len(terminals), len(topologies)
+    k = N - 2
+    pos = np.zeros((T, N + k, terminals[0].point.size))
+    pos[:, :N] = [t.point for t in terminals]
+    if not k:
+        return pos
+    # (slot, neighbour, topology) tables: a stable sort of the flat endpoint
+    # list puts the N leaves first, then each junction's edges in edge order
+    ends = np.array([topo.edges for topo in topologies]).reshape(T, -1)
+    slot = np.argsort(ends, axis=1, kind="stable")[:, N:]
+    nbr = np.take_along_axis(ends, slot ^ 1, axis=1).reshape(T, k, 3).transpose(1, 2, 0)
+    wts = np.take_along_axis(np.asarray(weights, dtype=float), slot // 2, axis=1)
+    wts = np.ascontiguousarray(wts.reshape(T, k, 3).transpose(1, 2, 0))[..., None]
     # harmonic extension over the tree (terminals pinned) as the start guess:
     # distinct per-junction seeds keep symmetric topologies from collapsing
-    k = V - N
-    if k:
-        L = np.zeros((k, k))
-        rhs = np.zeros((k, n))
-        for a, b in topology.edges:
-            for u, w in ((a, b), (b, a)):
-                if u >= N:
-                    L[u - N, u - N] += 1.0
-                    if w >= N:
-                        L[u - N, w - N] -= 1.0
-                    else:
-                        rhs[u - N] += pos[w]
-        pos[N:] = np.linalg.solve(L, rhs)
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(V)]
-    for (a, b), w in zip(topology.edges, weights):
-        adj[a].append((b, float(w)))
-        adj[b].append((a, float(w)))
+    L = np.tile(3.0 * np.eye(k), (T, 1, 1))
+    j, s, t = np.nonzero(nbr >= N)
+    L[t, j, nbr[j, s, t] - N] = -1.0
+    rhs = np.zeros((T, k, pos.shape[2]))
+    for s in range(3):      # terminal neighbours in edge order
+        j, t = np.nonzero(nbr[:, s] < N)
+        rhs[t, j] += pos[0, nbr[j, s, t]]
+    pos[:, N:] = np.linalg.solve(L, rhs)
     eps = 1e-14 * scale
     tol = WEISZFELD_REL_TOL * scale
-    for sweep in range(WEISZFELD_MAX_SWEEPS):
-        moved = 0.0
-        for v in range(N, V):
-            num = np.zeros(n)
-            den = 0.0
-            for w, wt in adj[v]:
-                if wt <= 0.0:
-                    continue
-                d = float(np.linalg.norm(pos[w] - pos[v]))
-                c = wt / max(d, eps)
-                num += c * pos[w]
-                den += c
-            if den <= 0.0:
-                continue
-            target = num / den
-            step = 0.5 * (target - pos[v]) if sweep < 8 else target - pos[v]
-            moved = max(moved, float(np.linalg.norm(step)))
-            pos[v] = pos[v] + step
-        if moved <= tol:
-            break
+    live = np.arange(T)
+    batch = pos.copy()
+    steps = np.empty((k,) + batch.shape[::2])
+    rows = nbr + (N + k) * live
+    # a vertex with no weighted neighbour (den 0) keeps its place: its 0/0 step
+    # is set to -0.0, and x + -0.0 is x, signed zeros included
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(WEISZFELD_MAX_SWEEPS):
+            flat = batch.reshape(-1, batch.shape[2])
+            for j in range(k):
+                x = batch[:, N + j]
+                y = flat[rows[j]]
+                c = wts[j] / np.maximum(_norms(y - x), eps)
+                cy = c * y
+                # start from +0.0 as a running sum would, so signed zeros match
+                num = cy[0] + 0.0 + cy[1] + cy[2]
+                den = c[0] + c[1] + c[2]
+                step = np.subtract(num / den, x, out=steps[j])
+                if sweep < 8:
+                    step *= 0.5
+                np.copyto(step, -0.0, where=den <= 0.0)
+                x += step
+            done = np.fmax.reduce(_norms(steps), axis=0, initial=0.0)[:, 0] <= tol
+            if done.any():
+                pos[live[done]] = batch[done]
+                keep = ~done
+                live, batch, steps, nbr, wts = (live[keep], batch[keep], steps[:, keep],
+                                                nbr[..., keep], wts[:, :, keep])
+                rows = nbr + (N + k) * np.arange(live.size)
+                if not live.size:
+                    break
+    pos[live] = batch
     return pos
 
 
@@ -328,31 +342,15 @@ def _merge_collapsed(pos: np.ndarray, edges: np.ndarray, flows: np.ndarray,
     if tol is None:
         tol = MERGE_REL_TOL * scale
     target = list(range(V))
-    for v in range(V):
-        if v < n_terminals:
-            continue
-        for u in range(V):
-            if u == v:
-                break
-            if target[u] != u:
-                continue
-            if np.linalg.norm(pos[v] - pos[u]) <= tol:
-                target[v] = u
-                break
-    new_edges = []
-    new_flows = []
-    for (a, b), f in zip(edges, flows):
-        a2, b2 = target[a], target[b]
-        if a2 == b2:
-            continue
-        new_edges.append((a2, b2))
-        new_flows.append(int(f))
-    used = sorted({i for e in new_edges for i in e} | set(range(n_terminals)))
+    for v in range(n_terminals, V):
+        target[v] = next((u for u in range(v) if target[u] == u
+                          and np.linalg.norm(pos[v] - pos[u]) <= tol), v)
+    kept = [(target[a], target[b], int(f)) for (a, b), f in zip(edges, flows)
+            if target[a] != target[b]]
+    used = sorted({i for a, b, _ in kept for i in (a, b)} | set(range(n_terminals)))
     remap = {old: new for new, old in enumerate(used)}
-    pts = pos[used]
-    e_arr = np.array([(remap[a], remap[b]) for a, b in new_edges], dtype=np.int64).reshape(-1, 2)
-    f_arr = np.array(new_flows, dtype=np.int64)
-    return pts, e_arr, f_arr
+    e_arr = np.array([(remap[a], remap[b]) for a, b, _ in kept], dtype=np.int64).reshape(-1, 2)
+    return pos[used], e_arr, np.array([f for _, _, f in kept], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -362,25 +360,15 @@ def _merge_collapsed(pos: np.ndarray, edges: np.ndarray, flows: np.ndarray,
 def angle_audit(net: MultiplicityNet, n_terminals: int,
                 tol: float = ANGLE_AUDIT_TOL) -> dict:
     """Check degree-3 interior junction angles against 120 degrees."""
-    deg = np.zeros(len(net.points), dtype=int)
-    inc: list[list[int]] = [[] for _ in range(len(net.points))]
-    for idx, (a, b) in enumerate(net.edges):
-        if net.multiplicities[idx] == 0:
-            continue
-        deg[a] += 1
-        deg[b] += 1
-        inc[a].append(idx)
-        inc[b].append(idx)
+    edges = net.edges[net.multiplicities > 0].tolist()
     worst = 0.0
     checked = 0
     for v in range(n_terminals, len(net.points)):
-        if deg[v] != 3:
+        others = [b if a == v else a for a, b in edges if v in (a, b)]
+        if len(others) != 3:
             continue
         dirs = []
-        for idx in inc[v]:
-            a, b = net.edges[idx]
-            other = b if a == v else a
-            u = net.points[other] - net.points[v]
+        for u in net.points[others] - net.points[v]:
             norm = float(np.linalg.norm(u))
             if norm > 0:
                 dirs.append(u / norm)
@@ -433,44 +421,42 @@ def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
     for mass or m_beta costs.
     """
     terminals = list(terminals)
-    if len(terminals) < 2:
+    N = len(terminals)
+    if N < 2:
         raise ValueError("need at least two terminals")
-    if len(terminals) > MAX_TERMINALS:
-        raise ValueError(f"{len(terminals)} terminals exceed the exhaustive search "
-                         f"limit of {MAX_TERMINALS}")
+    if N > MAX_TERMINALS:
+        raise ValueError(f"{N} terminals exceed the exhaustive search limit of {MAX_TERMINALS}")
     n = terminals[0].point.size
     if any(t.point.size != n for t in terminals):
         raise ValueError("terminals must share one ambient dimension")
-    if functional in ("mass", "m_beta") and not _charges_balanced(terminals):
+    if functional in ("mass", "m_beta") and sum(t.charge for t in terminals) != 0:
         raise ValueError("terminal charges must sum to zero")
     if functional == "size":
         # the size problem is the classical connected one: charges play no
         # role, every tree edge counts with weight 1, so use spanning charges
         # whose partial sums never vanish (keeping all tree flows nonzero)
-        charges = (1,) * (len(terminals) - 1) + (-(len(terminals) - 1),)
+        charges = (1,) * (N - 1) + (-(N - 1),)
     else:
         charges = tuple(t.charge for t in terminals)
     scale = _instance_scale([t.point for t in terminals])
-    tops = enumerate_topologies(len(terminals))
+    tops = enumerate_topologies(N)
+    all_flows = [_tree_flows(topo, charges) for topo in tops]
+    weights = [_edge_weights(flows, functional, beta) for flows in all_flows]
+    positions = _optimize_interiors(tops, terminals, weights, scale)
     best: Optional[tuple] = None
     runner: Optional[float] = None
-    for topo in tops:
-        flows = _tree_flows(topo, charges)
-        weights = _edge_weights(flows, functional, beta)
-        pos = _optimize_interior(topo, terminals, weights, scale)
-        pts, e_arr, f_arr = _merge_collapsed(pos, np.array(topo.edges), flows,
-                                             len(terminals), scale)
-        net = MultiplicityNet(pts, e_arr, f_arr)
+    for topo, flows, pos in zip(tops, all_flows, positions):
+        net = MultiplicityNet(*_merge_collapsed(pos, topo.edges, flows, N, scale))
         cost = net.cost(functional, beta)
+        e_arr = net.edges
         # Weiszfeld converges slowly when a junction degenerates onto a
         # terminal; a coarse merge is accepted whenever it does not cost more
-        pts2, e2, f2 = _merge_collapsed(pos, np.array(topo.edges), flows,
-                                        len(terminals), scale, tol=2e-2 * scale)
-        if e2.shape != e_arr.shape or (e2 != e_arr).any():
-            net2 = MultiplicityNet(pts2, e2, f2)
-            cost2 = net2.cost(functional, beta)
-            if cost2 <= cost:
-                net, cost = net2, cost2
+        coarse = MultiplicityNet(*_merge_collapsed(pos, topo.edges, flows, N, scale,
+                                                   tol=2e-2 * scale))
+        if coarse.edges.shape != e_arr.shape or (coarse.edges != e_arr).any():
+            coarse_cost = coarse.cost(functional, beta)
+            if coarse_cost <= cost:
+                net, cost = coarse, coarse_cost
         key = (cost, tuple(sorted(map(tuple, e_arr.tolist()))))
         if best is None or key < best[0]:
             if best is not None:
@@ -480,7 +466,7 @@ def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
             runner = cost
     assert best is not None
     _, cost, net, topo = best
-    audit = angle_audit(net, len(terminals))
+    audit = angle_audit(net, N)
     ub = star_upper_bound(terminals, functional, beta)
     if cost > ub + 1e-9 * max(1.0, ub):
         logger.warning("optimizer exceeded the star upper bound: %.12g > %.12g", cost, ub)
