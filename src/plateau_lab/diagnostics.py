@@ -35,6 +35,10 @@ RESIDUAL_OK = 0.05
 #: default size of the seeded rotation net
 ROTATION_NET = 512
 
+#: largest rotation net: each fit draws a (count, 4) array and builds count
+#: 3x3 matrices, then ranks every one of them
+MAX_ROTATIONS = 1 << 12
+
 
 def density(mesh: EmbeddedMesh, center, radius: float) -> float:
     """H^d(mesh cap B(center, radius)) / radius^d, evaluated exactly."""
@@ -53,6 +57,22 @@ def _gauge_adjustment(gauge: Optional[Gauge], radius: float) -> float:
     return math.exp(gauge.scale * (2.0 ** a) * radius ** a / a)
 
 
+def _radii(radii: Sequence[float]) -> list:
+    rs = sorted(float(r) for r in radii)
+    if not rs or rs[0] <= 0.0:
+        raise ValueError("radii must be positive")
+    return rs
+
+
+def _trend(values: list, adjusted: list) -> dict:
+    """Flatness (relative spread) of ``values``, monotonicity of ``adjusted``."""
+    mean = sum(values) / len(values)
+    spread = (max(values) - min(values)) / mean if mean > 0 else math.inf
+    tol = 1e-9 * max(1.0, max(adjusted) if all(map(math.isfinite, adjusted)) else 1.0)
+    return {"flat": spread <= FLAT_TOL, "spread": spread,
+            "monotone_adjusted": all(b >= a - tol for a, b in zip(adjusted, adjusted[1:]))}
+
+
 def density_profile(mesh: EmbeddedMesh, center, radii: Sequence[float],
                     gauge: Optional[Gauge] = None) -> dict:
     """Density per radius plus trend diagnostics.
@@ -63,23 +83,15 @@ def density_profile(mesh: EmbeddedMesh, center, radii: Sequence[float],
     the smallest catalog constant for the dimension (minus the flat window),
     a sign that the ball has strayed off the set.
     """
-    rs = sorted(float(r) for r in radii)
-    if not rs or rs[0] <= 0.0:
-        raise ValueError("radii must be positive")
+    rs = _radii(radii)
     dens = [density(mesh, center, r) for r in rs]
     adj = [th * _gauge_adjustment(gauge, r) for th, r in zip(dens, rs)]
-    mean = sum(dens) / len(dens)
-    spread = (max(dens) - min(dens)) / mean if mean > 0 else math.inf
     floor = 2.0 if mesh.dimension == 1 else math.pi
-    tol = 1e-9 * max(1.0, max(adj) if all(map(math.isfinite, adj)) else 1.0)
-    monotone = all(b >= a - tol for a, b in zip(adj, adj[1:]))
     return {
         "radii": rs,
         "densities": dens,
         "adjusted": adj,
-        "flat": spread <= FLAT_TOL,
-        "spread": spread,
-        "monotone_adjusted": monotone,
+        **_trend(dens, adj),
         "drift": adj[-1] - adj[0] if all(map(math.isfinite, adj)) else math.inf,
         "low_density": min(dens) < floor - FLAT_TOL,
     }
@@ -126,25 +138,13 @@ class SlidingContext:
 def sliding_profile(mesh: EmbeddedMesh, center, radii: Sequence[float],
                     context: SlidingContext, gauge: Optional[Gauge] = None) -> dict:
     """Density profile with the boundary shade added to every ball."""
-    rs = sorted(float(r) for r in radii)
-    if not rs or rs[0] <= 0.0:
-        raise ValueError("radii must be positive")
+    rs = _radii(radii)
     shade = context.shade_mesh(center, rs[-1])
-    out = {"radii": rs, "densities": [], "shaded_densities": [], "adjusted": []}
-    for r in rs:
-        th = density(mesh, center, r)
-        ts = th + density(shade, center, r)
-        out["densities"].append(th)
-        out["shaded_densities"].append(ts)
-        out["adjusted"].append(ts * _gauge_adjustment(gauge, r))
-    adj = out["adjusted"]
-    tol = 1e-9 * max(1.0, max(adj) if all(map(math.isfinite, adj)) else 1.0)
-    out["monotone_adjusted"] = all(b >= a - tol for a, b in zip(adj, adj[1:]))
-    mean = sum(out["shaded_densities"]) / len(rs)
-    spread = (max(out["shaded_densities"]) - min(out["shaded_densities"])) / mean if mean > 0 else math.inf
-    out["flat"] = spread <= FLAT_TOL
-    out["spread"] = spread
-    return out
+    dens = [density(mesh, center, r) for r in rs]
+    shaded = [th + density(shade, center, r) for th, r in zip(dens, rs)]
+    adj = [ts * _gauge_adjustment(gauge, r) for ts, r in zip(shaded, rs)]
+    return {"radii": rs, "densities": dens, "shaded_densities": shaded,
+            "adjusted": adj, **_trend(shaded, adj)}
 
 
 def cone_slice_check(mesh: EmbeddedMesh, center, radius: float,
@@ -407,6 +407,8 @@ def classify_point(mesh: EmbeddedMesh, center, radius: float, *,
     samples.  The report carries every stage; ``ok`` requires a flat profile
     and a candidate residual at most ``RESIDUAL_OK``.
     """
+    if not 0 <= rotations <= MAX_ROTATIONS:
+        raise ValueError(f"rotations must be in 0..{MAX_ROTATIONS}, got {rotations}")
     c = as_point(center)
     r = float(radius)
     d = mesh.dimension

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Ball, EmbeddedMesh, simplex_volumes
+from .core import Ball, EmbeddedMesh, _corner_diameters, simplex_volumes
 
 logger = logging.getLogger(__name__)
 
@@ -30,23 +30,31 @@ DEFAULT_CLIP_TOL = 1e-4
 # segment primitives (exact)
 # ---------------------------------------------------------------------------
 
-def segment_ball_interval(a: np.ndarray, b: np.ndarray, center: np.ndarray,
-                          radius: float) -> Optional[tuple[float, float]]:
-    """Parameter interval [t0, t1] of {a + t(b-a)} inside the closed ball, or None."""
+def _sphere_roots(a: np.ndarray, b: np.ndarray, center: np.ndarray, radius: float):
+    """(q0, roots) of |a + t(b-a) - center|^2 = radius^2 with q0 = |a - center|^2
+    - radius^2; roots (t0 <= t1) is None for a point segment or a miss."""
     d = b - a
     f = a - center
     q2 = float(d @ d)
     q1 = 2.0 * float(d @ f)
     q0 = float(f @ f) - radius * radius
     if q2 <= 0.0:
-        return (0.0, 1.0) if q0 <= 0.0 else None
+        return q0, None
     disc = q1 * q1 - 4.0 * q2 * q0
     if disc < 0.0:
-        return None
+        return q0, None
     s = math.sqrt(disc)
-    t0 = (-q1 - s) / (2.0 * q2)
-    t1 = (-q1 + s) / (2.0 * q2)
-    lo, hi = max(t0, 0.0), min(t1, 1.0)
+    return q0, ((-q1 - s) / (2.0 * q2), (-q1 + s) / (2.0 * q2))
+
+
+def segment_ball_interval(a: np.ndarray, b: np.ndarray, center: np.ndarray,
+                          radius: float) -> Optional[tuple[float, float]]:
+    """Parameter interval [t0, t1] of {a + t(b-a)} inside the closed ball, or None."""
+    q0, roots = _sphere_roots(a, b, center, radius)
+    if roots is None:
+        # a miss has q0 > 0, so only a point segment inside the ball is kept
+        return (0.0, 1.0) if q0 <= 0.0 else None
+    lo, hi = max(roots[0], 0.0), min(roots[1], 1.0)
     if lo >= hi:
         return None
     return (lo, hi)
@@ -55,21 +63,10 @@ def segment_ball_interval(a: np.ndarray, b: np.ndarray, center: np.ndarray,
 def segment_sphere_params(a: np.ndarray, b: np.ndarray, center: np.ndarray,
                           radius: float) -> list[float]:
     """Parameters t in [0,1] where the segment meets the sphere |x-c| = r."""
-    d = b - a
-    f = a - center
-    q2 = float(d @ d)
-    q1 = 2.0 * float(d @ f)
-    q0 = float(f @ f) - radius * radius
-    if q2 <= 0.0:
+    _, roots = _sphere_roots(a, b, center, radius)
+    if roots is None:
         return []
-    disc = q1 * q1 - 4.0 * q2 * q0
-    if disc < 0.0:
-        return []
-    s = math.sqrt(disc)
-    out = []
-    for t in ((-q1 - s) / (2.0 * q2), (-q1 + s) / (2.0 * q2)):
-        if -1e-12 <= t <= 1.0 + 1e-12:
-            out.append(min(max(t, 0.0), 1.0))
+    out = [min(max(t, 0.0), 1.0) for t in roots if -1e-12 <= t <= 1.0 + 1e-12]
     if len(out) == 2 and abs(out[0] - out[1]) < 1e-15:
         out = out[:1]
     return out
@@ -119,12 +116,12 @@ def polygon_disk_area(poly: np.ndarray, rho: float) -> float:
     return total
 
 
-def _point_in_convex(poly: np.ndarray, signs: np.ndarray, pt: np.ndarray) -> bool:
+def _point_in_convex(poly: np.ndarray, orient: float, pt: np.ndarray) -> bool:
     m = poly.shape[0]
     for i in range(m):
         p, q = poly[i], poly[(i + 1) % m]
         cr = (q[0] - p[0]) * (pt[1] - p[1]) - (q[1] - p[1]) * (pt[0] - p[0])
-        if cr * signs[i] < 0:
+        if cr * orient < 0:
             return False
     return True
 
@@ -138,7 +135,6 @@ def circle_arcs_in_convex(poly: np.ndarray, rho: float) -> float:
         p, q = poly[i], poly[(i + 1) % m]
         area2 += p[0] * q[1] - p[1] * q[0]
     orient = 1.0 if area2 >= 0 else -1.0
-    signs = np.full(m, orient)
     angles: list[float] = []
     for i in range(m):
         p, q = poly[i], poly[(i + 1) % m]
@@ -147,7 +143,7 @@ def circle_arcs_in_convex(poly: np.ndarray, rho: float) -> float:
             angles.append(math.atan2(z[1], z[0]))
     if not angles:
         probe = np.array([rho, 0.0])
-        return 2.0 * math.pi * rho if _point_in_convex(poly, signs, probe) else 0.0
+        return 2.0 * math.pi * rho if _point_in_convex(poly, orient, probe) else 0.0
     angles = sorted(set(angles))
     total = 0.0
     k = len(angles)
@@ -159,7 +155,7 @@ def circle_arcs_in_convex(poly: np.ndarray, rho: float) -> float:
             continue
         mid = a0 + 0.5 * span
         probe = rho * np.array([math.cos(mid), math.sin(mid)])
-        if _point_in_convex(poly, signs, probe):
+        if _point_in_convex(poly, orient, probe):
             total += span * rho
     return total
 
@@ -248,12 +244,7 @@ def _corner_distance_band(corners: np.ndarray, ball: Ball):
     """
     dist = np.linalg.norm(corners - ball.center, axis=2)
     dmin, dmax = dist.min(axis=1), dist.max(axis=1)
-    diam = np.zeros(corners.shape[0])
-    k = corners.shape[1]
-    for a in range(k):
-        for b in range(a + 1, k):
-            diam = np.maximum(diam,
-                              np.linalg.norm(corners[:, a] - corners[:, b], axis=1))
+    diam = _corner_diameters(corners, corners.shape[1] - 1)
     surely_in = dmax <= ball.radius
     surely_out = dmin - diam >= ball.radius
     return surely_in, surely_out, dmax

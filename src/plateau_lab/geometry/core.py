@@ -52,6 +52,18 @@ def as_point(coords) -> np.ndarray:
     return p
 
 
+def row_dots(a, b) -> np.ndarray:
+    """Dot products over the last axis, for any leading shape.
+
+    A stacked (1, n) @ (n, 1) matmul runs the BLAS dot that ``u @ v`` runs
+    on one pair of vectors, so each value equals the scalar product bit for
+    bit; ``(a * b).sum(-1)`` and ``einsum`` round differently.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False

@@ -28,7 +28,7 @@ def douglas_energy(samples) -> float:
     """Energy of a uniformly sampled closed curve (m even, 8 <= m <= MAX_SAMPLES).
 
     ``samples``: (m, n) array of curve points at angles 2*pi*i/m, n at most
-    MAX_AMBIENT_DIM.  Raises on consecutive duplicate samples (the
+    MAX_AMBIENT_DIM, all finite.  Raises on consecutive duplicate samples (the
     parametrization must be injective on neighbors for the difference
     quotients to mean anything).
     """
@@ -42,6 +42,8 @@ def douglas_energy(samples) -> float:
         raise ValueError(f"{m} samples exceed the limit of {MAX_SAMPLES}")
     if f.shape[1] > MAX_AMBIENT_DIM:
         raise ValueError(f"{f.shape[1]} columns exceed the limit of {MAX_AMBIENT_DIM}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("samples must be finite")
     steps = np.linalg.norm(np.roll(f, -1, axis=0) - f, axis=1)
     scale = float(np.max(np.linalg.norm(f - f.mean(axis=0), axis=1)))
     if np.any(steps <= 1e-15 * max(scale, 1.0)) and scale > 0.0:

@@ -225,16 +225,20 @@ def mesh_from_segment_csv(text: str) -> EmbeddedMesh:
 # dispatch + value types
 # ---------------------------------------------------------------------------
 
-def write_mesh(path: PathLike, mesh: EmbeddedMesh) -> None:
+def mesh_text(path: PathLike, mesh: EmbeddedMesh) -> str:
+    """The mesh in the format named by the path's suffix (.off, .obj or .csv)."""
     suffix = Path(path).suffix.lower()
     if suffix == ".off":
-        atomic_write_text(path, mesh_to_off(mesh))
-    elif suffix == ".obj":
-        atomic_write_text(path, mesh_to_obj(mesh))
-    elif suffix == ".csv":
-        atomic_write_text(path, mesh_to_segment_csv(mesh))
-    else:
-        raise ValueError(f"unsupported mesh format {suffix!r} (use .off/.obj/.csv)")
+        return mesh_to_off(mesh)
+    if suffix == ".obj":
+        return mesh_to_obj(mesh)
+    if suffix == ".csv":
+        return mesh_to_segment_csv(mesh)
+    raise ValueError(f"unsupported mesh format {suffix!r} for {path}")
+
+
+def write_mesh(path: PathLike, mesh: EmbeddedMesh) -> None:
+    atomic_write_text(path, mesh_text(path, mesh))
 
 
 def read_mesh(path: PathLike) -> EmbeddedMesh:

@@ -36,9 +36,6 @@ logger = logging.getLogger(__name__)
 #: audit ball radius, in cell sides
 AUDIT_RADIUS_CELLS = 2.0
 
-#: audit balls recorded per report
-AUDIT_KEEP = 32
-
 #: descent rounds before ``minimize_faceset`` stops and reports a stall
 MAX_ROUNDS = 100000
 
@@ -218,22 +215,24 @@ def collapse_moves(fs: FaceSet) -> list:
     return moves
 
 
+def _cell_boundary_move(fs: FaceSet, variant: str, cells: list, anchor: tuple,
+                        only_improving: bool) -> list:
+    """The move toggling by the boundary of ``cells``, if it is admissible."""
+    grid = fs.grid
+    toggles, delta = _boundary_toggle(fs, [f for c in cells for f in _cell_facets(grid, c)])
+    if (only_improving and delta >= 0) or not toggles or _touches_frozen(fs, toggles):
+        return []
+    return [Move("interior-projection", variant, toggles, delta, anchor,
+                 _support_ball(grid, cells))]
+
+
 def flip_moves(fs: FaceSet, only_improving: bool = True) -> list:
     """Toggle by one cell boundary; improving needs > n present facets."""
-    grid = fs.grid
-    cells = set()
-    for f in fs.top_faces():
-        for c in _cells_touching(fs, f):
-            cells.add(c)
+    cells = {c for f in fs.top_faces() for c in _cells_touching(fs, f)}
     moves = []
     for cell in sorted(cells):
-        toggles, delta = _boundary_toggle(fs, _cell_facets(grid, cell))
-        if only_improving and delta >= 0:
-            continue
-        if not toggles or _touches_frozen(fs, toggles):
-            continue
-        moves.append(Move("interior-projection", "flip", toggles, delta,
-                          (cell.axes,) + cell.lattice, _support_ball(grid, [cell])))
+        moves += _cell_boundary_move(fs, "flip", [cell], (cell.axes,) + cell.lattice,
+                                     only_improving)
     return moves
 
 
@@ -291,32 +290,19 @@ def _slab_cells(grid: DyadicGrid, axis: int, plane: int, direction: int,
 
 def shift_moves(fs: FaceSet, only_improving: bool = True) -> list:
     """Toggle by the boundary of a component's one-level prism of cells."""
-    grid = fs.grid
     moves = []
     for a, p, comp in _coplanar_components(fs):
         for direction in (-1, 1):
-            cells = _slab_cells(grid, a, p, direction, comp, fs.manifold)
-            if cells is None:
-                continue
-            facets = []
-            for cell in cells:
-                facets.extend(_cell_facets(grid, cell))
-            toggles, delta = _boundary_toggle(fs, facets)
-            if only_improving and delta >= 0:
-                continue
-            if not toggles or _touches_frozen(fs, toggles):
-                continue
-            anchor = (a, p, direction, len(comp)) + tuple(sorted(comp))[0].lattice
-            moves.append(Move("interior-projection", "shift", toggles, delta,
-                              anchor, _support_ball(grid, cells)))
+            cells = _slab_cells(fs.grid, a, p, direction, comp, fs.manifold)
+            if cells is not None:
+                anchor = (a, p, direction, len(comp)) + tuple(sorted(comp))[0].lattice
+                moves += _cell_boundary_move(fs, "shift", cells, anchor, only_improving)
     return moves
 
 
 def admissible_moves(fs: FaceSet, only_improving: bool = True) -> list:
     """Every legal move of the three kinds, deterministically ordered."""
     moves = collapse_moves(fs) + flip_moves(fs, only_improving) + shift_moves(fs, only_improving)
-    if only_improving:
-        moves = [m for m in moves if m.delta_faces < 0]
     return sorted(moves, key=Move.sort_key)
 
 
@@ -366,31 +352,19 @@ class MinimizeResult:
     log: DeformationLog
     rounds: int
     stalled: bool
-    policy: str
-    seed: int
 
 
-def minimize_faceset(fs: FaceSet, *, policy: str = "greedy", seed: int = 0) -> MinimizeResult:
+def minimize_faceset(fs: FaceSet) -> MinimizeResult:
     """Descend by improving moves until none remains.
 
-    ``greedy`` applies the single best move per round; ``priority`` first
-    exhausts free collapses (cheap, always safe), then takes the best
-    projection move.  Both policies order candidates by (measure delta,
-    kind, face keys) and are fully deterministic; the seed is recorded for
-    provenance but the current policies draw nothing from it.
+    Each round applies the single best move, ordered by (measure delta,
+    kind, face keys), so the descent is fully deterministic.
     """
-    if policy not in ("greedy", "priority"):
-        raise ValueError(f"unknown policy {policy!r}")
     log = DeformationLog()
     start = fs.measure()
     rounds = 0
     while rounds < MAX_ROUNDS:
-        if policy == "priority":
-            picks = collapse_moves(fs)
-            if not picks:
-                picks = admissible_moves(fs)
-        else:
-            picks = admissible_moves(fs)
+        picks = admissible_moves(fs)
         if not picks:
             break
         move = min(picks, key=Move.sort_key)
@@ -402,7 +376,7 @@ def minimize_faceset(fs: FaceSet, *, policy: str = "greedy", seed: int = 0) -> M
     stalled = rounds >= MAX_ROUNDS
     if stalled:
         logger.warning("minimization stopped at the round cap %d", MAX_ROUNDS)
-    return MinimizeResult(fs, start, fs.measure(), log, rounds, stalled, policy, seed)
+    return MinimizeResult(fs, start, fs.measure(), log, rounds, stalled)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +388,6 @@ class InitReport:
     faceset: FaceSet
     source: str               # "threshold" or "completion"
     covered_faces: int
-    coverage_threshold: float
-    projection: ProjectionResult
     log: DeformationLog
 
 
@@ -532,13 +504,13 @@ def initialize_from_mesh(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     fs = _threshold_faceset(res, grid, manifold, threshold)
     covered = len(fs.faces)
     if fs.faces and fs.is_relative_cycle():
-        return InitReport(fs, "threshold", covered, threshold, res, log)
+        return InitReport(fs, "threshold", covered, log)
     fs2 = _completion_faceset(res, grid, manifold)
     if not fs2.is_relative_cycle():
         logger.warning("completion faceset has %d odd ridges", len(fs2.odd_ridges()))
     log.record("ff-stage", domain, (), fs.measure(), fs2.measure(),
                variant="completion")
-    return InitReport(fs2, "completion", covered, threshold, res, log)
+    return InitReport(fs2, "completion", covered, log)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +522,6 @@ class HaircutReport:
     worst_ratio: float        # empirical quasiminimality constant >= 1
     improving_trials: int     # trials whose ball admitted an improving move
     trials: int
-    max_radius: float
-    balls: list               # per-trial records (capped)
     improvable: bool
 
 
@@ -572,7 +542,7 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0) -> Hai
                                                        spawn_key=(0xA0D17,)))
     top = sorted(fs.top_faces())
     if not top:
-        return HaircutReport(1.0, 0, trials, max_radius, [], False)
+        return HaircutReport(1.0, 0, trials, False)
     lows, highs = zip(*(grid.face_bounds(f) for f in top))
     lo_arr = np.array(lows)
     hi_arr = np.array(highs)
@@ -594,7 +564,6 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0) -> Hai
 
     worst = 1.0
     improving = 0
-    balls = []
     n = grid.ambient_dim
     for _ in range(trials):
         center = grid.corner + rng.random(n) * grid.size
@@ -614,13 +583,8 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0) -> Hai
         else:
             improving += 1
             ratio = before / best if best > 0 else math.inf
-        if ratio > worst or len(balls) < AUDIT_KEEP:
-            balls.append({"center": [float(x) for x in center], "radius": float(r),
-                          "faces": before, "ratio": float(ratio)})
-            balls = balls[-AUDIT_KEEP:]
         worst = max(worst, ratio)
-    return HaircutReport(worst, improving, trials, max_radius, balls,
-                         improving > 0)
+    return HaircutReport(worst, improving, trials, improving > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +608,7 @@ class SchemeResult:
 def run_scheme(mesh: EmbeddedMesh, subdivision_levels: Sequence[int], *,
                manifold_size: Optional[float] = None,
                threshold: float = 0.5, strategy: str = "far",
-               policy: str = "greedy", seed: int = 0, audit_trials: int = 200,
+               seed: int = 0, audit_trials: int = 200,
                ladder_centers: int = 8) -> SchemeResult:
     """Initialize, minimize, core-reduce and audit per grid level.
 
@@ -663,7 +627,7 @@ def run_scheme(mesh: EmbeddedMesh, subdivision_levels: Sequence[int], *,
         grid = DyadicGrid(base.copy(), size, N)
         init = initialize_from_mesh(mesh, grid, manifold=manifold,
                                     threshold=threshold, strategy=strategy, seed=seed)
-        result = minimize_faceset(init.faceset, policy=policy, seed=seed)
+        result = minimize_faceset(init.faceset)
         result.faceset = core_reduce(result.faceset)
         audit = quasiminimality_audit(result.faceset, trials=audit_trials, seed=seed)
         levels.append(SchemeLevel(N, init, result, audit))

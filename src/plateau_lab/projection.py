@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry.core import EmbeddedMesh, refine
+from .geometry.core import EmbeddedMesh, refine, row_dots
 from .geometry.distance import points_to_simplices
 from .grids import CubeFace, DyadicGrid, FlatManifold
 
@@ -46,6 +46,10 @@ CLEARANCE_REL = 1e-9
 
 #: grid resolutions per face dimension for the deterministic 'far' center search
 _FAR_GRID = {1: 65, 2: 17, 3: 9}
+
+#: most center samples per face of the 'chebyshev' search; each face draws a
+#: (trials, n) array
+MAX_TRIALS = 1 << 12
 
 #: content chunks times centers per kernel call in the 'chebyshev' search;
 #: bounds the memory of one call (chunks multiply as the cone planes cut them)
@@ -137,18 +141,6 @@ def _ledger(keys: np.ndarray, vol: np.ndarray) -> dict:
 # The float operations are the scalar ones, element by element, so the
 # output is bit-identical to splitting and mapping one chunk at a time.
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (R, n) arrays.
-
-    A stacked (1, n) @ (n, 1) matmul runs the BLAS dot that ``u @ v`` runs
-    on one pair of vectors, so each value equals the scalar product bit for
-    bit; ``(a * b).sum(-1)`` and ``einsum`` round differently.
-    """
-    a = np.ascontiguousarray(a, dtype=float)
-    b = np.ascontiguousarray(b, dtype=float)
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _volumes(chunks) -> list[float]:
     """Measure of each chunk (length or area) as Python floats.
 
@@ -161,9 +153,9 @@ def _volumes(chunks) -> list[float]:
     c = np.asarray(chunks, dtype=float)
     u = c[:, 1] - c[:, 0]
     if c.shape[1] == 2:
-        return np.sqrt(_rowdot(u, u)).tolist()
+        return np.sqrt(row_dots(u, u)).tolist()
     v = c[:, 2] - c[:, 0]
-    g = _rowdot(u, u) * _rowdot(v, v) - np.array([x ** 2 for x in _rowdot(u, v).tolist()])
+    g = row_dots(u, u) * row_dots(v, v) - np.array([x ** 2 for x in row_dots(u, v).tolist()])
     return (0.5 * np.sqrt(np.where(0.0 > g, 0.0, g))).tolist()
 
 
@@ -222,7 +214,7 @@ def _split_by_plane(pts: np.ndarray, active: np.ndarray, normals: np.ndarray,
     d = v - 1
     idx = np.flatnonzero(active)
     sub = pts[idx]
-    vals = _rowdot(np.repeat(normals, v, axis=0), sub.reshape(-1, n)).reshape(-1, v) \
+    vals = row_dots(np.repeat(normals, v, axis=0), sub.reshape(-1, n)).reshape(-1, v) \
         - offsets[:, None]
     on_plane = np.abs(vals) <= snaps[:, None]
     vals[on_plane] = 0.0
@@ -243,7 +235,7 @@ def _split_by_plane(pts: np.ndarray, active: np.ndarray, normals: np.ndarray,
             cross[..., axis] = value
         else:
             cut = counts[code] > 1
-            cross_vals = _rowdot(np.repeat(normals, v, axis=0), cross.reshape(-1, n)) \
+            cross_vals = row_dots(np.repeat(normals, v, axis=0), cross.reshape(-1, n)) \
                 .reshape(-1, v) - offsets[:, None]
             sub[cut[:, None] & (np.abs(vals) <= tol), axis] = value
             cross[cut[:, None] & (np.abs(cross_vals) <= tol), axis] = value
@@ -299,7 +291,7 @@ def _cone_planes(xi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     normals.append(normal)
     normals = np.stack(normals, axis=1) if normals else np.zeros((M, 0, n))
     P = normals.shape[1]
-    offsets = _rowdot(normals.reshape(-1, n), np.repeat(xi, P, axis=0)).reshape(M, P)
+    offsets = row_dots(normals.reshape(-1, n), np.repeat(xi, P, axis=0)).reshape(M, P)
     return normals, offsets
 
 
@@ -360,7 +352,7 @@ def _project_batch(corners: np.ndarray, centers: np.ndarray, lo: np.ndarray,
     normals, offsets = _cone_planes(centers, lo, hi, spanned)
     P = normals.shape[1]
     flat = normals.reshape(-1, n)
-    norms = np.sqrt(_rowdot(flat, flat)).reshape(M, P)
+    norms = np.sqrt(row_dots(flat, flat)).reshape(M, P)
     snap = 1e-13 * s
     for j in range(P):
         active = ~(norms[center_of, j] <= 0.0)
@@ -476,6 +468,8 @@ def choose_center(grid: DyadicGrid, face: CubeFace, content: np.ndarray,
     samples ranked by exact image measure (ties keep the earliest sample).
     An empty face takes the midpoint with ratio 0 by convention.
     """
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials {trials} exceed the cap of {MAX_TRIALS}")
     lo, hi = grid.face_bounds(face)
     spanned = [a for a in range(grid.ambient_dim) if face.spans(a)]
     if not spanned:
@@ -559,7 +553,6 @@ class ProjectionResult:
     pieces: PieceTable = field(repr=False)
     outside_chunks: list = field(repr=False)
     outside_mults: list = field(repr=False)
-    error_bound: float = 0.0
     collapse_applied: bool = False
     collapse_report: Optional[dict] = None
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry.core import EmbeddedMesh, as_point
+from .geometry.core import EmbeddedMesh, as_point, row_dots
 
 logger = logging.getLogger(__name__)
 
@@ -255,9 +255,8 @@ def _edge_weights(flows: np.ndarray, functional: str, beta: float) -> np.ndarray
 
 def _norms(D: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis, kept as a length-1 axis, bit for bit
-    as ``np.linalg.norm`` of each vector: a stacked (1, n) @ (n, 1) matmul is
-    the same BLAS dot (``einsum`` or ``(D * D).sum(-1)`` round differently)."""
-    return np.sqrt(np.matmul(D[..., None, :], D[..., :, None]))[..., 0]
+    as ``np.linalg.norm`` of each vector (see ``row_dots``)."""
+    return np.sqrt(row_dots(D, D))[..., None]
 
 
 def _optimize_interiors(topologies: Sequence[NetTopology], terminals: Sequence[Terminal],
@@ -341,10 +340,10 @@ def _merge_collapsed(pos: np.ndarray, edges: np.ndarray, flows: np.ndarray,
     V = len(pos)
     if tol is None:
         tol = MERGE_REL_TOL * scale
+    close = (_norms(pos[:, None] - pos[None, :])[..., 0] <= tol).tolist()
     target = list(range(V))
     for v in range(n_terminals, V):
-        target[v] = next((u for u in range(v) if target[u] == u
-                          and np.linalg.norm(pos[v] - pos[u]) <= tol), v)
+        target[v] = next((u for u in range(v) if target[u] == u and close[v][u]), v)
     kept = [(target[a], target[b], int(f)) for (a, b), f in zip(edges, flows)
             if target[a] != target[b]]
     used = sorted({i for a, b, _ in kept for i in (a, b)} | set(range(n_terminals)))
@@ -399,8 +398,6 @@ def star_upper_bound(terminals: Sequence[Terminal], functional: str = "size",
 class SteinerResult:
     net: MultiplicityNet
     cost: float
-    functional: str
-    beta: float
     topology: NetTopology
     n_topologies: int
     upper_bound: float
@@ -470,4 +467,4 @@ def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
     ub = star_upper_bound(terminals, functional, beta)
     if cost > ub + 1e-9 * max(1.0, ub):
         logger.warning("optimizer exceeded the star upper bound: %.12g > %.12g", cost, ub)
-    return SteinerResult(net, cost, functional, beta, topo, len(tops), ub, audit, charges, runner)
+    return SteinerResult(net, cost, topo, len(tops), ub, audit, charges, runner)

@@ -393,3 +393,130 @@ def test_ff_project_report_is_local(runner, tmp_path):
     assert doc["measure_in"] > 0
     assert doc["stages"], "per-stage ledger must be present"
     assert doc["per_cell"], "per-cube ledger must be present"
+
+
+@pytest.mark.parametrize("center,radius", [("0,0,0", "0"), ("0,0,0", "nan"), ("0,0,0", "-1"),
+                                           ("0,0,0,0,0,0,0", "1")])
+def test_bad_hausdorff_ball_is_a_domain_error(runner, y_mesh, center, radius):
+    r = runner.invoke(main, ["hausdorff", "--mesh-a", y_mesh, "--mesh-b", y_mesh,
+                             "--center", center, "--radius", radius])
+    assert r.exit_code == 1, r.stderr
+    assert r.stderr.startswith("error: "), r.stderr
+
+
+@pytest.mark.parametrize("levels", ["nan", "inf", "4,-inf"])
+def test_non_finite_levels_are_config_errors(runner, tmp_path, levels):
+    p = tmp_path / "flat.off"
+    meshio.write_mesh(str(p), flat_slice_mesh(level=0.5, n=2))
+    r = runner.invoke(main, ["minimize", "--init", str(p), "--levels", levels])
+    assert r.exit_code == 2, r.stderr
+    assert "levels must be integers" in r.stderr
+
+
+def test_douglas_rejects_non_finite_samples(runner, tmp_path):
+    out = tmp_path / "energy.json"
+    r = runner.invoke(main, ["douglas", "--radius", "nan", "--out", str(out)])
+    assert r.exit_code == 1
+    assert "samples must be finite" in r.stderr
+    assert not out.exists()
+    loop = tmp_path / "loop.csv"
+    loop.write_text("".join(f"{math.cos(i * math.pi / 4)!r},{math.sin(i * math.pi / 4)!r}\n"
+                            for i in range(7)) + "nan,0.0\n")
+    r = runner.invoke(main, ["douglas", "--loop", str(loop)])
+    assert r.exit_code == 1
+    assert "samples must be finite" in r.stderr
+
+
+def test_rotation_and_trial_caps_fail_fast(runner, y_mesh, tmp_path):
+    """One over each cap is refused before the net or the samples are drawn."""
+    from plateau_lab.diagnostics import MAX_ROTATIONS
+    from plateau_lab.projection import MAX_TRIALS
+    r = runner.invoke(main, ["classify", "--mesh", y_mesh, "--center", "0,0,0",
+                             "--radius", "1", "--rotations", str(MAX_ROTATIONS + 1)])
+    assert r.exit_code == 1
+    assert f"rotations must be in 0..{MAX_ROTATIONS}" in r.stderr
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"corner": [-2, -2, -2], "size": 4.0, "N": 2}))
+    r = runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", y_mesh,
+                             "--trials", str(MAX_TRIALS + 1)])
+    assert r.exit_code == 1
+    assert f"exceed the cap of {MAX_TRIALS}" in r.stderr
+
+
+def _parse_profile(text):
+    rows = text.strip().splitlines()
+    assert rows[0] == "r,theta,adjusted,F,err"
+    return [[float(x) for x in row.split(",")] for row in rows[1:]]
+
+
+_PARSERS = {".json": lambda path: json.loads(Path(path).read_text()),
+            ".off": meshio.read_mesh}
+
+
+@pytest.mark.parametrize("case", ["ff-collapse", "blowup-no-clip", "density-gauge",
+                                  "minimize-box", "steiner-m-beta"])
+def test_flags_without_other_coverage(runner, y_mesh, tmp_path, case):
+    """Each run exits 0 and writes artifacts that parse."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"corner": [0, 0, 0], "size": 1.0, "N": 2}))
+    blob = tmp_path / "blob.off"
+    verts = np.random.default_rng(3).uniform(0.1, 0.9, size=(9, 3))
+    from plateau_lab.geometry.core import EmbeddedMesh
+    meshio.write_mesh(str(blob), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
+    flat = tmp_path / "flat.off"
+    meshio.write_mesh(str(flat), flat_slice_mesh(level=0.5, n=4))
+    gauge = tmp_path / "gauge.json"
+    gauge.write_text(json.dumps({"scale": 0.5, "exponent": 1.0, "cutoff": 2.0}))
+    inst = tmp_path / "charged.json"
+    inst.write_text(json.dumps({"terminals": [
+        {"pos": [-0.5, 1.0, 0.1], "charge": 1}, {"pos": [0.5, 1.0, 0.0], "charge": 1},
+        {"pos": [0.0, 0.0, 0.2], "charge": -1}, {"pos": [0.3, -0.4, 0.0], "charge": -1}]}))
+    args, artifacts = {
+        "ff-collapse": (["ff-project", "--grid", str(grid), "--mesh", str(blob), "--collapse",
+                         "--eta", "0.2", "--out", "proj.off", "--report", "rep.json"],
+                        {"proj.off": _PARSERS[".off"], "rep.json": _PARSERS[".json"]}),
+        "blowup-no-clip": (["blowup", "--mesh", y_mesh, "--center", "0,0,0", "--radius", "0.5",
+                            "--no-clip", "--out", "zoom.off"], {"zoom.off": _PARSERS[".off"]}),
+        "density-gauge": (["density", "--mesh", y_mesh, "--center", "0,0,0",
+                           "--radii", "0.25,0.5,1.0", "--gauge", str(gauge),
+                           "--line-base", "0,0,0", "--line-direction", "0,0,1",
+                           "--shade-direction", "1,0,0", "--out", "prof.csv"],
+                          {"prof.csv": lambda path: _parse_profile(Path(path).read_text())}),
+        "minimize-box": (["minimize", "--init", str(flat), "--manifold", "box3", "--levels", "2,4",
+                          "--audit-trials", "50", "--export-prefix", "lvl",
+                          "--out", "fs.json", "--report", "mz.json"],
+                         {"fs.json": _PARSERS[".json"], "mz.json": _PARSERS[".json"],
+                          "lvl_N2.off": _PARSERS[".off"], "lvl_N4.off": _PARSERS[".off"]}),
+        "steiner-m-beta": (["steiner", "--instance", str(inst), "--functional", "m_beta",
+                            "--beta", "0.5", "--out", "sol.json", "--csv", "net.csv"],
+                           {"sol.json": _PARSERS[".json"], "net.csv": meshio.read_mesh}),
+    }[case]
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    with runner.isolated_filesystem(temp_dir=run_dir):
+        r = runner.invoke(main, args)
+        doc = summary_of(r)
+        assert doc["artifacts"] == sorted(artifacts)
+        parsed = {name: parse(name) for name, parse in artifacts.items()}
+    if case == "blowup-no-clip":
+        assert doc["simplices"] == meshio.read_mesh(y_mesh).n_simplices
+        assert parsed["zoom.off"].n_simplices == doc["simplices"]
+    elif case == "density-gauge":
+        assert doc["sliding"] and len(parsed["prof.csv"]) == 3
+    elif case == "steiner-m-beta":
+        assert parsed["sol.json"]["functional"] == "m_beta" and parsed["sol.json"]["beta"] == 0.5
+    elif case == "ff-collapse":
+        assert parsed["rep.json"]["plan"]["eta"] == 0.2
+
+
+def test_mesh_format_errors_are_config_errors(runner, tmp_path):
+    """A mesh that the output format cannot hold exits 2 and writes nothing."""
+    seg = tmp_path / "seg.csv"
+    seg.write_text("# segments ambient=2\n0.0,0.5,0.5,0.5\n0.5,0.5,1.0,0.5\n")
+    prefix = tmp_path / "lv"
+    r = runner.invoke(main, ["minimize", "--init", str(seg), "--manifold", "torus2",
+                             "--levels", "2", "--audit-trials", "5",
+                             "--export-prefix", str(prefix)])
+    assert r.exit_code == 2, r.stderr
+    assert r.stderr == "config error: OFF export requires a triangle mesh in R^3\n"
+    assert list(tmp_path.iterdir()) == [seg]

@@ -192,3 +192,18 @@ def test_open_book_classifies_as_v_with_its_dihedral():
     assert rep["best"]["name"] == "v"
     assert abs(rep["best"]["dihedral"] - beta) <= 2 * math.pi / 25
 
+
+
+def test_rotations_over_the_cap_raise_before_allocating():
+    """One rotation over the cap is refused before the net is drawn."""
+    import tracemalloc
+    mesh = cones.plane_cone(extent=1.5)
+    tracemalloc.start()
+    try:
+        for count in (diag.MAX_ROTATIONS + 1, -1):
+            with pytest.raises(ValueError, match=f"rotations must be in 0..{diag.MAX_ROTATIONS}"):
+                diag.classify_point(mesh, np.zeros(3), 1.0, rotations=count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

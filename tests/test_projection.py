@@ -160,3 +160,20 @@ def test_per_cell_ledger_covers_all_content():
     result = proj.project_to_skeleton(mesh, grid, strategy="far")
     total_in = sum(rec["measure_in"] for rec in result.per_cell.values())
     assert total_in == pytest.approx(result.measure_in, rel=1e-9)
+
+
+def test_trials_over_the_cap_raise_before_allocating():
+    """One trial over the cap is refused before the (trials, n) sample draw."""
+    import tracemalloc
+    from plateau_lab.grids import CubeFace
+    grid = build_grid(np.zeros(3), 1.0, 2)
+    content = np.array([[[0.1, 0.1, 0.2], [0.4, 0.1, 0.3], [0.1, 0.4, 0.2]]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"cap of {proj.MAX_TRIALS}"):
+            proj.choose_center(grid, CubeFace(grid.full_mask, (0, 0, 0)), content,
+                               trials=proj.MAX_TRIALS + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
