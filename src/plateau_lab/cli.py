@@ -4,7 +4,11 @@ One binary, subcommand style.  Every run prints a ``schema: 1`` summary JSON
 to stdout, writes its artifacts atomically after all computation succeeded
 (so nonzero exits leave nothing behind), and exits 0 on success, 1 on domain
 errors (bad geometry, unsatisfiable constraints), 2 on configuration errors
-(unreadable inputs, unknown fields, bad parameter values).
+(unreadable inputs, unknown fields, bad parameter values, unwritable outputs).
+
+A subcommand body maps its option values to ``(artifacts, summary)``; the
+``_command`` decorator turns a ``ValueError`` from the body into a domain
+error and renders, checks and writes the artifacts.
 
 A ``--config file.json`` may supply any long-option value by name;
 explicit command-line flags win over the config file.
@@ -24,7 +28,7 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .diagnostics import (SlidingContext, classify_point,
+from .diagnostics import (SlidingContext, blowup as blowup_mesh, classify_point,
                           cone_slice_check, density_profile, sliding_profile)
 from .geometry import meshio
 from .geometry.core import Ball, EmbeddedMesh, LineBoundary, measure
@@ -48,11 +52,6 @@ def _fail_config(messages) -> None:
     sys.exit(2)
 
 
-def _fail_domain(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
 def _merge_config(ctx: click.Context, values: dict) -> dict:
     """Overlay config-file values under explicitly passed flags.
 
@@ -63,8 +62,6 @@ def _merge_config(ctx: click.Context, values: dict) -> dict:
     if path is None:
         return values
     raw = _read_json(path, "config")
-    if not isinstance(raw, dict):
-        _fail_config([f"config {path} must hold a JSON object"])
     params = {p.name: p for p in ctx.command.params}
     errors = []
     for key, val in raw.items():
@@ -127,11 +124,14 @@ def _read_mesh(path) -> EmbeddedMesh:
 
 def _read_json(path, name: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except OSError as e:
         _fail_config([f"cannot read {name} {path}: {e}"])
     except json.JSONDecodeError as e:
         _fail_config([f"{name} {path} is not valid JSON: {e}"])
+    if not isinstance(doc, dict):
+        _fail_config([f"{name} {path} must hold a JSON object"])
+    return doc
 
 
 def _load_grid(path):
@@ -162,16 +162,71 @@ def _load_grid(path):
             manifold = flat if any(ident) else None
         elif ident is not None:
             _fail_config(["grid spec: 'identifications' must be 'torus' or a boolean list"])
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         _fail_config([f"grid spec: {e}"])
     return grid, manifold
 
 
-def _mesh_text(path: str, mesh: EmbeddedMesh) -> str:
+def _number(value, message: str) -> float:
     try:
-        return meshio.mesh_text(path, mesh)
-    except ValueError as e:
-        _fail_config([str(e)])
+        return float(value)
+    except (TypeError, ValueError):
+        _fail_config([f"{message}, got {value!r}"])
+
+
+def _load_instance(path):
+    """Instance JSON {terminals: [{pos, charge}], ...} -> (terminals, spec)."""
+    spec = _read_json(path, "instance")
+    raw_terms = spec.get("terminals")
+    if not isinstance(raw_terms, list) or len(raw_terms) < 2:
+        _fail_config(["instance needs a 'terminals' list with at least two entries"])
+    terms = []
+    errors = []
+    for i, t in enumerate(raw_terms):
+        if not isinstance(t, dict):
+            errors.append(f"terminal {i} must be a JSON object")
+            continue
+        pos = t.get("pos")
+        if pos is None:
+            errors.append(f"terminal {i} misses 'pos'")
+            continue
+        try:
+            terms.append(Terminal(np.asarray(pos, dtype=float), int(t.get("charge", 1))))
+        except (TypeError, ValueError) as e:
+            errors.append(f"terminal {i}: {e}")
+    if errors:
+        _fail_config(errors)
+    return terms, spec
+
+
+def _load_gauge(path):
+    try:
+        return meshio.gauge_from_dict(_read_json(path, "gauge"))
+    except (KeyError, TypeError, ValueError) as e:
+        _fail_config([f"gauge: {e}"])
+
+
+def _manifold(name: str) -> tuple[bool, int]:
+    """'torus<n>' or 'box<n>' -> (periodic, n)."""
+    periodic = name.startswith("torus")
+    if not (periodic or name.startswith("box")):
+        _fail_config([f"manifold must be torus<n> or box<n>, got {name!r}"])
+    try:
+        return periodic, int(name.removeprefix("torus").removeprefix("box"))
+    except ValueError:
+        _fail_config([f"manifold must end in its dimension, got {name!r}"])
+
+
+def _read_loop(path) -> np.ndarray:
+    """Loop samples from a CSV with one point per row."""
+    try:
+        rows = Path(path).read_text().strip().splitlines()
+    except OSError as e:
+        _fail_config([f"cannot read loop {path}: {e}"])
+    try:
+        return np.array([[float(x) for x in row.split(",")] for row in rows if row.strip()])
+    except ValueError:
+        _fail_config([f"loop {path} must be numeric CSV rows"])
 
 
 def _jsonable(obj):
@@ -191,12 +246,42 @@ def _jsonable(obj):
     return obj
 
 
+def _writable(path) -> bool:
+    p = Path(path)
+    return (p.parent.is_dir() and os.access(p.parent, os.W_OK | os.X_OK)
+            and not p.is_dir())
+
+
+def _render(path, payload) -> str:
+    """Artifact text: a string as is, a mesh in its path's format, else JSON."""
+    if isinstance(payload, str):
+        return payload
+    if isinstance(payload, EmbeddedMesh):
+        return meshio.mesh_text(path, payload)
+    return meshio.dumps_json(_jsonable(payload))
+
+
 def _emit(artifacts: list, summary: dict) -> None:
-    """Write all staged artifacts atomically, then print the summary."""
-    for path, text in artifacts:
-        meshio.atomic_write_text(path, text)
-    summary = {"schema": SCHEMA, "threads": _threads(), **summary,
-               "artifacts": sorted(str(p) for p, _ in artifacts)}
+    """Write every ``(path, payload)`` whose path is set, then print the summary.
+
+    Nothing is rendered for an unset path.  Every path is checked before the
+    first write, and every payload rendered, so a bad path or a mesh that its
+    format cannot hold exits 2 with nothing written.
+    """
+    artifacts = [(path, payload) for path, payload in artifacts if path]
+    unwritable = [f"cannot write {path}" for path, _ in artifacts if not _writable(path)]
+    if unwritable:
+        _fail_config(unwritable)
+    try:
+        texts = [(path, _render(path, payload)) for path, payload in artifacts]
+    except ValueError as e:
+        _fail_config([str(e)])
+    for path, text in texts:
+        try:
+            meshio.atomic_write_text(path, text)
+        except OSError as e:
+            _fail_config([f"cannot write {path}: {e}"])
+    summary["artifacts"] = sorted(str(p) for p, _ in artifacts)
     click.echo(meshio.dumps_json(_jsonable(summary)))
 
 
@@ -225,7 +310,9 @@ def _command(name: str | None = None):
 
     The body receives one dict keyed by click's parameter names, with the
     config file merged under the flags given on the command line.  Required
-    options are checked after the merge, so the config may supply them.
+    options are checked after the merge, so the config may supply them.  It
+    returns ``(artifacts, summary)``: ``(path, payload)`` pairs for ``_emit``
+    and the run's own summary fields.
     """
     def register(fn):
         @functools.wraps(fn)
@@ -235,7 +322,14 @@ def _command(name: str | None = None):
                        if vals[p.name] is None]
             if missing:
                 _fail_config(missing)
-            fn(vals)
+            header = {"schema": SCHEMA, "threads": _threads(),
+                      "subcommand": cmd.name, "seed": vals["seed"]}
+            try:
+                artifacts, summary = fn(vals)
+            except ValueError as e:
+                click.echo(f"error: {e}", err=True)
+                sys.exit(1)
+            _emit(artifacts, {**header, **summary})
         cmd = main.command(name)(_config_opt(_seed_opt(callback)))
         required = [p for p in cmd.params if p.required]
         for p in required:
@@ -262,32 +356,15 @@ def _command(name: str | None = None):
               help="Optional CSV polyline export of the optimal net.")
 def steiner(vals):
     """Optimal Steiner/charge-flow net over an instance's terminals."""
-    spec = _read_json(vals["instance"], "instance")
-    raw_terms = spec.get("terminals")
-    if not isinstance(raw_terms, list) or len(raw_terms) < 2:
-        _fail_config(["instance needs a 'terminals' list with at least two entries"])
-    terms = []
-    errors = []
-    for i, t in enumerate(raw_terms):
-        pos = t.get("pos")
-        if pos is None:
-            errors.append(f"terminal {i} misses 'pos'")
-            continue
-        try:
-            terms.append(Terminal(np.asarray(pos, dtype=float), int(t.get("charge", 1))))
-        except (TypeError, ValueError) as e:
-            errors.append(f"terminal {i}: {e}")
-    if errors:
-        _fail_config(errors)
+    terms, spec = _load_instance(vals["instance"])
     func = vals["functional"] or spec.get("objective", "size")
     if func not in ("size", "mass", "m_beta"):
         _fail_config([f"unknown objective {func!r}"])
-    b = vals["beta"] if vals["beta"] is not None else float(spec.get("beta", 1.0))
-    try:
-        result = optimize_steiner(terms, functional=func, beta=b)
-        check_kirchhoff(result.net, [Terminal(t.point, q) for t, q in zip(terms, result.charges)])
-    except ValueError as e:
-        _fail_domain(str(e))
+    b = vals["beta"]
+    if b is None:
+        b = _number(spec.get("beta", 1.0), "instance 'beta' must be a number")
+    result = optimize_steiner(terms, functional=func, beta=b)
+    check_kirchhoff(result.net, [Terminal(t.point, q) for t, q in zip(terms, result.charges)])
     net = result.net
     solution = {
         "nodes": [[float(x) for x in p] for p in net.points],
@@ -301,15 +378,11 @@ def steiner(vals):
         "runner_up": result.runner_up,
         "angle_audit": result.audit,
     }
-    artifacts = []
-    if vals["out"]:
-        artifacts.append((vals["out"], meshio.dumps_json(_jsonable(solution))))
-    if vals["csv"]:
-        artifacts.append((vals["csv"], meshio.mesh_to_segment_csv(net.as_segments_mesh())))
-    _emit(artifacts, {"subcommand": "steiner", "seed": vals["seed"],
-                      "score": result.cost, "functional": func,
-                      "n_topologies": result.n_topologies,
-                      "angle_audit": result.audit})
+    # the net is CSV whatever the path's suffix
+    csv = vals["csv"] and meshio.mesh_to_segment_csv(net.as_segments_mesh())
+    return [(vals["out"], solution), (vals["csv"], csv)], {
+        "score": result.cost, "functional": func,
+        "n_topologies": result.n_topologies, "angle_audit": result.audit}
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +409,12 @@ def ff_project(vals):
     mesh = _read_mesh(vals["mesh"])
     eta_val = None
     if vals["eta"] not in (None, "auto"):
-        try:
-            eta_val = float(vals["eta"])
-        except (TypeError, ValueError):
-            _fail_config([f"eta must be a number or 'auto', got {vals['eta']!r}"])
-    try:
-        result = project_to_skeleton(mesh, grid, eta=eta_val,
-                                     strategy=vals["strategy"],
-                                     trials=vals["trials"],
-                                     seed=vals["seed"], manifold=manifold)
-        if vals["collapse"]:
-            result = extra_collapse(result, grid, manifold=manifold,
-                                    seed=vals["seed"])
-    except ValueError as e:
-        _fail_domain(str(e))
+        eta_val = _number(vals["eta"], "eta must be a number or 'auto'")
+    result = project_to_skeleton(mesh, grid, eta=eta_val, strategy=vals["strategy"],
+                                 trials=vals["trials"], seed=vals["seed"],
+                                 manifold=manifold)
+    if vals["collapse"]:
+        result = extra_collapse(result, grid, manifold=manifold, seed=vals["seed"])
     locality_ok, locality_slack = verify_cell_locality(result, grid)
     report = {
         "measure_in": result.measure_in,
@@ -365,17 +430,10 @@ def ff_project(vals):
         "collapse": {"applied": result.collapse_applied,
                      "report": result.collapse_report},
     }
-    artifacts = []
-    if vals["out"]:
-        artifacts.append((vals["out"], _mesh_text(vals["out"], result.mesh)))
-    if vals["report"]:
-        artifacts.append((vals["report"], meshio.dumps_json(_jsonable(report))))
-    _emit(artifacts, {"subcommand": "ff-project", "seed": vals["seed"],
-                      "measure_in": result.measure_in,
-                      "measure_out": result.measure_out,
-                      "stages": len(result.stages),
-                      "collapse_applied": result.collapse_applied,
-                      "locality_ok": locality_ok})
+    return [(vals["out"], result.mesh), (vals["report"], report)], {
+        "measure_in": result.measure_in, "measure_out": result.measure_out,
+        "stages": len(result.stages), "collapse_applied": result.collapse_applied,
+        "locality_ok": locality_ok}
 
 
 # ---------------------------------------------------------------------------
@@ -422,32 +480,18 @@ def density(vals):
     mesh = _read_mesh(vals["mesh"])
     c = _vector(vals["center"], "center")
     rs = _floats(vals["radii"], "radii")
-    gauge = None
-    if vals["gauge"]:
-        try:
-            gauge = meshio.gauge_from_dict(_read_json(vals["gauge"], "gauge"))
-        except (KeyError, TypeError, ValueError) as e:
-            _fail_config([f"gauge: {e}"])
+    gauge = _load_gauge(vals["gauge"]) if vals["gauge"] else None
     context = _build_context(vals)
-    try:
-        prof = density_profile(mesh, c, rs, gauge=gauge)
-        slid = sliding_profile(mesh, c, rs, context, gauge=gauge) if context else None
-    except ValueError as e:
-        _fail_domain(str(e))
+    prof = density_profile(mesh, c, rs, gauge=gauge)
+    slid = sliding_profile(mesh, c, rs, context, gauge=gauge) if context else None
     f_col = slid["shaded_densities"] if slid else prof["densities"]
-    lines = ["r,theta,adjusted,F,err"]
-    for i, r in enumerate(prof["radii"]):
-        lines.append(",".join(meshio.fmt_float(x) for x in
-                              (r, prof["densities"][i], prof["adjusted"][i],
-                               f_col[i], 0.0)))
-    artifacts = []
-    if vals["out"]:
-        artifacts.append((vals["out"], "\n".join(lines) + "\n"))
-    _emit(artifacts, {"subcommand": "density", "seed": vals["seed"],
-                      "densities": prof["densities"], "flat": prof["flat"],
-                      "spread": prof["spread"],
-                      "low_density": prof["low_density"],
-                      "sliding": slid is not None})
+    table = vals["out"] and "r,theta,adjusted,F,err\n" + "".join(
+        ",".join(meshio.fmt_float(x) for x in (*row, 0.0)) + "\n"
+        for row in zip(prof["radii"], prof["densities"], prof["adjusted"], f_col))
+    return [(vals["out"], table)], {
+        "densities": prof["densities"], "flat": prof["flat"],
+        "spread": prof["spread"], "low_density": prof["low_density"],
+        "sliding": slid is not None}
 
 
 @_command()
@@ -463,22 +507,13 @@ def classify(vals):
     """Match the ball around a point against the cone catalog."""
     mesh = _read_mesh(vals["mesh"])
     context = _build_context(vals)
-    try:
-        report = classify_point(mesh, _vector(vals["center"], "center"),
-                                vals["radius"], context=context,
-                                seed=vals["seed"],
-                                rotations=vals["rotations"],
-                                depth=vals["depth"])
-    except ValueError as e:
-        _fail_domain(str(e))
-    artifacts = []
-    if vals["out"]:
-        artifacts.append((vals["out"], meshio.dumps_json(_jsonable(report))))
-    best = report.get("best")
-    _emit(artifacts, {"subcommand": "classify", "seed": vals["seed"],
-                      "density": report["density"], "ok": report["ok"],
-                      "best": (best or {}).get("name"),
-                      "residual": (best or {}).get("residual")})
+    report = classify_point(mesh, _vector(vals["center"], "center"), vals["radius"],
+                            context=context, seed=vals["seed"],
+                            rotations=vals["rotations"], depth=vals["depth"])
+    best = report.get("best") or {}
+    return [(vals["out"], report)], {
+        "density": report["density"], "ok": report["ok"],
+        "best": best.get("name"), "residual": best.get("residual")}
 
 
 @_command("cone-check")
@@ -490,15 +525,9 @@ def classify(vals):
 def cone_check(vals):
     """Ball-versus-sphere-slice identity residual at one point."""
     mesh = _read_mesh(vals["mesh"])
-    try:
-        rep = cone_slice_check(mesh, _vector(vals["center"], "center"),
-                               vals["radius"], tol=vals["tol"])
-    except ValueError as e:
-        _fail_domain(str(e))
-    artifacts = []
-    if vals["out"]:
-        artifacts.append((vals["out"], meshio.dumps_json(_jsonable(rep))))
-    _emit(artifacts, {"subcommand": "cone-check", "seed": vals["seed"], **rep})
+    rep = cone_slice_check(mesh, _vector(vals["center"], "center"),
+                           vals["radius"], tol=vals["tol"])
+    return [(vals["out"], rep)], rep
 
 
 @_command()
@@ -511,17 +540,11 @@ def cone_check(vals):
               help="Rescaled mesh path.")
 def blowup(vals):
     """Recenter and rescale a ball to unit size (one blow-up step)."""
-    from . import diagnostics
     mesh = _read_mesh(vals["mesh"])
-    try:
-        small = diagnostics.blowup(mesh, _vector(vals["center"], "center"),
-                                   vals["radius"], clip=vals["clip"])
-    except ValueError as e:
-        _fail_domain(str(e))
-    artifacts = [(vals["out"], _mesh_text(vals["out"], small))]
-    _emit(artifacts, {"subcommand": "blowup", "seed": vals["seed"],
-                      "measure": measure(small),
-                      "simplices": small.n_simplices})
+    small = blowup_mesh(mesh, _vector(vals["center"], "center"), vals["radius"],
+                        clip=vals["clip"])
+    return [(vals["out"], small)], {"measure": measure(small),
+                                    "simplices": small.n_simplices}
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +563,11 @@ def hausdorff(vals):
     """Normalized two-sided local gap between two meshes on a ball."""
     ma = _read_mesh(vals["mesh_a"])
     mb = _read_mesh(vals["mesh_b"])
-    try:
-        ball = Ball(_vector(vals["center"], "center"), vals["radius"])
-        dist = local_hausdorff_distance(ma, mb, ball,
-                                        spacing=vals["spacing"])
-    except ValueError as e:
-        _fail_domain(str(e))
+    ball = Ball(_vector(vals["center"], "center"), vals["radius"])
+    dist = local_hausdorff_distance(ma, mb, ball, spacing=vals["spacing"])
     rep = {"distance": dist, "radius": vals["radius"],
            "center": [float(x) for x in ball.center]}
-    artifacts = []
-    if vals["out"]:
-        artifacts.append((vals["out"], meshio.dumps_json(_jsonable(rep))))
-    _emit(artifacts, {"subcommand": "hausdorff", "seed": vals["seed"], **rep})
+    return [(vals["out"], rep)], rep
 
 
 @_command()
@@ -577,28 +593,17 @@ def hausdorff(vals):
 def minimize(vals):
     """Discrete Plateau descent over a ladder of grid refinements."""
     mesh = _read_mesh(vals["init"])
-    name = vals["manifold"]
-    periodic = name.startswith("torus")
-    if not (periodic or name.startswith("box")):
-        _fail_config([f"manifold must be torus<n> or box<n>, got {name!r}"])
-    try:
-        dim = int(name.removeprefix("torus").removeprefix("box"))
-    except ValueError:
-        _fail_config([f"manifold must end in its dimension, got {name!r}"])
+    periodic, dim = _manifold(vals["manifold"])
     if mesh.ambient_dim != dim:
         _fail_config([f"mesh is {mesh.ambient_dim}-dimensional but manifold "
                       f"asks for {dim}"])
     level_list = _ints(vals["levels"], "levels")
     if any(n < 1 for n in level_list):
         _fail_config(["levels must be positive"])
-    try:
-        scheme = run_scheme(mesh, level_list,
-                            manifold_size=vals["size"] if periodic else None,
-                            threshold=vals["threshold"],
-                            strategy=vals["strategy"], seed=vals["seed"],
-                            audit_trials=vals["audit_trials"])
-    except ValueError as e:
-        _fail_domain(str(e))
+    scheme = run_scheme(mesh, level_list,
+                        manifold_size=vals["size"] if periodic else None,
+                        threshold=vals["threshold"], strategy=vals["strategy"],
+                        seed=vals["seed"], audit_trials=vals["audit_trials"])
     last = scheme.levels[-1]
     fs = last.result.faceset
     final_doc = {
@@ -617,25 +622,19 @@ def minimize(vals):
             "initial_measure": lv.result.initial_measure,
             "final_measure": lv.result.final_measure,
             "rounds": lv.result.rounds,
-            "moves": lv.result.log.to_jsonable(),
+            "moves": lv.result.log.entries,
             "audit": {"worst_ratio": lv.audit.worst_ratio,
                       "improving_trials": lv.audit.improving_trials,
                       "trials": lv.audit.trials},
         })
-    artifacts = []
-    if vals["out"]:
-        artifacts.append((vals["out"], meshio.dumps_json(_jsonable(final_doc))))
-    if vals["report"]:
-        artifacts.append((vals["report"], meshio.dumps_json(_jsonable(report))))
-    if vals["export_prefix"]:
-        for lv in scheme.levels:
-            path = f"{vals['export_prefix']}_N{lv.subdivisions}.off"
-            artifacts.append((path, _mesh_text(path, lv.result.faceset.to_mesh())))
-    _emit(artifacts, {"subcommand": "minimize", "seed": vals["seed"],
-                      "levels": [lv.subdivisions for lv in scheme.levels],
-                      "measures": [lv.result.final_measure for lv in scheme.levels],
-                      "final_measure": last.result.final_measure,
-                      "audit_worst_ratio": last.audit.worst_ratio})
+    exports = [(f"{vals['export_prefix']}_N{lv.subdivisions}.off",
+                lv.result.faceset.to_mesh())
+               for lv in scheme.levels] if vals["export_prefix"] else []
+    return [(vals["out"], final_doc), (vals["report"], report), *exports], {
+        "levels": [lv.subdivisions for lv in scheme.levels],
+        "measures": [lv.result.final_measure for lv in scheme.levels],
+        "final_measure": last.result.final_measure,
+        "audit_worst_ratio": last.audit.worst_ratio}
 
 
 @_command()
@@ -648,16 +647,7 @@ def minimize(vals):
 def douglas(vals):
     """Boundary-parametrization energy of a loop (circle by default)."""
     if vals["loop"]:
-        try:
-            rows = Path(vals["loop"]).read_text().strip().splitlines()
-        except OSError as e:
-            _fail_config([f"cannot read loop {vals['loop']}: {e}"])
-        try:
-            pts = np.array([[float(x) for x in row.split(",")]
-                            for row in rows if row.strip()])
-        except ValueError:
-            _fail_config([f"loop {vals['loop']} must be numeric CSV rows"])
-        label = vals["loop"]
+        pts, label = _read_loop(vals["loop"]), vals["loop"]
     else:
         if vals["samples"] < 8:
             _fail_config(["need at least 8 samples"])
@@ -665,15 +655,8 @@ def douglas(vals):
             _fail_config([f"samples must be at most {MAX_SAMPLES}"])
         pts = circle_samples(vals["samples"], vals["radius"])
         label = "circle"
-    try:
-        energy = douglas_energy(pts)
-    except ValueError as e:
-        _fail_domain(str(e))
-    rep = {"energy": energy, "samples": int(pts.shape[0]), "loop": label}
-    artifacts = []
-    if vals["out"]:
-        artifacts.append((vals["out"], meshio.dumps_json(_jsonable(rep))))
-    _emit(artifacts, {"subcommand": "douglas", "seed": vals["seed"], **rep})
+    rep = {"energy": douglas_energy(pts), "samples": int(pts.shape[0]), "loop": label}
+    return [(vals["out"], rep)], rep
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cones
-from .geometry.clipping import DEFAULT_CLIP_TOL, clip_to_ball, clipped_measure, sphere_slice_measure
+from .geometry.clipping import clip_to_ball, clipped_measure, sphere_slice_measure
 from .geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary, as_point
 from .geometry.distance import point_mesh_distance, sample_mesh
 
@@ -165,8 +165,7 @@ def cone_slice_check(mesh: EmbeddedMesh, center, radius: float,
             "cone_value": rhs, "residual": residual, "ok": residual <= tol}
 
 
-def blowup(mesh: EmbeddedMesh, center, radius: float, clip: bool = True,
-           tol: float = DEFAULT_CLIP_TOL) -> EmbeddedMesh:
+def blowup(mesh: EmbeddedMesh, center, radius: float, clip: bool = True) -> EmbeddedMesh:
     """(E - center)/radius, optionally clipped to the unit ball."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
@@ -174,7 +173,7 @@ def blowup(mesh: EmbeddedMesh, center, radius: float, clip: bool = True,
     scaled = mesh.transformed(scale=1.0 / radius, translation=-c / radius)
     if not clip:
         return scaled
-    return clip_to_ball(scaled, Ball(np.zeros(mesh.ambient_dim), 1.0), tol=tol)
+    return clip_to_ball(scaled, Ball(np.zeros(mesh.ambient_dim), 1.0))
 
 
 def big_projection_check(mesh: EmbeddedMesh, center, radius: float,

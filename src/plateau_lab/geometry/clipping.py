@@ -5,14 +5,14 @@ Two tiers live here.  The measure tier (``clipped_measure``,
 and the exact (d-1)-volume of mesh-on-sphere using closed-form circular
 geometry (a Green's-theorem edge walk per triangle), so densities and slice
 ratios carry no polygonalization error.  The mesh tier (``clip_to_ball``)
-returns an actual mesh and replaces the curved boundary by an inscribed
-regular polygon sized from a relative area tolerance; the inside and outside
-outputs are clipped against the *same* polygon, which keeps the partition
-identity exact.
+returns the part of a mesh inside a ball as an actual mesh and replaces the
+curved boundary by an inscribed regular polygon sized from a relative area
+tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from typing import Optional
@@ -297,13 +297,39 @@ def sphere_slice_measure(mesh: EmbeddedMesh, ball: Ball) -> float:
             pts.append(a + t * (b - a))
     if not pts:
         return 0.0
-    arr = np.array(pts)
-    tol = 1e-12 * ball.radius
-    kept: list[np.ndarray] = []
-    for p in arr:
-        if not any(np.linalg.norm(p - k) <= tol for k in kept):
-            kept.append(p)
-    return float(len(kept))
+    return float(_greedy_point_count(np.array(pts), ball.center, 1e-12 * ball.radius))
+
+
+def _greedy_point_count(points: np.ndarray, center: np.ndarray, tol: float) -> int:
+    """Points kept by a greedy pass that drops a point within ``tol`` of a kept one.
+
+    Kept points go into cells of side 2 tol around ``center``.  Two points
+    within ``tol`` are at most half a cell apart on each axis, and while
+    every cell index stays below 2^40 rounding adds far less than another
+    half, so their cells are neighbours; otherwise all points share one
+    cell.  Either way each point meets every kept point that could drop it,
+    in the same order, so the count is the plain greedy's.
+    """
+    with np.errstate(all="ignore"):
+        index = np.floor((points - center) / (2.0 * tol))
+    if np.all(np.abs(index) < 2.0 ** 40):
+        # one integer per cell: 42-bit digits of the shifted indices
+        digits = [1 << (42 * i) for i in range(points.shape[1])]
+        keys = (index.astype(np.int64) + 2 ** 40).tolist()
+        keys = [sum(k * d for k, d in zip(row, digits)) for row in keys]
+        around = [sum(o * d for o, d in zip(offset, digits))
+                  for offset in itertools.product((-1, 0, 1), repeat=len(digits))]
+    else:
+        keys, around = [0] * len(points), [0]
+    cells: dict[int, list] = {}
+    for p, key in zip(points, keys):
+        for step in around:
+            near = cells.get(key + step)
+            if near and any(np.linalg.norm(p - k) <= tol for k in near):
+                break
+        else:
+            cells.setdefault(key, []).append(p)
+    return sum(map(len, cells.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +343,14 @@ def polygon_sides_for_tolerance(tol: float) -> int:
     return max(8, int(math.ceil(math.pi * math.sqrt(2.0 / (3.0 * tol)))))
 
 
-def _halfplane_clip(poly: list[np.ndarray], a: np.ndarray, b: np.ndarray,
-                    keep_left: bool) -> list[np.ndarray]:
-    """Clip a convex polygon by the (oriented) line through a->b."""
+def _halfplane_clip(poly: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """Clip a convex polygon to the left of the oriented line through a->b."""
     if not poly:
         return []
     d = b - a
     out: list[np.ndarray] = []
     m = len(poly)
-    side = []
-    for p in poly:
-        cr = d[0] * (p[1] - a[1]) - d[1] * (p[0] - a[0])
-        side.append(cr if keep_left else -cr)
+    side = [d[0] * (p[1] - a[1]) - d[1] * (p[0] - a[0]) for p in poly]
     for i in range(m):
         p, sp = poly[i], side[i]
         q, sq = poly[(i + 1) % m], side[(i + 1) % m]
@@ -347,17 +369,15 @@ def _fan_triangulate(poly: list[np.ndarray]) -> list[np.ndarray]:
     return tris
 
 
-def clip_to_ball(mesh: EmbeddedMesh, ball: Ball, inside: bool = True,
+def clip_to_ball(mesh: EmbeddedMesh, ball: Ball,
                  tol: float = DEFAULT_CLIP_TOL) -> EmbeddedMesh:
-    """Mesh of the part of ``mesh`` inside (or outside) the ball.
+    """Mesh of the part of ``mesh`` inside the ball.
 
     d=1 output is exact.  For d=2 the circular boundary is replaced by an
-    inscribed regular polygon sized so the relative area deficit is <= tol;
-    both the inside and the outside outputs are cut against the same polygon,
-    so inside + outside partitions the input exactly.  Triangles entirely
-    inside the closed disk are kept whole (there a cut could only trade
-    exactness for approximation), so the inside output may undercount the
-    ball clip by at most tol relative but never overcounts it.
+    inscribed regular polygon sized so the relative area deficit is <= tol.
+    Triangles entirely inside the closed disk are kept whole (there a cut
+    could only trade exactness for approximation), so the output may
+    undercount the ball clip by at most tol relative but never overcounts it.
     """
     if ball.ambient_dim != mesh.ambient_dim:
         raise ValueError("ball and mesh ambient dimensions differ")
@@ -370,22 +390,13 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball, inside: bool = True,
         for i in range(mesh.n_simplices):
             a, b = corners[i, 0], corners[i, 1]
             interval = segment_ball_interval(a, b, ball.center, ball.radius)
-            pieces: list[tuple[float, float]]
-            if interval is None:
-                pieces = [] if inside else [(0.0, 1.0)]
-            else:
-                t0, t1 = interval
-                if inside:
-                    pieces = [(t0, t1)]
-                else:
-                    pieces = [(0.0, t0), (t1, 1.0)]
-            for lo, hi in pieces:
-                if hi - lo <= 1e-14:
-                    continue
-                pa = a if lo == 0.0 else a + lo * (b - a)
-                pb = b if hi == 1.0 else a + hi * (b - a)
-                chunks.append(np.array([pa, pb]))
-                mults.append(int(mesh.multiplicities[i]))
+            if interval is None or interval[1] - interval[0] <= 1e-14:
+                continue
+            lo, hi = interval
+            pa = a if lo == 0.0 else a + lo * (b - a)
+            pb = b if hi == 1.0 else a + hi * (b - a)
+            chunks.append(np.array([pa, pb]))
+            mults.append(int(mesh.multiplicities[i]))
         if not chunks:
             return EmbeddedMesh.empty(1, n)
         return EmbeddedMesh.from_simplex_list(1, chunks, mults)
@@ -399,35 +410,20 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball, inside: bool = True,
         mult = int(mesh.multiplicities[i])
         frame = _triangle_frame(tri, ball)
         if frame is None:
-            if not inside:
-                chunks.append(tri)
-                mults.append(mult)
             continue
         t2d, rho, origin, u, v = frame
         dists = np.linalg.norm(t2d, axis=1)
         # fully inside the closed disk: keep whole (cutting such a triangle
         # against the polygon could only replace exactness by approximation)
         if np.all(dists <= rho):
-            if inside:
-                chunks.append(tri)
-                mults.append(mult)
+            chunks.append(tri)
+            mults.append(mult)
             continue
         # fully outside the circle (hence the polygon)
-        d_min = _point_triangle_distance_2d(np.zeros(2), t2d)
-        if d_min >= rho:
-            if not inside:
-                chunks.append(tri)
-                mults.append(mult)
+        if _point_triangle_distance_2d(np.zeros(2), t2d) >= rho:
             continue
         poly_pts = rho * unit_poly
-
-        def lift(tris_2d: list[np.ndarray]):
-            for t in tris_2d:
-                chunks.append(origin + t[:, :1] * u + t[:, 1:2] * v)
-                mults.append(mult)
-
         current = [t2d[0], t2d[1], t2d[2]]
-        outside_pieces: list[list[np.ndarray]] = []
         for k in range(m_sides):
             a2, b2 = poly_pts[k], poly_pts[(k + 1) % m_sides]
             d2 = b2 - a2
@@ -440,18 +436,12 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball, inside: bool = True,
             sides = [d2[0] * (p[1] - a2[1]) - d2[1] * (p[0] - a2[0]) for p in current]
             if all(s >= -noise for s in sides):
                 continue
-            piece = _halfplane_clip(current, a2, b2, keep_left=False)
-            if piece:
-                outside_pieces.append(piece)
-            current = _halfplane_clip(current, a2, b2, keep_left=True)
+            current = _halfplane_clip(current, a2, b2)
             if not current:
                 break
-        if inside:
-            if current:
-                lift(_fan_triangulate(current))
-        else:
-            for piece in outside_pieces:
-                lift(_fan_triangulate(piece))
+        for t in _fan_triangulate(current):
+            chunks.append(origin + t[:, :1] * u + t[:, 1:2] * v)
+            mults.append(mult)
 
     if not chunks:
         return EmbeddedMesh.empty(2, n)

@@ -34,13 +34,14 @@ def fmt_float(x: float) -> str:
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-def dumps_json(obj, indent: int = 2) -> str:
-    """Serialize dict/list/str/num/bool/None with sorted keys and 17g floats."""
+def dumps_json(obj) -> str:
+    """Serialize dict/list/str/num/bool/None with sorted keys, 17g floats and
+    a two-space indent."""
     buf = io.StringIO()
 
     def emit(o, depth):
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        pad_in = "  " * (depth + 1)
         if isinstance(o, dict):
             if not o:
                 buf.write("{}")
@@ -134,18 +135,21 @@ def mesh_from_off(text: str) -> EmbeddedMesh:
             tokens.extend(line.split())
     if not tokens or tokens[0].upper() != "OFF":
         raise ValueError("not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    verts = np.array([[float(tokens[pos + 3 * i + j]) for j in range(3)]
-                      for i in range(nv)], dtype=float).reshape(nv, 3)
-    pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        k = int(tokens[pos])
-        if k != 3:
-            raise ValueError("only triangle faces are supported")
-        faces.append([int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])])
-        pos += 4
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])
+        pos = 4
+        verts = np.array([[float(tokens[pos + 3 * i + j]) for j in range(3)]
+                          for i in range(nv)], dtype=float).reshape(nv, 3)
+        pos += 3 * nv
+        faces = []
+        for _ in range(nf):
+            k = int(tokens[pos])
+            if k != 3:
+                raise ValueError("only triangle faces are supported")
+            faces.append([int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])])
+            pos += 4
+    except IndexError:
+        raise ValueError("OFF file ends before its declared vertices and faces") from None
     return EmbeddedMesh(2, verts, np.array(faces, dtype=np.int64).reshape(len(faces), 3),
                         allow_degenerate=True)
 

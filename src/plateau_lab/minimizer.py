@@ -336,9 +336,6 @@ class DeformationLog:
             "measure_before": before, "measure_after": after,
         })
 
-    def to_jsonable(self) -> list:
-        return list(self.entries)
-
 
 # ---------------------------------------------------------------------------
 # minimization
@@ -367,7 +364,7 @@ def minimize_faceset(fs: FaceSet) -> MinimizeResult:
         picks = admissible_moves(fs)
         if not picks:
             break
-        move = min(picks, key=Move.sort_key)
+        move = picks[0]     # admissible_moves sorts by Move.sort_key
         before = fs.measure()
         fs = apply_move(fs, move)
         rounds += 1

@@ -209,6 +209,14 @@ def test_thread_cap_is_recorded(runner, square_instance):
     assert summary_of(r)["threads"] == 7
 
 
+def test_bad_thread_cap_fails_before_any_write(runner, tmp_path):
+    out = tmp_path / "energy.json"
+    r = runner.invoke(main, ["douglas", "--out", str(out)], env={"PLATEAU_THREADS": "x"})
+    assert r.exit_code == 2
+    assert r.stderr == "config error: PLATEAU_THREADS must be an integer, got 'x'\n"
+    assert r.stdout == "" and not out.exists()
+
+
 def test_density_profile_of_y_cone(runner, y_mesh, tmp_path):
     out = tmp_path / "prof.csv"
     r = runner.invoke(main, ["density", "--mesh", y_mesh, "--center", "0,0,0",
@@ -520,3 +528,102 @@ def test_mesh_format_errors_are_config_errors(runner, tmp_path):
     assert r.exit_code == 2, r.stderr
     assert r.stderr == "config error: OFF export requires a triangle mesh in R^3\n"
     assert list(tmp_path.iterdir()) == [seg]
+
+
+@pytest.mark.parametrize("case", ["instance", "grid", "terminal", "config"])
+def test_non_object_json_inputs_are_config_errors(runner, y_mesh, tmp_path, case):
+    """A JSON input of the wrong shape exits 2 and names the input."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"terminals": [{"pos": [0.0, 0.0]}, [1, 2]]}))
+    args, message = {
+        "instance": (["steiner", "--instance", str(bad)], f"instance {bad} must hold a JSON object"),
+        "grid": (["ff-project", "--grid", str(bad), "--mesh", y_mesh],
+                 f"grid spec {bad} must hold a JSON object"),
+        "terminal": (["steiner", "--instance", str(inst)], "terminal 1 must be a JSON object"),
+        "config": (["douglas", "--config", str(bad)], f"config {bad} must hold a JSON object"),
+    }[case]
+    r = runner.invoke(main, [*args, "--out", str(tmp_path / "out.json")])
+    assert r.exit_code == 2, r.stderr
+    assert r.stderr == f"config error: {message}\n"
+    assert r.stdout == "" and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("text", ["OFF\n", "OFF\n3 1 0\n0 0 0\n1 0\n",
+                                  "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n"])
+def test_truncated_off_is_a_config_error(runner, tmp_path, text):
+    mesh = tmp_path / "short.off"
+    mesh.write_text(text)
+    r = runner.invoke(main, ["density", "--mesh", str(mesh), "--center", "0,0,0",
+                             "--radii", "1", "--out", str(tmp_path / "prof.csv")])
+    assert r.exit_code == 2, r.stderr
+    assert r.stderr.startswith(f"config error: mesh {mesh}: "), r.stderr
+    assert list(tmp_path.iterdir()) == [mesh]
+
+
+def test_unwritable_output_path_writes_nothing(runner, square_instance, tmp_path, monkeypatch):
+    """Every path is checked before the first write; a failed write exits 2."""
+    out = tmp_path / "sol.json"
+    for csv in (tmp_path / "missing" / "net.csv", tmp_path):
+        r = runner.invoke(main, ["steiner", "--instance", square_instance,
+                                 "--out", str(out), "--csv", str(csv)])
+        assert r.exit_code == 2, r.stderr
+        assert r.stderr == f"config error: cannot write {csv}\n"
+        assert r.stdout == "" and not out.exists()
+
+    def refuse(path, text):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(meshio, "atomic_write_text", refuse)
+    r = runner.invoke(main, ["steiner", "--instance", square_instance, "--out", str(out)])
+    assert r.exit_code == 2, r.stderr
+    assert r.stderr.startswith(f"config error: cannot write {out}: ")
+    assert r.stdout == "" and not out.exists()
+
+
+_GUARDED = {
+    "steiner": ("optimize_steiner", ["--instance", "@square.json", "--out", "sol.json",
+                                     "--csv", "net.csv"]),
+    "ff-project": ("project_to_skeleton", ["--grid", "@grid.json", "--mesh", "@y.off",
+                                           "--out", "proj.off", "--report", "rep.json"]),
+    "density": ("density_profile", ["--mesh", "@y.off", "--center", "0,0,0", "--radii", "1",
+                                    "--out", "prof.csv"]),
+    "classify": ("classify_point", ["--mesh", "@y.off", "--center", "0,0,0", "--radius", "1",
+                                    "--out", "cls.json"]),
+    "cone-check": ("cone_slice_check", ["--mesh", "@y.off", "--center", "0,0,0",
+                                        "--radius", "1", "--out", "cc.json"]),
+    "blowup": ("blowup_mesh", ["--mesh", "@y.off", "--center", "0,0,0", "--radius", "1",
+                               "--out", "zoom.off"]),
+    "hausdorff": ("local_hausdorff_distance", ["--mesh-a", "@y.off", "--mesh-b", "@y.off",
+                                               "--center", "0,0,0", "--radius", "1",
+                                               "--out", "hd.json"]),
+    "minimize": ("run_scheme", ["--init", "@flat.off", "--levels", "2", "--out", "fs.json",
+                                "--report", "mz.json", "--export-prefix", "lv"]),
+    "douglas": ("douglas_energy", ["--out", "energy.json"]),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_GUARDED))
+def test_every_subcommand_maps_value_errors_to_exit_1(runner, square_instance, y_mesh,
+                                                      tmp_path, monkeypatch, subcommand):
+    """A ValueError from any library call is a domain error that writes nothing."""
+    import plateau_lab.cli as cli
+    call, args = _GUARDED[subcommand]
+    assert callable(getattr(cli, call))
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+    monkeypatch.setattr(cli, call, boom)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"corner": [-2, -2, -2], "size": 4.0, "N": 2}))
+    flat = tmp_path / "flat.off"
+    meshio.write_mesh(str(flat), flat_slice_mesh(level=0.5, n=2))
+    inputs = {"@square.json": square_instance, "@grid.json": str(grid),
+              "@y.off": y_mesh, "@flat.off": str(flat)}
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    with runner.isolated_filesystem(temp_dir=run_dir) as cwd:
+        r = runner.invoke(main, [subcommand, *(inputs.get(a, a) for a in args)])
+        assert r.exit_code == 1, r.stderr
+        assert r.stderr == "error: boom\n" and r.stdout == ""
+        assert list(Path(cwd).iterdir()) == []
