@@ -9,7 +9,6 @@ window plus a seeded rotation search refined with a pattern-search descent.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,9 +18,7 @@ import numpy as np
 from . import cones
 from .geometry.clipping import clip_to_ball, clipped_measure, sphere_slice_measure
 from .geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary, as_point
-from .geometry.distance import point_mesh_distance, sample_mesh
-
-logger = logging.getLogger(__name__)
+from .geometry.distance import sample_mesh, sup_distance
 
 #: relative density spread below which a profile counts as flat
 FLAT_TOL = 0.05
@@ -284,12 +281,13 @@ def _rotation_net(seed: int, count: int, n: int) -> list:
 
 
 def _one_sided(samples: np.ndarray, center: np.ndarray, rot: np.ndarray,
-               cone: EmbeddedMesh, radius: float) -> float:
-    """sup dist(E-samples -> posed cone) / r, measured in the cone frame."""
+               cone: EmbeddedMesh, radius: float, bound: float = math.inf) -> float:
+    """sup dist(E-samples -> posed cone) / r, measured in the cone frame;
+    exact below ``bound``, and at least ``bound`` otherwise."""
     if samples.shape[0] == 0:
         return math.inf
     local = (samples - center) @ rot
-    return float(point_mesh_distance(local, cone).max()) / radius
+    return sup_distance(local, cone.simplex_corners(), bound, radius) / radius
 
 
 def _sample_cone(cone: EmbeddedMesh, radius: float) -> np.ndarray:
@@ -299,17 +297,22 @@ def _sample_cone(cone: EmbeddedMesh, radius: float) -> np.ndarray:
 
 def _two_sided(mesh: EmbeddedMesh, samples: np.ndarray, center: np.ndarray,
                rot: np.ndarray, cone: EmbeddedMesh, cone_samples: np.ndarray,
-               radius: float) -> float:
-    """Two-sided normalized sup distance between E cap B and the posed cone."""
-    a = _one_sided(samples, center, rot, cone, radius)
-    if cone_samples.shape[0] == 0:
+               radius: float, bound: float = math.inf) -> float:
+    """Two-sided normalized sup distance between E cap B and the posed cone;
+    exact below ``bound``, and at least ``bound`` otherwise."""
+    a = _one_sided(samples, center, rot, cone, radius, bound)
+    if cone_samples.shape[0] == 0 or a >= bound:
         return a
     world = cone_samples @ rot.T + center
-    return max(a, float(point_mesh_distance(world, mesh).max()) / radius)
+    return max(a, sup_distance(world, mesh.simplex_corners(), bound, radius) / radius)
 
 
 def _pattern_descent(fun, x0: np.ndarray, f0: float, step: float, depth: float):
-    """Coordinate pattern search: probe +-step per axis, shrink on failure."""
+    """Coordinate pattern search: probe +-step per axis, shrink on failure.
+
+    ``fun(y, bound)`` need only be exact below ``bound``: a probe is kept
+    only when it lands below ``fx - 1e-15``, which is the bound it gets.
+    """
     x, fx = np.array(x0, dtype=float), f0
     # enough probes to halve the step from its start down to the depth
     max_iter = 24 * max(4, int(math.log2(max(step / max(depth, 1e-12), 2.0))) + 2)
@@ -320,9 +323,10 @@ def _pattern_descent(fun, x0: np.ndarray, f0: float, step: float, depth: float):
             for sgn in (1.0, -1.0):
                 y = x.copy()
                 y[j] += sgn * step
-                fy = fun(y)
+                target = fx - 1e-15
+                fy = fun(y, target)
                 it += 1
-                if fy < fx - 1e-15:
+                if fy < target:
                     x, fx = y, fy
                     improved = True
                     break
@@ -331,6 +335,23 @@ def _pattern_descent(fun, x0: np.ndarray, f0: float, step: float, depth: float):
         if not improved:
             step *= 0.5
     return x, fx
+
+
+def _two_best(items: list, residual) -> list:
+    """``sorted(range(len(items)), key=...)[:2]`` by ``residual(item, bound)``,
+    which need only be exact below ``bound``.
+
+    In index order a tie sorts after both incumbents, so the bound is the
+    running second best, and a value at or above it is cut.
+    """
+    top = []
+    for i, item in enumerate(items):
+        bound = top[1][0] if len(top) == 2 else math.inf
+        v = residual(item, bound)
+        if len(top) < 2 or v < bound:
+            top.insert(sum(t <= v for t, _ in top), (v, i))
+            del top[2:]
+    return [i for _, i in top]
 
 
 @dataclass
@@ -349,13 +370,12 @@ def _fit_interior(mesh: EmbeddedMesh, samples: np.ndarray, coarse: np.ndarray,
     cone_samples = _sample_cone(cone, radius)
     pose = _planar_rotation if n == 2 else _axis_angle
     net = _rotation_net(seed, rotations, n)
-    ranked = sorted(range(len(net)),
-                    key=lambda i: _one_sided(coarse, center, net[i], cone, radius))
     best_rot, best_val = None, math.inf
-    for i in ranked[:2]:
+    for i in _two_best(net, lambda rot, bound: _one_sided(coarse, center, rot, cone,
+                                                          radius, bound)):
         base = net[i]
-        fun = lambda w: _two_sided(mesh, samples, center, base @ pose(w), cone,
-                                   cone_samples, radius)
+        fun = lambda w, bound: _two_sided(mesh, samples, center, base @ pose(w), cone,
+                                          cone_samples, radius, bound)
         f0 = _two_sided(mesh, samples, center, base, cone, cone_samples, radius)
         w, val = _pattern_descent(fun, np.zeros(n * (n - 1) // 2), f0, 0.2, depth)
         if val < best_val:
@@ -368,21 +388,21 @@ def _fit_boundary(mesh: EmbeddedMesh, samples: np.ndarray, center: np.ndarray,
                   depth: float) -> ConeFit:
     frame = _complete_basis(context.line.direction)
 
-    def residual(phis):
+    def residual(phis, bound):
         if name == "halfplane":
             cone = cones.halfplane_azimuth_cone(phis[0], extent=1.02 * radius)
         else:
             cone = cones.v_cone_azimuths(phis[0], phis[1], extent=1.02 * radius)
         return _two_sided(mesh, samples, center, frame, cone, _sample_cone(cone, radius),
-                          radius)
+                          radius, bound)
 
     k = 1 if name == "halfplane" else 2
     grid = np.linspace(0.0, 2.0 * math.pi, 25 if k == 2 else 64, endpoint=False)
     # combinations visit the pairs in nested-loop order, so the strict < keeps
-    # the first of tied candidates
+    # the first of tied candidates, and a candidate at the running best is cut
     best_p, best_val = None, math.inf
     for phis in itertools.combinations(grid, k):
-        v = residual(phis)
+        v = residual(phis, best_val)
         if v < best_val:
             best_p, best_val = np.array(phis), v
     best_p, best_val = _pattern_descent(residual, best_p, best_val, 0.2, depth)

@@ -13,15 +13,12 @@ tolerance.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from typing import Optional
 
 import numpy as np
 
 from .core import Ball, EmbeddedMesh, _corner_diameters, simplex_volumes
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_CLIP_TOL = 1e-4
 

@@ -17,7 +17,6 @@ the point-simplex pairs that cannot change the max of mins.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import Optional
 
@@ -25,8 +24,6 @@ import numpy as np
 
 from .clipping import segment_ball_interval
 from .core import Ball, EmbeddedMesh
-
-logger = logging.getLogger(__name__)
 
 #: ball-radius divisor giving the default sampling pitch
 DEFAULT_SAMPLING_DIVISOR = 64
@@ -127,7 +124,23 @@ def _margin(*arrays) -> float:
     return BOUND_MARGIN * max(float(np.abs(a).max(initial=0.0)) for a in arrays)
 
 
-def sup_distance(points: np.ndarray, corners: np.ndarray) -> float:
+def _block_balls(points: np.ndarray, vertices: np.ndarray):
+    """Centroid, covering radius and nearest target vertex distance of each
+    ``SUP_BLOCK``-row block of points."""
+    starts = np.arange(0, points.shape[0], SUP_BLOCK)
+    owner = np.arange(points.shape[0]) // SUP_BLOCK
+    centers = np.add.reduceat(points, starts) / np.bincount(owner)[:, None]
+    radii = np.maximum.reduceat(np.sqrt(((points - centers[owner]) ** 2).sum(axis=1)), starts)
+    # blocks x vertices x n at most about 2^18 floats at a time
+    step = max(1, (1 << 18) // vertices.size)
+    nearest = np.concatenate([
+        np.sqrt(((vertices - c[:, None]) ** 2).sum(axis=2)).min(axis=1)
+        for c in np.split(centers, np.arange(step, centers.shape[0], step))])
+    return centers, radii, nearest
+
+
+def sup_distance(points: np.ndarray, corners: np.ndarray, bound: float = math.inf,
+                 radius: float = 1.0) -> float:
     """``points_to_simplices(points, corners).max()`` to the bit, most pairs skipped.
 
     The early break of Taha & Hanbury (IEEE TPAMI 37, 2015) over blocks of
@@ -140,25 +153,25 @@ def sup_distance(points: np.ndarray, corners: np.ndarray) -> float:
     same kernel on a subset of the rows, whose floats do not depend on the
     other rows present, and min and max are exact, so the result is the
     oracle's float.
+
+    With a ``bound``, the loop also stops after a block once
+    ``cmax / radius >= bound``, for the positive ``radius`` the caller
+    divides by: the value returned is then a lower bound on the sup, but it
+    divides to at least ``bound`` too, so a caller that keeps only values
+    below ``bound`` keeps exact ones.
     """
     if points.shape[0] == 0 or corners.shape[0] == 0:
         return float(points_to_simplices(points, corners).max())
     s_center, s_radius = _bounding_balls(corners)
-    vertices = corners.reshape(-1, corners.shape[2])
     margin = _margin(points, corners)
-    blocks = []
-    for start in range(0, points.shape[0], SUP_BLOCK):
-        block = points[start:start + SUP_BLOCK]
-        center = block.mean(axis=0)
-        radius = float(np.sqrt(((block - center) ** 2).sum(axis=1)).max())
-        nearest = float(np.sqrt(((vertices - center) ** 2).sum(axis=1)).min())
-        blocks.append((nearest + radius + margin, block, center, radius))
-    blocks.sort(key=lambda b: -b[0])
+    centers, radii, nearest = _block_balls(points, corners.reshape(-1, corners.shape[2]))
+    upper = nearest + radii + margin
     cmax = -math.inf
-    for upper, block, center, radius in blocks:
-        if upper <= cmax:
+    for b in np.argsort(-upper, kind="stable").tolist():
+        if upper[b] <= cmax:
             break
-        lower = np.sqrt(((s_center - center) ** 2).sum(axis=1)) - s_radius - (radius + margin)
+        block = points[b * SUP_BLOCK:(b + 1) * SUP_BLOCK]
+        lower = np.sqrt(((s_center - centers[b]) ** 2).sum(axis=1)) - s_radius - (radii[b] + margin)
         best = np.full(block.shape[0], math.inf)
         rows = np.arange(block.shape[0])
         for s in np.argsort(lower, kind="stable"):
@@ -170,6 +183,8 @@ def sup_distance(points: np.ndarray, corners: np.ndarray) -> float:
                 break
         if rows.size:
             cmax = max(cmax, float(best[rows].max()))
+            if cmax / radius >= bound:
+                break
     return cmax
 
 

@@ -16,7 +16,6 @@ keys periodic (plane index N is plane 0).
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -24,8 +23,6 @@ from typing import Iterator
 import numpy as np
 
 from .geometry.core import as_point
-
-logger = logging.getLogger(__name__)
 
 #: refuse to build grids with more cells than this
 MAX_GRID_CELLS = 4_194_304

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry.core import EmbeddedMesh, as_point, row_dots
+from .geometry.core import EmbeddedMesh, as_point, stacked_dots
 
 logger = logging.getLogger(__name__)
 
@@ -255,8 +255,9 @@ def _edge_weights(flows: np.ndarray, functional: str, beta: float) -> np.ndarray
 
 def _norms(D: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis, kept as a length-1 axis, bit for bit
-    as ``np.linalg.norm`` of each vector (see ``row_dots``)."""
-    return np.sqrt(row_dots(D, D))[..., None]
+    as ``np.linalg.norm`` of each vector (see ``row_dots``).  Every ``D`` here
+    is a fresh difference or ``steps``, so C-contiguous float64."""
+    return np.sqrt(stacked_dots(D, D))[..., 0]
 
 
 def _optimize_interiors(topologies: Sequence[NetTopology], terminals: Sequence[Terminal],

@@ -1,14 +1,17 @@
 """Density profiles, the sliding functional, and the coverage check."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plateau_lab import cones
 from plateau_lab import diagnostics as diag
-from plateau_lab.geometry.core import EmbeddedMesh, Gauge, LineBoundary
+from plateau_lab.geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary
 
 from conftest import square_patch
 
@@ -207,3 +210,82 @@ def test_rotations_over_the_cap_raise_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ── residuals that stop once they lose ──
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(0, 4), min_size=0, max_size=12))
+def test_two_best_ranks_as_sorted_with_ties_in_index_order(values):
+    """A cut residual is any value at or above its bound; the least legal
+    one, the bound itself, ties with the incumbent and must rank after it."""
+    got = diag._two_best(values, lambda v, bound: v if v < bound else bound)
+    assert got == sorted(range(len(values)), key=lambda i: values[i])[:2]
+
+
+def test_net_with_repeated_rotations_ranks_as_sorted():
+    """Repeated rotations give bitwise-equal residuals, so ties decide."""
+    cone = cones.build_cone("y", extent=1.02)
+    coarse = diag.sample_mesh(cones.build_cone("t", extent=1.5), 1 / 16, Ball(np.zeros(3), 1.0))
+    center = np.zeros(3)
+    rots = diag._rotation_net(3, 4, 3)
+    for pattern in ([1, 1, 2, 1, 0, 2, 0, 1], [3, 0, 3, 0, 3], [2, 2, 2], [4, 1, 4, 1, 1, 4]):
+        net = [rots[k] for k in pattern]
+        exact = [diag._one_sided(coarse, center, rot, cone, 1.0) for rot in net]
+        assert len(set(exact)) < len(net)
+        got = diag._two_best(net, lambda rot, bound: diag._one_sided(coarse, center, rot,
+                                                                     cone, 1.0, bound))
+        assert got == sorted(range(len(net)), key=lambda i: exact[i])[:2]
+
+
+def _spine_context():
+    return diag.SlidingContext(LineBoundary(np.zeros(3), np.array([0.0, 0.0, 1.0])),
+                               np.array([1.0, 0.0, 0.0]))
+
+
+def test_two_sided_is_exact_below_its_bound():
+    """E is one sheet of the Y cone, so the cone-to-E side is the larger
+    one; bounds between the two sides must not skip it."""
+    sheet = cones.halfplane_azimuth_cone(0.3, extent=1.5)
+    cone = cones.build_cone("y", extent=1.02)
+    samples = diag.sample_mesh(sheet, 1 / 32, Ball(np.zeros(3), 1.0))
+    cone_samples = diag._sample_cone(cone, 1.0)
+    for rot in diag._rotation_net(1, 6, 3):
+        args = (sheet, samples, np.zeros(3), rot, cone, cone_samples, 1.0)
+        exact = diag._two_sided(*args)
+        near = diag._one_sided(samples, np.zeros(3), rot, cone, 1.0)
+        assert near < exact
+        for bound in (0.5 * near, near, (near + exact) / 2, exact,
+                      math.nextafter(exact, math.inf), 2 * exact, math.inf):
+            got = diag._two_sided(*args, bound)
+            if exact < bound:
+                assert got.hex() == exact.hex()
+            else:
+                assert bound <= got <= exact
+
+
+BOUNDED_CASES = {
+    # an interior fit with a full pattern descent
+    "y-descent": lambda: (cones.build_cone("y", extent=1.5), np.zeros(3), 1.0,
+                          dict(rotations=32, depth=1e-2)),
+    "t-edge": lambda: (cones.t_cone(extent=2.0),
+                       np.asarray(cones.TETRA_DIRECTIONS[0], dtype=float), 0.45,
+                       dict(rotations=32, depth=1e-2)),
+    # posed off the azimuth grid, so that the grid improves step by step
+    "halfplane": lambda: (cones.halfplane_azimuth_cone(2.5, extent=1.5), np.zeros(3), 1.0,
+                          dict(context=_spine_context(), depth=1e-2)),
+    "open-book": lambda: (cones.v_cone_azimuths(1.1, 3.4, extent=1.5), np.zeros(3), 1.0,
+                          dict(context=_spine_context(), depth=0.2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDED_CASES))
+def test_bounded_residuals_leave_every_report_byte_identical(case, monkeypatch):
+    """The oracle is the same fit with every sup run to the end."""
+    mesh, center, radius, kwargs = BOUNDED_CASES[case]()
+    got = json.dumps(diag.classify_point(mesh, center, radius, **kwargs))
+    sup_distance = diag.sup_distance
+    monkeypatch.setattr(diag, "sup_distance",
+                        lambda points, corners, bound, radius: sup_distance(points, corners))
+    want = json.dumps(diag.classify_point(mesh, center, radius, **kwargs))
+    assert got == want

@@ -15,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plateau_lab import minimizer as mz
 from plateau_lab.geometry import distance as dist
@@ -233,6 +235,52 @@ def test_sup_distance_skips_most_pairs(monkeypatch):
                         lambda p, c: pairs.append(p.shape[0]) or kernel(p, c))
     assert sup_distance(pts, corners).hex() == want.hex()
     assert sum(pairs) < 0.05 * pts.shape[0] * corners.shape[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dn=st.sampled_from(DN),
+       radius=st.sampled_from([1.0, 0.45, 0.125, 3.0]),
+       kind=st.sampled_from(["inf", "exact", "below", "above", "between"]),
+       frac=st.floats(0.0, 1.0))
+def test_bounded_sup_is_exact_below_its_bound(seed, dn, radius, kind, frac):
+    """Below the bound the oracle's float comes back; at or above it, some
+    value no larger than the sup that divides by ``radius`` to at least the
+    bound.  Callers keep only values below their bound, so they keep exact
+    ones."""
+    d, n = dn
+    rng = np.random.default_rng(seed)
+    mesh = random_mesh(d, n, rng, count=20, degenerate=6 if d == 2 else 0)
+    corners = mesh.simplex_corners()
+    pts = list(point_sets(mesh, rng).values())[int(rng.integers(0, 10))]
+    want = oracle_sup(pts, corners)
+    bound = {"inf": math.inf, "exact": want / radius, "below": frac * want / radius,
+             "above": (1.0 + frac) * want / radius + 1e-300,
+             "between": math.nextafter(want / radius, math.inf)}[kind]
+    got = sup_distance(pts, corners, bound, radius)
+    assert got <= want
+    if want / radius < bound:
+        assert got.hex() == want.hex()
+    else:
+        assert got / radius >= bound
+
+
+def test_bound_stops_after_the_first_block_that_reaches_it(monkeypatch):
+    """Any sup reaches a bound of 0, so only the first block's rows meet the
+    kernel, and its max falls short of the sup of all blocks."""
+    rng = np.random.default_rng(5)
+    mesh = random_mesh(2, 3, rng)
+    corners = mesh.simplex_corners()
+    pts = point_sets(mesh, rng)["near"]
+    want = oracle_sup(pts, corners)
+    rows = []
+    kernel = dist._points_to_simplex
+    monkeypatch.setattr(dist, "_points_to_simplex",
+                        lambda p, c: rows.append(p.shape[0]) or kernel(p, c))
+    assert 0.0 < sup_distance(pts, corners, 0.0) < want
+    assert sum(rows) <= SUP_BLOCK * corners.shape[0]
+    rows.clear()
+    assert sup_distance(pts, corners).hex() == want.hex()
+    assert sum(rows) > SUP_BLOCK * corners.shape[0]
 
 
 def test_sup_distance_empty_inputs_follow_the_oracle():
