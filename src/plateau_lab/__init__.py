@@ -4,7 +4,8 @@ Subpackages/modules:
 
 - :mod:`plateau_lab.geometry` — meshes, balls, gauges, exact measures, clipping,
   localized set distances, boundary energy, serialization.
-- :mod:`plateau_lab.grids` — dyadic cube complexes and flat (torus-like) manifolds.
+- :mod:`plateau_lab.grids` — dyadic cube complexes, with opposite faces
+  identified on chosen axes (a flat torus when all are).
 - :mod:`plateau_lab.projection` — radial projections onto grid skeletons with
   per-cube measure ledgers.
 - :mod:`plateau_lab.steiner` — multiplicity nets: Kirchhoff audits, objectives,

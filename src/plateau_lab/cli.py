@@ -34,7 +34,7 @@ from .geometry import meshio
 from .geometry.core import Ball, EmbeddedMesh, LineBoundary, measure
 from .geometry.distance import local_hausdorff_distance
 from .geometry.energy import MAX_SAMPLES, circle_samples, douglas_energy
-from .grids import DyadicGrid, FlatManifold
+from .grids import DyadicGrid
 from .minimizer import run_scheme
 from .projection import extra_collapse, project_to_skeleton, verify_cell_locality
 from .steiner import Terminal, check_kirchhoff, optimize_steiner
@@ -134,37 +134,32 @@ def _read_json(path, name: str) -> dict:
     return doc
 
 
-def _load_grid(path):
-    """Grid spec JSON {corner, size, N, identifications?} -> (grid, manifold)."""
+def _load_grid(path) -> DyadicGrid:
+    """Grid spec JSON {corner, size, N, identifications?} -> grid."""
     spec = _read_json(path, "grid spec")
     errors = []
     corner = spec.get("corner")
     size = spec.get("size")
     N = spec.get("N")
+    ident = spec.get("identifications")
     if corner is None:
         errors.append("grid spec misses 'corner'")
-    if not isinstance(size, (int, float)) or size <= 0:
+    if isinstance(size, bool) or not isinstance(size, (int, float)) or size <= 0:
         errors.append("grid spec needs a positive 'size'")
-    if not isinstance(N, int) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         errors.append("grid spec needs an integer 'N' >= 1")
+    if not (ident is None or ident == "torus"
+            or isinstance(ident, list) and all(isinstance(b, bool) for b in ident)):
+        errors.append("grid spec: 'identifications' must be 'torus' or a boolean list")
     if errors:
         _fail_config(errors)
     try:
         corner = np.asarray(corner, dtype=float)
-        grid = DyadicGrid(corner, float(size), int(N))
-        ident = spec.get("identifications")
-        manifold = None
         if ident == "torus":
-            manifold = FlatManifold.torus(corner.size, float(size), corner)
-        elif isinstance(ident, list) and all(isinstance(b, bool) for b in ident):
-            # built even when no axis is marked, so that it checks the length
-            flat = FlatManifold(corner, float(size), tuple(ident))
-            manifold = flat if any(ident) else None
-        elif ident is not None:
-            _fail_config(["grid spec: 'identifications' must be 'torus' or a boolean list"])
+            ident = [True] * corner.size
+        return DyadicGrid(corner, float(size), N, ident)
     except (TypeError, ValueError) as e:
         _fail_config([f"grid spec: {e}"])
-    return grid, manifold
 
 
 def _number(value, message: str) -> float:
@@ -187,11 +182,16 @@ def _load_instance(path):
             errors.append(f"terminal {i} must be a JSON object")
             continue
         pos = t.get("pos")
+        charge = t.get("charge", 1)
         if pos is None:
             errors.append(f"terminal {i} misses 'pos'")
             continue
+        if not (isinstance(charge, int) and not isinstance(charge, bool)
+                or isinstance(charge, float) and charge.is_integer()):
+            errors.append(f"terminal {i}: 'charge' must be an integer, got {charge!r}")
+            continue
         try:
-            terms.append(Terminal(np.asarray(pos, dtype=float), int(t.get("charge", 1))))
+            terms.append(Terminal(np.asarray(pos, dtype=float), charge))
         except (TypeError, ValueError) as e:
             errors.append(f"terminal {i}: {e}")
     if errors:
@@ -405,16 +405,15 @@ def steiner(vals):
               help="Projection report JSON path.")
 def ff_project(vals):
     """Push mesh content onto the grid's d-skeleton with measure ledgers."""
-    grid, manifold = _load_grid(vals["grid"])
+    grid = _load_grid(vals["grid"])
     mesh = _read_mesh(vals["mesh"])
     eta_val = None
     if vals["eta"] not in (None, "auto"):
         eta_val = _number(vals["eta"], "eta must be a number or 'auto'")
     result = project_to_skeleton(mesh, grid, eta=eta_val, strategy=vals["strategy"],
-                                 trials=vals["trials"], seed=vals["seed"],
-                                 manifold=manifold)
+                                 trials=vals["trials"], seed=vals["seed"])
     if vals["collapse"]:
-        result = extra_collapse(result, grid, manifold=manifold, seed=vals["seed"])
+        result = extra_collapse(result, grid)
     locality_ok, locality_slack = verify_cell_locality(result, grid)
     report = {
         "measure_in": result.measure_in,
@@ -600,8 +599,8 @@ def minimize(vals):
     level_list = _ints(vals["levels"], "levels")
     if any(n < 1 for n in level_list):
         _fail_config(["levels must be positive"])
-    scheme = run_scheme(mesh, level_list,
-                        manifold_size=vals["size"] if periodic else None,
+    domain = DyadicGrid(np.zeros(dim), vals["size"], 1, (periodic,) * dim)
+    scheme = run_scheme(mesh, domain, level_list,
                         threshold=vals["threshold"], strategy=vals["strategy"],
                         seed=vals["seed"], audit_trials=vals["audit_trials"])
     last = scheme.levels[-1]

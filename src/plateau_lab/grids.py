@@ -1,4 +1,4 @@
-"""Dyadic cube complexes and flat identified manifolds.
+"""Dyadic cube complexes, optionally with opposite faces identified.
 
 A grid subdivides an axis-aligned cube Q into N^n closed subcubes of side
 s = size/N.  Faces of every dimension are addressed by integer keys: a
@@ -7,17 +7,18 @@ spanned axes and plane indices (0..N) on pinned axes.  All incidence and
 adjacency is integer arithmetic; geometry (bounds, centers, meshes) is
 derived from the key.
 
-A flat manifold is a single cube with opposite-face identifications on a
-subset of axes (all axes = flat torus).  Identified axes wrap points into the
-fundamental domain, turn the metric into the quotient metric, and make face
-keys periodic (plane index N is plane 0).
+A grid may identify opposite faces of Q on a subset of axes (all axes = flat
+torus).  Identified axes wrap points into the fundamental domain, turn the
+metric into the quotient metric, and make face keys periodic (plane index N
+is plane 0).  A grid with any identified axis is *periodic*: nothing of it is
+frozen.  Otherwise the boundary of Q is the frozen sliding boundary.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -45,11 +46,17 @@ class CubeFace:
 
 @dataclass(frozen=True)
 class DyadicGrid:
-    """N^n dyadic complex over the cube [corner, corner + size]^n."""
+    """N^n dyadic complex over the cube [corner, corner + size]^n.
+
+    ``identified`` holds one flag per axis (default: none identified); the
+    grid is ``periodic`` when any axis is identified.
+    """
 
     corner: np.ndarray
     size: float
     subdivisions: int
+    identified: tuple = None
+    periodic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "corner", as_point(self.corner))
@@ -62,6 +69,17 @@ class DyadicGrid:
         object.__setattr__(self, "subdivisions", N)
         if N ** self.ambient_dim > MAX_GRID_CELLS:
             raise ValueError(f"grid with {N}^{self.ambient_dim} cells exceeds the cap")
+        ident = (False,) * self.ambient_dim if self.identified is None \
+            else tuple(bool(b) for b in self.identified)
+        if len(ident) != self.ambient_dim:
+            raise ValueError("identification flags must match the ambient dimension")
+        object.__setattr__(self, "identified", ident)
+        object.__setattr__(self, "periodic", any(ident))
+
+    @classmethod
+    def torus(cls, ambient_dim: int, subdivisions: int, size: float = 1.0) -> "DyadicGrid":
+        """The grid over [0, size]^n with every axis identified (a flat torus)."""
+        return cls(np.zeros(ambient_dim), float(size), subdivisions, (True,) * ambient_dim)
 
     # -- basic attributes ------------------------------------------------------
 
@@ -220,38 +238,18 @@ class DyadicGrid:
         """Total H^dim of the dim-skeleton (count times s^dim)."""
         return self.count_faces(dim) * self.spacing ** dim
 
+    # -- identifications -----------------------------------------------------------
 
-def build_grid(corner, size: float, subdivisions: int) -> DyadicGrid:
-    """Construct the N^n dyadic complex over [corner, corner + size]^n."""
-    return DyadicGrid(np.asarray(corner, dtype=float), float(size), int(subdivisions))
-
-
-@dataclass(frozen=True)
-class FlatManifold:
-    """A cube with opposite-face identifications on the marked axes."""
-
-    corner: np.ndarray
-    size: float
-    identified: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "corner", as_point(self.corner))
-        self.corner.flags.writeable = False
-        if not (self.size > 0 and math.isfinite(self.size)):
-            raise ValueError("manifold size must be positive and finite")
-        ident = tuple(bool(b) for b in self.identified)
-        if len(ident) != self.corner.size:
-            raise ValueError("identification flags must match the ambient dimension")
-        object.__setattr__(self, "identified", ident)
-
-    @classmethod
-    def torus(cls, ambient_dim: int, size: float = 1.0, corner=None) -> "FlatManifold":
-        c = np.zeros(ambient_dim) if corner is None else np.asarray(corner, dtype=float)
-        return cls(c, float(size), tuple(True for _ in range(ambient_dim)))
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.corner.size
+    def canonical_face(self, face: CubeFace) -> CubeFace:
+        """Wrap a face key: plane index N -> 0, cell indices mod N, on identified axes."""
+        if not self.periodic:
+            return face
+        N = self.subdivisions
+        lat = list(face.lattice)
+        for a in range(self.ambient_dim):
+            if self.identified[a]:
+                lat[a] = lat[a] % N
+        return CubeFace(face.axes, tuple(lat))
 
     def wrap(self, point) -> np.ndarray:
         """Map a point into the fundamental domain along identified axes."""
@@ -273,16 +271,8 @@ class FlatManifold:
             total += d * d
         return math.sqrt(total)
 
-    def grid(self, subdivisions: int) -> DyadicGrid:
-        return DyadicGrid(self.corner.copy(), self.size, subdivisions)
 
-    # -- periodic face keys -----------------------------------------------------
-
-    def canonical_face(self, face: CubeFace, subdivisions: int) -> CubeFace:
-        """Wrap a face key: plane index N -> 0, cell indices mod N, on identified axes."""
-        N = subdivisions
-        lat = list(face.lattice)
-        for a in range(self.ambient_dim):
-            if self.identified[a]:
-                lat[a] = lat[a] % N
-        return CubeFace(face.axes, tuple(lat))
+def build_grid(corner, size: float, subdivisions: int, identified=None) -> DyadicGrid:
+    """Construct the N^n dyadic complex over [corner, corner + size]^n."""
+    return DyadicGrid(np.asarray(corner, dtype=float), float(size), int(subdivisions),
+                      identified)

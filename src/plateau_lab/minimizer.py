@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry.core import Ball, EmbeddedMesh
-from .grids import CubeFace, DyadicGrid, FlatManifold
+from .grids import CubeFace, DyadicGrid
 from .projection import ProjectionResult, project_to_skeleton
 
 logger = logging.getLogger(__name__)
@@ -42,6 +42,9 @@ MAX_ROUNDS = 100000
 #: ball-ladder radii of ``run_scheme``, as fractions of the domain size
 LADDER_RADII = (0.25, 0.125)
 
+#: most trials of one ``quasiminimality_audit``; each costs tens of microseconds
+MAX_AUDIT_TRIALS = 1 << 16
+
 
 @dataclass(frozen=True)
 class FaceSet:
@@ -49,7 +52,6 @@ class FaceSet:
 
     grid: DyadicGrid
     faces: frozenset
-    manifold: Optional[FlatManifold] = None
 
     def __post_init__(self):
         d = self.dimension
@@ -58,10 +60,9 @@ class FaceSet:
                 raise ValueError("faceset faces must have dimension at most n-1")
             if not self.grid.is_valid(f):
                 raise ValueError(f"face {f} is not a face of the grid")
-        if self.manifold is not None:
-            N = self.grid.subdivisions
+        if self.grid.periodic:
             for f in self.faces:
-                if self.manifold.canonical_face(f, N) != f:
+                if self.grid.canonical_face(f) != f:
                     raise ValueError("faces must be canonical on periodic axes")
 
     @property
@@ -75,11 +76,6 @@ class FaceSet:
     def measure(self) -> float:
         return len(self.top_faces()) * self.grid.spacing ** self.dimension
 
-    def canonical(self, face: CubeFace) -> CubeFace:
-        if self.manifold is None:
-            return face
-        return self.manifold.canonical_face(face, self.grid.subdivisions)
-
     # -- chain structure -------------------------------------------------------
 
     def ridge_incidence(self) -> dict:
@@ -87,7 +83,7 @@ class FaceSet:
         inc: dict[CubeFace, int] = {}
         for f in self.top_faces():
             for r in self.grid.subfaces(f):
-                r = self.canonical(r)
+                r = self.grid.canonical_face(r)
                 inc[r] = inc.get(r, 0) + 1
         return inc
 
@@ -96,7 +92,7 @@ class FaceSet:
 
     def is_relative_cycle(self) -> bool:
         """Even incidence at every ridge off the frozen grid boundary."""
-        if self.manifold is not None:
+        if self.grid.periodic:
             return not self.odd_ridges()
         return all(self.grid.on_boundary(r) for r in self.odd_ridges())
 
@@ -109,7 +105,7 @@ class FaceSet:
         return EmbeddedMesh.from_simplex_list(self.dimension, chunks)
 
     def with_faces(self, faces: Iterable[CubeFace]) -> "FaceSet":
-        return FaceSet(self.grid, frozenset(faces), self.manifold)
+        return FaceSet(self.grid, frozenset(faces))
 
 
 def core_reduce(fs: FaceSet) -> FaceSet:
@@ -161,7 +157,7 @@ def _boundary_toggle(fs: FaceSet, facets: Iterable[CubeFace]):
     """Count the membership flips from toggling the given facet collection."""
     counts: dict[CubeFace, int] = {}
     for f in facets:
-        f = fs.canonical(f)
+        f = fs.grid.canonical_face(f)
         counts[f] = counts.get(f, 0) + 1
     toggles = frozenset(f for f, k in counts.items() if k % 2 == 1)
     delta = sum(-1 if f in fs.faces else 1 for f in toggles)
@@ -169,7 +165,7 @@ def _boundary_toggle(fs: FaceSet, facets: Iterable[CubeFace]):
 
 
 def _touches_frozen(fs: FaceSet, toggles: frozenset) -> bool:
-    if fs.manifold is not None:
+    if fs.grid.periodic:
         return False
     return any(fs.grid.on_boundary(f) for f in toggles)
 
@@ -179,7 +175,7 @@ def _cells_touching(fs: FaceSet, face: CubeFace) -> list:
     grid = fs.grid
     N = grid.subdivisions
     a = next(ax for ax in range(grid.ambient_dim) if not face.spans(ax))
-    wrap = fs.manifold is not None and fs.manifold.identified[a]
+    wrap = grid.identified[a]
     out = []
     for c in (face.lattice[a] - 1, face.lattice[a]):
         if wrap:
@@ -198,13 +194,13 @@ def collapse_moves(fs: FaceSet) -> list:
     owner: dict[CubeFace, CubeFace] = {}
     for f in fs.top_faces():
         for r in fs.grid.subfaces(f):
-            owner[fs.canonical(r)] = f
+            owner[fs.grid.canonical_face(r)] = f
     moves = []
     seen = set()
     for r, k in inc.items():
         if k != 1:
             continue
-        if fs.manifold is None and fs.grid.on_boundary(r):
+        if not fs.grid.periodic and fs.grid.on_boundary(r):
             continue
         f = owner[r]
         if f in seen:
@@ -249,7 +245,7 @@ def _coplanar_components(fs: FaceSet) -> list:
         ridge_map: dict[CubeFace, list] = {}
         for f in members:
             for r in grid.subfaces(f):
-                ridge_map.setdefault(fs.canonical(r), []).append(f)
+                ridge_map.setdefault(grid.canonical_face(r), []).append(f)
         adjacency: dict[CubeFace, set] = {f: set() for f in members}
         for flist in ridge_map.values():
             for x in flist:
@@ -272,11 +268,11 @@ def _coplanar_components(fs: FaceSet) -> list:
 
 
 def _slab_cells(grid: DyadicGrid, axis: int, plane: int, direction: int,
-                component: frozenset, manifold: Optional[FlatManifold]):
+                component: frozenset):
     """Cells of the one-level prism on the chosen side of the component."""
     N = grid.subdivisions
     level = plane if direction > 0 else plane - 1
-    if manifold is not None and manifold.identified[axis]:
+    if grid.identified[axis]:
         level %= N
     elif not 0 <= level <= N - 1:
         return None
@@ -293,7 +289,7 @@ def shift_moves(fs: FaceSet, only_improving: bool = True) -> list:
     moves = []
     for a, p, comp in _coplanar_components(fs):
         for direction in (-1, 1):
-            cells = _slab_cells(fs.grid, a, p, direction, comp, fs.manifold)
+            cells = _slab_cells(fs.grid, a, p, direction, comp)
             if cells is not None:
                 anchor = (a, p, direction, len(comp)) + tuple(sorted(comp))[0].lattice
                 moves += _cell_boundary_move(fs, "shift", cells, anchor, only_improving)
@@ -389,16 +385,15 @@ class InitReport:
 
 
 def _threshold_faceset(res: ProjectionResult, grid: DyadicGrid,
-                       manifold: Optional[FlatManifold], threshold: float) -> FaceSet:
+                       threshold: float) -> FaceSet:
     d = grid.ambient_dim - 1
     target = threshold * grid.spacing ** d
     chosen = [f for f, m in res.content_measure_by_face().items()
               if f.dim == d and m >= target]
-    return FaceSet(grid, frozenset(chosen), manifold)
+    return FaceSet(grid, frozenset(chosen))
 
 
-def _completion_faceset(res: ProjectionResult, grid: DyadicGrid,
-                        manifold: Optional[FlatManifold]) -> FaceSet:
+def _completion_faceset(res: ProjectionResult, grid: DyadicGrid) -> FaceSet:
     """Dominant-level graph completion.
 
     Pick the axis carrying the most projected coverage, choose the best
@@ -454,9 +449,8 @@ def _completion_faceset(res: ProjectionResult, grid: DyadicGrid,
         for i, a in enumerate(other_axes):
             nb = list(col)
             nb[i] += 1
-            wrap = manifold is not None and manifold.identified[a]
             if nb[i] >= N:
-                if not wrap:
+                if not grid.identified[a]:
                     continue
                 nb[i] %= N
             p0, p1 = level_of[col], level_of[tuple(nb)]
@@ -469,17 +463,13 @@ def _completion_faceset(res: ProjectionResult, grid: DyadicGrid,
                     lat[aa] = col[j]
                 lat[a] = col[i] + 1
                 lat[axis] = h
-                w = CubeFace(wall_mask, tuple(lat))
-                if manifold is not None:
-                    w = manifold.canonical_face(w, N)
-                faces.add(w)
-    return FaceSet(grid, frozenset(faces), manifold)
+                faces.add(grid.canonical_face(CubeFace(wall_mask, tuple(lat))))
+    return FaceSet(grid, frozenset(faces))
 
 
 def initialize_from_mesh(mesh: EmbeddedMesh, grid: DyadicGrid, *,
-                         manifold: Optional[FlatManifold] = None,
                          threshold: float = 0.5, strategy: str = "far",
-                         trials: int = 32, seed: int = 0) -> InitReport:
+                         seed: int = 0) -> InitReport:
     """Project content onto the skeleton and lift a starting faceset.
 
     Faces covered beyond ``threshold`` of their area are retained when they
@@ -490,19 +480,18 @@ def initialize_from_mesh(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     """
     if mesh.dimension != grid.ambient_dim - 1:
         raise ValueError("initialization expects codimension-one content")
-    res = project_to_skeleton(mesh, grid, strategy=strategy, trials=trials,
-                              seed=seed, manifold=manifold)
+    res = project_to_skeleton(mesh, grid, strategy=strategy, seed=seed)
     log = DeformationLog()
     domain = Ball(grid.corner + grid.size / 2.0,
                   grid.size * math.sqrt(grid.ambient_dim) / 2.0)
     for st in res.stages:
         log.record("ff-stage", domain, (), st.measure_in, st.measure_out,
                    variant=f"dim-{st.dim}")
-    fs = _threshold_faceset(res, grid, manifold, threshold)
+    fs = _threshold_faceset(res, grid, threshold)
     covered = len(fs.faces)
     if fs.faces and fs.is_relative_cycle():
         return InitReport(fs, "threshold", covered, log)
-    fs2 = _completion_faceset(res, grid, manifold)
+    fs2 = _completion_faceset(res, grid)
     if not fs2.is_relative_cycle():
         logger.warning("completion faceset has %d odd ridges", len(fs2.odd_ridges()))
     log.record("ff-stage", domain, (), fs.measure(), fs2.measure(),
@@ -522,6 +511,11 @@ class HaircutReport:
     improvable: bool
 
 
+def _check_audit_trials(trials: int) -> None:
+    if not 0 <= trials <= MAX_AUDIT_TRIALS:
+        raise ValueError(f"audit trials must be in 0..{MAX_AUDIT_TRIALS}, got {trials}")
+
+
 def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0) -> HaircutReport:
     """Hunt for ball-local improvements among the move vocabulary.
 
@@ -532,6 +526,7 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0) -> Hai
     the worst ratio over the trials estimates the quasiminimality constant,
     and 1.0 means no test deformation improved anything.
     """
+    _check_audit_trials(trials)
     grid = fs.grid
     s = grid.spacing
     max_radius = AUDIT_RADIUS_CELLS * s
@@ -552,11 +547,9 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0) -> Hai
     def farthest(center, lo, hi):
         # per-face farthest corner distance, wrapped on identified axes
         far = np.maximum(np.abs(lo - center), np.abs(hi - center))
-        if fs.manifold is not None:
-            L = fs.manifold.size
-            for a in range(grid.ambient_dim):
-                if fs.manifold.identified[a]:
-                    far[..., a] = np.minimum(far[..., a], L - far[..., a])
+        for a in range(grid.ambient_dim):
+            if grid.identified[a]:
+                far[..., a] = np.minimum(far[..., a], grid.size - far[..., a])
         return np.sqrt((far ** 2).sum(axis=-1))
 
     worst = 1.0
@@ -602,28 +595,27 @@ class SchemeResult:
     distances: list           # successive-minimizer gaps on the ball ladder
 
 
-def run_scheme(mesh: EmbeddedMesh, subdivision_levels: Sequence[int], *,
-               manifold_size: Optional[float] = None,
+def run_scheme(mesh: EmbeddedMesh, domain: DyadicGrid, subdivision_levels: Sequence[int], *,
                threshold: float = 0.5, strategy: str = "far",
                seed: int = 0, audit_trials: int = 200,
                ladder_centers: int = 8) -> SchemeResult:
     """Initialize, minimize, core-reduce and audit per grid level.
 
-    With ``manifold_size`` the grid is periodic.  Successive minimizers are
-    compared through normalized local gaps on a fixed ball ladder: centers
-    sampled on the finest minimizer, one row per (center, radius) scale.
+    Level N subdivides ``domain``'s cube, with its identifications, into N^n
+    cells; the domain's own subdivision count is not read.  Successive
+    minimizers are compared through normalized local gaps on a fixed ball
+    ladder: centers sampled on the finest minimizer, one row per (center,
+    radius) scale.
     """
     from .geometry.distance import local_hausdorff_distance
 
-    n = mesh.ambient_dim
-    base = np.zeros(n)
-    size = manifold_size if manifold_size is not None else 1.0
-    manifold = FlatManifold.torus(n, size, base) if manifold_size is not None else None
+    _check_audit_trials(audit_trials)
+    size = domain.size
     levels = []
     for N in subdivision_levels:
-        grid = DyadicGrid(base.copy(), size, N)
-        init = initialize_from_mesh(mesh, grid, manifold=manifold,
-                                    threshold=threshold, strategy=strategy, seed=seed)
+        grid = replace(domain, subdivisions=N)
+        init = initialize_from_mesh(mesh, grid, threshold=threshold, strategy=strategy,
+                                    seed=seed)
         result = minimize_faceset(init.faceset)
         result.faceset = core_reduce(result.faceset)
         audit = quasiminimality_audit(result.faceset, trials=audit_trials, seed=seed)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .geometry.core import EmbeddedMesh, refine, row_dots
 from .geometry.distance import points_to_simplices
-from .grids import CubeFace, DyadicGrid, FlatManifold
+from .grids import CubeFace, DyadicGrid
 
 logger = logging.getLogger(__name__)
 
@@ -426,19 +426,18 @@ def _derive_faces(corners: np.ndarray, grid: DyadicGrid) -> np.ndarray:
     return keys
 
 
-def _assign_faces(corners: np.ndarray, grid: DyadicGrid,
-                  manifold: Optional[FlatManifold]) -> np.ndarray:
+def _assign_faces(corners: np.ndarray, grid: DyadicGrid) -> np.ndarray:
     """Face key rows of chunks (R, d+1, n), snapping them in place.  On
-    periodic axes a chunk on a non-canonical face key moves onto the
+    identified axes a chunk on a non-canonical face key moves onto the
     canonical representative and its face is derived again."""
     keys = _derive_faces(corners, grid)
-    if manifold is None:
+    if not grid.periodic:
         return keys
     N = grid.subdivisions
     lat = keys[:, 1:]
-    ident = np.array(manifold.identified)
+    ident = np.array(grid.identified)
     moved = np.any(ident & (lat % N != lat), axis=1)
-    shift = np.where(ident, (lat[moved] % N - lat[moved]) * (manifold.size / N), 0.0)
+    shift = np.where(ident, (lat[moved] % N - lat[moved]) * (grid.size / N), 0.0)
     shifted = corners[moved] + shift[:, None, :]
     keys[moved] = _derive_faces(shifted, grid)
     corners[moved] = shifted
@@ -574,8 +573,7 @@ def _assemble_mesh(dimension: int, ambient: int, pieces: PieceTable,
     return EmbeddedMesh.from_simplex_list(dimension, chunks, mults, allow_degenerate=True)
 
 
-def _project_groups(pieces: PieceTable, groups: list, centers: list,
-                    grid: DyadicGrid, manifold: Optional[FlatManifold]):
+def _project_groups(pieces: PieceTable, groups: list, centers: list, grid: DyadicGrid):
     """Image pieces of each face group under the projection from its center,
     group by group and in row order, with mult and owner of their source.
     Returns (images, source row of each image, end of each group's images)."""
@@ -589,7 +587,7 @@ def _project_groups(pieces: PieceTable, groups: list, centers: list,
         sources.append(rows[source_of])
     corners = np.concatenate(chunks)
     source = np.concatenate(sources)
-    face = _assign_faces(corners, grid, manifold)
+    face = _assign_faces(corners, grid)
     ends = np.cumsum([len(c) for c in chunks[1:]]).tolist()
     return PieceTable(corners, pieces.mult[source], face, pieces.owner[source]), source, ends
 
@@ -598,8 +596,7 @@ def _project_groups(pieces: PieceTable, groups: list, centers: list,
 # the pipeline
 # ---------------------------------------------------------------------------
 
-def split_into_grid(mesh: EmbeddedMesh, grid: DyadicGrid,
-                    manifold: Optional[FlatManifold] = None):
+def split_into_grid(mesh: EmbeddedMesh, grid: DyadicGrid):
     """Split a mesh at all grid hyperplanes.
 
     Returns (pieces, outside_chunks, outside_mults).  Pieces carry exact
@@ -623,7 +620,7 @@ def split_into_grid(mesh: EmbeddedMesh, grid: DyadicGrid,
     outside_chunks = list(np.concatenate([corners_all[missed], chunks[~inside]])[order])
     outside_mults = mesh.multiplicities[source[order]].tolist()
     corners = chunks[inside]
-    face = _assign_faces(corners, grid, manifold)
+    face = _assign_faces(corners, grid)
     return (PieceTable(corners, mesh.multiplicities[source_of[inside]], face,
                        _owner_cells(face, grid)), outside_chunks, outside_mults)
 
@@ -632,26 +629,25 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
                         eta: Optional[float] = None,
                         strategy: str = "chebyshev",
                         trials: int = 32,
-                        seed: int = 0,
-                        manifold: Optional[FlatManifold] = None) -> ProjectionResult:
+                        seed: int = 0) -> ProjectionResult:
     """Project mesh content onto the d-skeleton of the grid (d = mesh dimension).
 
     Stages run k = n .. d+1; at each stage every face with content picks a
     center (deterministically seeded per face) and its content is pushed onto
     the face boundary by the exact perspectivity map.  Boundary faces of Q are
-    frozen unless the grid is periodic (``manifold`` given).  The result
+    frozen unless the grid is periodic (any axis identified).  The result
     carries per-stage and per-cube measure ledgers.
     """
     if mesh.dimension >= grid.ambient_dim:
         raise ValueError("content dimension must be below the grid dimension")
     if mesh.ambient_dim != grid.ambient_dim:
         raise ValueError("mesh and grid ambient dimensions differ")
-    freeze_boundary = manifold is None
+    freeze_boundary = not grid.periodic
     if eta is not None:
         mesh = refine(mesh, eta)
     d = mesh.dimension
     n = grid.ambient_dim
-    pieces, outside_chunks, outside_mults = split_into_grid(mesh, grid, manifold)
+    pieces, outside_chunks, outside_mults = split_into_grid(mesh, grid)
     measure_in = _total(pieces.vol)
     in_by_owner = _ledger(pieces.owner, pieces.vol)
 
@@ -661,8 +657,7 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
         groups = _face_groups(pieces.face, moving)
         chosen = [choose_center(grid, fkey, pieces.corners[rows], strategy, trials,
                                 _face_rng(seed, k, fkey)) for fkey, rows in groups]
-        images, _, ends = _project_groups(pieces, groups, [xi for xi, _ in chosen],
-                                          grid, manifold)
+        images, _, ends = _project_groups(pieces, groups, [xi for xi, _ in chosen], grid)
         face_records = {}
         stage_in = 0.0
         stage_out = 0.0
@@ -689,7 +684,7 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     final = _assemble_mesh(d, n, pieces, outside_chunks, outside_mults)
     plan = {"strategy": strategy, "trials": trials, "seed": seed,
             "eta": eta, "freeze_boundary": freeze_boundary,
-            "periodic": manifold is not None}
+            "periodic": grid.periodic}
     return ProjectionResult(final, d, measure_in, _total(pieces.vol),
                             stages, per_cell, plan, pieces, outside_chunks, outside_mults)
 
@@ -738,18 +733,16 @@ def verify_cell_locality(result: ProjectionResult, grid: DyadicGrid) -> tuple[bo
     return ok, (0.0 if worst is math.inf else worst)
 
 
-def extra_collapse(result: ProjectionResult, grid: DyadicGrid, *,
-                   manifold: Optional[FlatManifold] = None,
-                   strategy: str = "far", trials: int = 32,
-                   seed: int = 0) -> ProjectionResult:
+def extra_collapse(result: ProjectionResult, grid: DyadicGrid) -> ProjectionResult:
     """Collapse sparse interior d-face content onto the (d-1)-skeleton.
 
     Fires only when *every* interior d-face holding content has content
     measure below (s/2)^d (the measure of the concentric half-face) and
-    admits an admissible center; then each face's content is projected onto
-    the face boundary, leaving only degenerate (measure-zero) simplices in
-    face interiors.  Otherwise the input result is returned unchanged with
-    ``collapse_applied`` False and the blocking faces reported.
+    admits an admissible center of the deterministic ``far`` search; then
+    each face's content is projected onto the face boundary, leaving only
+    degenerate (measure-zero) simplices in face interiors.  Otherwise the
+    input result is returned unchanged with ``collapse_applied`` False and
+    the blocking faces reported.
     """
     d = result.skeleton_dim
     pieces = result.pieces
@@ -766,8 +759,7 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid, *,
                              "measure": m})
             continue
         try:
-            xi, _ = choose_center(grid, fkey, pieces.corners[rows], strategy, trials,
-                                  _face_rng(seed, d, fkey))
+            xi, _ = choose_center(grid, fkey, pieces.corners[rows], "far")
         except ValueError:
             blockers.append({"face": str(fkey), "reason": "no admissible center"})
             continue
@@ -775,7 +767,7 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid, *,
     if blockers:
         return replace(result, collapse_applied=False,
                        collapse_report={"fired": False, "blockers": blockers})
-    images, source, _ = _project_groups(pieces, groups, centers, grid, manifold)
+    images, source, _ = _project_groups(pieces, groups, centers, grid)
     # a source's first image takes its row; the other images are appended
     first = np.diff(source, prepend=-1) != 0
     rows = np.arange(len(pieces))

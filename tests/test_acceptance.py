@@ -25,7 +25,7 @@ from plateau_lab import projection as proj
 from plateau_lab.geometry import meshio
 from plateau_lab.geometry.core import EmbeddedMesh, LineBoundary, measure, refine
 from plateau_lab.geometry.energy import circle_samples, douglas_energy
-from plateau_lab.grids import FlatManifold, build_grid
+from plateau_lab.grids import DyadicGrid, build_grid
 from plateau_lab.steiner import (Terminal, angle_audit, check_kirchhoff,
                                  optimize_steiner)
 
@@ -185,7 +185,7 @@ def test_criterion_05_ff_projection():
     tiny = EmbeddedMesh(2, np.array([[0.30, 0.30, 0.30], [0.38, 0.31, 0.33],
                                      [0.33, 0.39, 0.36]]), np.array([[0, 1, 2]]))
     first = proj.project_to_skeleton(tiny, grid, strategy="far")
-    drained = proj.extra_collapse(first, grid, strategy="far")
+    drained = proj.extra_collapse(first, grid)
     e_ok = proj.interior_face_measure(drained, grid) <= 1e-12
 
     ok = a_ok and b_ok and c_ok and d_ok and e_ok
@@ -304,19 +304,17 @@ def test_criterion_08_classifier():
 # ── 9: minimizer ──
 
 def test_criterion_09_minimizer():
-    torus = FlatManifold.torus(3)
     fixed_ok = True
     for n_sub in (4, 8, 16):
-        grid = torus.grid(n_sub)
-        rep = mz.initialize_from_mesh(flat_slice_mesh(level=0.5, n=n_sub), grid,
-                                      manifold=torus)
+        grid = DyadicGrid.torus(3, n_sub)
+        rep = mz.initialize_from_mesh(flat_slice_mesh(level=0.5, n=n_sub), grid)
         res = mz.minimize_faceset(rep.faceset)
         fixed_ok = fixed_ok and (res.final_measure == pytest.approx(1.0)
                                  and not res.log.entries)
 
     t0 = time.perf_counter()
-    scheme = mz.run_scheme(wiggle_mesh(amplitude=0.1, n=32), [4, 8, 16],
-                           manifold_size=1.0, audit_trials=10_000, seed=0)
+    scheme = mz.run_scheme(wiggle_mesh(amplitude=0.1, n=32), DyadicGrid.torus(3, 1),
+                           [4, 8, 16], audit_trials=10_000, seed=0)
     elapsed = time.perf_counter() - t0
 
     finals = [lv.result.final_measure for lv in scheme.levels]

@@ -23,7 +23,7 @@ from plateau_lab.geometry.distance import MAX_SAMPLE_POINTS
 from plateau_lab.geometry.energy import MAX_SAMPLES
 from plateau_lab.steiner import MAX_TERMINALS
 
-from conftest import flat_slice_mesh
+from conftest import flat_slice_mesh, square_patch
 
 
 @pytest.fixture
@@ -344,6 +344,37 @@ def test_minimize_flat_slice(runner, tmp_path):
     assert rep["levels"][0]["rounds"] == 0
 
 
+@pytest.mark.parametrize("manifold", ["box3", "torus3"])
+def test_minimize_size_sets_the_domain(runner, tmp_path, manifold):
+    """``--size`` scales a box as it scales a torus: a flat 2 x 2 square at
+    z = 1 is a level-1 slice of the side-2 domain."""
+    p = tmp_path / "square.off"
+    meshio.write_mesh(str(p), square_patch(side=2.0, z=1.0))
+    out = tmp_path / "fs.json"
+    r = runner.invoke(main, ["minimize", "--init", str(p), "--manifold", manifold,
+                             "--size", "2", "--levels", "2", "--audit-trials", "10",
+                             "--out", str(out)])
+    summary_of(r)
+    doc = json.loads(out.read_text())
+    assert doc["grid"]["size"] == 2.0
+    assert doc["measure"] == 4.0
+
+
+@pytest.mark.parametrize("trials", ["-1", "65537"])
+def test_audit_trials_are_bounded_before_level_one(runner, tmp_path, monkeypatch, trials):
+    from plateau_lab import minimizer
+    assert minimizer.MAX_AUDIT_TRIALS == 65536
+    calls = []
+    monkeypatch.setattr(minimizer, "initialize_from_mesh", lambda *a, **k: calls.append(a))
+    p = tmp_path / "flat.off"
+    meshio.write_mesh(str(p), flat_slice_mesh(level=0.5, n=2))
+    r = runner.invoke(main, ["minimize", "--init", str(p), "--levels", "2",
+                             "--audit-trials", trials, "--out", str(tmp_path / "fs.json")])
+    assert r.exit_code == 1, r.stderr
+    assert r.stderr == f"error: audit trials must be in 0..65536, got {trials}\n"
+    assert not calls and not (tmp_path / "fs.json").exists()
+
+
 def test_ff_project_determinism(runner, tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"corner": [0, 0, 0], "size": 1.0, "N": 2}))
@@ -382,6 +413,41 @@ def test_grid_spec_errors_are_config_errors(runner, tmp_path, spec, message):
     r = runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh)])
     assert r.exit_code == 2
     assert "config error: grid spec:" in r.stderr and message in r.stderr
+
+
+@pytest.mark.parametrize("field", ["size", "N"])
+def test_grid_spec_booleans_are_not_numbers(runner, tmp_path, field):
+    spec = {"corner": [0, 0, 0], "size": 1.0, "N": 2, field: True}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(spec))
+    mesh = tmp_path / "tri.off"
+    meshio.write_mesh(str(mesh), flat_slice_mesh(level=0.5, n=2))
+    r = runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh)])
+    assert r.exit_code == 2
+    assert r.stderr.startswith("config error: grid spec needs a") and f"'{field}'" in r.stderr
+
+
+@pytest.mark.parametrize("charge", [2.9, -0.5, "2", True])
+def test_terminal_charges_must_be_integers(runner, tmp_path, charge):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"terminals": [
+        {"pos": [0.0, 0.0], "charge": charge}, {"pos": [1.0, 0.0], "charge": -1},
+        {"pos": [0.0, 1.0], "charge": -1}]}))
+    r = runner.invoke(main, ["steiner", "--instance", str(inst), "--out", str(tmp_path / "s.json")])
+    assert r.exit_code == 2, r.stderr
+    assert r.stderr == f"config error: terminal 0: 'charge' must be an integer, got {charge!r}\n"
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_integral_float_charge_is_that_integer(runner, tmp_path):
+    docs = []
+    for charge in (2, 2.0):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"terminals": [
+            {"pos": [0.0, 0.0], "charge": charge}, {"pos": [1.0, 0.0], "charge": -1},
+            {"pos": [0.0, 1.0], "charge": -1}], "objective": "mass"}))
+        docs.append(summary_of(runner.invoke(main, ["steiner", "--instance", str(inst)])))
+    assert docs[0] == docs[1]
 
 
 def test_ff_project_report_is_local(runner, tmp_path):

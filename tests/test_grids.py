@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from plateau_lab.grids import CubeFace, DyadicGrid, FlatManifold, build_grid
+from plateau_lab.grids import CubeFace, DyadicGrid, build_grid
 
 
 def face_count_formula(n: int, big_n: int, k: int) -> int:
@@ -103,32 +103,32 @@ def test_face_mesh_chunk_measures():
 # ── flat torus ──
 
 def test_wrap_into_fundamental_domain():
-    t = FlatManifold.torus(3)
+    t = DyadicGrid.torus(3, 1)
     assert np.allclose(t.wrap([1.25, 0.0, 0.0]), [0.25, 0.0, 0.0])
     assert np.allclose(t.wrap([-0.25, 2.5, 0.75]), [0.75, 0.5, 0.75])
 
 
 def test_quotient_distance_goes_around_the_seam():
-    t = FlatManifold.torus(3)
+    t = DyadicGrid.torus(3, 1)
     d = t.quotient_distance([0.9, 0.0, 0.0], [0.1, 0.0, 0.0])
     assert d == pytest.approx(0.2, abs=1e-12)
 
 
 def test_torus_identifies_all_axes():
-    t = FlatManifold.torus(3, size=2.0)
+    t = DyadicGrid.torus(3, 1, size=2.0)
     assert tuple(t.identified) == (True, True, True)
     assert t.ambient_dim == 3
 
 
 def test_canonical_face_folds_the_far_seam():
-    t = FlatManifold.torus(2)
     n = 4
+    t = DyadicGrid.torus(2, n)
     # the right-hand edge column at lattice x = n is the same as x = 0
     far = CubeFace(0b10, (n, 1))
-    assert t.canonical_face(far, n) == CubeFace(0b10, (0, 1))
+    assert t.canonical_face(far) == CubeFace(0b10, (0, 1))
     # interior faces are already canonical
     mid = CubeFace(0b10, (2, 1))
-    assert t.canonical_face(mid, n) == mid
+    assert t.canonical_face(mid) == mid
 
 
 @given(arrays(np.float64, (3,), elements=st.floats(-10, 10)))
@@ -136,7 +136,7 @@ def test_canonical_face_folds_the_far_seam():
 def test_wrap_is_idempotent_in_the_quotient(p):
     # a tiny negative input wraps to exactly 1.0 in floats, which re-wraps
     # to 0.0 -- the same torus point, so compare via the quotient metric
-    t = FlatManifold.torus(3)
+    t = DyadicGrid.torus(3, 1)
     w = t.wrap(p)
     assert (w >= 0.0).all() and (w <= 1.0).all()
     assert t.quotient_distance(t.wrap(w), w) == pytest.approx(0.0, abs=1e-12)
@@ -145,7 +145,7 @@ def test_wrap_is_idempotent_in_the_quotient(p):
 @given(arrays(np.float64, (3, 3), elements=st.floats(0.0, 1.0, exclude_max=True)))
 @settings(max_examples=200)
 def test_quotient_distance_is_a_metric(pts):
-    t = FlatManifold.torus(3)
+    t = DyadicGrid.torus(3, 1)
     p, q, r = pts
     dpq = t.quotient_distance(p, q)
     assert dpq == pytest.approx(t.quotient_distance(q, p), abs=1e-12)
@@ -159,11 +159,11 @@ def test_quotient_distance_is_a_metric(pts):
 @given(st.integers(0, 3), st.integers(0, 4), st.integers(0, 4))
 @settings(max_examples=100)
 def test_canonical_face_is_idempotent(axes, i, j):
-    t = FlatManifold.torus(2)
     n = 4
+    t = DyadicGrid.torus(2, n)
     face = CubeFace(axes, (i, j))
-    grid = t.grid(n)
+    grid = t
     if not grid.is_valid(face):
-        face = t.canonical_face(face, n)
-    once = t.canonical_face(face, n)
-    assert t.canonical_face(once, n) == once
+        face = t.canonical_face(face)
+    once = t.canonical_face(face)
+    assert t.canonical_face(once) == once

@@ -15,15 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plateau_lab.grids import CubeFace, FlatManifold
+from plateau_lab.grids import CubeFace, DyadicGrid, build_grid
 from plateau_lab import minimizer as mz
 
 from conftest import flat_slice_mesh, segment_mesh, wiggle_mesh
 
 
 def torus_grid(n_sub: int, dim: int = 3):
-    t = FlatManifold.torus(dim)
-    return t, t.grid(n_sub)
+    return DyadicGrid.torus(dim, n_sub)
 
 
 def flat_slice_faces(n_sub: int, level: int):
@@ -33,13 +32,12 @@ def flat_slice_faces(n_sub: int, level: int):
 
 
 def flat_faceset(n_sub: int = 4, level: int = 2) -> mz.FaceSet:
-    t, grid = torus_grid(n_sub)
-    return mz.FaceSet(grid, flat_slice_faces(n_sub, level), t)
+    grid = torus_grid(n_sub)
+    return mz.FaceSet(grid, flat_slice_faces(n_sub, level))
 
 
-def cell_boundary(grid, cell: CubeFace, manifold) -> frozenset:
-    return frozenset(manifold.canonical_face(f, grid.subdivisions)
-                     for f in grid.subfaces(cell))
+def cell_boundary(grid, cell: CubeFace) -> frozenset:
+    return frozenset(grid.canonical_face(f) for f in grid.subfaces(cell))
 
 
 # ── face-set semantics ──
@@ -63,9 +61,9 @@ class TestFaceSet:
         assert punctured.odd_ridges()
 
     def test_core_reduce_drops_lower_skeleton_only(self):
-        t, grid = torus_grid(4)
+        grid = torus_grid(4)
         stray_edge = CubeFace(0b001, (0, 0, 0))
-        fs = mz.FaceSet(grid, flat_slice_faces(4, 2) | {stray_edge}, t)
+        fs = mz.FaceSet(grid, flat_slice_faces(4, 2) | {stray_edge})
         core = mz.core_reduce(fs)
         assert stray_edge not in core.faces
         assert core.top_faces() == fs.top_faces()
@@ -84,11 +82,11 @@ class TestFaceSet:
 
 class TestMoves:
     def test_flip_toggles_one_cell_boundary(self):
-        t, grid = torus_grid(4)
+        grid = torus_grid(4)
         slice_faces = flat_slice_faces(4, 2)
         cell = CubeFace(0b111, (1, 1, 2))
-        pimple = frozenset(slice_faces) ^ cell_boundary(grid, cell, t)
-        fs = mz.FaceSet(grid, pimple, t)
+        pimple = frozenset(slice_faces) ^ cell_boundary(grid, cell)
+        fs = mz.FaceSet(grid, pimple)
         assert fs.measure() == pytest.approx(20 / 16)
         assert fs.is_relative_cycle()
 
@@ -100,10 +98,10 @@ class TestMoves:
         assert after.faces == frozenset(slice_faces)
 
     def test_apply_move_is_an_involution_on_faces(self):
-        t, grid = torus_grid(4)
+        grid = torus_grid(4)
         cell = CubeFace(0b111, (0, 0, 2))
         fs = flat_faceset(4)
-        toggles = cell_boundary(grid, cell, t)
+        toggles = cell_boundary(grid, cell)
         move = [m for m in mz.admissible_moves(fs, only_improving=False)
                 if frozenset(m.toggles) == toggles]
         assert move, "the single-cell toggle should be admissible"
@@ -123,12 +121,12 @@ class TestMoves:
                 move.delta_faces * s**2, abs=1e-12)
 
     def test_move_support_sits_in_its_ball(self):
-        t, grid = torus_grid(4)
+        grid = torus_grid(4)
         fs = flat_faceset(4)
         for move in mz.admissible_moves(fs, only_improving=False):
             for face in move.toggles:
                 center = grid.face_center(face)
-                d = t.quotient_distance(center, move.ball.center)
+                d = grid.quotient_distance(center, move.ball.center)
                 assert d <= move.ball.radius + 1e-12
 
     @given(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3),
@@ -137,11 +135,11 @@ class TestMoves:
     def test_cell_toggles_preserve_the_cycle_property(self, lattice_points):
         # XOR-ing boundaries of any cell bag keeps the chain closed, so the
         # move generator must always be offered cycle-preserving flips
-        t, grid = torus_grid(4)
+        grid = torus_grid(4)
         faces = frozenset(flat_slice_faces(4, 2))
         for lat in lattice_points:
-            faces = faces ^ cell_boundary(grid, CubeFace(0b111, lat), t)
-        fs = mz.FaceSet(grid, faces, t)
+            faces = faces ^ cell_boundary(grid, CubeFace(0b111, lat))
+        fs = mz.FaceSet(grid, faces)
         assert fs.is_relative_cycle()
         for move in mz.admissible_moves(fs, only_improving=False):
             if move.kind == "interior-projection":
@@ -149,11 +147,10 @@ class TestMoves:
 
     def test_free_collapse_trims_a_whisker(self):
         # a dangling edge on a 2-torus curve: exactly one free ridge
-        t2 = FlatManifold.torus(2)
-        grid = t2.grid(4)
+        grid = DyadicGrid.torus(2, 4)
         loop = frozenset(CubeFace(0b01, (i, 1)) for i in range(4))
         whisker = CubeFace(0b10, (2, 1))
-        fs = mz.FaceSet(grid, loop | {whisker}, t2)
+        fs = mz.FaceSet(grid, loop | {whisker})
         assert not fs.is_relative_cycle()
         collapses = mz.collapse_moves(fs)
         assert any(m.kind == "free-collapse" and whisker in m.toggles
@@ -174,10 +171,10 @@ def test_flat_slice_is_a_fixed_point():
 
 
 def test_pimple_is_flattened_in_one_move():
-    t, grid = torus_grid(4)
+    grid = torus_grid(4)
     cell = CubeFace(0b111, (1, 1, 2))
-    faces = frozenset(flat_slice_faces(4, 2)) ^ cell_boundary(grid, cell, t)
-    result = mz.minimize_faceset(mz.FaceSet(grid, faces, t))
+    faces = frozenset(flat_slice_faces(4, 2)) ^ cell_boundary(grid, cell)
+    result = mz.minimize_faceset(mz.FaceSet(grid, faces))
     assert result.final_measure == pytest.approx(1.0)
     assert len(result.log.entries) == 1
     entry = result.log.entries[0]
@@ -208,11 +205,10 @@ def gf2_span_membership(vectors: list[np.ndarray], target: np.ndarray) -> bool:
 
 
 def test_greedy_reaches_the_enumerated_optimum():
-    t2 = FlatManifold.torus(2)
     n = 2
-    grid = t2.grid(n)
+    grid = DyadicGrid.torus(2, n)
     edges = sorted(
-        {t2.canonical_face(f, n) for k in (1, 2) for f in grid.faces(1)
+        {grid.canonical_face(f) for k in (1, 2) for f in grid.faces(1)
          if grid.is_valid(f)},
         key=lambda f: (f.axes, f.lattice),
     )
@@ -222,7 +218,7 @@ def test_greedy_reaches_the_enumerated_optimum():
     def vec(faces) -> np.ndarray:
         v = np.zeros(len(edges), dtype=np.uint8)
         for f in faces:
-            v[index[t2.canonical_face(f, n)]] ^= 1
+            v[index[grid.canonical_face(f)]] ^= 1
         return v
 
     boundaries = [vec(grid.subfaces(c)) for c in grid.cells()]
@@ -230,8 +226,8 @@ def test_greedy_reaches_the_enumerated_optimum():
     # a bent loop around axis 0 only: right, up, right (wraps), down
     start = {CubeFace(0b01, (0, 0)), CubeFace(0b10, (1, 0)),
              CubeFace(0b01, (1, 1)), CubeFace(0b10, (2, 0))}
-    start = frozenset(t2.canonical_face(f, n) for f in start)
-    fs = mz.FaceSet(grid, start, t2)
+    start = frozenset(grid.canonical_face(f) for f in start)
+    fs = mz.FaceSet(grid, start)
     assert fs.is_relative_cycle()
     start_vec = vec(start)
 
@@ -242,7 +238,7 @@ def test_greedy_reaches_the_enumerated_optimum():
         if not gf2_span_membership(boundaries, v ^ start_vec):
             continue
         subset = frozenset(e for e, b in zip(edges, bits) if b)
-        cand = mz.FaceSet(grid, subset, t2)
+        cand = mz.FaceSet(grid, subset)
         if cand.is_relative_cycle():
             best = min(best, cand.measure())
     assert best == pytest.approx(1.0)
@@ -258,9 +254,8 @@ def test_greedy_reaches_the_enumerated_optimum():
 
 
 def test_on_skeleton_mesh_initializes_by_thresholding():
-    t, grid = torus_grid(4)
-    report = mz.initialize_from_mesh(flat_slice_mesh(level=0.5, n=8), grid,
-                                     manifold=t)
+    grid = torus_grid(4)
+    report = mz.initialize_from_mesh(flat_slice_mesh(level=0.5, n=8), grid)
     assert report.source == "threshold"
     assert report.faceset.is_relative_cycle()
     assert report.faceset.measure() == pytest.approx(1.0)
@@ -268,18 +263,16 @@ def test_on_skeleton_mesh_initializes_by_thresholding():
 
 
 def test_wiggly_mesh_falls_back_to_completion():
-    t, grid = torus_grid(8)
-    report = mz.initialize_from_mesh(wiggle_mesh(amplitude=0.1, n=16), grid,
-                                     manifold=t)
+    grid = torus_grid(8)
+    report = mz.initialize_from_mesh(wiggle_mesh(amplitude=0.1, n=16), grid)
     assert report.faceset.is_relative_cycle()
     # the competitor never exceeds the terraced staircase bound
     assert report.faceset.measure() <= 1.0 + 8 / 8 + 1e-9
 
 
 def test_wiggle_minimizes_back_to_the_flat_slice():
-    t, grid = torus_grid(8)
-    report = mz.initialize_from_mesh(wiggle_mesh(amplitude=0.1, n=16), grid,
-                                     manifold=t)
+    grid = torus_grid(8)
+    report = mz.initialize_from_mesh(wiggle_mesh(amplitude=0.1, n=16), grid)
     result = mz.minimize_faceset(report.faceset)
     assert result.final_measure == pytest.approx(1.0)
     audit = mz.quasiminimality_audit(result.faceset, trials=1000, seed=3)
@@ -287,19 +280,25 @@ def test_wiggle_minimizes_back_to_the_flat_slice():
 
 
 def test_audit_flags_the_pimple():
-    t, grid = torus_grid(4)
+    grid = torus_grid(4)
     cell = CubeFace(0b111, (1, 1, 2))
-    faces = frozenset(flat_slice_faces(4, 2)) ^ cell_boundary(grid, cell, t)
-    audit = mz.quasiminimality_audit(mz.FaceSet(grid, faces, t),
+    faces = frozenset(flat_slice_faces(4, 2)) ^ cell_boundary(grid, cell)
+    audit = mz.quasiminimality_audit(mz.FaceSet(grid, faces),
                                      trials=2000, seed=0)
     assert audit.improving_trials > 0
     assert audit.worst_ratio > 1.0
     assert audit.improvable
 
 
+@pytest.mark.parametrize("trials", [-1, mz.MAX_AUDIT_TRIALS + 1])
+def test_audit_trials_out_of_range_raise(trials):
+    with pytest.raises(ValueError, match=f"audit trials must be in 0..{mz.MAX_AUDIT_TRIALS}"):
+        mz.quasiminimality_audit(flat_faceset(4), trials=trials)
+
+
 def test_scheme_levels_do_not_increase():
-    scheme = mz.run_scheme(wiggle_mesh(amplitude=0.1, n=16), [4, 8],
-                           audit_trials=300, seed=0)
+    scheme = mz.run_scheme(wiggle_mesh(amplitude=0.1, n=16), build_grid(np.zeros(3), 1.0, 1),
+                           [4, 8], audit_trials=300, seed=0)
     finals = [lv.result.final_measure for lv in scheme.levels]
     assert finals == sorted(finals, reverse=True)
     for lv in scheme.levels:
@@ -308,11 +307,10 @@ def test_scheme_levels_do_not_increase():
 
 
 def test_one_dimensional_curve_on_the_2_torus():
-    t2 = FlatManifold.torus(2)
-    grid = t2.grid(8)
+    grid = DyadicGrid.torus(2, 8)
     # a seam-periodic zigzag around axis 0
     pts = [(i / 16, 0.25 + 0.05 * math.sin(2 * math.pi * i / 16)) for i in range(17)]
     mesh = segment_mesh(pts)
-    report = mz.initialize_from_mesh(mesh, grid, manifold=t2)
+    report = mz.initialize_from_mesh(mesh, grid)
     result = mz.minimize_faceset(report.faceset)
     assert result.final_measure == pytest.approx(1.0)

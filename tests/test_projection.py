@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from plateau_lab.geometry.core import EmbeddedMesh, measure
-from plateau_lab.grids import build_grid, FlatManifold
+from plateau_lab.grids import build_grid, DyadicGrid
 from plateau_lab import projection as proj
 
 from conftest import segment_mesh, square_patch
@@ -141,16 +141,15 @@ def test_extra_collapse_empties_interior_on_sparse_input():
     grid = build_grid(np.zeros(3), 1.0, 2)
     first = proj.project_to_skeleton(mesh, grid, strategy="far")
     assert proj.interior_face_measure(first, grid) > 1e-6
-    collapsed = proj.extra_collapse(first, grid, strategy="far")
+    collapsed = proj.extra_collapse(first, grid)
     assert collapsed.collapse_applied
     assert proj.interior_face_measure(collapsed, grid) <= 1e-12
 
 
 def test_projection_on_torus_has_no_frozen_boundary():
-    torus = FlatManifold.torus(3)
-    grid = torus.grid(4)
+    grid = DyadicGrid.torus(3, 4)
     mesh = seeded_blob(9, n_tri=6)
-    result = proj.project_to_skeleton(mesh, grid, manifold=torus, strategy="far")
+    result = proj.project_to_skeleton(mesh, grid, strategy="far")
     assert proj.skeleton_deviation(result, grid) <= 1e-9 * grid.spacing
 
 

@@ -17,7 +17,7 @@ import pytest
 from plateau_lab import projection as proj
 from plateau_lab.geometry.core import EmbeddedMesh
 from plateau_lab.geometry.distance import points_to_simplices
-from plateau_lab.grids import CubeFace, FlatManifold, build_grid
+from plateau_lab.grids import CubeFace, build_grid
 
 from test_projection import seeded_blob
 
@@ -241,23 +241,23 @@ def oracle_owner_cell(face, grid):
     return min(grid.containing_cells(face))
 
 
-def oracle_canonical_piece(chunk, face, grid, manifold, snap):
+def oracle_canonical_piece(chunk, face, grid, snap):
     """Translate a chunk onto its face's canonical representative (periodic axes)."""
-    if manifold is None:
+    if not any(grid.identified):
         return chunk, face
-    canon = manifold.canonical_face(face, grid.subdivisions)
+    canon = grid.canonical_face(face)
     if canon == face:
         return chunk, face
     N = grid.subdivisions
     shift = np.zeros(grid.ambient_dim)
     for a in range(grid.ambient_dim):
-        if manifold.identified[a]:
-            shift[a] = (face.lattice[a] % N - face.lattice[a]) * (manifold.size / N)
+        if grid.identified[a]:
+            shift[a] = (face.lattice[a] % N - face.lattice[a]) * (grid.size / N)
     chunk = chunk + shift
     return chunk, oracle_derive_face(chunk, grid, snap) or canon
 
 
-def oracle_split_into_grid(mesh, grid, manifold):
+def oracle_split_into_grid(mesh, grid):
     """Chunk-by-chunk split_into_grid; pieces are (corners, mult, face, owner)."""
     corners_all = mesh.simplex_corners()
     snap = proj.SNAP_REL * grid.spacing
@@ -283,7 +283,7 @@ def oracle_split_into_grid(mesh, grid, manifold):
                 outside_chunks.append(chunk)
                 outside_mults.append(mult)
                 continue
-            chunk, face = oracle_canonical_piece(chunk, face, grid, manifold, snap)
+            chunk, face = oracle_canonical_piece(chunk, face, grid, snap)
             pieces.append((chunk, mult, face, oracle_owner_cell(face, grid)))
     return pieces, outside_chunks, outside_mults
 
@@ -493,12 +493,11 @@ def key_of(face):
 
 #: box and periodic grids, one far from the origin with two of three axes identified
 GRIDS = [
-    (build_grid(np.zeros(3), 1.0, 4), None),
-    (build_grid(np.zeros(3), 1.0, 4), FlatManifold.torus(3)),
-    (build_grid(np.full(3, 1000.0), 2.0 ** -6, 8),
-     FlatManifold(np.full(3, 1000.0), 2.0 ** -6, (True, False, True))),
-    (build_grid(np.array([-0.5, 0.25]), 2.0, 4), None),
-    (build_grid(np.array([-0.5, 0.25]), 2.0, 4), FlatManifold.torus(2, 2.0, [-0.5, 0.25])),
+    build_grid(np.zeros(3), 1.0, 4),
+    build_grid(np.zeros(3), 1.0, 4, (True,) * 3),
+    build_grid(np.full(3, 1000.0), 2.0 ** -6, 8, (True, False, True)),
+    build_grid(np.array([-0.5, 0.25]), 2.0, 4),
+    build_grid(np.array([-0.5, 0.25]), 2.0, 4, (True,) * 2),
 ]
 
 
@@ -510,7 +509,7 @@ def test_face_assignment_matches_scalar_oracle(g, d):
     one plane beyond it), within the snap of one, or just outside the snap;
     a fifth of the chunks lie outside Q, where the oracle still finds a
     valid face because the lattice is clamped."""
-    grid, manifold = GRIDS[g]
+    grid = GRIDS[g]
     n, N = grid.ambient_dim, grid.subdivisions
     snap = proj.SNAP_REL * grid.spacing
     rng = np.random.default_rng(10 * g + d)
@@ -521,25 +520,25 @@ def test_face_assignment_matches_scalar_oracle(g, d):
                 plane = grid.plane_coordinate(a, int(rng.integers(-1, N + 2)))
                 c[:, a] = plane + rng.choice([0.0, 0.5 * snap, -0.5 * snap, 2.0 * snap], size=d + 1)
     got = chunks.copy()
-    keys = proj._assign_faces(got, grid, manifold)
+    keys = proj._assign_faces(got, grid)
     owners = proj._owner_cells(keys, grid)
     shifted = 0
     for c, got_c, key, owner in zip(chunks, got, keys, owners):
         want = c.copy()
         face = oracle_derive_face(want, grid, snap)
         assert face is not None
-        want, canon = oracle_canonical_piece(want, face, grid, manifold, snap)
+        want, canon = oracle_canonical_piece(want, face, grid, snap)
         shifted += canon != face
         assert got_c.tobytes() == want.tobytes()
         assert key.tolist() == key_of(canon)
         assert owner.tolist() == key_of(oracle_owner_cell(canon, grid))
     assert np.any(keys[:, 0] != grid.full_mask) and np.any(keys[:, 0] == grid.full_mask)
-    assert (shifted > 0) == (manifold is not None)
+    assert (shifted > 0) == any(grid.identified)
 
 
 @pytest.mark.parametrize("g", range(len(GRIDS)))
 def test_split_into_grid_matches_scalar_oracle(g):
-    grid, manifold = GRIDS[g]
+    grid = GRIDS[g]
     n = grid.ambient_dim
     d = n - 1
     rng = np.random.default_rng(70 + g)
@@ -549,8 +548,8 @@ def test_split_into_grid_matches_scalar_oracle(g):
     verts = np.where(rng.random(verts.shape) < 0.3, on_plane, verts)
     mesh = EmbeddedMesh(d, verts, np.arange(len(verts)).reshape(-1, d + 1),
                         rng.integers(1, 4, 30), allow_degenerate=True)
-    pieces, outside, outside_mults = proj.split_into_grid(mesh, grid, manifold)
-    want, want_outside, want_mults = oracle_split_into_grid(mesh, grid, manifold)
+    pieces, outside, outside_mults = proj.split_into_grid(mesh, grid)
+    want, want_outside, want_mults = oracle_split_into_grid(mesh, grid)
     assert len(pieces) == len(want) and len(want_outside) > 1
     assert_same_chunks(pieces.corners, [w[0] for w in want])
     assert pieces.mult.tolist() == [w[1] for w in want]
@@ -573,12 +572,12 @@ def test_ledgers_match_per_piece_recomputation(case):
     totals and the locality check, summed piece by piece."""
     periodic = case % 2 == 1
     if case < 4:
-        mesh, grid = seeded_blob(case), build_grid(np.zeros(3), 1.0, 2)
+        mesh, grid = seeded_blob(case), build_grid(np.zeros(3), 1.0, 2, (periodic,) * 3)
     else:
-        mesh, grid = seeded_segments(case), build_grid(np.array([-0.5, 0.25]), 2.0, 4)
-    manifold = FlatManifold(grid.corner, grid.size, (True,) * grid.ambient_dim) if periodic else None
-    res = proj.project_to_skeleton(mesh, grid, strategy="far", manifold=manifold)
-    split, _, _ = proj.split_into_grid(mesh, grid, manifold)
+        mesh, grid = seeded_segments(case), build_grid(np.array([-0.5, 0.25]), 2.0, 4,
+                                                       (periodic,) * 2)
+    res = proj.project_to_skeleton(mesh, grid, strategy="far")
+    split, _, _ = proj.split_into_grid(mesh, grid)
 
     def by_key(table, keys):
         out = {}
