@@ -272,7 +272,6 @@ class DyadicGrid:
         return math.sqrt(total)
 
 
-def build_grid(corner, size: float, subdivisions: int, identified=None) -> DyadicGrid:
+def build_grid(corner, size: float, subdivisions: int) -> DyadicGrid:
     """Construct the N^n dyadic complex over [corner, corner + size]^n."""
-    return DyadicGrid(np.asarray(corner, dtype=float), float(size), int(subdivisions),
-                      identified)
+    return DyadicGrid(np.asarray(corner, dtype=float), float(size), int(subdivisions))

@@ -17,7 +17,7 @@ import pytest
 from plateau_lab import projection as proj
 from plateau_lab.geometry.core import EmbeddedMesh
 from plateau_lab.geometry.distance import points_to_simplices
-from plateau_lab.grids import CubeFace, build_grid
+from plateau_lab.grids import CubeFace, DyadicGrid, build_grid
 
 from test_projection import seeded_blob
 
@@ -494,10 +494,10 @@ def key_of(face):
 #: box and periodic grids, one far from the origin with two of three axes identified
 GRIDS = [
     build_grid(np.zeros(3), 1.0, 4),
-    build_grid(np.zeros(3), 1.0, 4, (True,) * 3),
-    build_grid(np.full(3, 1000.0), 2.0 ** -6, 8, (True, False, True)),
+    DyadicGrid(np.zeros(3), 1.0, 4, (True,) * 3),
+    DyadicGrid(np.full(3, 1000.0), 2.0 ** -6, 8, (True, False, True)),
     build_grid(np.array([-0.5, 0.25]), 2.0, 4),
-    build_grid(np.array([-0.5, 0.25]), 2.0, 4, (True,) * 2),
+    DyadicGrid(np.array([-0.5, 0.25]), 2.0, 4, (True,) * 2),
 ]
 
 
@@ -572,9 +572,9 @@ def test_ledgers_match_per_piece_recomputation(case):
     totals and the locality check, summed piece by piece."""
     periodic = case % 2 == 1
     if case < 4:
-        mesh, grid = seeded_blob(case), build_grid(np.zeros(3), 1.0, 2, (periodic,) * 3)
+        mesh, grid = seeded_blob(case), DyadicGrid(np.zeros(3), 1.0, 2, (periodic,) * 3)
     else:
-        mesh, grid = seeded_segments(case), build_grid(np.array([-0.5, 0.25]), 2.0, 4,
+        mesh, grid = seeded_segments(case), DyadicGrid(np.array([-0.5, 0.25]), 2.0, 4,
                                                        (periodic,) * 2)
     res = proj.project_to_skeleton(mesh, grid, strategy="far")
     split, _, _ = proj.split_into_grid(mesh, grid)
