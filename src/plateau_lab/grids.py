@@ -44,12 +44,13 @@ class CubeFace:
         return bool((self.axes >> axis) & 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DyadicGrid:
     """N^n dyadic complex over the cube [corner, corner + size]^n.
 
     ``identified`` holds one flag per axis (default: none identified); the
-    grid is ``periodic`` when any axis is identified.
+    grid is ``periodic`` when any axis is identified.  Two grids are equal
+    when their corner bytes, size, subdivisions and identifications are.
     """
 
     corner: np.ndarray
@@ -75,6 +76,15 @@ class DyadicGrid:
             raise ValueError("identification flags must match the ambient dimension")
         object.__setattr__(self, "identified", ident)
         object.__setattr__(self, "periodic", any(ident))
+
+    def _key(self) -> tuple:
+        return self.corner.tobytes(), self.size, self.subdivisions, self.identified
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, DyadicGrid) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def torus(cls, ambient_dim: int, subdivisions: int, size: float = 1.0) -> "DyadicGrid":

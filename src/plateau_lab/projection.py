@@ -102,6 +102,14 @@ def _spans(keys: np.ndarray, n: int) -> np.ndarray:
     return (keys[:, :1] >> np.arange(n)) & 1 == 1
 
 
+def _key_bounds(keys: np.ndarray, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(R, n) lower and upper corners of each key row's face, with the
+    arithmetic of ``DyadicGrid.face_bounds``."""
+    lat = keys[:, 1:]
+    lo = grid.corner + lat * grid.spacing
+    return lo, np.where(_spans(keys, grid.ambient_dim), grid.corner + (lat + 1) * grid.spacing, lo)
+
+
 def _faces_of_dim(keys: np.ndarray, dim: int, grid: DyadicGrid, freeze_boundary) -> np.ndarray:
     """Rows whose face has dimension ``dim`` and, with ``freeze_boundary``,
     does not lie inside the boundary of Q (``DyadicGrid.on_boundary``)."""
@@ -140,6 +148,8 @@ def _ledger(keys: np.ndarray, vol: np.ndarray) -> dict:
 # chunk-by-chunk code gives, with ``parent`` naming the chunk each came from.
 # The float operations are the scalar ones, element by element, so the
 # output is bit-identical to splitting and mapping one chunk at a time.
+# Chunks of several faces (or of several trial centers) travel together:
+# each chunk names its center, and each center carries its face's bounds.
 
 def _volumes(chunks) -> list[float]:
     """Measure of each chunk (length or area) as Python floats.
@@ -257,7 +267,8 @@ def _split_by_plane(pts: np.ndarray, active: np.ndarray, normals: np.ndarray,
 
 def _cone_planes(xi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  spanned: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Planes through each center xi[m] and the (k-2)-faces of the face boundary.
+    """Planes through each center xi[m] and the (k-2)-faces of the boundary
+    of its face, whose bounds are lo[m], hi[m] (M, n).
 
     Returns normals (M, P, n) and offsets (M, P): P = 4 for k = 2, 12 for
     k = 3, none otherwise.
@@ -267,8 +278,8 @@ def _cone_planes(xi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     normals = []
     if k == 2:
         a0, a1 = spanned
-        for ca in (lo[a0], hi[a0]):
-            for cb in (lo[a1], hi[a1]):
+        for ca in (lo[:, a0], hi[:, a0]):
+            for cb in (lo[:, a1], hi[:, a1]):
                 normal = np.zeros((M, n))
                 normal[:, a0] = -(cb - xi[:, a1])
                 normal[:, a1] = ca - xi[:, a0]
@@ -276,13 +287,13 @@ def _cone_planes(xi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     elif k == 3:
         for e in spanned:
             o0, o1 = [a for a in spanned if a != e]
-            for c0 in (lo[o0], hi[o0]):
-                for c1 in (lo[o1], hi[o1]):
+            for c0 in (lo[:, o0], hi[:, o0]):
+                for c1 in (lo[:, o1], hi[:, o1]):
                     # u, v run from xi to the two ends of an edge along axis e
                     u3 = np.empty((M, 3))
                     v3 = np.empty((M, 3))
                     for j, a in enumerate(spanned):
-                        u_end, v_end = ((lo[e], hi[e]) if a == e
+                        u_end, v_end = ((lo[:, e], hi[:, e]) if a == e
                                         else (c0, c0) if a == o0 else (c1, c1))
                         u3[:, j] = u_end - xi[:, a]
                         v3[:, j] = v_end - xi[:, a]
@@ -297,7 +308,8 @@ def _cone_planes(xi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 def _map_to_boundary(v: np.ndarray, xi: np.ndarray, lo: np.ndarray,
                      hi: np.ndarray, spanned: list[int]) -> np.ndarray:
-    """Push each vertex v[i] radially from xi[i] onto the face boundary.
+    """Push each vertex v[i] radially from xi[i] onto the boundary of the
+    face with bounds lo[i], hi[i].
 
     A vertex already on a bounding plane stays.  Otherwise the first spanned
     axis with the smallest exit time wins, that coordinate is set to the
@@ -310,50 +322,51 @@ def _map_to_boundary(v: np.ndarray, xi: np.ndarray, lo: np.ndarray,
     best_bound = np.zeros(R)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in spanned:
-            fixed |= (v[:, a] == lo[a]) | (v[:, a] == hi[a])
+            fixed |= (v[:, a] == lo[:, a]) | (v[:, a] == hi[:, a])
             d = v[:, a] - xi[:, a]
             up = d > 0.0
-            t = np.where(up, (hi[a] - xi[:, a]) / d, (lo[a] - xi[:, a]) / d)
+            t = np.where(up, (hi[:, a] - xi[:, a]) / d, (lo[:, a] - xi[:, a]) / d)
             better = (up | (d < 0.0)) & (t < best_t)
             best_t[better] = t[better]
             best_axis[better] = a
-            best_bound[better] = np.where(up, hi[a], lo[a])[better]
+            best_bound[better] = np.where(up, hi[:, a], lo[:, a])[better]
         moving = np.flatnonzero(~fixed)
         if np.any(best_axis[moving] < 0):
             raise ValueError("projection center coincides with a content vertex")
         x = xi[moving]
         p = x + best_t[moving, None] * (v[moving] - x)
     p[np.arange(moving.size), best_axis[moving]] = best_bound[moving]
+    lo, hi = lo[moving], hi[moving]
     for a in spanned:
         # min(max(p, lo), hi) with Python's tie rules
-        m = np.where(lo[a] > p[:, a], lo[a], p[:, a])
-        p[:, a] = np.where(hi[a] < m, hi[a], m)
+        m = np.where(lo[:, a] > p[:, a], lo[:, a], p[:, a])
+        p[:, a] = np.where(hi[:, a] < m, hi[:, a], m)
     out = v.copy()
     out[moving] = p
     return out
 
 
-def _project_batch(corners: np.ndarray, centers: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray, spanned: list[int], s: float):
-    """Radially project one face's content from each of several centers.
+def _project_batch(chunks: np.ndarray, center_of: np.ndarray, centers: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray, spanned: list[int], s: float):
+    """Radially project each chunk from its own center onto its face boundary.
 
-    ``corners`` (C, d+1, n) is the content, ``centers`` (M, n).  For every
-    center the chunks are split by its cone planes (a plane with a zero
+    ``chunks`` (T, d+1, n) is the content and ``center_of`` (T,) the center
+    of each chunk; ``centers``, ``lo`` and ``hi`` (M, n) are the centers and
+    the bounds of the face each projects, every face spanning ``spanned``.
+    The chunks are split by their center's cone planes (a plane with a zero
     normal is skipped for that center) and their vertices are mapped onto
     the face boundary.  Returns (images, center_of, source_of): the image
-    chunks grouped by center, each center's in chunk-by-chunk order, with
-    the center and the input chunk each came from.
+    chunks in chunk-by-chunk order, with the center and the input chunk each
+    came from.
     """
-    C, v, n = corners.shape
-    M = centers.shape[0]
-    pts = np.tile(corners, (M, 1, 1))
-    center_of = np.repeat(np.arange(M), C)
-    source_of = np.tile(np.arange(C), M)
+    v, n = chunks.shape[1:]
+    source_of = np.arange(len(chunks))
     normals, offsets = _cone_planes(centers, lo, hi, spanned)
-    P = normals.shape[1]
+    M, P = normals.shape[:2]
     flat = normals.reshape(-1, n)
     norms = np.sqrt(row_dots(flat, flat)).reshape(M, P)
     snap = 1e-13 * s
+    pts = chunks
     for j in range(P):
         active = ~(norms[center_of, j] <= 0.0)
         c = center_of[active]
@@ -361,8 +374,8 @@ def _project_batch(corners: np.ndarray, centers: np.ndarray, lo: np.ndarray,
                                       snap * norms[c, j])
         center_of = center_of[parent]
         source_of = source_of[parent]
-    images = _map_to_boundary(pts.reshape(-1, n), np.repeat(centers[center_of], v, axis=0),
-                              lo, hi, spanned)
+    rows = np.repeat(center_of, v)
+    images = _map_to_boundary(pts.reshape(-1, n), centers[rows], lo[rows], hi[rows], spanned)
     return images.reshape(pts.shape), center_of, source_of
 
 
@@ -513,8 +526,11 @@ def choose_center(grid: DyadicGrid, face: CubeFace, content: np.ndarray,
     step = max(1, _CENTER_BATCH // len(content))
     for first in range(0, admissible.size, step):
         group = admissible[first:first + step]
-        images, center_of, _ = _project_batch(content, samples[group], lo, hi, spanned,
-                                              grid.spacing)
+        shape = (group.size, grid.ambient_dim)
+        images, center_of, _ = _project_batch(
+            np.tile(content, (group.size, 1, 1)), np.repeat(np.arange(group.size), len(content)),
+            samples[group], np.broadcast_to(lo, shape), np.broadcast_to(hi, shape), spanned,
+            grid.spacing)
         vols = _volumes(images)
         ends = np.cumsum(np.bincount(center_of, minlength=group.size)).tolist()
         for i, start, end in zip(group.tolist(), [0] + ends, ends):
@@ -576,19 +592,30 @@ def _assemble_mesh(dimension: int, ambient: int, pieces: PieceTable,
 def _project_groups(pieces: PieceTable, groups: list, centers: list, grid: DyadicGrid):
     """Image pieces of each face group under the projection from its center,
     group by group and in row order, with mult and owner of their source.
-    Returns (images, source row of each image, end of each group's images)."""
-    chunks, sources = [pieces.corners[:0]], [np.zeros(0, dtype=np.intp)]
-    for (face, rows), xi in zip(groups, centers):
-        lo, hi = grid.face_bounds(face)
-        spanned = [a for a in range(grid.ambient_dim) if face.spans(a)]
-        images, _, source_of = _project_batch(pieces.corners[rows], xi[None, :],
-                                              lo, hi, spanned, grid.spacing)
+    The faces that span the same axes go through one kernel call.  Returns
+    (images, source row of each image, end of each group's images)."""
+    n = grid.ambient_dim
+    rows = np.concatenate([r for _, r in groups] + [np.zeros(0, dtype=np.intp)])
+    group_of = np.repeat(np.arange(len(groups)), [len(r) for _, r in groups])
+    keys = pieces.face[[r[0] for _, r in groups]]
+    lo, hi = _key_bounds(keys, grid)
+    xi = np.array(centers, dtype=float).reshape(-1, n)
+    chunks, image_group, sources = [pieces.corners[:0]], [group_of[:0]], [rows[:0]]
+    for axes in np.unique(keys[:, 0]).tolist():
+        faces = np.flatnonzero(keys[:, 0] == axes)
+        batch = np.flatnonzero(keys[group_of, 0] == axes)
+        images, center_of, source_of = _project_batch(
+            pieces.corners[rows[batch]], np.searchsorted(faces, group_of[batch]), xi[faces],
+            lo[faces], hi[faces], [a for a in range(n) if axes >> a & 1], grid.spacing)
         chunks.append(images)
-        sources.append(rows[source_of])
-    corners = np.concatenate(chunks)
-    source = np.concatenate(sources)
+        image_group.append(faces[center_of])
+        sources.append(rows[batch[source_of]])
+    image_group = np.concatenate(image_group)
+    order = np.argsort(image_group, kind="stable")
+    corners = np.concatenate(chunks)[order]
+    source = np.concatenate(sources)[order]
     face = _assign_faces(corners, grid)
-    ends = np.cumsum([len(c) for c in chunks[1:]]).tolist()
+    ends = np.cumsum(np.bincount(image_group, minlength=len(groups))).tolist()
     return PieceTable(corners, pieces.mult[source], face, pieces.owner[source]), source, ends
 
 
@@ -692,11 +719,8 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
 def skeleton_deviation(result: ProjectionResult, grid: DyadicGrid) -> float:
     """Max distance from any content vertex to its assigned face (0 = exact)."""
     pieces = result.pieces
-    lat = pieces.face[:, None, 1:]
-    lo = grid.corner + lat * grid.spacing          # ``DyadicGrid.face_bounds``
-    hi = np.where(_spans(pieces.face, grid.ambient_dim)[:, None, :],
-                  grid.corner + (lat + 1) * grid.spacing, lo)
-    over = np.maximum(np.maximum(lo - pieces.corners, pieces.corners - hi), 0.0)
+    lo, hi = _key_bounds(pieces.face, grid)
+    over = np.maximum(np.maximum(lo[:, None] - pieces.corners, pieces.corners - hi[:, None]), 0.0)
     return float(np.linalg.norm(over, axis=2).max(initial=0.0))
 
 

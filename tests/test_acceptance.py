@@ -176,8 +176,8 @@ def test_criterion_05_ff_projection():
     sq = build_grid(np.zeros(2), 1.0, 1)
     pieces, _, _ = proj.split_into_grid(diag_mesh, sq)
     lo, hi = sq.face_bounds(proj._cube_face(pieces.owner[0]))
-    imgs, _, _ = proj._project_batch(pieces.corners, np.array([[0.7, 0.3]]), lo, hi,
-                                     [0, 1], sq.spacing)
+    imgs, _, _ = proj._project_batch(pieces.corners, np.zeros(1, dtype=int), np.array([[0.7, 0.3]]),
+                                     lo[None], hi[None], [0, 1], sq.spacing)
     diag_len = sum(float(np.linalg.norm(c[1] - c[0])) for c in imgs)
     d_ok = abs(diag_len - 2.0) <= 1e-3
 

@@ -395,6 +395,23 @@ def test_ff_project_determinism(runner, tmp_path):
     assert hashes[0] == hashes[1]
 
 
+def test_partially_identified_grid_freezes_nothing(runner, tmp_path):
+    """Any identified axis makes the grid periodic: today the walls of the
+    other axes are not frozen either."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"corner": [0, 0, 0], "size": 1.0, "N": 2,
+                                "identifications": [True, False, True]}))
+    mesh = tmp_path / "blob.off"
+    from plateau_lab.geometry.core import EmbeddedMesh
+    verts = np.random.default_rng(3).uniform(0.1, 0.9, size=(9, 3))
+    meshio.write_mesh(str(mesh), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
+    rep = tmp_path / "rep.json"
+    summary_of(runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh),
+                                    "--report", str(rep)]))
+    plan = json.loads(rep.read_text())["plan"]
+    assert plan["periodic"] is True and plan["freeze_boundary"] is False
+
+
 @pytest.mark.parametrize("spec,message", [
     ({"corner": [0, 0, 0], "size": 1.0, "N": 100000}, "exceeds the cap"),
     ({"corner": [0] * 7, "size": 1.0, "N": 1}, "dimension 2..6"),

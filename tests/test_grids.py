@@ -167,3 +167,19 @@ def test_canonical_face_is_idempotent(axes, i, j):
         face = t.canonical_face(face)
     once = t.canonical_face(face)
     assert t.canonical_face(once) == once
+
+
+# ── value equality ──
+
+def test_grids_compare_and_hash_by_value():
+    a, b = DyadicGrid.torus(3, 4), DyadicGrid.torus(3, 4)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert build_grid(np.zeros(3), 1.0, 4) == DyadicGrid(np.zeros(3), 1.0, 4, (False,) * 3)
+    for other in (build_grid(np.zeros(3), 1.0, 4),                 # identified
+                  DyadicGrid.torus(3, 8),                          # subdivisions
+                  DyadicGrid.torus(3, 4, size=2.0),                # size
+                  DyadicGrid(np.array([0.0, 0.0, 0.5]), 1.0, 4, (True,) * 3),   # corner
+                  DyadicGrid(np.array([0.0, 0.0, -0.0]), 1.0, 4, (True,) * 3),  # corner bytes
+                  DyadicGrid.torus(2, 4)):                         # dimension
+        assert a != other and not a == other
+    assert a != "torus" and a != None  # noqa: E711

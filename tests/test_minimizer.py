@@ -314,3 +314,25 @@ def test_one_dimensional_curve_on_the_2_torus():
     report = mz.initialize_from_mesh(mesh, grid)
     result = mz.minimize_faceset(report.faceset)
     assert result.final_measure == pytest.approx(1.0)
+
+
+# ── partially periodic grids: today's rule, pinned ──
+
+@pytest.mark.parametrize("identified", [(True, False), (False, False)])
+def test_partially_periodic_grid_freezes_no_wall(identified):
+    """The edge column x = 1/2 of a 4 x 4 grid in R^2, from wall to wall.
+
+    A grid with any identified axis is periodic, so nothing is frozen: with
+    axis 0 identified the column's two ends on the walls of axis 1 are odd
+    ridges, and collapse moves erase it.  With no axis identified it is a
+    relative cycle whose ends lie on the frozen boundary.
+    """
+    grid = DyadicGrid(np.zeros(2), 1.0, 4, identified)
+    fs = mz.FaceSet(grid, frozenset(CubeFace(0b10, (2, j)) for j in range(4)))
+    if any(identified):
+        assert fs.odd_ridges() == {CubeFace(0, (2, 0)), CubeFace(0, (2, 4))}
+        assert not fs.is_relative_cycle()
+        assert len(mz.collapse_moves(fs)) == 2
+    else:
+        assert fs.is_relative_cycle()
+        assert mz.collapse_moves(fs) == []

@@ -62,8 +62,8 @@ def test_fixed_center_diagonal_image_matches_oracle():
     pieces, outside, _ = proj.split_into_grid(diag, grid)
     assert outside == [] and len(pieces) == 1
     lo, hi = grid.face_bounds(proj._cube_face(pieces.owner[0]))
-    imgs, _, _ = proj._project_batch(pieces.corners, np.array([[0.7, 0.3]]), lo, hi,
-                                     [0, 1], grid.spacing)
+    imgs, _, _ = proj._project_batch(pieces.corners, np.zeros(1, dtype=int), np.array([[0.7, 0.3]]),
+                                     lo[None], hi[None], [0, 1], grid.spacing)
     total = sum(float(np.linalg.norm(c[1] - c[0])) for c in imgs)
     assert total == pytest.approx(diagonal_pushforward_oracle((0.7, 0.3)), abs=1e-9)
     assert total == pytest.approx(2.0, abs=1e-3)

@@ -9,6 +9,7 @@ give the same chunks, in the same order, with the same bytes.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -215,6 +216,25 @@ def oracle_chebyshev(grid, face, content, trials, rng):
                      "trials": int(samples.shape[0]), "image_measure": best_val}
 
 
+def oracle_project_groups(pieces, groups, centers, grid):
+    """``_project_groups`` as one kernel call per face, with that face's own
+    ``face_bounds``, before the faces of a stage were batched."""
+    chunks, sources = [pieces.corners[:0]], [np.zeros(0, dtype=np.intp)]
+    for (face, rows), xi in zip(groups, centers):
+        lo, hi = grid.face_bounds(face)
+        spanned = [a for a in range(grid.ambient_dim) if face.spans(a)]
+        images, _, source_of = proj._project_batch(
+            pieces.corners[rows], np.zeros(len(rows), dtype=np.intp), xi[None, :],
+            lo[None], hi[None], spanned, grid.spacing)
+        chunks.append(images)
+        sources.append(rows[source_of])
+    corners = np.concatenate(chunks)
+    source = np.concatenate(sources)
+    face = proj._assign_faces(corners, grid)
+    ends = np.cumsum([len(c) for c in chunks[1:]]).tolist()
+    return proj.PieceTable(corners, pieces.mult[source], face, pieces.owner[source]), source, ends
+
+
 def oracle_derive_face(corners, grid, snap) -> Optional[CubeFace]:
     """Minimal grid face containing the simplex; snaps near-plane coordinates."""
     n, N, s = grid.ambient_dim, grid.subdivisions, grid.spacing
@@ -385,7 +405,10 @@ def test_batched_projection_matches_scalar_oracle(d, n, spanned, jitter):
         if jitter is not None:
             xi[0, spanned] = np.round(xi[0, spanned] * 64) / 64
             chunks = pin_to_planes(chunks, xi[0], lo, hi, spanned, s, rng, jitter)
-        images, center_of, source_of = proj._project_batch(chunks, xi, lo, hi, spanned, s)
+        images, center_of, source_of = proj._project_batch(
+            np.tile(chunks, (5, 1, 1)), np.repeat(np.arange(5), len(chunks)), xi,
+            np.tile(lo, (5, 1)), np.tile(hi, (5, 1)), spanned, s)
+        source_of = source_of % len(chunks)          # index into the untiled chunks
         for m in range(xi.shape[0]):
             want, want_src = [], []
             for i, c in enumerate(chunks):
@@ -401,6 +424,37 @@ def test_batched_projection_matches_scalar_oracle(d, n, spanned, jitter):
         assert np.all(np.diff(center_of) >= 0)
 
 
+@pytest.mark.parametrize("d,n,spanned", CASES)
+def test_one_batch_over_several_faces_equals_one_call_per_face(d, n, spanned):
+    """Faces with different bounds, each with its own centers and content,
+    in one kernel call: every face's images, in order, as its own call."""
+    rng = np.random.default_rng(2000 + 100 * d + 10 * n + len(spanned))
+    chunks, center_of, centers, lows, highs, want = [], [], [], [], [], []
+    for f in range(4):
+        lo, hi, s = face_setup(n, spanned, rng)
+        xi = centers_in_face(lo, hi, spanned, s, rng, 2)
+        content = content_in_face(d, lo, hi, rng, 5)
+        for m in range(2):
+            first = len(centers)
+            centers.append(xi[m])
+            lows.append(lo)
+            highs.append(hi)
+            part = content[rng.random(len(content)) < 0.7]
+            start = sum(len(c) for c in chunks)
+            chunks.append(part)
+            center_of += [first] * len(part)
+            images, _, source_of = proj._project_batch(
+                part, np.zeros(len(part), dtype=np.intp), xi[m][None], lo[None], hi[None],
+                spanned, s)
+            want.append((images, [first] * len(images), (start + source_of).tolist()))
+    images, got_center, got_source = proj._project_batch(
+        np.concatenate(chunks), np.array(center_of), np.array(centers), np.array(lows),
+        np.array(highs), spanned, 0.25)
+    assert_same_chunks(images, np.concatenate([w[0] for w in want]))
+    assert got_center.tolist() == sum((w[1] for w in want), [])
+    assert got_source.tolist() == sum((w[2] for w in want), [])
+
+
 def test_exact_plane_hits_are_exercised():
     """The on-plane case really reaches the zero-value branch."""
     lo, hi = np.zeros(2), np.full(2, 0.25)
@@ -409,7 +463,8 @@ def test_exact_plane_hits_are_exercised():
     normal, offset = oracle_cone_planes(xi, lo, hi, [0, 1])[3]
     assert float(normal @ on) - offset == 0.0
     seg = np.array([[on, [0.2, 0.01]]])
-    assert_same_chunks(proj._project_batch(seg, xi[None, :], lo, hi, [0, 1], 0.25)[0],
+    assert_same_chunks(proj._project_batch(seg, np.zeros(1, dtype=int), xi[None, :], lo[None],
+                                           hi[None], [0, 1], 0.25)[0],
                        oracle_project(list(seg), xi, lo, hi, [0, 1], 0.25))
 
 
@@ -420,7 +475,8 @@ def test_center_on_a_vertex_raises_like_the_oracle():
     with pytest.raises(ValueError, match="coincides"):
         oracle_project(list(tri), xi, lo, hi, [0, 1, 2], 0.25)
     with pytest.raises(ValueError, match="coincides"):
-        proj._project_batch(tri, xi[None, :], lo, hi, [0, 1, 2], 0.25)
+        proj._project_batch(tri, np.zeros(1, dtype=int), xi[None, :], lo[None], hi[None],
+                            [0, 1, 2], 0.25)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -615,3 +671,99 @@ def test_ledgers_match_per_piece_recomputation(case):
     assert proj.interior_face_measure(res, grid) == running_sum(
         oracle_volume(c) for c, key in zip(res.pieces.corners, res.pieces.face)
         if proj._cube_face(key).dim == mesh.dimension)
+
+
+# ── one kernel call per stage and spanned axes vs one per face ──
+
+def test_key_bounds_match_face_bounds():
+    """Every face of every grid, the one far from the origin included, and
+    of a grid whose corner and spacing round."""
+    for grid in GRIDS + [build_grid(np.array([0.1, -7.3, 1e3 / 3]), 0.7, 12)]:
+        faces = [f for k in range(grid.ambient_dim + 1) for f in grid.faces(k)]
+        lo, hi = proj._key_bounds(np.array([key_of(f) for f in faces]), grid)
+        for f, lo_f, hi_f in zip(faces, lo, hi):
+            want_lo, want_hi = grid.face_bounds(f)
+            assert lo_f.tobytes() == want_lo.tobytes() and hi_f.tobytes() == want_hi.tobytes()
+
+
+def assert_same_projection(got, want):
+    (table, source, ends), (want_table, want_source, want_ends) = got, want
+    for f in fields(proj.PieceTable):
+        a, b = getattr(table, f.name), getattr(want_table, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+    assert source.tobytes() == want_source.tobytes()
+    assert ends == want_ends
+
+
+def stage_content(grid, d, rng, count, extent):
+    """``count`` simplices of side up to ``extent`` * size anywhere in Q,
+    with about a third of their coordinates moved onto grid planes, so that
+    stages below the top one hold content on faces of every spanned axes."""
+    n = grid.ambient_dim
+    base = grid.corner + grid.size * rng.uniform(0.02, 0.98 - extent, size=(count, 1, n))
+    corners = base + grid.size * extent * rng.uniform(size=(count, d + 1, n))
+    on_plane = grid.corner + grid.spacing * np.round((corners - grid.corner) / grid.spacing)
+    pin = rng.random((count, 1, n)) < 0.35
+    corners = np.where(pin, on_plane[:, :1], corners)
+    return EmbeddedMesh(d, corners.reshape(-1, n), np.arange(count * (d + 1)).reshape(count, d + 1),
+                        rng.integers(1, 4, count), allow_degenerate=True)
+
+
+#: (grid, content dimension) pairs of ``GRIDS`` with d < n
+STAGE_CASES = [(g, d) for g in range(len(GRIDS)) for d in (1, 2) if d < GRIDS[g].ambient_dim]
+
+
+@pytest.mark.parametrize("g,d", STAGE_CASES)
+def test_stage_batch_matches_per_face_loop(g, d, monkeypatch):
+    """Every ``_project_groups`` call of a projection and of its extra
+    collapse against the per-face loop, byte for byte, with the faces in
+    order and reversed; and an empty stage."""
+    grid = GRIDS[g]
+    n = grid.ambient_dim
+    real = proj._project_groups
+    masks = []
+
+    def checked(pieces, groups, centers, grid):
+        got = real(pieces, groups, centers, grid)
+        assert_same_projection(got, oracle_project_groups(pieces, groups, centers, grid))
+        # faces need not come sorted by spanned axes
+        assert_same_projection(real(pieces, groups[::-1], centers[::-1], grid),
+                               oracle_project_groups(pieces, groups[::-1], centers[::-1], grid))
+        masks.append({face.axes for face, _ in groups})
+        return got
+
+    monkeypatch.setattr(proj, "_project_groups", checked)
+    rng = np.random.default_rng(90 + 10 * g + d)
+    proj.project_to_skeleton(stage_content(grid, d, rng, 24, 0.3), grid, trials=4, seed=g)
+    assert len(masks) == n - d and all(masks)
+    if n - d >= 2:                  # the second stage mixes spanned axes
+        assert len(masks[1]) > 1
+    specks = proj.project_to_skeleton(stage_content(grid, d, rng, 3, 0.01), grid,
+                                      strategy="far")
+    assert proj.extra_collapse(specks, grid).collapse_applied
+    assert len(masks) == 2 * (n - d) + 1
+
+    pieces, _, _ = proj.split_into_grid(stage_content(grid, d, rng, 4, 0.3), grid)
+    empty = real(pieces, [], [], grid)
+    assert_same_projection(empty, oracle_project_groups(pieces, [], [], grid))
+    assert len(empty[0]) == 0 and empty[2] == []
+
+
+def test_one_stage_makes_one_kernel_call_per_spanned_axes(monkeypatch):
+    """Segments in R^3 reach the k = 2 stage on faces of all three spanned
+    axes: that stage makes three kernel calls, at most C(n, k)."""
+    grid = GRIDS[0]
+    rng = np.random.default_rng(5)
+    pieces, _, _ = proj.split_into_grid(stage_content(grid, 1, rng, 24, 0.3), grid)
+    calls = []
+    real = proj._project_batch
+    monkeypatch.setattr(proj, "_project_batch", lambda *a: calls.append(a[-2]) or real(*a))
+    for k in (3, 2):
+        groups = proj._face_groups(pieces.face, proj._faces_of_dim(pieces.face, k, grid, True))
+        centers = [grid.face_center(face) for face, _ in groups]
+        calls.clear()
+        images, _, _ = proj._project_groups(pieces, groups, centers, grid)
+        assert len(calls) == len({face.axes for face, _ in groups}) <= math.comb(3, k)
+        moving = proj._faces_of_dim(pieces.face, k, grid, True)
+        pieces = proj.PieceTable.concat([pieces.take(~moving), images])
+    assert sorted(calls) == [[0, 1], [0, 2], [1, 2]]
