@@ -1,9 +1,9 @@
 """Discrete area minimization over grid facesets.
 
-State is a set of grid faces of dimensions up to d = n-1; only the d-faces
-carry measure.  Read as a mod-2 chain, a tidy competitor has even ridge
-incidence away from the frozen grid boundary (or everywhere, on a periodic
-grid).  Three deformation moves drive the descent, each realizable as a
+State is a set of grid d-faces, d = n-1, so it is reduced by construction:
+every face carries measure.  Read as a mod-2 chain, a tidy competitor has even
+ridge incidence away from the frozen grid boundary (or everywhere, on a
+periodic grid).  Three deformation moves drive the descent, each realizable as a
 Lipschitz deformation supported in the ball it reports:
 
 * free-collapse — remove a d-face with a free ridge (whisker trimming;
@@ -15,7 +15,9 @@ Lipschitz deformation supported in the ball it reports:
   of cells over a maximal coplanar component (moves a whole terrace at
   once; single-cell moves stall on staircase plateaus).
 
-Every move changes the measure by an exact integer multiple of s^d.
+Every move changes the measure by an exact integer multiple of s^d.  The
+quasiminimality audit returns at once when no move is admissible, as after
+every descent that did not stall.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,13 +45,16 @@ MAX_ROUNDS = 100000
 #: ball-ladder radii of ``run_scheme``, as fractions of the domain size
 LADDER_RADII = (0.25, 0.125)
 
+#: ball-ladder centers of ``run_scheme``, spread over the finest minimizer
+LADDER_CENTERS = 8
+
 #: most trials of one ``quasiminimality_audit``; each costs tens of microseconds
 MAX_AUDIT_TRIALS = 1 << 16
 
 
 @dataclass(frozen=True)
 class FaceSet:
-    """Grid faces of dimensions <= d; only d-faces carry measure."""
+    """Grid d-faces, d = n-1, each carrying measure s^d."""
 
     grid: DyadicGrid
     faces: frozenset
@@ -56,8 +62,8 @@ class FaceSet:
     def __post_init__(self):
         d = self.dimension
         for f in self.faces:
-            if f.dim > d:
-                raise ValueError("faceset faces must have dimension at most n-1")
+            if f.dim != d:
+                raise ValueError("faceset faces must have dimension n-1")
             if not self.grid.is_valid(f):
                 raise ValueError(f"face {f} is not a face of the grid")
         if self.grid.periodic:
@@ -69,26 +75,26 @@ class FaceSet:
     def dimension(self) -> int:
         return self.grid.ambient_dim - 1
 
-    def top_faces(self) -> frozenset:
-        d = self.dimension
-        return frozenset(f for f in self.faces if f.dim == d)
-
     def measure(self) -> float:
-        return len(self.top_faces()) * self.grid.spacing ** self.dimension
+        return len(self.faces) * self.grid.spacing ** self.dimension
 
     # -- chain structure -------------------------------------------------------
 
-    def ridge_incidence(self) -> dict:
-        """Canonical (d-1)-faces -> number of incident d-faces of the set."""
-        inc: dict[CubeFace, int] = {}
-        for f in self.top_faces():
+    @cached_property
+    def ridges(self) -> dict:
+        """Canonical (d-1)-faces -> the faces of the set that hold them.
+
+        A face whose two ridges on an axis wrap onto one (N = 1) is listed
+        twice, so a list's length is its ridge's incidence count.
+        """
+        table: dict[CubeFace, list] = {}
+        for f in self.faces:
             for r in self.grid.subfaces(f):
-                r = self.grid.canonical_face(r)
-                inc[r] = inc.get(r, 0) + 1
-        return inc
+                table.setdefault(self.grid.canonical_face(r), []).append(f)
+        return table
 
     def odd_ridges(self) -> set:
-        return {r for r, k in self.ridge_incidence().items() if k % 2 == 1}
+        return {r for r, held in self.ridges.items() if len(held) % 2 == 1}
 
     def is_relative_cycle(self) -> bool:
         """Even incidence at every ridge off the frozen grid boundary."""
@@ -98,7 +104,7 @@ class FaceSet:
 
     def to_mesh(self) -> EmbeddedMesh:
         chunks = []
-        for f in sorted(self.top_faces()):
+        for f in sorted(self.faces):
             chunks.extend(self.grid.face_mesh_chunk(f))
         if not chunks:
             return EmbeddedMesh.empty(self.dimension, self.grid.ambient_dim)
@@ -106,11 +112,6 @@ class FaceSet:
 
     def with_faces(self, faces: Iterable[CubeFace]) -> "FaceSet":
         return FaceSet(self.grid, frozenset(faces))
-
-
-def core_reduce(fs: FaceSet) -> FaceSet:
-    """Keep exactly the d-faces; measure is unchanged, and it is idempotent."""
-    return fs.with_faces(fs.top_faces())
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +126,6 @@ class Move:
     delta_faces: int          # |after| - |before| over d-faces
     anchor: tuple             # deterministic sort key payload
     ball: Ball                # support of the realizing deformation
-
-    def delta(self, grid: DyadicGrid) -> float:
-        return self.delta_faces * grid.spacing ** (grid.ambient_dim - 1)
 
     def sort_key(self):
         return (self.delta_faces, self.kind, self.variant, self.anchor)
@@ -170,39 +168,42 @@ def _touches_frozen(fs: FaceSet, toggles: frozenset) -> bool:
     return any(fs.grid.on_boundary(f) for f in toggles)
 
 
+def _pinned_axis(face: CubeFace) -> int:
+    """The one axis a d-face does not span."""
+    return next(a for a in range(len(face.lattice)) if not face.spans(a))
+
+
+def _cell_across(grid: DyadicGrid, face: CubeFace, axis: int, level: int):
+    """The cell over ``face`` at index ``level`` on its pinned ``axis``.
+
+    The index wraps on an identified axis; off the grid there is no cell (None).
+    """
+    if grid.identified[axis]:
+        level %= grid.subdivisions
+    elif not 0 <= level < grid.subdivisions:
+        return None
+    lat = list(face.lattice)
+    lat[axis] = level
+    return CubeFace(grid.full_mask, tuple(lat))
+
+
 def _cells_touching(fs: FaceSet, face: CubeFace) -> list:
     """Both cells whose closure holds the facet, wrapping identified axes."""
-    grid = fs.grid
-    N = grid.subdivisions
-    a = next(ax for ax in range(grid.ambient_dim) if not face.spans(ax))
-    wrap = grid.identified[a]
-    out = []
-    for c in (face.lattice[a] - 1, face.lattice[a]):
-        if wrap:
-            c %= N
-        elif not 0 <= c <= N - 1:
-            continue
-        lat = list(face.lattice)
-        lat[a] = c
-        out.append(CubeFace(grid.full_mask, tuple(lat)))
-    return out
+    a = _pinned_axis(face)
+    cells = (_cell_across(fs.grid, face, a, c) for c in (face.lattice[a] - 1, face.lattice[a]))
+    return [c for c in cells if c is not None]
 
 
 def collapse_moves(fs: FaceSet) -> list:
     """One move per d-face holding a free ridge off the allowed boundary."""
-    inc = fs.ridge_incidence()
-    owner: dict[CubeFace, CubeFace] = {}
-    for f in fs.top_faces():
-        for r in fs.grid.subfaces(f):
-            owner[fs.grid.canonical_face(r)] = f
     moves = []
     seen = set()
-    for r, k in inc.items():
-        if k != 1:
+    for r, held in fs.ridges.items():
+        if len(held) != 1:
             continue
         if not fs.grid.periodic and fs.grid.on_boundary(r):
             continue
-        f = owner[r]
+        f = held[0]
         if f in seen:
             continue
         seen.add(f)
@@ -224,7 +225,7 @@ def _cell_boundary_move(fs: FaceSet, variant: str, cells: list, anchor: tuple,
 
 def flip_moves(fs: FaceSet, only_improving: bool = True) -> list:
     """Toggle by one cell boundary; improving needs > n present facets."""
-    cells = {c for f in fs.top_faces() for c in _cells_touching(fs, f)}
+    cells = {c for f in fs.faces for c in _cells_touching(fs, f)}
     moves = []
     for cell in sorted(cells):
         moves += _cell_boundary_move(fs, "flip", [cell], (cell.axes,) + cell.lattice,
@@ -234,22 +235,17 @@ def flip_moves(fs: FaceSet, only_improving: bool = True) -> list:
 
 def _coplanar_components(fs: FaceSet) -> list:
     """Maximal ridge-connected components of d-faces sharing a pinned plane."""
-    grid = fs.grid
-    n = grid.ambient_dim
     groups: dict[tuple, list] = {}
-    for f in fs.top_faces():
-        a = next(ax for ax in range(n) if not f.spans(ax))
+    for f in fs.faces:
+        a = _pinned_axis(f)
         groups.setdefault((a, f.lattice[a]), []).append(f)
+    adjacency: dict[CubeFace, set] = {f: set() for f in fs.faces}
+    for held in fs.ridges.values():
+        for x in held:
+            adjacency[x].update(y for y in held if y != x)
     comps = []
     for (a, p), members in sorted(groups.items()):
-        ridge_map: dict[CubeFace, list] = {}
-        for f in members:
-            for r in grid.subfaces(f):
-                ridge_map.setdefault(grid.canonical_face(r), []).append(f)
-        adjacency: dict[CubeFace, set] = {f: set() for f in members}
-        for flist in ridge_map.values():
-            for x in flist:
-                adjacency[x].update(y for y in flist if y != x)
+        # the fill stays on its plane: a neighbour off it is never in ``todo``
         todo = set(members)
         while todo:
             seed = min(todo)
@@ -270,18 +266,9 @@ def _coplanar_components(fs: FaceSet) -> list:
 def _slab_cells(grid: DyadicGrid, axis: int, plane: int, direction: int,
                 component: frozenset):
     """Cells of the one-level prism on the chosen side of the component."""
-    N = grid.subdivisions
     level = plane if direction > 0 else plane - 1
-    if grid.identified[axis]:
-        level %= N
-    elif not 0 <= level <= N - 1:
-        return None
-    cells = []
-    for f in component:
-        lat = list(f.lattice)
-        lat[axis] = level
-        cells.append(CubeFace(grid.full_mask, tuple(lat)))
-    return cells
+    cells = [_cell_across(grid, f, axis, level) for f in component]
+    return None if cells[0] is None else cells
 
 
 def shift_moves(fs: FaceSet, only_improving: bool = True) -> list:
@@ -322,13 +309,12 @@ class DeformationLog:
 
     entries: list = field(default_factory=list)
 
-    def record(self, kind: str, ball: Ball, faces, before: float, after: float,
-               variant: str = "") -> None:
+    def record(self, move: Move, before: float, after: float) -> None:
         self.entries.append({
-            "kind": kind, "variant": variant,
-            "ball_center": [float(x) for x in ball.center],
-            "ball_radius": float(ball.radius),
-            "faces": [[f.axes, list(f.lattice)] for f in sorted(faces)],
+            "kind": move.kind, "variant": move.variant,
+            "ball_center": [float(x) for x in move.ball.center],
+            "ball_radius": float(move.ball.radius),
+            "faces": [[f.axes, list(f.lattice)] for f in sorted(move.toggles)],
             "measure_before": before, "measure_after": after,
         })
 
@@ -344,7 +330,6 @@ class MinimizeResult:
     final_measure: float
     log: DeformationLog
     rounds: int
-    stalled: bool
 
 
 def minimize_faceset(fs: FaceSet) -> MinimizeResult:
@@ -364,12 +349,10 @@ def minimize_faceset(fs: FaceSet) -> MinimizeResult:
         before = fs.measure()
         fs = apply_move(fs, move)
         rounds += 1
-        log.record(move.kind, move.ball, move.toggles, before, fs.measure(),
-                   move.variant)
-    stalled = rounds >= MAX_ROUNDS
-    if stalled:
+        log.record(move, before, fs.measure())
+    if rounds >= MAX_ROUNDS:
         logger.warning("minimization stopped at the round cap %d", MAX_ROUNDS)
-    return MinimizeResult(fs, start, fs.measure(), log, rounds, stalled)
+    return MinimizeResult(fs, start, fs.measure(), log, rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +364,6 @@ class InitReport:
     faceset: FaceSet
     source: str               # "threshold" or "completion"
     covered_faces: int
-    log: DeformationLog
 
 
 def _threshold_faceset(res: ProjectionResult, grid: DyadicGrid,
@@ -407,10 +389,8 @@ def _completion_faceset(res: ProjectionResult, grid: DyadicGrid) -> FaceSet:
     cover = res.content_measure_by_face()
     per_axis = [0.0] * n
     for f, m in cover.items():
-        if f.dim != n - 1:
-            continue
-        a = next(ax for ax in range(n) if not f.spans(ax))
-        per_axis[a] += m
+        if f.dim == n - 1:
+            per_axis[_pinned_axis(f)] += m
     axis = int(np.argmax(per_axis))
     mask = grid.full_mask & ~(1 << axis)
     levels: dict[tuple, tuple] = {}
@@ -481,22 +461,14 @@ def initialize_from_mesh(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     if mesh.dimension != grid.ambient_dim - 1:
         raise ValueError("initialization expects codimension-one content")
     res = project_to_skeleton(mesh, grid, strategy=strategy, seed=seed)
-    log = DeformationLog()
-    domain = Ball(grid.corner + grid.size / 2.0,
-                  grid.size * math.sqrt(grid.ambient_dim) / 2.0)
-    for st in res.stages:
-        log.record("ff-stage", domain, (), st.measure_in, st.measure_out,
-                   variant=f"dim-{st.dim}")
     fs = _threshold_faceset(res, grid, threshold)
     covered = len(fs.faces)
     if fs.faces and fs.is_relative_cycle():
-        return InitReport(fs, "threshold", covered, log)
+        return InitReport(fs, "threshold", covered)
     fs2 = _completion_faceset(res, grid)
     if not fs2.is_relative_cycle():
         logger.warning("completion faceset has %d odd ridges", len(fs2.odd_ridges()))
-    log.record("ff-stage", domain, (), fs.measure(), fs2.measure(),
-               variant="completion")
-    return InitReport(fs2, "completion", covered, log)
+    return InitReport(fs2, "completion", covered)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +480,6 @@ class HaircutReport:
     worst_ratio: float        # empirical quasiminimality constant >= 1
     improving_trials: int     # trials whose ball admitted an improving move
     trials: int
-    improvable: bool
 
 
 def _check_audit_trials(trials: int) -> None:
@@ -524,25 +495,25 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0) -> Hai
     best improving move whose toggled faces all lie in the closed ball, if
     any.  The trial ratio is (local measure before) / (local measure after);
     the worst ratio over the trials estimates the quasiminimality constant,
-    and 1.0 means no test deformation improved anything.
+    and 1.0 means no test deformation improved anything: the report of an
+    empty set, or of one with no admissible move, is returned at once.
     """
     _check_audit_trials(trials)
+    moves = admissible_moves(fs, only_improving=True)
+    if not moves:
+        return HaircutReport(1.0, 0, trials)
     grid = fs.grid
     s = grid.spacing
     max_radius = AUDIT_RADIUS_CELLS * s
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(0xA0D17,)))
-    top = sorted(fs.top_faces())
-    if not top:
-        return HaircutReport(1.0, 0, trials, False)
-    lows, highs = zip(*(grid.face_bounds(f) for f in top))
-    lo_arr = np.array(lows)
-    hi_arr = np.array(highs)
-    moves = admissible_moves(fs, only_improving=True)
-    move_bounds = []
-    for m in moves:
-        ml, mh = zip(*(grid.face_bounds(f) for f in sorted(m.toggles)))
-        move_bounds.append((np.array(ml), np.array(mh)))
+    lo_arr, hi_arr = (np.array(b) for b in zip(*map(grid.face_bounds, fs.faces)))
+    # every toggled face of every move, one row each; move i owns the rows
+    # from starts[i] to the next start
+    move_lo, move_hi = (np.array(b) for b in zip(*(grid.face_bounds(f) for m in moves
+                                                   for f in m.toggles)))
+    starts = np.cumsum([0] + [len(m.toggles) for m in moves[:-1]])
+    deltas = np.array([m.delta_faces for m in moves])
 
     def farthest(center, lo, hi):
         # per-face farthest corner distance, wrapped on identified axes
@@ -562,19 +533,13 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0) -> Hai
         before = int(np.count_nonzero(inside))
         if before == 0:
             continue
-        best = None
-        for m, (ml, mh) in zip(moves, move_bounds):
-            if np.all(farthest(center, ml, mh) <= r + 1e-12):
-                after = before + m.delta_faces
-                if best is None or after < best:
-                    best = after
-        if best is None:
-            ratio = 1.0
-        else:
-            improving += 1
-            ratio = before / best if best > 0 else math.inf
-        worst = max(worst, ratio)
-    return HaircutReport(worst, improving, trials, improving > 0)
+        fits = np.logical_and.reduceat(farthest(center, move_lo, move_hi) <= r + 1e-12, starts)
+        if not fits.any():
+            continue
+        improving += 1
+        best = before + int(deltas[fits].min())
+        worst = max(worst, before / best if best > 0 else math.inf)
+    return HaircutReport(worst, improving, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +562,8 @@ class SchemeResult:
 
 def run_scheme(mesh: EmbeddedMesh, domain: DyadicGrid, subdivision_levels: Sequence[int], *,
                threshold: float = 0.5, strategy: str = "far",
-               seed: int = 0, audit_trials: int = 200,
-               ladder_centers: int = 8) -> SchemeResult:
-    """Initialize, minimize, core-reduce and audit per grid level.
+               seed: int = 0, audit_trials: int = 200) -> SchemeResult:
+    """Initialize, minimize and audit per grid level.
 
     Level N subdivides ``domain``'s cube, with its identifications, into N^n
     cells; the domain's own subdivision count is not read.  Successive
@@ -617,16 +581,15 @@ def run_scheme(mesh: EmbeddedMesh, domain: DyadicGrid, subdivision_levels: Seque
         init = initialize_from_mesh(mesh, grid, threshold=threshold, strategy=strategy,
                                     seed=seed)
         result = minimize_faceset(init.faceset)
-        result.faceset = core_reduce(result.faceset)
         audit = quasiminimality_audit(result.faceset, trials=audit_trials, seed=seed)
         levels.append(SchemeLevel(N, init, result, audit))
     # fixed ball ladder: centers on the finest minimizer, shared radii
     distances = []
     if len(levels) >= 2:
         fine = levels[-1].result.faceset
-        faces = sorted(fine.top_faces())
-        step = max(1, len(faces) // ladder_centers)
-        centers = [fine.grid.face_center(f) for f in faces[::step][:ladder_centers]]
+        faces = sorted(fine.faces)
+        step = max(1, len(faces) // LADDER_CENTERS)
+        centers = [fine.grid.face_center(f) for f in faces[::step][:LADDER_CENTERS]]
         meshes = [lv.result.faceset.to_mesh() for lv in levels]
         for (ia, ma), mb in zip(enumerate(meshes), meshes[1:]):
             row = {"coarse": levels[ia].subdivisions,

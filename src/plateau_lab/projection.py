@@ -480,8 +480,9 @@ def choose_center(grid: DyadicGrid, face: CubeFace, content: np.ndarray,
     samples ranked by exact image measure (ties keep the earliest sample).
     An empty face takes the midpoint with ratio 0 by convention.
     """
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials {trials} exceed the cap of {MAX_TRIALS}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials {trials} must be at least 1 "
+                         f"and not exceed the cap of {MAX_TRIALS}")
     lo, hi = grid.face_bounds(face)
     spanned = [a for a in range(grid.ambient_dim) if face.spans(a)]
     if not spanned:
@@ -516,7 +517,7 @@ def choose_center(grid: DyadicGrid, face: CubeFace, content: np.ndarray,
         raise ValueError(f"unknown center strategy {strategy!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    samples = rng.uniform(half_lo, half_hi, size=(max(1, trials), grid.ambient_dim))
+    samples = rng.uniform(half_lo, half_hi, size=(trials, grid.ambient_dim))
     for a in range(grid.ambient_dim):
         if a not in spanned:
             samples[:, a] = lo[a]

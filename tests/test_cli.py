@@ -534,6 +534,19 @@ def test_rotation_and_trial_caps_fail_fast(runner, y_mesh, tmp_path):
     assert f"exceed the cap of {MAX_TRIALS}" in r.stderr
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_ff_project_trials_below_one_fail(runner, y_mesh, tmp_path, trials):
+    """A trial count below 1 is a domain error, not one silent trial."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"corner": [-2, -2, -2], "size": 4.0, "N": 2}))
+    out = tmp_path / "proj.off"
+    r = runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", y_mesh,
+                             "--trials", str(trials), "--out", str(out)])
+    assert r.exit_code == 1
+    assert f"trials {trials} must be at least 1" in r.stderr
+    assert not out.exists()
+
+
 def _parse_profile(text):
     rows = text.strip().splitlines()
     assert rows[0] == "r,theta,adjusted,F,err"

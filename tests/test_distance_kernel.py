@@ -421,8 +421,9 @@ def test_run_scheme_distances_match_oracle(monkeypatch):
         surface = graph_mesh(lambda x, y: 0.45 + 0.15 * math.sin(2 * math.pi * x)
                              * math.sin(2 * math.pi * (y + 0.3)), n=8)
         return mz.run_scheme(surface, DyadicGrid.torus(3, 1), [4, 8], audit_trials=20,
-                             seed=0, ladder_centers=3).distances
+                             seed=0).distances
 
+    monkeypatch.setattr(mz, "LADDER_CENTERS", 3)
     got = ladder()
     monkeypatch.setattr(dist, "sup_distance", oracle_sup)
     monkeypatch.setattr(dist, "sample_mesh", oracle_sample_mesh)

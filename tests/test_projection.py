@@ -176,3 +176,14 @@ def test_trials_over_the_cap_raise_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("strategy", ["chebyshev", "far"])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_below_one_raise(trials, strategy):
+    from plateau_lab.grids import CubeFace
+    grid = build_grid(np.zeros(3), 1.0, 2)
+    content = np.array([[[0.1, 0.1, 0.2], [0.4, 0.1, 0.3], [0.1, 0.4, 0.2]]])
+    with pytest.raises(ValueError, match=f"trials {trials} must be at least 1"):
+        proj.choose_center(grid, CubeFace(grid.full_mask, (0, 0, 0)), content,
+                           strategy=strategy, trials=trials)
