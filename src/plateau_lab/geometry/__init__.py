@@ -15,11 +15,8 @@ from .core import (
 from .clipping import (
     clip_to_ball,
     clipped_measure,
-    polygon_disk_area,
     segment_ball_interval,
     sphere_slice_measure,
-    triangle_disk_area,
-    triangle_sphere_arclength,
 )
 from .distance import local_hausdorff_distance, point_mesh_distance, sample_mesh
 from .energy import circle_samples, douglas_energy
@@ -38,13 +35,10 @@ __all__ = [
     "mass",
     "measure",
     "point_mesh_distance",
-    "polygon_disk_area",
     "refine",
     "sample_mesh",
     "segment_ball_interval",
     "simplex_volumes",
     "sphere_slice_measure",
-    "triangle_disk_area",
-    "triangle_sphere_arclength",
     "unit_ball_volume",
 ]

@@ -8,6 +8,12 @@ ratios carry no polygonalization error.  The mesh tier (``clip_to_ball``)
 returns the part of a mesh inside a ball as an actual mesh and replaces the
 curved boundary by an inscribed regular polygon sized from a relative area
 tolerance.
+
+The measure tier runs over stacked arrays: one pass builds the plane frames
+of all candidate triangles, and the edge walks run over all of them at once.
+Each value takes the float operations of a walk over one simplex, in the
+same order: ``atan2`` and ``hypot`` come from ``math`` (numpy's round
+differently), and sums run left to right, never through ``np.sum``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Ball, EmbeddedMesh, _corner_diameters, simplex_volumes
+from .core import Ball, EmbeddedMesh, _corner_diameters, row_dots, simplex_volumes, stacked_dots
 
 DEFAULT_CLIP_TOL = 1e-4
 
@@ -27,120 +33,161 @@ DEFAULT_CLIP_TOL = 1e-4
 # segment primitives (exact)
 # ---------------------------------------------------------------------------
 
-def _sphere_roots(a: np.ndarray, b: np.ndarray, center: np.ndarray, radius: float):
-    """(q0, roots) of |a + t(b-a) - center|^2 = radius^2 with q0 = |a - center|^2
-    - radius^2; roots (t0 <= t1) is None for a point segment or a miss."""
+def _sphere_roots(a: np.ndarray, b: np.ndarray, center, radius):
+    """Per segment a -> b (rows over the last axis): q0 = |a - center|^2 -
+    radius^2, whether |a + t(b-a) - center|^2 = radius^2 has real roots (a
+    point segment has none) and the roots t0 <= t1."""
     d = b - a
     f = a - center
-    q2 = float(d @ d)
-    q1 = 2.0 * float(d @ f)
-    q0 = float(f @ f) - radius * radius
-    if q2 <= 0.0:
-        return q0, None
-    disc = q1 * q1 - 4.0 * q2 * q0
-    if disc < 0.0:
-        return q0, None
-    s = math.sqrt(disc)
-    return q0, ((-q1 - s) / (2.0 * q2), (-q1 + s) / (2.0 * q2))
+    q2 = row_dots(d, d)
+    q1 = 2.0 * row_dots(d, f)
+    q0 = row_dots(f, f) - radius * radius
+    with np.errstate(all="ignore"):
+        disc = q1 * q1 - 4.0 * q2 * q0
+        s = np.sqrt(disc)
+        t0, t1 = (-q1 - s) / (2.0 * q2), (-q1 + s) / (2.0 * q2)
+    return q0, ~(q2 <= 0.0) & ~(disc < 0.0), t0, t1
+
+
+def segment_ball_intervals(a: np.ndarray, b: np.ndarray, center, radius):
+    """Per segment a -> b (rows over the last axis): whether part of it lies
+    in the closed ball, and that part's parameter interval [lo, hi]."""
+    q0, real, t0, t1 = _sphere_roots(a, b, center, radius)
+    lo = np.where(real & ~(0.0 > t0), t0, 0.0)
+    hi = np.where(real & ~(1.0 < t1), t1, 1.0)
+    # a miss has q0 > 0, so without roots only a point segment inside the ball is kept
+    return np.where(real, ~(lo >= hi), q0 <= 0.0), lo, hi
 
 
 def segment_ball_interval(a: np.ndarray, b: np.ndarray, center: np.ndarray,
                           radius: float) -> Optional[tuple[float, float]]:
     """Parameter interval [t0, t1] of {a + t(b-a)} inside the closed ball, or None."""
-    q0, roots = _sphere_roots(a, b, center, radius)
-    if roots is None:
-        # a miss has q0 > 0, so only a point segment inside the ball is kept
-        return (0.0, 1.0) if q0 <= 0.0 else None
-    lo, hi = max(roots[0], 0.0), min(roots[1], 1.0)
-    if lo >= hi:
-        return None
-    return (lo, hi)
+    ok, lo, hi = segment_ball_intervals(a[None], b[None], center, radius)
+    return (float(lo[0]), float(hi[0])) if ok[0] else None
 
 
-def segment_sphere_params(a: np.ndarray, b: np.ndarray, center: np.ndarray,
-                          radius: float) -> list[float]:
-    """Parameters t in [0,1] where the segment meets the sphere |x-c| = r."""
-    _, roots = _sphere_roots(a, b, center, radius)
-    if roots is None:
-        return []
-    out = [min(max(t, 0.0), 1.0) for t in roots if -1e-12 <= t <= 1.0 + 1e-12]
-    if len(out) == 2 and abs(out[0] - out[1]) < 1e-15:
-        out = out[:1]
+def _sphere_params(a: np.ndarray, b: np.ndarray, center, radius):
+    """Parameters (..., 2) in [0, 1] where segments a -> b meet the sphere,
+    and which of them count: a root up to 1e-12 outside [0, 1] is clamped
+    onto it, and a second root within 1e-15 of the first is dropped."""
+    _, real, t0, t1 = _sphere_roots(a, b, center, radius)
+    t = np.stack([t0, t1], axis=-1)
+    keep = real[..., None] & (-1e-12 <= t) & (t <= 1.0 + 1e-12)
+    t = np.where(0.0 > t, 0.0, t)
+    t = np.where(1.0 < t, 1.0, t)
+    keep[..., 1] &= ~(keep[..., 0] & (np.abs(t[..., 0] - t[..., 1]) < 1e-15))
+    return t, keep
+
+
+# ---------------------------------------------------------------------------
+# triangle/plane frames, stacked
+# ---------------------------------------------------------------------------
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # unlike row_dots, keeps the operands' strides: a BLAS dot with a strided
+    # QR column rounds apart from one with its contiguous copy in R^4 and up
+    return stacked_dots(a, b)[..., 0, 0]
+
+
+def _frames(corners: np.ndarray, ball: Ball):
+    """Triangles (K, 3, n) in their planes: corners relative to the circle
+    center (K, 3, 2), rho^2 of that circle (<= 0 where the plane misses the
+    ball), the circle center and the in-plane basis u, v."""
+    p0 = corners[:, 0]
+    q = np.linalg.qr(np.swapaxes(corners[:, 1:] - p0[:, None], 1, 2))[0]
+    u, v = q[..., 0], q[..., 1]
+    w = ball.center - p0
+    cu, cv = _dots(w, u), _dots(w, v)
+    rho2 = ball.radius * ball.radius - (row_dots(w, w) - cu * cu - cv * cv)
+    rel = corners - ball.center
+    t2d = np.stack([_dots(rel, u[:, None]), _dots(rel, v[:, None])], axis=-1)
+    return t2d, rho2, p0 + cu[:, None] * u + cv[:, None] * v, u, v
+
+
+def _origin_distances(p: np.ndarray, d: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Distance from the origin to each closed 2D triangle, whose edges run
+    from p (K, 3, 2) by d with cross products ``cross`` (K, 3)."""
+    ee = row_dots(d, d)
+    with np.errstate(all="ignore"):
+        t = -row_dots(p, d) / ee
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(ee <= 0.0, 0.0, np.where(t < 1.0, t, 1.0))
+    z = (p + t[..., None] * d).reshape(-1, 2).tolist()
+    hyp = np.array([math.hypot(x, y) for x, y in z]).reshape(t.shape)
+    best = np.full(len(p), math.inf)
+    sign = np.zeros(len(p))
+    for i in range(3):
+        best = np.where(hyp[:, i] < best, hyp[:, i], best)
+        # nan once two edges disagree: the origin is outside
+        sign = np.where(sign == 0.0, cross[:, i],
+                        np.where(cross[:, i] * sign < 0.0, math.nan, sign))
+    return np.where(np.isnan(sign), best, 0.0)
+
+
+def _near_triangles(corners: np.ndarray, ball: Ball):
+    """The triangles whose plane cuts the ball in a circle (radius rho) that
+    comes nearer than rho: their 2D edges, from p (K, 3, 2) to q by d, the
+    edges' cross products p x q, and rho.  The others contribute exactly 0.0,
+    where a signed sum of edge terms would leave float dust of ~1e-17."""
+    t2d, rho2, _, _, _ = _frames(corners, ball)
+    hit = ~(rho2 <= 0.0)
+    p, rho = t2d[hit], np.sqrt(rho2[hit])
+    q = np.roll(p, -1, axis=1)
+    d = q - p
+    cross = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+    near = ~(_origin_distances(p, d, cross) >= rho)
+    return p[near], q[near], d[near], cross[near], rho[near]
+
+
+# ---------------------------------------------------------------------------
+# planar circle geometry (exact), stacked
+# ---------------------------------------------------------------------------
+
+def _piece_terms(u: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Green's-theorem term of each piece u -> v of an edge: cross(u, v)/2 for
+    a chord strictly inside disk(0, rho), else rho^2/2 * angle(u, v).
+
+    A tangent piece (midpoint exactly on the circle) takes the arc branch.
+    """
+    mid = 0.5 * (u + v)
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    arc = np.nonzero(~(row_dots(mid, mid) < rho * rho))
+    out = 0.5 * cross
+    angles = [math.atan2(c, dot) for c, dot in zip(cross[arc].tolist(),
+                                                    row_dots(u[arc], v[arc]).tolist())]
+    out[arc] = np.broadcast_to(0.5 * rho * rho, out.shape)[arc] * np.array(angles)
     return out
 
 
-# ---------------------------------------------------------------------------
-# planar circle geometry (exact)
-# ---------------------------------------------------------------------------
-
-def _edge_circle_area_term(p: np.ndarray, q: np.ndarray, rho: float) -> float:
-    """Green's-theorem contribution of edge p->q to area(polygon cap disk(0, rho)).
-
-    Chord pieces inside the disk contribute cross(u, v)/2; excursions outside
-    are replaced by the arc, contributing rho^2/2 * angle(u, v).
-    """
-    pts = [p]
-    interval = segment_ball_interval(p, q, np.zeros(2), rho)
-    if interval is not None:
-        t0, t1 = interval
-        for t in (t0, t1):
-            if 1e-14 < t < 1.0 - 1e-14:
-                pts.append(p + t * (q - p))
-        # keep parameter order
-        pts = [p] + sorted(pts[1:], key=lambda z: float((z - p) @ (q - p)))
-    pts.append(q)
-    total = 0.0
-    for u, v in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (u + v)
-        cross = float(u[0] * v[1] - u[1] * v[0])
-        # strictly-inside test: a tangent piece (midpoint exactly on the
-        # circle) must take the arc branch, a true chord is strictly inside
-        if float(mid @ mid) < rho * rho:
-            total += 0.5 * cross
-        else:
-            dot = float(u @ v)
-            total += 0.5 * rho * rho * math.atan2(cross, dot)
-    return total
+def _disk_areas(p, q, d, rho) -> np.ndarray:
+    """Exact area of each 2D triangle cap disk(0, rho): each edge's pieces
+    inside and outside the disk summed from 0.0, then the edges in order."""
+    r = rho[:, None]
+    ok, lo, hi = segment_ball_intervals(p, q, 0.0, r)
+    in0 = (ok & (1e-14 < lo) & (lo < 1.0 - 1e-14))[..., None]
+    in1 = (ok & (1e-14 < hi) & (hi < 1.0 - 1e-14))[..., None]
+    z0, z1 = p + lo[..., None] * d, p + hi[..., None] * d
+    first = np.where(in0, z0, np.where(in1, z1, q))
+    second = np.where(in0 & in1, z1, q)
+    edge = 0.0 + _piece_terms(p, first, r)
+    edge = np.where((in0 | in1)[..., 0], edge + _piece_terms(first, second, r), edge)
+    edge = np.where((in0 & in1)[..., 0], edge + _piece_terms(z1, q, r), edge)
+    return np.abs(0.0 + edge[:, 0] + edge[:, 1] + edge[:, 2])
 
 
-def polygon_disk_area(poly: np.ndarray, rho: float) -> float:
-    """Exact area of (simple polygon) cap disk(0, rho); sign follows orientation."""
-    poly = np.asarray(poly, dtype=float)
-    m = poly.shape[0]
-    total = 0.0
-    for i in range(m):
-        total += _edge_circle_area_term(poly[i], poly[(i + 1) % m], rho)
-    return total
-
-
-def _point_in_convex(poly: np.ndarray, orient: float, pt: np.ndarray) -> bool:
-    m = poly.shape[0]
-    for i in range(m):
-        p, q = poly[i], poly[(i + 1) % m]
-        cr = (q[0] - p[0]) * (pt[1] - p[1]) - (q[1] - p[1]) * (pt[0] - p[0])
-        if cr * orient < 0:
+def _holds(tri: list, orient: float, x: float, y: float) -> bool:
+    """Is (x, y) in the convex 2D triangle ``tri`` of orientation ``orient``?"""
+    for (px, py), (qx, qy) in zip(tri, tri[1:] + tri[:1]):
+        if ((qx - px) * (y - py) - (qy - py) * (x - px)) * orient < 0:
             return False
     return True
 
 
-def circle_arcs_in_convex(poly: np.ndarray, rho: float) -> float:
-    """Exact length of circle(0, rho) inside a convex polygon."""
-    poly = np.asarray(poly, dtype=float)
-    m = poly.shape[0]
-    area2 = 0.0
-    for i in range(m):
-        p, q = poly[i], poly[(i + 1) % m]
-        area2 += p[0] * q[1] - p[1] * q[0]
-    orient = 1.0 if area2 >= 0 else -1.0
-    angles: list[float] = []
-    for i in range(m):
-        p, q = poly[i], poly[(i + 1) % m]
-        for t in segment_sphere_params(p, q, np.zeros(2), rho):
-            z = p + t * (q - p)
-            angles.append(math.atan2(z[1], z[0]))
+def _arc_length(tri: list, orient: float, rho: float, angles: list) -> float:
+    """Length of circle(0, rho) inside a convex 2D triangle whose edges meet
+    the circle at ``angles``: the arcs between them whose midpoint it holds."""
     if not angles:
-        probe = np.array([rho, 0.0])
-        return 2.0 * math.pi * rho if _point_in_convex(poly, orient, probe) else 0.0
+        return 2.0 * math.pi * rho if _holds(tri, orient, rho, 0.0) else 0.0
     angles = sorted(set(angles))
     total = 0.0
     k = len(angles)
@@ -151,81 +198,21 @@ def circle_arcs_in_convex(poly: np.ndarray, rho: float) -> float:
         if span <= 1e-15:
             continue
         mid = a0 + 0.5 * span
-        probe = rho * np.array([math.cos(mid), math.sin(mid)])
-        if _point_in_convex(poly, orient, probe):
+        if _holds(tri, orient, rho * math.cos(mid), rho * math.sin(mid)):
             total += span * rho
     return total
 
 
-# ---------------------------------------------------------------------------
-# triangle/plane frames
-# ---------------------------------------------------------------------------
-
-def _triangle_frame(corners: np.ndarray, ball: Ball):
-    """In-plane data for triangle-vs-ball: (2d corners rel. circle center, rho,
-    lift origin, basis u, basis v) or None when the plane misses the ball."""
-    p0 = corners[0]
-    e1 = corners[1] - p0
-    e2 = corners[2] - p0
-    q, _ = np.linalg.qr(np.stack([e1, e2], axis=1))
-    u, v = q[:, 0], q[:, 1]
-    w = ball.center - p0
-    cu, cv = float(w @ u), float(w @ v)
-    h2 = float(w @ w) - cu * cu - cv * cv
-    rho2 = ball.radius * ball.radius - h2
-    if rho2 <= 0.0:
-        return None
-    rho = math.sqrt(rho2)
-    proj_center = p0 + cu * u + cv * v
-    t2d = np.array([[float((c - ball.center) @ u), float((c - ball.center) @ v)]
-                    for c in corners])
-    return t2d, rho, proj_center, u, v
-
-
-def _origin_triangle_distance(t2d: np.ndarray) -> float:
-    """Distance from the origin to a closed 2D triangle."""
-    best = math.inf
-    sign = 0.0
-    for i in range(3):
-        p = t2d[i]
-        q = t2d[(i + 1) % 3]
-        e = q - p
-        ee = float(e @ e)
-        t = 0.0 if ee <= 0.0 else min(1.0, max(0.0, float(-(p @ e)) / ee))
-        z = p + t * e
-        best = min(best, math.hypot(float(z[0]), float(z[1])))
-        cr = p[0] * q[1] - p[1] * q[0]
-        if sign == 0.0:
-            sign = cr
-        elif cr * sign < 0.0:
-            sign = math.nan   # origin is outside: edge distances decide
-    if not math.isnan(sign):
-        return 0.0            # origin on the inner side of every edge
-    return best
-
-
-def triangle_disk_area(corners: np.ndarray, ball: Ball) -> float:
-    """Exact area of a triangle intersected with a ball (in the triangle plane)."""
-    frame = _triangle_frame(corners, ball)
-    if frame is None:
-        return 0.0
-    t2d, rho, _, _, _ = frame
-    # a triangle that provably misses the disk contributes exactly 0.0; the
-    # signed edge-term sum below would instead leave float dust of ~1e-17
-    if _origin_triangle_distance(t2d) >= rho:
-        return 0.0
-    return abs(polygon_disk_area(t2d, rho))
-
-
-def triangle_sphere_arclength(corners: np.ndarray, ball: Ball) -> float:
-    """Exact length of (triangle) cap (sphere boundary of the ball)."""
-    frame = _triangle_frame(corners, ball)
-    if frame is None:
-        return 0.0
-    t2d, rho, _, _, _ = frame
-    if _origin_triangle_distance(t2d) >= rho:
-        return 0.0
-    return circle_arcs_in_convex(t2d, rho)
+def _arc_lengths(p, q, d, cross, rho) -> list:
+    """Exact length of circle(0, rho) inside each convex 2D triangle."""
+    t, keep = _sphere_params(p, q, 0.0, rho[:, None])
+    keep = keep.reshape(len(p), 6)
+    z = (p[:, :, None] + t[..., None] * d[:, :, None]).reshape(len(p), 6, 2)[keep]
+    angles = iter([math.atan2(y, x) for x, y in z.tolist()])
+    orient = np.where(0.0 + cross[:, 0] + cross[:, 1] + cross[:, 2] >= 0, 1.0, -1.0)
+    return [_arc_length(tri, o, r, list(itertools.islice(angles, k)))
+            for tri, o, r, k in zip(p.tolist(), orient.tolist(), rho.tolist(),
+                                    keep.sum(axis=1).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +234,14 @@ def _corner_distance_band(corners: np.ndarray, ball: Ball):
     return surely_in, surely_out, dmax
 
 
+def _add_in_order(total: float, parts) -> float:
+    """``total`` plus each part in turn (``np.sum`` adds pairwise, and the
+    built-in ``sum`` compensates from Python 3.12 on)."""
+    for x in parts:
+        total += x
+    return total
+
+
 def clipped_measure(mesh: EmbeddedMesh, ball: Ball, inside: bool = True) -> float:
     """Exact H^d of the part of the mesh inside (or outside) the closed ball."""
     if ball.ambient_dim != mesh.ambient_dim:
@@ -256,17 +251,15 @@ def clipped_measure(mesh: EmbeddedMesh, ball: Ball, inside: bool = True) -> floa
     if mesh.n_simplices == 0:
         return 0.0
     surely_in, surely_out, _ = _corner_distance_band(corners, ball)
-    total_in = float(np.sum(vols[surely_in]))
-    for i in np.nonzero(~surely_in & ~surely_out)[0]:
-        if vols[i] == 0.0:
-            continue
-        if mesh.dimension == 1:
-            interval = segment_ball_interval(corners[i, 0], corners[i, 1],
-                                             ball.center, ball.radius)
-            if interval is not None:
-                total_in += (interval[1] - interval[0]) * float(vols[i])
-        else:
-            total_in += triangle_disk_area(corners[i], ball)
+    unsure = ~surely_in & ~surely_out & ~(vols == 0.0)
+    if mesh.dimension == 1:
+        a, b = corners[unsure, 0], corners[unsure, 1]
+        ok, lo, hi = segment_ball_intervals(a, b, ball.center, ball.radius)
+        parts = (hi - lo)[ok] * vols[unsure][ok]
+    else:
+        p, q, d, _, rho = _near_triangles(corners[unsure], ball)
+        parts = _disk_areas(p, q, d, rho)
+    total_in = _add_in_order(float(np.sum(vols[surely_in])), parts.tolist())
     if inside:
         return total_in
     return float(np.sum(vols)) - total_in
@@ -281,20 +274,15 @@ def sphere_slice_measure(mesh: EmbeddedMesh, ball: Ball) -> float:
         return 0.0
     surely_in, surely_out, dmax = _corner_distance_band(corners, ball)
     # strictly interior simplices never touch the sphere itself
-    crossers = np.nonzero(~(surely_in & (dmax < ball.radius)) & ~surely_out)[0]
+    crossers = corners[~(surely_in & (dmax < ball.radius)) & ~surely_out]
     if mesh.dimension == 2:
-        total = 0.0
-        for i in crossers:
-            total += triangle_sphere_arclength(corners[i], ball)
-        return total
-    pts: list[np.ndarray] = []
-    for i in crossers:
-        a, b = corners[i, 0], corners[i, 1]
-        for t in segment_sphere_params(a, b, ball.center, ball.radius):
-            pts.append(a + t * (b - a))
-    if not pts:
+        return _add_in_order(0.0, _arc_lengths(*_near_triangles(crossers, ball)))
+    a, b = crossers[:, 0], crossers[:, 1]
+    t, keep = _sphere_params(a, b, ball.center, ball.radius)
+    pts = (a[:, None] + t[..., None] * (b - a)[:, None])[keep]
+    if not len(pts):
         return 0.0
-    return float(_greedy_point_count(np.array(pts), ball.center, 1e-12 * ball.radius))
+    return float(_greedy_point_count(pts, ball.center, 1e-12 * ball.radius))
 
 
 def _greedy_point_count(points: np.ndarray, center: np.ndarray, tol: float) -> int:
@@ -384,43 +372,39 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball,
     mults: list[int] = []
 
     if mesh.dimension == 1:
-        for i in range(mesh.n_simplices):
-            a, b = corners[i, 0], corners[i, 1]
-            interval = segment_ball_interval(a, b, ball.center, ball.radius)
-            if interval is None or interval[1] - interval[0] <= 1e-14:
-                continue
-            lo, hi = interval
-            pa = a if lo == 0.0 else a + lo * (b - a)
-            pb = b if hi == 1.0 else a + hi * (b - a)
-            chunks.append(np.array([pa, pb]))
-            mults.append(int(mesh.multiplicities[i]))
-        if not chunks:
+        a, b = corners[:, 0], corners[:, 1]
+        ok, lo, hi = segment_ball_intervals(a, b, ball.center, ball.radius)
+        keep = ok & ~(hi - lo <= 1e-14)
+        if not keep.any():
             return EmbeddedMesh.empty(1, n)
-        return EmbeddedMesh.from_simplex_list(1, chunks, mults)
+        a, b, lo, hi = a[keep], b[keep], lo[keep, None], hi[keep, None]
+        pa = np.where(lo == 0.0, a, a + lo * (b - a))
+        pb = np.where(hi == 1.0, b, a + hi * (b - a))
+        return EmbeddedMesh.from_simplex_list(1, np.stack([pa, pb], axis=1),
+                                              mesh.multiplicities[keep])
 
     m_sides = polygon_sides_for_tolerance(tol)
     angles = 2.0 * math.pi * np.arange(m_sides) / m_sides
     unit_poly = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
-    for i in range(mesh.n_simplices):
-        tri = corners[i]
+    t2d, rho2, origins, us, vs = _frames(corners, ball)
+    hit = ~(rho2 <= 0.0)
+    rhos = np.sqrt(np.where(hit, rho2, 0.0))
+    # fully inside the closed disk: keep whole (cutting such a triangle
+    # against the polygon could only replace exactness by approximation)
+    whole = np.all(np.linalg.norm(t2d, axis=2) <= rhos[:, None], axis=1)
+    for i in np.nonzero(hit)[0]:
+        tri, rho = corners[i], float(rhos[i])
         mult = int(mesh.multiplicities[i])
-        frame = _triangle_frame(tri, ball)
-        if frame is None:
-            continue
-        t2d, rho, origin, u, v = frame
-        dists = np.linalg.norm(t2d, axis=1)
-        # fully inside the closed disk: keep whole (cutting such a triangle
-        # against the polygon could only replace exactness by approximation)
-        if np.all(dists <= rho):
+        if whole[i]:
             chunks.append(tri)
             mults.append(mult)
             continue
         # fully outside the circle (hence the polygon)
-        if _point_triangle_distance_2d(np.zeros(2), t2d) >= rho:
+        if _point_triangle_distance_2d(np.zeros(2), t2d[i]) >= rho:
             continue
         poly_pts = rho * unit_poly
-        current = [t2d[0], t2d[1], t2d[2]]
+        current = list(t2d[i])
         for k in range(m_sides):
             a2, b2 = poly_pts[k], poly_pts[(k + 1) % m_sides]
             d2 = b2 - a2
@@ -437,7 +421,7 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball,
             if not current:
                 break
         for t in _fan_triangulate(current):
-            chunks.append(origin + t[:, :1] * u + t[:, 1:2] * v)
+            chunks.append(origins[i] + t[:, :1] * us[i] + t[:, 1:2] * vs[i])
             mults.append(mult)
 
     if not chunks:

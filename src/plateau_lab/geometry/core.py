@@ -66,7 +66,8 @@ def row_dots(a, b) -> np.ndarray:
 
 def stacked_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The matmul of ``row_dots`` as a (..., 1, 1) stack, without its
-    conversions: for C-contiguous float64 arrays in hot loops."""
+    conversions: for float64 arrays in hot loops.  Each dot sees its
+    operands' strides, as ``u @ v`` does on strided views."""
     return np.matmul(a[..., None, :], b[..., :, None])
 
 
@@ -217,12 +218,18 @@ class EmbeddedMesh:
             raise ValueError("empty simplex list; use EmbeddedMesh.empty")
         corners = np.asarray(corners, dtype=float)
         rows = np.ascontiguousarray(corners.reshape(-1, corners.shape[-1]))
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        number = np.empty_like(order)
-        number[order] = np.arange(order.size)
-        return cls(dimension, rows[first[order]], number[inverse].reshape(corners.shape[:-1]),
+        # rows compare by their int64 words, which are their bytes; the sort is
+        # stable, so each run of equal rows starts at its first appearance
+        words = rows.view(np.int64)
+        order = np.lexsort(words.T[::-1])
+        ranked = words[order]
+        starts = np.concatenate([[True], np.any(ranked[1:] != ranked[:-1], axis=1)])
+        first = order[starts]
+        number = np.empty_like(first)
+        number[np.argsort(first)] = np.arange(first.size)
+        index = np.empty_like(order)
+        index[order] = number[np.cumsum(starts) - 1]
+        return cls(dimension, rows[np.sort(first)], index.reshape(corners.shape[:-1]),
                    multiplicities, allow_degenerate)
 
     # -- basic queries ---------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clipping import segment_ball_interval
+from .clipping import segment_ball_intervals
 from .core import Ball, EmbeddedMesh
 
 #: ball-radius divisor giving the default sampling pitch
@@ -36,6 +36,11 @@ BOUND_MARGIN = 1e-9
 
 
 def _points_to_segment(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if points.shape[0] == 1:
+        # numpy runs a (1, n) @ (n,) product as a BLAS dot and any taller one
+        # as a gemv, which round apart: one row goes as two, so that its
+        # float does not depend on the rows that share its call
+        return _points_to_segment(np.repeat(points, 2, axis=0), a, b)[:1]
     e = b - a
     ee = float(e @ e)
     w = points - a
@@ -48,6 +53,8 @@ def _points_to_segment(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
 def _points_to_triangle(points: np.ndarray, a: np.ndarray, b: np.ndarray,
                         c: np.ndarray) -> np.ndarray:
     """Exact distances from points to a triangle (closest-point region walk)."""
+    if points.shape[0] == 1:     # the gemv path, as in _points_to_segment
+        return _points_to_triangle(np.repeat(points, 2, axis=0), a, b, c)[:1]
     ab = b - a
     ac = c - a
     # degenerate triangles collapse to their edges
@@ -222,17 +229,19 @@ def sample_mesh(mesh: EmbeddedMesh, spacing: float,
         s_center, s_radius = _bounding_balls(corners)
         gap = np.sqrt(((s_center - ball.center) ** 2).sum(axis=1)) - s_radius
         corners = corners[gap <= ball.radius + _margin(corners, ball.center, ball.radius)]
+    # each segment's parameter interval in the ball, None where it misses
+    spans = [(0.0, 1.0)] * corners.shape[0]
+    if mesh.dimension == 1 and ball is not None:
+        hit, lo, hi = segment_ball_intervals(corners[:, 0], corners[:, 1], ball.center, ball.radius)
+        spans = [(l, h) if k else None for k, l, h in zip(hit.tolist(), lo.tolist(), hi.tolist())]
     lattices = []
     total = 0
-    for corner in corners:
+    for corner, span in zip(corners, spans):
         if mesh.dimension == 1:
+            if span is None:
+                continue
             a, b = corner
-            lo, hi = 0.0, 1.0
-            if ball is not None:
-                interval = segment_ball_interval(a, b, ball.center, ball.radius)
-                if interval is None:
-                    continue
-                lo, hi = interval
+            lo, hi = span
             pa, pb = a + lo * (b - a), a + hi * (b - a)
             k = _lattice_steps(float(np.linalg.norm(pb - pa)), spacing)
             lattices.append((pa, pb, k))

@@ -26,7 +26,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -487,7 +487,8 @@ def _check_audit_trials(trials: int) -> None:
         raise ValueError(f"audit trials must be in 0..{MAX_AUDIT_TRIALS}, got {trials}")
 
 
-def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0) -> HaircutReport:
+def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0,
+                          moves: Optional[list] = None) -> HaircutReport:
     """Hunt for ball-local improvements among the move vocabulary.
 
     Each trial draws a ball (center uniform over the grid domain, radius
@@ -497,9 +498,12 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0) -> Hai
     the worst ratio over the trials estimates the quasiminimality constant,
     and 1.0 means no test deformation improved anything: the report of an
     empty set, or of one with no admissible move, is returned at once.
+    ``moves`` are the improving ``admissible_moves`` of ``fs``, when the
+    caller already has them.
     """
     _check_audit_trials(trials)
-    moves = admissible_moves(fs, only_improving=True)
+    if moves is None:
+        moves = admissible_moves(fs, only_improving=True)
     if not moves:
         return HaircutReport(1.0, 0, trials)
     grid = fs.grid
@@ -581,7 +585,9 @@ def run_scheme(mesh: EmbeddedMesh, domain: DyadicGrid, subdivision_levels: Seque
         init = initialize_from_mesh(mesh, grid, threshold=threshold, strategy=strategy,
                                     seed=seed)
         result = minimize_faceset(init.faceset)
-        audit = quasiminimality_audit(result.faceset, trials=audit_trials, seed=seed)
+        # below the round cap, the descent stopped on an empty move list
+        audit = quasiminimality_audit(result.faceset, trials=audit_trials, seed=seed,
+                                      moves=[] if result.rounds < MAX_ROUNDS else None)
         levels.append(SchemeLevel(N, init, result, audit))
     # fixed ball ladder: centers on the finest minimizer, shared radii
     distances = []

@@ -310,6 +310,18 @@ def test_kernel_rows_are_independent(n):
             assert kernel(pts[shuffled]).tobytes() == full[shuffled].tobytes()
             start = int(rng.integers(0, 2049 - size))
             assert kernel(pts[start:start + size]).tobytes() == full[start:start + size].tobytes()
+        # a one-row call runs a different BLAS routine unless the kernel pads it
+        alone = np.concatenate([kernel(pts[i:i + 1]) for i in range(512)])
+        assert alone.tobytes() == full[:512].tobytes()
+
+
+def test_a_last_block_of_one_point_matches_the_oracle():
+    """513 points leave one in the last block, and a far point puts the sup there."""
+    rng = np.random.default_rng(1259)
+    corners = rng.uniform(0, 1, (6, 3, 3))
+    pts = rng.uniform(-0.5, 1.5, (513, 3))
+    pts[-1] = rng.uniform(3, 4, 3)
+    assert sup_distance(pts, corners).hex() == oracle_sup(pts, corners).hex()
 
 
 # ── the triangle kernel ──

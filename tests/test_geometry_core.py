@@ -14,13 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from plateau_lab.geometry.clipping import (
-    clip_to_ball,
-    clipped_measure,
-    polygon_disk_area,
-    segment_ball_interval,
-    triangle_disk_area,
-)
+from plateau_lab.geometry.clipping import clip_to_ball, clipped_measure, segment_ball_interval
 from plateau_lab.geometry.core import (
     Ball,
     EmbeddedMesh,
@@ -37,6 +31,7 @@ from plateau_lab.geometry.energy import circle_samples, douglas_energy
 from plateau_lab.geometry import meshio
 
 from conftest import segment_mesh, square_patch
+from test_clip_kernel import polygon_disk_area, triangle_disk_area
 
 # ─────────────────────────── Strategies ───────────────────────────
 

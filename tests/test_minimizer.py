@@ -299,6 +299,25 @@ def test_scheme_levels_do_not_increase():
     assert scheme.distances, "the level ladder must report gap readings"
 
 
+@pytest.mark.parametrize("cap", [mz.MAX_ROUNDS, 1])
+def test_scheme_audit_reuses_the_descent_verdict(monkeypatch, cap):
+    """Below the round cap the descent ends on an empty move list, and the
+    audit does not build it again; at the cap the audit builds it."""
+    monkeypatch.setattr(mz, "MAX_ROUNDS", cap)
+    mesh, domain = wiggle_mesh(amplitude=0.3, n=8), DyadicGrid.torus(3, 1)
+    calls = []
+    moves = mz.admissible_moves
+    monkeypatch.setattr(mz, "admissible_moves", lambda *a, **k: calls.append(a[0]) or moves(*a, **k))
+    scheme = mz.run_scheme(mesh, domain, [2, 4], audit_trials=50)
+    rounds = [lv.result.rounds for lv in scheme.levels]
+    assert rounds == ([0, 2] if cap > 1 else [0, 1])
+    # a list per round, plus the empty one that ends the descent or, at the
+    # cap, the audit's own
+    assert len(calls) == sum(r + 1 for r in rounds)
+    for lv in scheme.levels:
+        assert lv.audit == mz.quasiminimality_audit(lv.result.faceset, trials=50, seed=0)
+
+
 def test_one_dimensional_curve_on_the_2_torus():
     grid = DyadicGrid.torus(2, 8)
     # a seam-periodic zigzag around axis 0
