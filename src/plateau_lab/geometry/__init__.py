@@ -15,7 +15,6 @@ from .core import (
 from .clipping import (
     clip_to_ball,
     clipped_measure,
-    segment_ball_interval,
     sphere_slice_measure,
 )
 from .distance import local_hausdorff_distance, point_mesh_distance, sample_mesh
@@ -37,7 +36,6 @@ __all__ = [
     "point_mesh_distance",
     "refine",
     "sample_mesh",
-    "segment_ball_interval",
     "simplex_volumes",
     "sphere_slice_measure",
     "unit_ball_volume",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -57,13 +56,6 @@ def segment_ball_intervals(a: np.ndarray, b: np.ndarray, center, radius):
     hi = np.where(real & ~(1.0 < t1), t1, 1.0)
     # a miss has q0 > 0, so without roots only a point segment inside the ball is kept
     return np.where(real, ~(lo >= hi), q0 <= 0.0), lo, hi
-
-
-def segment_ball_interval(a: np.ndarray, b: np.ndarray, center: np.ndarray,
-                          radius: float) -> Optional[tuple[float, float]]:
-    """Parameter interval [t0, t1] of {a + t(b-a)} inside the closed ball, or None."""
-    ok, lo, hi = segment_ball_intervals(a[None], b[None], center, radius)
-    return (float(lo[0]), float(hi[0])) if ok[0] else None
 
 
 def _sphere_params(a: np.ndarray, b: np.ndarray, center, radius):

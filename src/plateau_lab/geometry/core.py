@@ -224,12 +224,13 @@ class EmbeddedMesh:
         order = np.lexsort(words.T[::-1])
         ranked = words[order]
         starts = np.concatenate([[True], np.any(ranked[1:] != ranked[:-1], axis=1)])
-        first = order[starts]
-        number = np.empty_like(first)
-        number[np.argsort(first)] = np.arange(first.size)
+        first = np.zeros(len(rows), dtype=bool)
+        first[order[starts]] = True
+        # a first appearance's vertex number counts the first appearances before it
+        number = np.cumsum(first) - 1
         index = np.empty_like(order)
-        index[order] = number[np.cumsum(starts) - 1]
-        return cls(dimension, rows[np.sort(first)], index.reshape(corners.shape[:-1]),
+        index[order] = number[order[starts]][np.cumsum(starts) - 1]
+        return cls(dimension, rows[first], index.reshape(corners.shape[:-1]),
                    multiplicities, allow_degenerate)
 
     # -- basic queries ---------------------------------------------------------

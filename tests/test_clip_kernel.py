@@ -32,7 +32,7 @@ from plateau_lab.geometry.clipping import (_arc_lengths, _corner_distance_band, 
                                            _halfplane_clip, _near_triangles,
                                            _point_triangle_distance_2d, clip_to_ball,
                                            clipped_measure, polygon_sides_for_tolerance,
-                                           segment_ball_interval, sphere_slice_measure)
+                                           segment_ball_intervals, sphere_slice_measure)
 from plateau_lab.geometry.core import Ball, EmbeddedMesh, refine, simplex_volumes
 
 from test_distance_kernel import kernel_triangles
@@ -467,9 +467,10 @@ def test_segment_meshes_match_the_oracles(n):
     for ball in (Ball(np.zeros(n), 1.0), Ball(np.full(n, 0.5), 0.5), Ball(rng.normal(size=n), 0.8),
                  Ball(np.eye(n)[0], 1.0)):
         assert_measures_match(mesh, ball)
-        for a, b in corners:
-            assert (segment_ball_interval(a, b, ball.center, ball.radius)
-                    == oracle_segment_ball_interval(a, b, ball.center, ball.radius))
+        hit, lo, hi = segment_ball_intervals(corners[:, 0], corners[:, 1], ball.center, ball.radius)
+        for (a, b), k, l, h in zip(corners, hit.tolist(), lo.tolist(), hi.tolist()):
+            assert ((l, h) if k else None) == oracle_segment_ball_interval(a, b, ball.center,
+                                                                           ball.radius)
 
 
 def greedy_oracle(points, tol):

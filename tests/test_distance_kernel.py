@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from plateau_lab import minimizer as mz
 from plateau_lab.geometry import distance as dist
-from plateau_lab.geometry.clipping import segment_ball_interval
+from plateau_lab.geometry.clipping import segment_ball_intervals
 from plateau_lab.geometry.core import Ball, EmbeddedMesh
 from plateau_lab.grids import DyadicGrid
 from plateau_lab.geometry.distance import (MAX_SAMPLE_POINTS, SUP_BLOCK, _points_to_segment,
@@ -44,10 +44,10 @@ def oracle_sample_mesh(mesh, spacing, ball=None):
             a, b = corners[i, 0], corners[i, 1]
             lo, hi = 0.0, 1.0
             if ball is not None:
-                interval = segment_ball_interval(a, b, ball.center, ball.radius)
-                if interval is None:
+                hit, lo, hi = segment_ball_intervals(a[None], b[None], ball.center, ball.radius)
+                if not hit[0]:
                     continue
-                lo, hi = interval
+                lo, hi = float(lo[0]), float(hi[0])
             pa, pb = a + lo * (b - a), a + hi * (b - a)
             length = float(np.linalg.norm(pb - pa))
             k = max(1, int(math.ceil(length / spacing)))

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from plateau_lab.geometry.clipping import clip_to_ball, clipped_measure, segment_ball_interval
+from plateau_lab.geometry.clipping import clip_to_ball, clipped_measure, segment_ball_intervals
 from plateau_lab.geometry.core import (
     Ball,
     EmbeddedMesh,
@@ -144,15 +144,15 @@ class TestClipping:
     def test_segment_interval_against_quadratic(self, ball):
         a = np.array([-5.0, 0.2, -0.1])
         b = np.array([7.0, 0.2, -0.1])
-        hit = segment_ball_interval(a, b, ball.center, ball.radius)
-        if hit is None:
+        ok, lo, hi = segment_ball_intervals(a[None], b[None], ball.center, ball.radius)
+        if not ok[0]:
             # every sampled point must then be outside the ball
             ts = np.linspace(0.0, 1.0, 101)
             pts = a + ts[:, None] * (b - a)
             assert (np.linalg.norm(pts - ball.center, axis=1)
                     >= ball.radius - 1e-9).all()
             return
-        lo, hi = hit
+        lo, hi = float(lo[0]), float(hi[0])
         # the interval solves |a + t(b-a) - c|^2 = r^2; check cut endpoints
         for t in (lo, hi):
             if 0.0 < t < 1.0:
