@@ -373,7 +373,7 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball,
         pa = np.where(lo == 0.0, a, a + lo * (b - a))
         pb = np.where(hi == 1.0, b, a + hi * (b - a))
         return EmbeddedMesh.from_simplex_list(1, np.stack([pa, pb], axis=1),
-                                              mesh.multiplicities[keep])
+                                              mesh.multiplicities[keep], allow_degenerate=True)
 
     m_sides = polygon_sides_for_tolerance(tol)
     angles = 2.0 * math.pi * np.arange(m_sides) / m_sides

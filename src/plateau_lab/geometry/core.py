@@ -32,13 +32,6 @@ CHECK_BLOCK = 1 << 16
 DEFAULT_REFINE_CAP = 2_000_000
 
 
-def unit_ball_volume(d: int) -> float:
-    """Volume of the unit ball of R^d (omega_d)."""
-    if d < 0:
-        raise ValueError("dimension must be nonnegative")
-    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-
-
 def as_point(coords) -> np.ndarray:
     """Validate and return a finite ambient point as a float vector."""
     p = np.asarray(coords, dtype=float)

@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Ball, EmbeddedMesh, Gauge, LineBoundary
+from .core import EmbeddedMesh, Gauge
 
 PathLike = Union[str, os.PathLike]
 
@@ -241,10 +241,6 @@ def mesh_text(path: PathLike, mesh: EmbeddedMesh) -> str:
     raise ValueError(f"unsupported mesh format {suffix!r} for {path}")
 
 
-def write_mesh(path: PathLike, mesh: EmbeddedMesh) -> None:
-    atomic_write_text(path, mesh_text(path, mesh))
-
-
 def read_mesh(path: PathLike) -> EmbeddedMesh:
     p = Path(path)
     suffix = p.suffix.lower()
@@ -258,27 +254,5 @@ def read_mesh(path: PathLike) -> EmbeddedMesh:
     raise ValueError(f"unsupported mesh format {suffix!r} (use .off/.obj/.csv)")
 
 
-def ball_to_dict(ball: Ball) -> dict:
-    return {"center": [float(x) for x in ball.center], "radius": float(ball.radius)}
-
-
-def ball_from_dict(d: dict) -> Ball:
-    return Ball(np.asarray(d["center"], dtype=float), float(d["radius"]))
-
-
-def gauge_to_dict(g: Gauge) -> dict:
-    return {"scale": g.scale, "exponent": g.exponent, "cutoff": g.cutoff}
-
-
 def gauge_from_dict(d: dict) -> Gauge:
     return Gauge(float(d["scale"]), float(d["exponent"]), float(d["cutoff"]))
-
-
-def line_to_dict(line: LineBoundary) -> dict:
-    return {"base": [float(x) for x in line.base],
-            "direction": [float(x) for x in line.direction]}
-
-
-def line_from_dict(d: dict) -> LineBoundary:
-    return LineBoundary(np.asarray(d["base"], dtype=float),
-                        np.asarray(d["direction"], dtype=float))

@@ -8,10 +8,10 @@ adjacency is integer arithmetic; geometry (bounds, centers, meshes) is
 derived from the key.
 
 A grid may identify opposite faces of Q on a subset of axes (all axes = flat
-torus).  Identified axes wrap points into the fundamental domain, turn the
-metric into the quotient metric, and make face keys periodic (plane index N
-is plane 0).  A grid with any identified axis is *periodic*: nothing of it is
-frozen.  Otherwise the boundary of Q is the frozen sliding boundary.
+torus).  Identified axes canonicalize face keys: plane index N is plane 0,
+and cell indices run mod N.  A grid with any identified axis is *periodic*:
+nothing of it is frozen.  Otherwise the boundary of Q is the frozen sliding
+boundary.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -86,11 +85,6 @@ class DyadicGrid:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    @classmethod
-    def torus(cls, ambient_dim: int, subdivisions: int, size: float = 1.0) -> "DyadicGrid":
-        """The grid over [0, size]^n with every axis identified (a flat torus)."""
-        return cls(np.zeros(ambient_dim), float(size), subdivisions, (True,) * ambient_dim)
-
     # -- basic attributes ------------------------------------------------------
 
     @property
@@ -109,26 +103,7 @@ class DyadicGrid:
     def plane_coordinate(self, axis: int, index: int) -> float:
         return float(self.corner[axis] + index * self.spacing)
 
-    # -- face enumeration ------------------------------------------------------
-
-    def count_faces(self, dim: int) -> int:
-        n, N = self.ambient_dim, self.subdivisions
-        if not (0 <= dim <= n):
-            raise ValueError("face dimension out of range")
-        return math.comb(n, dim) * N ** dim * (N + 1) ** (n - dim)
-
-    def faces(self, dim: int) -> Iterator[CubeFace]:
-        n, N = self.ambient_dim, self.subdivisions
-        if not (0 <= dim <= n):
-            raise ValueError("face dimension out of range")
-        for spanned in itertools.combinations(range(n), dim):
-            mask = sum(1 << a for a in spanned)
-            ranges = [range(N) if (mask >> a) & 1 else range(N + 1) for a in range(n)]
-            for lattice in itertools.product(*ranges):
-                yield CubeFace(mask, lattice)
-
-    def cells(self) -> Iterator[CubeFace]:
-        return self.faces(self.ambient_dim)
+    # -- face keys ---------------------------------------------------------------
 
     def is_valid(self, face: CubeFace) -> bool:
         n, N = self.ambient_dim, self.subdivisions
@@ -189,21 +164,6 @@ class DyadicGrid:
                 out.append(CubeFace(face.axes & ~(1 << a), tuple(lat)))
         return out
 
-    def superfaces(self, face: CubeFace) -> list[CubeFace]:
-        """Faces one dimension up whose closure contains this face."""
-        N = self.subdivisions
-        out = []
-        for a in range(self.ambient_dim):
-            if face.spans(a):
-                continue
-            p = face.lattice[a]
-            for cell in (p - 1, p):
-                if 0 <= cell <= N - 1:
-                    lat = list(face.lattice)
-                    lat[a] = cell
-                    out.append(CubeFace(face.axes | (1 << a), tuple(lat)))
-        return out
-
     def on_boundary(self, face: CubeFace) -> bool:
         """True when the face lies inside the boundary of Q."""
         N = self.subdivisions
@@ -211,18 +171,6 @@ class DyadicGrid:
             if not face.spans(a) and face.lattice[a] in (0, N):
                 return True
         return False
-
-    def containing_cells(self, face: CubeFace) -> list[CubeFace]:
-        """All top cells whose closure contains the face."""
-        N = self.subdivisions
-        options = []
-        for a in range(self.ambient_dim):
-            if face.spans(a):
-                options.append((face.lattice[a],))
-            else:
-                p = face.lattice[a]
-                options.append(tuple(c for c in (p - 1, p) if 0 <= c <= N - 1))
-        return [CubeFace(self.full_mask, lat) for lat in itertools.product(*options)]
 
     # -- cube adjacency -----------------------------------------------------------
 
@@ -234,19 +182,6 @@ class DyadicGrid:
         ranges = [tuple(c for c in (i - 1, i, i + 1) if 0 <= c <= N - 1)
                   for i in cell.lattice]
         return [CubeFace(self.full_mask, lat) for lat in itertools.product(*ranges)]
-
-    def boundary_cells(self) -> list[CubeFace]:
-        """The annulus A: cells touching the boundary of Q."""
-        N = self.subdivisions
-        out = []
-        for cell in self.cells():
-            if any(i == 0 or i == N - 1 for i in cell.lattice):
-                out.append(cell)
-        return out
-
-    def skeleton_measure(self, dim: int) -> float:
-        """Total H^dim of the dim-skeleton (count times s^dim)."""
-        return self.count_faces(dim) * self.spacing ** dim
 
     # -- identifications -----------------------------------------------------------
 
@@ -260,28 +195,3 @@ class DyadicGrid:
             if self.identified[a]:
                 lat[a] = lat[a] % N
         return CubeFace(face.axes, tuple(lat))
-
-    def wrap(self, point) -> np.ndarray:
-        """Map a point into the fundamental domain along identified axes."""
-        x = np.array(as_point(point), dtype=float)
-        for a in range(self.ambient_dim):
-            if self.identified[a]:
-                x[a] = self.corner[a] + np.mod(x[a] - self.corner[a], self.size)
-        return x
-
-    def quotient_distance(self, p, q) -> float:
-        p = as_point(p)
-        q = as_point(q)
-        total = 0.0
-        for a in range(self.ambient_dim):
-            d = abs(p[a] - q[a])
-            if self.identified[a]:
-                d = math.fmod(d, self.size)
-                d = min(d, self.size - d)
-            total += d * d
-        return math.sqrt(total)
-
-
-def build_grid(corner, size: float, subdivisions: int) -> DyadicGrid:
-    """Construct the N^n dyadic complex over [corner, corner + size]^n."""
-    return DyadicGrid(np.asarray(corner, dtype=float), float(size), int(subdivisions))

@@ -733,7 +733,7 @@ def verify_cell_locality(result: ProjectionResult, grid: DyadicGrid) -> tuple[bo
     """
     pieces, n = result.pieces, grid.ambient_dim
     # every piece against the 2**n choices of cell p-1 or p on each pinned
-    # axis p; the valid choices are the piece's ``containing_cells``
+    # axis p; the valid ones are the cells whose closure holds the piece
     spans = _spans(pieces.face, n)[:, None, :]
     upper = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
     lat = np.where(spans, pieces.face[:, None, 1:], pieces.face[:, None, 1:] - 1 + upper)

@@ -5,12 +5,62 @@ these helpers can be read without chasing indirection.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from plateau_lab.geometry.core import EmbeddedMesh
+from plateau_lab.geometry.core import EmbeddedMesh, as_point
+from plateau_lab.geometry.meshio import atomic_write_text, mesh_text
+from plateau_lab.grids import CubeFace, DyadicGrid
+
+
+def write_mesh(path, mesh: EmbeddedMesh) -> None:
+    """Write the mesh in the format named by the path's suffix."""
+    atomic_write_text(path, mesh_text(path, mesh))
+
+
+def torus(ambient_dim: int, subdivisions: int, size: float = 1.0) -> DyadicGrid:
+    """The grid over [0, size]^n with every axis identified (a flat torus)."""
+    return DyadicGrid(np.zeros(ambient_dim), float(size), subdivisions, (True,) * ambient_dim)
+
+
+def grid_faces(grid: DyadicGrid, dim: int):
+    """Every dim-face of the grid, spanned axes by spanned axes, lattices in order."""
+    n, N = grid.ambient_dim, grid.subdivisions
+    for spanned in itertools.combinations(range(n), dim):
+        mask = sum(1 << a for a in spanned)
+        ranges = [range(N) if (mask >> a) & 1 else range(N + 1) for a in range(n)]
+        for lattice in itertools.product(*ranges):
+            yield CubeFace(mask, lattice)
+
+
+def containing_cells(grid: DyadicGrid, face: CubeFace) -> list[CubeFace]:
+    """All top cells whose closure contains the face."""
+    N = grid.subdivisions
+    options = []
+    for a in range(grid.ambient_dim):
+        if face.spans(a):
+            options.append((face.lattice[a],))
+        else:
+            p = face.lattice[a]
+            options.append(tuple(c for c in (p - 1, p) if 0 <= c <= N - 1))
+    return [CubeFace(grid.full_mask, lat) for lat in itertools.product(*options)]
+
+
+def quotient_distance(grid: DyadicGrid, p, q) -> float:
+    """Distance in the quotient metric: identified axes go around the seam."""
+    p = as_point(p)
+    q = as_point(q)
+    total = 0.0
+    for a in range(grid.ambient_dim):
+        d = abs(p[a] - q[a])
+        if grid.identified[a]:
+            d = math.fmod(d, grid.size)
+            d = min(d, grid.size - d)
+        total += d * d
+    return math.sqrt(total)
 
 
 def segment_mesh(points, multiplicities=None) -> EmbeddedMesh:

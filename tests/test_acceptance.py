@@ -22,14 +22,13 @@ from plateau_lab import cones
 from plateau_lab import diagnostics as diag
 from plateau_lab import minimizer as mz
 from plateau_lab import projection as proj
-from plateau_lab.geometry import meshio
 from plateau_lab.geometry.core import EmbeddedMesh, LineBoundary, measure, refine
 from plateau_lab.geometry.energy import circle_samples, douglas_energy
-from plateau_lab.grids import DyadicGrid, build_grid
+from plateau_lab.grids import DyadicGrid
 from plateau_lab.steiner import (Terminal, angle_audit, check_kirchhoff,
                                  optimize_steiner)
 
-from conftest import flat_slice_mesh, wiggle_mesh
+from conftest import flat_slice_mesh, torus, wiggle_mesh, write_mesh
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -149,7 +148,7 @@ def _blob(seed: int, n_tri: int = 10) -> EmbeddedMesh:
 
 
 def test_criterion_05_ff_projection():
-    grid = build_grid(np.zeros(3), 1.0, 2)
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
 
     # (a) identity outside the box, bit exact
     far = np.array([[10.0, 10.0, 10.0], [11.0, 10.0, 10.0], [10.0, 11.0, 10.0]])
@@ -173,7 +172,7 @@ def test_criterion_05_ff_projection():
     # (d) diagonal with the pinned center
     diag_mesh = EmbeddedMesh(1, np.array([[0.0, 0.0], [1.0, 1.0]]),
                              np.array([[0, 1]]))
-    sq = build_grid(np.zeros(2), 1.0, 1)
+    sq = DyadicGrid(np.zeros(2), 1.0, 1)
     pieces, _, _ = proj.split_into_grid(diag_mesh, sq)
     lo, hi = sq.face_bounds(proj._cube_face(pieces.owner[0]))
     imgs, _, _ = proj._project_batch(pieces.corners, np.zeros(1, dtype=int), np.array([[0.7, 0.3]]),
@@ -306,14 +305,14 @@ def test_criterion_08_classifier():
 def test_criterion_09_minimizer():
     fixed_ok = True
     for n_sub in (4, 8, 16):
-        grid = DyadicGrid.torus(3, n_sub)
+        grid = torus(3, n_sub)
         rep = mz.initialize_from_mesh(flat_slice_mesh(level=0.5, n=n_sub), grid)
         res = mz.minimize_faceset(rep.faceset)
         fixed_ok = fixed_ok and (res.final_measure == pytest.approx(1.0)
                                  and not res.log.entries)
 
     t0 = time.perf_counter()
-    scheme = mz.run_scheme(wiggle_mesh(amplitude=0.1, n=32), DyadicGrid.torus(3, 1),
+    scheme = mz.run_scheme(wiggle_mesh(amplitude=0.1, n=32), torus(3, 1),
                            [4, 8, 16], audit_trials=10_000, seed=0)
     elapsed = time.perf_counter() - t0
 
@@ -373,9 +372,9 @@ def test_criterion_11_determinism(tmp_path):
          "objective": "size"}))
     (shared / "grid.json").write_text(json.dumps(
         {"corner": [0, 0, 0], "size": 1.0, "N": 2}))
-    meshio.write_mesh(str(shared / "y.off"), cones.y_cone(extent=1.5))
-    meshio.write_mesh(str(shared / "blob.off"), _blob(3))
-    meshio.write_mesh(str(shared / "flat.off"), flat_slice_mesh(level=0.5, n=4))
+    write_mesh(str(shared / "y.off"), cones.y_cone(extent=1.5))
+    write_mesh(str(shared / "blob.off"), _blob(3))
+    write_mesh(str(shared / "flat.off"), flat_slice_mesh(level=0.5, n=4))
 
     jobs = {
         "steiner": ["steiner", "--instance", "../inputs/square.json",

@@ -23,7 +23,7 @@ from plateau_lab.geometry.distance import MAX_SAMPLE_POINTS
 from plateau_lab.geometry.energy import MAX_SAMPLES
 from plateau_lab.steiner import MAX_TERMINALS
 
-from conftest import flat_slice_mesh, square_patch
+from conftest import flat_slice_mesh, square_patch, write_mesh
 
 
 @pytest.fixture
@@ -45,7 +45,7 @@ def square_instance(tmp_path):
 @pytest.fixture
 def y_mesh(tmp_path):
     p = tmp_path / "y.off"
-    meshio.write_mesh(str(p), cones.y_cone(extent=1.5))
+    write_mesh(str(p), cones.y_cone(extent=1.5))
     return str(p)
 
 
@@ -247,7 +247,7 @@ def test_cone_check_on_generator(runner, y_mesh):
 
 def test_classify_plane_quickly(runner, tmp_path):
     p = tmp_path / "plane.off"
-    meshio.write_mesh(str(p), cones.plane_cone(extent=1.5))
+    write_mesh(str(p), cones.plane_cone(extent=1.5))
     r = runner.invoke(main, ["classify", "--mesh", str(p), "--center", "0,0,0",
                              "--radius", "1.0", "--rotations", "64",
                              "--depth", "0.01"])
@@ -263,6 +263,16 @@ def test_blowup_writes_a_mesh(runner, y_mesh, tmp_path):
     summary_of(r)
     zoomed = meshio.read_mesh(str(out))
     assert zoomed.ambient_dim == 3
+
+
+def test_blowup_keeps_a_point_segment_inside_the_ball(runner, tmp_path):
+    # read_mesh accepts a segment with equal ends; clipping keeps it whole
+    mesh, out = tmp_path / "segs.csv", tmp_path / "zoom.csv"
+    mesh.write_text("0,0,1,0\n0.5,0.5,0.5,0.5\n")
+    r = runner.invoke(main, ["blowup", "--mesh", str(mesh), "--center", "0,0",
+                             "--radius", "2", "--out", str(out)])
+    assert summary_of(r)["simplices"] == 2
+    assert out.read_text().splitlines()[1:] == ["0,0,0.5,0", "0.25,0.25,0.25,0.25"]
 
 
 def test_hausdorff_of_mesh_with_itself(runner, y_mesh):
@@ -332,7 +342,7 @@ def test_steiner_terminal_cap_fails_fast(runner, tmp_path):
 
 def test_minimize_flat_slice(runner, tmp_path):
     p = tmp_path / "flat.off"
-    meshio.write_mesh(str(p), flat_slice_mesh(level=0.5, n=8))
+    write_mesh(str(p), flat_slice_mesh(level=0.5, n=8))
     report = tmp_path / "report.json"
     r = runner.invoke(main, ["minimize", "--init", str(p), "--levels", "4",
                              "--audit-trials", "200", "--report", str(report)])
@@ -349,7 +359,7 @@ def test_minimize_size_sets_the_domain(runner, tmp_path, manifold):
     """``--size`` scales a box as it scales a torus: a flat 2 x 2 square at
     z = 1 is a level-1 slice of the side-2 domain."""
     p = tmp_path / "square.off"
-    meshio.write_mesh(str(p), square_patch(side=2.0, z=1.0))
+    write_mesh(str(p), square_patch(side=2.0, z=1.0))
     out = tmp_path / "fs.json"
     r = runner.invoke(main, ["minimize", "--init", str(p), "--manifold", manifold,
                              "--size", "2", "--levels", "2", "--audit-trials", "10",
@@ -367,7 +377,7 @@ def test_audit_trials_are_bounded_before_level_one(runner, tmp_path, monkeypatch
     calls = []
     monkeypatch.setattr(minimizer, "initialize_from_mesh", lambda *a, **k: calls.append(a))
     p = tmp_path / "flat.off"
-    meshio.write_mesh(str(p), flat_slice_mesh(level=0.5, n=2))
+    write_mesh(str(p), flat_slice_mesh(level=0.5, n=2))
     r = runner.invoke(main, ["minimize", "--init", str(p), "--levels", "2",
                              "--audit-trials", trials, "--out", str(tmp_path / "fs.json")])
     assert r.exit_code == 1, r.stderr
@@ -382,7 +392,7 @@ def test_ff_project_determinism(runner, tmp_path):
     rng = np.random.default_rng(3)
     from plateau_lab.geometry.core import EmbeddedMesh
     verts = rng.uniform(0.1, 0.9, size=(9, 3))
-    meshio.write_mesh(str(mesh), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
+    write_mesh(str(mesh), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
     hashes = []
     for run in ("a", "b"):
         out = tmp_path / f"proj_{run}.off"
@@ -404,7 +414,7 @@ def test_partially_identified_grid_freezes_nothing(runner, tmp_path):
     mesh = tmp_path / "blob.off"
     from plateau_lab.geometry.core import EmbeddedMesh
     verts = np.random.default_rng(3).uniform(0.1, 0.9, size=(9, 3))
-    meshio.write_mesh(str(mesh), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
+    write_mesh(str(mesh), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
     rep = tmp_path / "rep.json"
     summary_of(runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh),
                                     "--report", str(rep)]))
@@ -426,7 +436,7 @@ def test_grid_spec_errors_are_config_errors(runner, tmp_path, spec, message):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps(spec))
     mesh = tmp_path / "tri.off"
-    meshio.write_mesh(str(mesh), flat_slice_mesh(level=0.5, n=2))
+    write_mesh(str(mesh), flat_slice_mesh(level=0.5, n=2))
     r = runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh)])
     assert r.exit_code == 2
     assert "config error: grid spec:" in r.stderr and message in r.stderr
@@ -438,7 +448,7 @@ def test_grid_spec_booleans_are_not_numbers(runner, tmp_path, field):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps(spec))
     mesh = tmp_path / "tri.off"
-    meshio.write_mesh(str(mesh), flat_slice_mesh(level=0.5, n=2))
+    write_mesh(str(mesh), flat_slice_mesh(level=0.5, n=2))
     r = runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh)])
     assert r.exit_code == 2
     assert r.stderr.startswith("config error: grid spec needs a") and f"'{field}'" in r.stderr
@@ -474,7 +484,7 @@ def test_ff_project_report_is_local(runner, tmp_path):
     rng = np.random.default_rng(5)
     from plateau_lab.geometry.core import EmbeddedMesh
     verts = rng.uniform(0.1, 0.9, size=(9, 3))
-    meshio.write_mesh(str(mesh), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
+    write_mesh(str(mesh), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
     rep = tmp_path / "rep.json"
     r = runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh),
                              "--report", str(rep)])
@@ -498,7 +508,7 @@ def test_bad_hausdorff_ball_is_a_domain_error(runner, y_mesh, center, radius):
 @pytest.mark.parametrize("levels", ["nan", "inf", "4,-inf"])
 def test_non_finite_levels_are_config_errors(runner, tmp_path, levels):
     p = tmp_path / "flat.off"
-    meshio.write_mesh(str(p), flat_slice_mesh(level=0.5, n=2))
+    write_mesh(str(p), flat_slice_mesh(level=0.5, n=2))
     r = runner.invoke(main, ["minimize", "--init", str(p), "--levels", levels])
     assert r.exit_code == 2, r.stderr
     assert "levels must be integers" in r.stderr
@@ -566,9 +576,9 @@ def test_flags_without_other_coverage(runner, y_mesh, tmp_path, case):
     blob = tmp_path / "blob.off"
     verts = np.random.default_rng(3).uniform(0.1, 0.9, size=(9, 3))
     from plateau_lab.geometry.core import EmbeddedMesh
-    meshio.write_mesh(str(blob), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
+    write_mesh(str(blob), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
     flat = tmp_path / "flat.off"
-    meshio.write_mesh(str(flat), flat_slice_mesh(level=0.5, n=4))
+    write_mesh(str(flat), flat_slice_mesh(level=0.5, n=4))
     gauge = tmp_path / "gauge.json"
     gauge.write_text(json.dumps({"scale": 0.5, "exponent": 1.0, "cutoff": 2.0}))
     inst = tmp_path / "charged.json"
@@ -713,7 +723,7 @@ def test_every_subcommand_maps_value_errors_to_exit_1(runner, square_instance, y
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"corner": [-2, -2, -2], "size": 4.0, "N": 2}))
     flat = tmp_path / "flat.off"
-    meshio.write_mesh(str(flat), flat_slice_mesh(level=0.5, n=2))
+    write_mesh(str(flat), flat_slice_mesh(level=0.5, n=2))
     inputs = {"@square.json": square_instance, "@grid.json": str(grid),
               "@y.off": y_mesh, "@flat.off": str(flat)}
     run_dir = tmp_path / "run"

@@ -3,8 +3,11 @@
 A private helper is a module-level function or class, or a method, whose
 name starts with one underscore.  A refactor that drops its last caller
 leaves it orphaned; this scan finds it.  Two more scans hold every method of
-a package class, and every field of a package dataclass, to the same rule:
-some attribute read in the package, the tests or the bench names it.
+a package class to the rule that some attribute read in the package names
+it, and every field of a package dataclass to the rule that some attribute
+read in the package, the tests or the bench names it.  A last scan holds
+every public module-level name to the first rule: the package reads it
+outside its ``__init__.py`` files, so no API lives on for its tests alone.
 """
 from __future__ import annotations
 
@@ -22,6 +25,12 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _loads(tree: ast.AST) -> set:
+    """The names that the tree's ``Name`` and ``Attribute`` loads read."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def unread_helpers(sources: dict) -> list[str]:
     """``file: name`` of each private helper that no ``Name`` or ``Attribute`` reads."""
     helpers, read = [], set()
@@ -33,11 +42,7 @@ def unread_helpers(sources: dict) -> list[str]:
             if isinstance(node, ast.ClassDef):
                 helpers += [(path, f"{node.name}.{m.name}", m.name) for m in node.body
                             if isinstance(m, _DEFS) and _private(m.name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+        read |= _loads(tree)
     return [f"{path}: {label}" for path, label, name in helpers if name not in read]
 
 
@@ -117,16 +122,87 @@ def test_the_scan_finds_an_unread_field():
         "a.py: Rec.dead", "a.py: Other.lost"]
 
 
-def _package_and_readers() -> tuple[dict, dict]:
-    sources = {str(p.relative_to(PACKAGE)): p.read_text() for p in sorted(PACKAGE.rglob("*.py"))}
-    readers = {str(p.relative_to(ROOT)): p.read_text()
-               for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))}
-    return sources, readers
+def _files(*dirs: str) -> dict:
+    return {str(p.relative_to(ROOT)): p.read_text()
+            for d in dirs for p in sorted((ROOT / d).rglob("*.py"))}
+
+
+def _package() -> dict:
+    return {str(p.relative_to(PACKAGE)): p.read_text() for p in sorted(PACKAGE.rglob("*.py"))}
 
 
 def test_every_method_is_read():
-    assert unread_methods(*_package_and_readers()) == []
+    assert unread_methods(_package(), _files("src")) == []
 
 
 def test_every_dataclass_field_is_read():
-    assert unread_fields(*_package_and_readers()) == []
+    assert unread_fields(_package(), _files("src", "tests", "bench")) == []
+
+
+def _public_names(tree: ast.Module):
+    """Public module-level functions, classes and constants of one module.
+
+    A decorated function counts as read: its decorator registered it (the
+    click subcommands).
+    """
+    for node in tree.body:
+        if isinstance(node, _DEFS) and not (isinstance(node, _FUNCS) and node.decorator_list):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        yield from (n for n in names if not n.startswith("_"))
+
+
+def unread_public_names(sources: dict, readers: dict) -> list[str]:
+    """``file: name`` of each public name of ``sources`` that no file of ``src/``
+    outside an ``__init__.py`` reads by a ``Name``, an ``Attribute`` or an
+    imported alias."""
+    read = set()
+    for path, source in readers.items():
+        if not path.startswith("src/") or Path(path).name == "__init__.py":
+            continue
+        tree = ast.parse(source)
+        read |= _loads(tree)
+        read.update(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names)
+    return [f"{path}: {name}" for path, source in sources.items()
+            for name in _public_names(ast.parse(source)) if name not in read]
+
+
+_NAME_SOURCES = {
+    "src/pkg/__init__.py": "from .a import reexported\n",
+    "src/pkg/a.py": ("import click\nLIMIT: int = 3\nSTALE = 4\n_HIDDEN = 5\n"
+                     "def used():\n    return LIMIT\n"
+                     "def renamed():\n    pass\n"
+                     "def reexported():\n    pass\n"
+                     "def tested():\n    pass\n"
+                     "class Kept:\n    pass\n"
+                     "@click.command()\ndef sub():\n    pass\n"),
+    "src/pkg/b.py": "from .a import renamed as alias, used\nalias(used(), a.Kept)\n",
+    "tests/test_a.py": "from pkg.a import STALE, tested\ntested(STALE)\n",
+}
+
+
+def test_the_scan_finds_an_unread_public_name():
+    # a test file or an __init__ re-export is no read; an alias or a
+    # registering decorator is
+    assert unread_public_names(_NAME_SOURCES, _NAME_SOURCES) == [
+        "src/pkg/a.py: STALE", "src/pkg/a.py: reexported", "src/pkg/a.py: tested"]
+
+
+#: public names no package code reads, each kept for a reader outside it
+UNREAD_ALLOWED = {
+    "skeleton_deviation": "criterion 05 reads it",
+    "interior_face_measure": "criterion 05 reads it",
+    "big_projection_check": "criterion 07 reads it",
+    "point_mesh_distance": ("bench/spans.py hooks it, and tests/test_bench_hooks.py "
+                            "guards that hook until ROADMAP item 2 replaces it"),
+}
+
+
+def test_every_public_name_is_read():
+    unread = unread_public_names(_files("src"), _files("src"))
+    assert sorted(entry.split(": ")[1] for entry in unread) == sorted(UNREAD_ALLOWED)

@@ -22,12 +22,11 @@ from plateau_lab import minimizer as mz
 from plateau_lab.geometry import distance as dist
 from plateau_lab.geometry.clipping import segment_ball_intervals
 from plateau_lab.geometry.core import Ball, EmbeddedMesh
-from plateau_lab.grids import DyadicGrid
 from plateau_lab.geometry.distance import (MAX_SAMPLE_POINTS, SUP_BLOCK, _points_to_segment,
                                            _points_to_triangle, local_hausdorff_distance,
                                            points_to_simplices, sample_mesh, sup_distance)
 
-from conftest import graph_mesh
+from conftest import graph_mesh, torus
 
 
 # ── oracles ──
@@ -432,7 +431,7 @@ def test_run_scheme_distances_match_oracle(monkeypatch):
     def ladder():
         surface = graph_mesh(lambda x, y: 0.45 + 0.15 * math.sin(2 * math.pi * x)
                              * math.sin(2 * math.pi * (y + 0.3)), n=8)
-        return mz.run_scheme(surface, DyadicGrid.torus(3, 1), [4, 8], audit_trials=20,
+        return mz.run_scheme(surface, torus(3, 1), [4, 8], audit_trials=20,
                              seed=0).distances
 
     monkeypatch.setattr(mz, "LADDER_CENTERS", 3)

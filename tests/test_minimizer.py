@@ -15,14 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plateau_lab.grids import CubeFace, DyadicGrid, build_grid
+from plateau_lab.grids import CubeFace, DyadicGrid
 from plateau_lab import minimizer as mz
 
-from conftest import flat_slice_mesh, segment_mesh, wiggle_mesh
+from conftest import (flat_slice_mesh, grid_faces, quotient_distance, segment_mesh, torus,
+                      wiggle_mesh)
 
 
 def torus_grid(n_sub: int, dim: int = 3):
-    return DyadicGrid.torus(dim, n_sub)
+    return torus(dim, n_sub)
 
 
 def flat_slice_faces(n_sub: int, level: int):
@@ -121,7 +122,7 @@ class TestMoves:
         for move in mz.admissible_moves(fs, only_improving=False):
             for face in move.toggles:
                 center = grid.face_center(face)
-                d = grid.quotient_distance(center, move.ball.center)
+                d = quotient_distance(grid, center, move.ball.center)
                 assert d <= move.ball.radius + 1e-12
 
     @given(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3),
@@ -142,7 +143,7 @@ class TestMoves:
 
     def test_free_collapse_trims_a_whisker(self):
         # a dangling edge on a 2-torus curve: exactly one free ridge
-        grid = DyadicGrid.torus(2, 4)
+        grid = torus(2, 4)
         loop = frozenset(CubeFace(0b01, (i, 1)) for i in range(4))
         whisker = CubeFace(0b10, (2, 1))
         fs = mz.FaceSet(grid, loop | {whisker})
@@ -201,9 +202,9 @@ def gf2_span_membership(vectors: list[np.ndarray], target: np.ndarray) -> bool:
 
 def test_greedy_reaches_the_enumerated_optimum():
     n = 2
-    grid = DyadicGrid.torus(2, n)
+    grid = torus(2, n)
     edges = sorted(
-        {grid.canonical_face(f) for k in (1, 2) for f in grid.faces(1)
+        {grid.canonical_face(f) for k in (1, 2) for f in grid_faces(grid, 1)
          if grid.is_valid(f)},
         key=lambda f: (f.axes, f.lattice),
     )
@@ -216,7 +217,7 @@ def test_greedy_reaches_the_enumerated_optimum():
             v[index[grid.canonical_face(f)]] ^= 1
         return v
 
-    boundaries = [vec(grid.subfaces(c)) for c in grid.cells()]
+    boundaries = [vec(grid.subfaces(c)) for c in grid_faces(grid, grid.ambient_dim)]
 
     # a bent loop around axis 0 only: right, up, right (wraps), down
     start = {CubeFace(0b01, (0, 0)), CubeFace(0b10, (1, 0)),
@@ -290,7 +291,7 @@ def test_audit_trials_out_of_range_raise(trials):
 
 
 def test_scheme_levels_do_not_increase():
-    scheme = mz.run_scheme(wiggle_mesh(amplitude=0.1, n=16), build_grid(np.zeros(3), 1.0, 1),
+    scheme = mz.run_scheme(wiggle_mesh(amplitude=0.1, n=16), DyadicGrid(np.zeros(3), 1.0, 1),
                            [4, 8], audit_trials=300, seed=0)
     finals = [lv.result.final_measure for lv in scheme.levels]
     assert finals == sorted(finals, reverse=True)
@@ -304,7 +305,7 @@ def test_scheme_audit_reuses_the_descent_verdict(monkeypatch, cap):
     """Below the round cap the descent ends on an empty move list, and the
     audit does not build it again; at the cap the audit builds it."""
     monkeypatch.setattr(mz, "MAX_ROUNDS", cap)
-    mesh, domain = wiggle_mesh(amplitude=0.3, n=8), DyadicGrid.torus(3, 1)
+    mesh, domain = wiggle_mesh(amplitude=0.3, n=8), torus(3, 1)
     calls = []
     moves = mz.admissible_moves
     monkeypatch.setattr(mz, "admissible_moves", lambda *a, **k: calls.append(a[0]) or moves(*a, **k))
@@ -319,7 +320,7 @@ def test_scheme_audit_reuses_the_descent_verdict(monkeypatch, cap):
 
 
 def test_one_dimensional_curve_on_the_2_torus():
-    grid = DyadicGrid.torus(2, 8)
+    grid = torus(2, 8)
     # a seam-periodic zigzag around axis 0
     pts = [(i / 16, 0.25 + 0.05 * math.sin(2 * math.pi * i / 16)) for i in range(17)]
     mesh = segment_mesh(pts)
@@ -477,11 +478,11 @@ def oracle_audit(fs, trials, seed):
 
 
 ORACLE_GRIDS = {
-    "torus2-N1": DyadicGrid.torus(2, 1),
-    "torus2-N2": DyadicGrid.torus(2, 2),
-    "torus3-N1": DyadicGrid.torus(3, 1),
-    "torus3-N2": DyadicGrid.torus(3, 2),
-    "torus3-N3": DyadicGrid.torus(3, 3),
+    "torus2-N1": torus(2, 1),
+    "torus2-N2": torus(2, 2),
+    "torus3-N1": torus(3, 1),
+    "torus3-N2": torus(3, 2),
+    "torus3-N3": torus(3, 3),
     "box2-N4": DyadicGrid(np.zeros(2), 1.0, 4),
     "box3-N2": DyadicGrid(np.zeros(3), 1.0, 2),
     "box3-N3": DyadicGrid(np.full(3, -0.5), 2.0, 3),
@@ -494,7 +495,7 @@ ORACLE_GRIDS = {
 def random_faceset(name, seed):
     """About half of the grid's canonical d-faces, drawn with a seeded rng."""
     grid = ORACLE_GRIDS[name]
-    faces = sorted({grid.canonical_face(f) for f in grid.faces(grid.ambient_dim - 1)})
+    faces = sorted({grid.canonical_face(f) for f in grid_faces(grid, grid.ambient_dim - 1)})
     keep = np.random.default_rng(seed).random(len(faces)) < 0.5
     return mz.FaceSet(grid, frozenset(f for f, k in zip(faces, keep) if k))
 
@@ -527,7 +528,7 @@ def test_ridge_table_and_its_readers_match_the_walks(name, seed):
 
 
 def test_a_face_whose_ridges_wrap_onto_one_is_held_twice():
-    grid = DyadicGrid.torus(2, 1)
+    grid = torus(2, 1)
     face = CubeFace(0b01, (0, 0))
     fs = mz.FaceSet(grid, frozenset([face]))
     assert fs.ridges == {CubeFace(0, (0, 0)): [face, face]}

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from plateau_lab.geometry.core import EmbeddedMesh, measure
-from plateau_lab.grids import build_grid, DyadicGrid
+from plateau_lab.grids import DyadicGrid
 from plateau_lab import projection as proj
 
-from conftest import segment_mesh, square_patch
+from conftest import segment_mesh, square_patch, torus
 
 
 # ── independent oracle for the fixed-center diagonal image ──
@@ -58,7 +58,7 @@ def test_oracle_value_for_the_standard_center():
 
 def test_fixed_center_diagonal_image_matches_oracle():
     diag = EmbeddedMesh(1, np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[0, 1]]))
-    grid = build_grid(np.zeros(2), 1.0, 1)
+    grid = DyadicGrid(np.zeros(2), 1.0, 1)
     pieces, outside, _ = proj.split_into_grid(diag, grid)
     assert outside == [] and len(pieces) == 1
     lo, hi = grid.face_bounds(proj._cube_face(pieces.owner[0]))
@@ -87,7 +87,7 @@ def test_identity_outside_the_grid_box_is_bit_exact():
     mesh = EmbeddedMesh.from_simplex_list(2, [inside.simplex_corners()[i]
                                               for i in range(inside.n_simplices)]
                                           + [far[t] for t in far_tris])
-    grid = build_grid(np.zeros(3), 1.0, 2)
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
     result = proj.project_to_skeleton(mesh, grid, strategy="far")
     out_verts = {tuple(v) for chunk in result.outside_chunks for v in chunk}
     for t in far_tris:
@@ -100,13 +100,13 @@ def test_identity_outside_the_grid_box_is_bit_exact():
 
 def test_image_is_contained_in_the_skeleton():
     mesh = seeded_blob(11)
-    grid = build_grid(np.zeros(3), 1.0, 2)
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
     result = proj.project_to_skeleton(mesh, grid, strategy="far")
     assert proj.skeleton_deviation(result, grid) <= 1e-9 * grid.spacing
 
 
 def test_cell_locality_on_seeded_meshes():
-    grid = build_grid(np.zeros(3), 1.0, 2)
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
     for seed in range(8):
         result = proj.project_to_skeleton(seeded_blob(seed), grid, strategy="far")
         ok, worst = proj.verify_cell_locality(result, grid)
@@ -115,7 +115,7 @@ def test_cell_locality_on_seeded_meshes():
 
 def test_measure_ledger_is_consistent():
     mesh = seeded_blob(3)
-    grid = build_grid(np.zeros(3), 1.0, 2)
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
     result = proj.project_to_skeleton(mesh, grid, strategy="far")
     assert result.measure_in == pytest.approx(measure(mesh), rel=1e-9)
     assert result.stages[0].measure_in == pytest.approx(result.measure_in, rel=1e-9)
@@ -127,7 +127,7 @@ def test_measure_ledger_is_consistent():
 
 def test_eta_refinement_preserves_input_measure():
     mesh = seeded_blob(7, n_tri=3)
-    grid = build_grid(np.zeros(3), 1.0, 2)
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
     coarse = proj.project_to_skeleton(mesh, grid, strategy="far")
     fine = proj.project_to_skeleton(mesh, grid, eta=0.08, strategy="far")
     assert fine.measure_in == pytest.approx(coarse.measure_in, rel=1e-9)
@@ -138,7 +138,7 @@ def test_extra_collapse_empties_interior_on_sparse_input():
     # second pass pushes everything into the 1-skeleton
     v = np.array([[0.30, 0.30, 0.30], [0.38, 0.31, 0.33], [0.33, 0.39, 0.36]])
     mesh = EmbeddedMesh(2, v, np.array([[0, 1, 2]]))
-    grid = build_grid(np.zeros(3), 1.0, 2)
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
     first = proj.project_to_skeleton(mesh, grid, strategy="far")
     assert proj.interior_face_measure(first, grid) > 1e-6
     collapsed = proj.extra_collapse(first, grid)
@@ -147,7 +147,7 @@ def test_extra_collapse_empties_interior_on_sparse_input():
 
 
 def test_projection_on_torus_has_no_frozen_boundary():
-    grid = DyadicGrid.torus(3, 4)
+    grid = torus(3, 4)
     mesh = seeded_blob(9, n_tri=6)
     result = proj.project_to_skeleton(mesh, grid, strategy="far")
     assert proj.skeleton_deviation(result, grid) <= 1e-9 * grid.spacing
@@ -155,7 +155,7 @@ def test_projection_on_torus_has_no_frozen_boundary():
 
 def test_per_cell_ledger_covers_all_content():
     mesh = seeded_blob(13)
-    grid = build_grid(np.zeros(3), 1.0, 2)
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
     result = proj.project_to_skeleton(mesh, grid, strategy="far")
     total_in = sum(rec["measure_in"] for rec in result.per_cell.values())
     assert total_in == pytest.approx(result.measure_in, rel=1e-9)
@@ -165,7 +165,7 @@ def test_trials_over_the_cap_raise_before_allocating():
     """One trial over the cap is refused before the (trials, n) sample draw."""
     import tracemalloc
     from plateau_lab.grids import CubeFace
-    grid = build_grid(np.zeros(3), 1.0, 2)
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
     content = np.array([[[0.1, 0.1, 0.2], [0.4, 0.1, 0.3], [0.1, 0.4, 0.2]]])
     tracemalloc.start()
     try:
@@ -182,7 +182,7 @@ def test_trials_over_the_cap_raise_before_allocating():
 @pytest.mark.parametrize("trials", [0, -1])
 def test_trials_below_one_raise(trials, strategy):
     from plateau_lab.grids import CubeFace
-    grid = build_grid(np.zeros(3), 1.0, 2)
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
     content = np.array([[[0.1, 0.1, 0.2], [0.4, 0.1, 0.3], [0.1, 0.4, 0.2]]])
     with pytest.raises(ValueError, match=f"trials {trials} must be at least 1"):
         proj.choose_center(grid, CubeFace(grid.full_mask, (0, 0, 0)), content,

@@ -18,8 +18,9 @@ import pytest
 from plateau_lab import projection as proj
 from plateau_lab.geometry.core import EmbeddedMesh
 from plateau_lab.geometry.distance import points_to_simplices
-from plateau_lab.grids import CubeFace, DyadicGrid, build_grid
+from plateau_lab.grids import CubeFace, DyadicGrid
 
+from conftest import containing_cells, grid_faces
 from test_projection import seeded_blob
 
 
@@ -258,7 +259,7 @@ def oracle_derive_face(corners, grid, snap) -> Optional[CubeFace]:
 
 
 def oracle_owner_cell(face, grid):
-    return min(grid.containing_cells(face))
+    return min(containing_cells(grid, face))
 
 
 def oracle_canonical_piece(chunk, face, grid, snap):
@@ -319,7 +320,7 @@ def oracle_cell_locality(result, grid):
     """verify_cell_locality summed piece by piece over ``containing_cells``."""
     out_geo = {}
     for c, key in zip(result.pieces.corners, result.pieces.face):
-        for cell in grid.containing_cells(proj._cube_face(key)):
+        for cell in containing_cells(grid, proj._cube_face(key)):
             out_geo[cell] = out_geo.get(cell, 0.0) + oracle_volume(c)
     worst, ok = math.inf, True
     for cell in set(out_geo) | set(result.per_cell):
@@ -499,7 +500,7 @@ def test_grid_split_matches_scalar_oracle(d, n, corner, size):
     origin, where the cycle tolerance 1e-12 * (|plane| + 1) exceeds the
     snap) between the snap and that tolerance."""
     rng = np.random.default_rng(50 + d + n)
-    grid = build_grid(np.full(n, corner), size, 8)
+    grid = DyadicGrid(np.full(n, corner), size, 8)
     snap = proj.SNAP_REL * grid.spacing
     tol = 1e-12 * (abs(corner) + 1.0)
     corners = rng.uniform(corner - 0.05 * size, corner + 1.05 * size, size=(40, d + 1, n))
@@ -524,7 +525,7 @@ def test_grid_split_matches_scalar_oracle(d, n, corner, size):
 def test_chebyshev_center_matches_scalar_oracle(seed, one_center_per_call, monkeypatch):
     if one_center_per_call:
         monkeypatch.setattr(proj, "_CENTER_BATCH", 1)
-    grid = build_grid(np.zeros(3), 1.0, 2)
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
     pieces, _, _ = proj.split_into_grid(seeded_blob(seed), grid)
     faces = {}
     for corners, key in zip(pieces.corners, pieces.face):
@@ -549,10 +550,10 @@ def key_of(face):
 
 #: box and periodic grids, one far from the origin with two of three axes identified
 GRIDS = [
-    build_grid(np.zeros(3), 1.0, 4),
+    DyadicGrid(np.zeros(3), 1.0, 4),
     DyadicGrid(np.zeros(3), 1.0, 4, (True,) * 3),
     DyadicGrid(np.full(3, 1000.0), 2.0 ** -6, 8, (True, False, True)),
-    build_grid(np.array([-0.5, 0.25]), 2.0, 4),
+    DyadicGrid(np.array([-0.5, 0.25]), 2.0, 4),
     DyadicGrid(np.array([-0.5, 0.25]), 2.0, 4, (True,) * 2),
 ]
 
@@ -678,8 +679,8 @@ def test_ledgers_match_per_piece_recomputation(case):
 def test_key_bounds_match_face_bounds():
     """Every face of every grid, the one far from the origin included, and
     of a grid whose corner and spacing round."""
-    for grid in GRIDS + [build_grid(np.array([0.1, -7.3, 1e3 / 3]), 0.7, 12)]:
-        faces = [f for k in range(grid.ambient_dim + 1) for f in grid.faces(k)]
+    for grid in GRIDS + [DyadicGrid(np.array([0.1, -7.3, 1e3 / 3]), 0.7, 12)]:
+        faces = [f for k in range(grid.ambient_dim + 1) for f in grid_faces(grid, k)]
         lo, hi = proj._key_bounds(np.array([key_of(f) for f in faces]), grid)
         for f, lo_f, hi_f in zip(faces, lo, hi):
             want_lo, want_hi = grid.face_bounds(f)
