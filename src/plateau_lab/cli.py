@@ -16,7 +16,6 @@ explicit command-line flags win over the config file.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -207,12 +206,12 @@ def _load_gauge(path):
 
 
 def _manifold(name: str) -> tuple[bool, int]:
-    """'torus<n>' or 'box<n>' -> (periodic, n)."""
-    periodic = name.startswith("torus")
-    if not (periodic or name.startswith("box")):
+    """'torus<n>' or 'box<n>' -> (every axis identified, n)."""
+    torus = name.startswith("torus")
+    if not (torus or name.startswith("box")):
         _fail_config([f"manifold must be torus<n> or box<n>, got {name!r}"])
     try:
-        return periodic, int(name.removeprefix("torus").removeprefix("box"))
+        return torus, int(name.removeprefix("torus").removeprefix("box"))
     except ValueError:
         _fail_config([f"manifold must end in its dimension, got {name!r}"])
 
@@ -229,23 +228,6 @@ def _read_loop(path) -> np.ndarray:
         _fail_config([f"loop {path} must be numeric CSV rows"])
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
 def _writable(path) -> bool:
     p = Path(path)
     return (p.parent.is_dir() and os.access(p.parent, os.W_OK | os.X_OK)
@@ -258,7 +240,7 @@ def _render(path, payload) -> str:
         return payload
     if isinstance(payload, EmbeddedMesh):
         return meshio.mesh_text(path, payload)
-    return meshio.dumps_json(_jsonable(payload))
+    return meshio.dumps_json(payload)
 
 
 def _emit(artifacts: list, summary: dict) -> None:
@@ -282,7 +264,7 @@ def _emit(artifacts: list, summary: dict) -> None:
         except OSError as e:
             _fail_config([f"cannot write {path}: {e}"])
     summary["artifacts"] = sorted(str(p) for p, _ in artifacts)
-    click.echo(meshio.dumps_json(_jsonable(summary)))
+    click.echo(meshio.dumps_json(summary))
 
 
 def _face_key_list(faces) -> list:
@@ -592,14 +574,14 @@ def hausdorff(vals):
 def minimize(vals):
     """Discrete Plateau descent over a ladder of grid refinements."""
     mesh = _read_mesh(vals["init"])
-    periodic, dim = _manifold(vals["manifold"])
+    torus, dim = _manifold(vals["manifold"])
     if mesh.ambient_dim != dim:
         _fail_config([f"mesh is {mesh.ambient_dim}-dimensional but manifold "
                       f"asks for {dim}"])
     level_list = _ints(vals["levels"], "levels")
     if any(n < 1 for n in level_list):
         _fail_config(["levels must be positive"])
-    domain = DyadicGrid(np.zeros(dim), vals["size"], 1, (periodic,) * dim)
+    domain = DyadicGrid(np.zeros(dim), vals["size"], 1, (torus,) * dim)
     scheme = run_scheme(mesh, domain, level_list,
                         threshold=vals["threshold"], strategy=vals["strategy"],
                         seed=vals["seed"], audit_trials=vals["audit_trials"])
@@ -608,7 +590,7 @@ def minimize(vals):
     final_doc = {
         "grid": {"corner": [float(x) for x in fs.grid.corner],
                  "size": fs.grid.size, "N": fs.grid.subdivisions,
-                 "identifications": "torus" if periodic else None},
+                 "identifications": "torus" if torus else None},
         "faces": _face_key_list(fs.faces),
         "measure": fs.measure(),
     }

@@ -8,17 +8,18 @@ adjacency is integer arithmetic; geometry (bounds, centers, meshes) is
 derived from the key.
 
 A grid may identify opposite faces of Q on a subset of axes (all axes = flat
-torus).  Identified axes canonicalize face keys: plane index N is plane 0,
-and cell indices run mod N.  A grid with any identified axis is *periodic*:
-nothing of it is frozen.  Otherwise the boundary of Q is the frozen sliding
-boundary.
+torus, none = box).  Each axis has its own boundary rule: an identified axis
+is glued, so its face keys canonicalize (plane index N is plane 0, and cell
+indices run mod N) and adjacency wraps around it; the two walls of every
+other axis are frozen.  A slab glued in x and y and walled in z is a film
+between two plates.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,16 +48,16 @@ class CubeFace:
 class DyadicGrid:
     """N^n dyadic complex over the cube [corner, corner + size]^n.
 
-    ``identified`` holds one flag per axis (default: none identified); the
-    grid is ``periodic`` when any axis is identified.  Two grids are equal
-    when their corner bytes, size, subdivisions and identifications are.
+    ``identified`` holds one flag per axis (default: none identified): an
+    identified axis is glued, the walls of any other axis are frozen.  Two
+    grids are equal when their corner bytes, size, subdivisions and
+    identifications are.
     """
 
     corner: np.ndarray
     size: float
     subdivisions: int
     identified: tuple = None
-    periodic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "corner", as_point(self.corner))
@@ -74,7 +75,6 @@ class DyadicGrid:
         if len(ident) != self.ambient_dim:
             raise ValueError("identification flags must match the ambient dimension")
         object.__setattr__(self, "identified", ident)
-        object.__setattr__(self, "periodic", any(ident))
 
     def _key(self) -> tuple:
         return self.corner.tobytes(), self.size, self.subdivisions, self.identified
@@ -165,30 +165,31 @@ class DyadicGrid:
         return out
 
     def on_boundary(self, face: CubeFace) -> bool:
-        """True when the face lies inside the boundary of Q."""
+        """True when the face lies in a frozen wall: a wall of Q on an axis
+        that is not identified."""
         N = self.subdivisions
         for a in range(self.ambient_dim):
-            if not face.spans(a) and face.lattice[a] in (0, N):
+            if not (self.identified[a] or face.spans(a)) and face.lattice[a] in (0, N):
                 return True
         return False
 
     # -- cube adjacency -----------------------------------------------------------
 
     def cell_neighbors(self, cell: CubeFace) -> list[CubeFace]:
-        """V(R): cells whose closure meets the closure of R (includes R)."""
+        """V(R): cells whose closure meets the closure of R (includes R),
+        wrapping identified axes, each cell once."""
         if cell.axes != self.full_mask:
             raise ValueError("cell_neighbors expects a top cell")
         N = self.subdivisions
-        ranges = [tuple(c for c in (i - 1, i, i + 1) if 0 <= c <= N - 1)
-                  for i in cell.lattice]
+        ranges = [sorted({(i + k) % N for k in (-1, 0, 1)}) if glued
+                  else [c for c in (i - 1, i, i + 1) if 0 <= c <= N - 1]
+                  for i, glued in zip(cell.lattice, self.identified)]
         return [CubeFace(self.full_mask, lat) for lat in itertools.product(*ranges)]
 
     # -- identifications -----------------------------------------------------------
 
     def canonical_face(self, face: CubeFace) -> CubeFace:
         """Wrap a face key: plane index N -> 0, cell indices mod N, on identified axes."""
-        if not self.periodic:
-            return face
         N = self.subdivisions
         lat = list(face.lattice)
         for a in range(self.ambient_dim):

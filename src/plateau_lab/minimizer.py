@@ -2,9 +2,10 @@
 
 State is a set of grid d-faces, d = n-1, so it is reduced by construction:
 every face carries measure.  Read as a mod-2 chain, a tidy competitor has even
-ridge incidence away from the frozen grid boundary (or everywhere, on a
-periodic grid).  Three deformation moves drive the descent, each realizable as a
-Lipschitz deformation supported in the ball it reports:
+ridge incidence away from the frozen walls, the walls of the axes the grid
+does not identify (everywhere, on a torus).  No move touches a frozen wall.
+Three deformation moves drive the descent, each realizable as a Lipschitz
+deformation supported in the ball it reports:
 
 * free-collapse — remove a d-face with a free ridge (whisker trimming;
   retract from the free side),
@@ -66,10 +67,8 @@ class FaceSet:
                 raise ValueError("faceset faces must have dimension n-1")
             if not self.grid.is_valid(f):
                 raise ValueError(f"face {f} is not a face of the grid")
-        if self.grid.periodic:
-            for f in self.faces:
-                if self.grid.canonical_face(f) != f:
-                    raise ValueError("faces must be canonical on periodic axes")
+            if self.grid.canonical_face(f) != f:
+                raise ValueError("faces must be canonical on identified axes")
 
     @property
     def dimension(self) -> int:
@@ -97,9 +96,7 @@ class FaceSet:
         return {r for r, held in self.ridges.items() if len(held) % 2 == 1}
 
     def is_relative_cycle(self) -> bool:
-        """Even incidence at every ridge off the frozen grid boundary."""
-        if self.grid.periodic:
-            return not self.odd_ridges()
+        """Even incidence at every ridge off the frozen walls."""
         return all(self.grid.on_boundary(r) for r in self.odd_ridges())
 
     def to_mesh(self) -> EmbeddedMesh:
@@ -162,12 +159,6 @@ def _boundary_toggle(fs: FaceSet, facets: Iterable[CubeFace]):
     return toggles, delta
 
 
-def _touches_frozen(fs: FaceSet, toggles: frozenset) -> bool:
-    if fs.grid.periodic:
-        return False
-    return any(fs.grid.on_boundary(f) for f in toggles)
-
-
 def _pinned_axis(face: CubeFace) -> int:
     """The one axis a d-face does not span."""
     return next(a for a in range(len(face.lattice)) if not face.spans(a))
@@ -195,13 +186,11 @@ def _cells_touching(fs: FaceSet, face: CubeFace) -> list:
 
 
 def collapse_moves(fs: FaceSet) -> list:
-    """One move per d-face holding a free ridge off the allowed boundary."""
+    """One move per d-face holding a free ridge off the frozen walls."""
     moves = []
     seen = set()
     for r, held in fs.ridges.items():
-        if len(held) != 1:
-            continue
-        if not fs.grid.periodic and fs.grid.on_boundary(r):
+        if len(held) != 1 or fs.grid.on_boundary(r):
             continue
         f = held[0]
         if f in seen:
@@ -217,7 +206,7 @@ def _cell_boundary_move(fs: FaceSet, variant: str, cells: list, anchor: tuple,
     """The move toggling by the boundary of ``cells``, if it is admissible."""
     grid = fs.grid
     toggles, delta = _boundary_toggle(fs, [f for c in cells for f in _cell_facets(grid, c)])
-    if (only_improving and delta >= 0) or not toggles or _touches_frozen(fs, toggles):
+    if (only_improving and delta >= 0) or not toggles or any(map(grid.on_boundary, toggles)):
         return []
     return [Move("interior-projection", variant, toggles, delta, anchor,
                  _support_ball(grid, cells))]

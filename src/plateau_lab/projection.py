@@ -18,9 +18,10 @@ never leave the owner's closed cell the per-cube inequality
     H^d(image cap R) <= sum over R' in V(R) of ratio(R') * H^d(input cap R')
 
 holds by construction (ratio(R') = end-to-end image/input measure of owner
-R').  Faces inside the boundary of Q are frozen (the map is the identity
-there) unless the grid is periodic, in which case face keys canonicalize and
-nothing is frozen.  Simplices fully outside Q are returned verbatim.
+R').  Each axis has its own boundary rule: on an identified axis face keys
+canonicalize and cells wrap, and faces in a wall of any other axis are frozen
+(the map is the identity there).  Simplices fully outside Q are returned
+verbatim.
 """
 
 from __future__ import annotations
@@ -110,12 +111,13 @@ def _key_bounds(keys: np.ndarray, grid: DyadicGrid) -> tuple[np.ndarray, np.ndar
     return lo, np.where(_spans(keys, grid.ambient_dim), grid.corner + (lat + 1) * grid.spacing, lo)
 
 
-def _faces_of_dim(keys: np.ndarray, dim: int, grid: DyadicGrid, freeze_boundary) -> np.ndarray:
-    """Rows whose face has dimension ``dim`` and, with ``freeze_boundary``,
-    does not lie inside the boundary of Q (``DyadicGrid.on_boundary``)."""
+def _faces_of_dim(keys: np.ndarray, dim: int, grid: DyadicGrid) -> np.ndarray:
+    """Rows whose face has dimension ``dim`` and lies in no frozen wall
+    (``DyadicGrid.on_boundary``)."""
     spans = _spans(keys, grid.ambient_dim)
-    on_edge = ~spans & ((keys[:, 1:] == 0) | (keys[:, 1:] == grid.subdivisions))
-    return (spans.sum(axis=1) == dim) & ~(bool(freeze_boundary) & on_edge.any(axis=1))
+    wall = (keys[:, 1:] == 0) | (keys[:, 1:] == grid.subdivisions)
+    frozen = (wall & ~spans & ~np.array(grid.identified)).any(axis=1)
+    return (spans.sum(axis=1) == dim) & ~frozen
 
 
 def _face_groups(keys: np.ndarray, select: np.ndarray) -> list[tuple[CubeFace, np.ndarray]]:
@@ -444,8 +446,6 @@ def _assign_faces(corners: np.ndarray, grid: DyadicGrid) -> np.ndarray:
     identified axes a chunk on a non-canonical face key moves onto the
     canonical representative and its face is derived again."""
     keys = _derive_faces(corners, grid)
-    if not grid.periodic:
-        return keys
     N = grid.subdivisions
     lat = keys[:, 1:]
     ident = np.array(grid.identified)
@@ -628,7 +628,7 @@ def split_into_grid(mesh: EmbeddedMesh, grid: DyadicGrid):
     """Split a mesh at all grid hyperplanes.
 
     Returns (pieces, outside_chunks, outside_mults).  Pieces carry exact
-    plane coordinates, their minimal face (canonical on periodic axes,
+    plane coordinates, their minimal face (canonical on identified axes,
     translating the piece into the canonical representative), and their owner
     cell.  Simplices whose bounding box misses Q are passed through verbatim,
     and so are chunks whose barycenter misses Q, all in simplex order.
@@ -662,15 +662,14 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
 
     Stages run k = n .. d+1; at each stage every face with content picks a
     center (deterministically seeded per face) and its content is pushed onto
-    the face boundary by the exact perspectivity map.  Boundary faces of Q are
-    frozen unless the grid is periodic (any axis identified).  The result
-    carries per-stage and per-cube measure ledgers.
+    the face boundary by the exact perspectivity map.  Faces in the walls of
+    the axes the grid does not identify are frozen; identified axes are
+    glued.  The result carries per-stage and per-cube measure ledgers.
     """
     if mesh.dimension >= grid.ambient_dim:
         raise ValueError("content dimension must be below the grid dimension")
     if mesh.ambient_dim != grid.ambient_dim:
         raise ValueError("mesh and grid ambient dimensions differ")
-    freeze_boundary = not grid.periodic
     if eta is not None:
         mesh = refine(mesh, eta)
     d = mesh.dimension
@@ -681,7 +680,7 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
 
     stages: list[StageRecord] = []
     for k in range(n, d, -1):
-        moving = _faces_of_dim(pieces.face, k, grid, freeze_boundary)
+        moving = _faces_of_dim(pieces.face, k, grid)
         groups = _face_groups(pieces.face, moving)
         chosen = [choose_center(grid, fkey, pieces.corners[rows], strategy, trials,
                                 _face_rng(seed, k, fkey)) for fkey, rows in groups]
@@ -711,8 +710,8 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
 
     final = _assemble_mesh(d, n, pieces, outside_chunks, outside_mults)
     plan = {"strategy": strategy, "trials": trials, "seed": seed,
-            "eta": eta, "freeze_boundary": freeze_boundary,
-            "periodic": grid.periodic}
+            "eta": eta, "freeze_boundary": not all(grid.identified),
+            "periodic": any(grid.identified)}
     return ProjectionResult(final, d, measure_in, _total(pieces.vol),
                             stages, per_cell, plan, pieces, outside_chunks, outside_mults)
 
@@ -731,13 +730,17 @@ def verify_cell_locality(result: ProjectionResult, grid: DyadicGrid) -> tuple[bo
     Both sides are evaluated geometrically (closed cells; shared boundary
     content counts for every touching cell).  Returns (ok, worst slack).
     """
-    pieces, n = result.pieces, grid.ambient_dim
+    pieces, n, N = result.pieces, grid.ambient_dim, grid.subdivisions
     # every piece against the 2**n choices of cell p-1 or p on each pinned
-    # axis p; the valid ones are the cells whose closure holds the piece
+    # axis p, wrapped on identified axes; the valid ones are the cells whose
+    # closure holds the piece, each once (p-1 and p are one cell when N = 1)
+    glued = np.array(grid.identified)
     spans = _spans(pieces.face, n)[:, None, :]
     upper = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
     lat = np.where(spans, pieces.face[:, None, 1:], pieces.face[:, None, 1:] - 1 + upper)
-    valid = np.all((lat >= 0) & (lat < grid.subdivisions) & ~(spans & (upper == 1)), axis=2)
+    lat = np.where(glued, lat % N, lat)
+    same = spans | (glued & (N == 1))
+    valid = np.all((lat >= 0) & (lat < N) & ~(same & (upper == 1)), axis=2)
     cells = np.concatenate([np.full(lat.shape[:2] + (1,), grid.full_mask), lat], axis=2)
     vol = np.broadcast_to(pieces.vol[:, None], valid.shape)
     out_geo = _ledger(cells[valid], vol[valid])
@@ -771,8 +774,7 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid) -> ProjectionResu
     """
     d = result.skeleton_dim
     pieces = result.pieces
-    moving = _faces_of_dim(pieces.face, d, grid, result.plan.get("freeze_boundary")) \
-        & (pieces.vol > 0.0)
+    moving = _faces_of_dim(pieces.face, d, grid) & (pieces.vol > 0.0)
     groups = _face_groups(pieces.face, moving)
     threshold = (grid.spacing / 2.0) ** d
     blockers = []
@@ -810,4 +812,5 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid) -> ProjectionResu
 def interior_face_measure(result: ProjectionResult, grid: DyadicGrid) -> float:
     """Total content measure sitting in interiors of d-faces (not in lower skeleton)."""
     pieces = result.pieces
-    return _total(pieces.vol[_faces_of_dim(pieces.face, result.skeleton_dim, grid, False)])
+    dims = _spans(pieces.face, grid.ambient_dim).sum(axis=1)
+    return _total(pieces.vol[dims == result.skeleton_dim])

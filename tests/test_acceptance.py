@@ -22,7 +22,7 @@ from plateau_lab import cones
 from plateau_lab import diagnostics as diag
 from plateau_lab import minimizer as mz
 from plateau_lab import projection as proj
-from plateau_lab.geometry.core import EmbeddedMesh, LineBoundary, measure, refine
+from plateau_lab.geometry.core import EmbeddedMesh, LineBoundary, refine
 from plateau_lab.geometry.energy import circle_samples, douglas_energy
 from plateau_lab.grids import DyadicGrid
 from plateau_lab.steiner import (Terminal, angle_audit, check_kirchhoff,

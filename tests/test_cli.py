@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from plateau_lab import cones
-from plateau_lab.cli import _jsonable, main
+from plateau_lab.cli import main
 from plateau_lab.geometry import meshio
 from plateau_lab.geometry.core import MAX_AMBIENT_DIM
 from plateau_lab.geometry.distance import MAX_SAMPLE_POINTS
@@ -177,14 +177,15 @@ def _no_constants(name):
 
 
 def test_non_finite_numbers_are_json_strings():
-    doc = _jsonable({"a": np.float64("inf"), "b": float("-inf"),
-                     "c": np.array([np.nan])})
-    assert doc == {"a": "inf", "b": "-inf", "c": ["nan"]}
-    assert json.loads(meshio.dumps_json(doc)) == doc
-    # the writer itself never emits bare Infinity or NaN
-    raw = meshio.dumps_json({"a": math.inf, "b": -math.inf, "c": [np.float64("nan")]})
-    assert json.loads(raw, parse_constant=_no_constants) == {"a": "inf", "b": "-inf",
-                                                              "c": ["nan"]}
+    """The writer never emits bare Infinity or NaN, from Python floats, numpy
+    scalars or arrays, inside tuples too."""
+    want = {"a": "inf", "b": "-inf", "c": ["nan"], "d": ["inf", 1.5]}
+    for doc in ({"a": np.float64("inf"), "b": float("-inf"), "c": np.array([np.nan]),
+                 "d": (math.inf, np.float32(1.5))},
+                {"a": math.inf, "b": -math.inf, "c": [np.float64("nan")],
+                 "d": np.array([np.inf, 1.5])}):
+        raw = meshio.dumps_json(doc)
+        assert json.loads(raw, parse_constant=_no_constants) == want
 
 
 @pytest.mark.parametrize("fail", ["write", "replace"])
@@ -405,21 +406,43 @@ def test_ff_project_determinism(runner, tmp_path):
     assert hashes[0] == hashes[1]
 
 
-def test_partially_identified_grid_freezes_nothing(runner, tmp_path):
-    """Any identified axis makes the grid periodic: today the walls of the
-    other axes are not frozen either."""
+def test_partially_identified_grid_freezes_the_other_walls(runner, tmp_path):
+    """On identifications [true, false, true] the walls of axis 1 are frozen:
+    a segment inside the y = 0 wall comes back unmoved, and one inside the
+    glued x = 0 side is projected onto the edges of its face."""
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"corner": [0, 0, 0], "size": 1.0, "N": 2,
                                 "identifications": [True, False, True]}))
-    mesh = tmp_path / "blob.off"
-    from plateau_lab.geometry.core import EmbeddedMesh
-    verts = np.random.default_rng(3).uniform(0.1, 0.9, size=(9, 3))
-    write_mesh(str(mesh), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
-    rep = tmp_path / "rep.json"
+    wall = [[0.125, 0.0, 0.25], [0.375, 0.0, 0.125]]
+    side = [[0.0, 0.25, 0.125], [0.0, 0.375, 0.25]]
+    mesh, out, rep = tmp_path / "segs.csv", tmp_path / "out.csv", tmp_path / "rep.json"
+    mesh.write_text("# segments ambient=3\n" + "".join(
+        ",".join(map(str, a + b)) + "\n" for a, b in (wall, side)))
     summary_of(runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh),
-                                    "--report", str(rep)]))
+                                    "--out", str(out), "--report", str(rep)]))
     plan = json.loads(rep.read_text())["plan"]
-    assert plan["periodic"] is True and plan["freeze_boundary"] is False
+    assert plan["periodic"] is True and plan["freeze_boundary"] is True
+    segments = meshio.read_mesh(str(out)).simplex_corners().tolist()
+    assert wall in segments and side not in segments
+    assert all(any(x in (0.0, 0.5) for x in p[1:]) for s in segments if s != wall for p in s)
+
+
+@pytest.mark.parametrize("strategy", ["far", "chebyshev"])
+def test_locality_holds_beside_the_torus_seam(runner, tmp_path, strategy):
+    """Content just below x = 1 on a torus projects across the seam; the
+    locality check goes around it and passes."""
+    grid = tmp_path / "torus4.json"
+    grid.write_text(json.dumps({"corner": [0, 0, 0], "size": 1.0, "N": 4,
+                                "identifications": "torus"}))
+    rng = np.random.default_rng(0)
+    v = rng.uniform(0, 1, (9, 3))
+    v[:, 0] = 1 - rng.uniform(0.01, 0.225, 9)
+    mesh = tmp_path / "seam.off"
+    from plateau_lab.geometry.core import EmbeddedMesh
+    write_mesh(str(mesh), EmbeddedMesh(2, v, np.arange(9).reshape(3, 3)))
+    doc = summary_of(runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh),
+                                          "--strategy", strategy]))
+    assert doc["locality_ok"] is True
 
 
 @pytest.mark.parametrize("spec,message", [

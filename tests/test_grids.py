@@ -7,7 +7,6 @@ face enumerator that the other grid tests use.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -79,6 +78,29 @@ def test_boundary_flags():
     assert grid.on_boundary(CubeFace(0b01, (0, 0)))      # bottom edge
     assert grid.on_boundary(CubeFace(0b01, (1, 2)))      # top edge
     assert not grid.on_boundary(CubeFace(0b01, (0, 1)))  # interior edge
+
+
+def test_only_the_walls_of_unidentified_axes_are_frozen():
+    grid = DyadicGrid(np.zeros(2), 1.0, 2, (True, False))
+    assert not grid.on_boundary(CubeFace(0b10, (0, 0)))  # the glued x = 0 side
+    assert not grid.on_boundary(CubeFace(0b10, (2, 1)))  # the glued x = 1 side
+    assert grid.on_boundary(CubeFace(0b01, (1, 2)))      # the y = 1 wall
+    assert grid.on_boundary(CubeFace(0, (0, 0)))         # a corner lies in the y = 0 wall
+    assert not any(torus(3, 2).on_boundary(f) for k in range(4)
+                   for f in grid_faces(torus(3, 2), k))
+
+
+@pytest.mark.parametrize("big_n", [1, 2, 3, 4])
+def test_cell_neighbors_wrap_identified_axes(big_n):
+    """V(R) is every cell one step away, around the seam on identified axes,
+    each cell once."""
+    grid = DyadicGrid(np.zeros(2), 1.0, big_n, (True, False))
+    for cell in grid_faces(grid, 2):
+        i, j = cell.lattice
+        want = {(x % big_n, y) for x in (i - 1, i, i + 1)
+                for y in (j - 1, j, j + 1) if 0 <= y < big_n}
+        got = [c.lattice for c in grid.cell_neighbors(cell)]
+        assert len(got) == len(set(got)) and set(got) == want
 
 
 def test_face_mesh_chunk_measures():

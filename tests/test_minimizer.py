@@ -329,26 +329,65 @@ def test_one_dimensional_curve_on_the_2_torus():
     assert result.final_measure == pytest.approx(1.0)
 
 
-# ── partially periodic grids: today's rule, pinned ──
+# ── one boundary rule per axis: glued if identified, else frozen walls ──
 
 @pytest.mark.parametrize("identified", [(True, False), (False, False)])
-def test_partially_periodic_grid_freezes_no_wall(identified):
+def test_partial_grid_freezes_the_walls_it_does_not_identify(identified):
     """The edge column x = 1/2 of a 4 x 4 grid in R^2, from wall to wall.
 
-    A grid with any identified axis is periodic, so nothing is frozen: with
-    axis 0 identified the column's two ends on the walls of axis 1 are odd
-    ridges, and collapse moves erase it.  With no axis identified it is a
-    relative cycle whose ends lie on the frozen boundary.
+    Its two ends are odd ridges on the walls of axis 1.  That axis is not
+    identified, so its walls are frozen whether or not axis 0 is: the column
+    is a relative cycle, and no collapse move erases it.
     """
     grid = DyadicGrid(np.zeros(2), 1.0, 4, identified)
     fs = mz.FaceSet(grid, frozenset(CubeFace(0b10, (2, j)) for j in range(4)))
-    if any(identified):
-        assert fs.odd_ridges() == {CubeFace(0, (2, 0)), CubeFace(0, (2, 4))}
-        assert not fs.is_relative_cycle()
-        assert len(mz.collapse_moves(fs)) == 2
-    else:
-        assert fs.is_relative_cycle()
-        assert mz.collapse_moves(fs) == []
+    assert fs.odd_ridges() == {CubeFace(0, (2, 0)), CubeFace(0, (2, 4))}
+    assert fs.is_relative_cycle()
+    assert mz.collapse_moves(fs) == []
+
+
+@pytest.mark.parametrize("big_n", [3, 4])
+def test_slab_freezes_like_the_box_and_glues_like_the_torus(big_n):
+    """A slab glued in x and y and walled in z: a film between two plates.
+
+    Its frozen faces are the box's z-walls, face for face, and its keys and
+    cell neighbours on x and y are the torus's.  A sheet x = 1/N rising from
+    the floor to height h has the torus's odd ridges (the y sides are glued)
+    and the box's collapse moves (the floor is frozen); from floor to ceiling
+    it is a relative cycle on all three.
+    """
+    n = 3
+    slab = DyadicGrid(np.zeros(n), 1.0, big_n, (True, True, False))
+    box, tor = DyadicGrid(np.zeros(n), 1.0, big_n), torus(n, big_n)
+    faces = [f for k in range(n + 1) for f in grid_faces(box, k)]
+
+    def in_z_wall(f):
+        lo, hi = box.face_bounds(f)
+        return lo[2] == hi[2] and lo[2] in (box.plane_coordinate(2, 0),
+                                            box.plane_coordinate(2, big_n))
+
+    assert {f for f in faces if slab.on_boundary(f)} == \
+        {f for f in faces if box.on_boundary(f) and in_z_wall(f)}
+    for f in faces:
+        glued, wrapped = slab.canonical_face(f), tor.canonical_face(f)
+        assert glued.lattice[:2] == wrapped.lattice[:2] and glued.lattice[2] == f.lattice[2]
+    for cell in grid_faces(box, n):
+        near = slab.cell_neighbors(cell)
+        assert {c.lattice[:2] for c in near} == {c.lattice[:2] for c in tor.cell_neighbors(cell)}
+        assert {c.lattice[2] for c in near} == {c.lattice[2] for c in box.cell_neighbors(cell)}
+
+    def sheet(grid, h):
+        return mz.FaceSet(grid, frozenset(CubeFace(0b110, (1, j, k))
+                                          for j in range(big_n) for k in range(h)))
+
+    for h in range(2, big_n):
+        assert sheet(slab, h).odd_ridges() == sheet(tor, h).odd_ridges() \
+            != sheet(box, h).odd_ridges()
+        slab_moves = _move_rows(mz.collapse_moves(sheet(slab, h)))
+        assert slab_moves == _move_rows(mz.collapse_moves(sheet(box, h)))
+        assert slab_moves != _move_rows(mz.collapse_moves(sheet(tor, h)))
+        assert not sheet(slab, h).is_relative_cycle()
+    assert all(sheet(g, big_n).is_relative_cycle() for g in (slab, box, tor))
 
 
 # ── the ridge table and the batched audit against the plain walks ──
@@ -364,6 +403,13 @@ def oracle_ridge_incidence(fs):
     return inc
 
 
+def oracle_frozen(grid, face):
+    """In a wall of an axis the grid does not identify: pinned at plane 0 or N."""
+    return any(face.lattice[a] in (0, grid.subdivisions)
+               for a in range(grid.ambient_dim)
+               if not (grid.identified[a] or face.spans(a)))
+
+
 def oracle_collapse_moves(fs):
     inc = oracle_ridge_incidence(fs)
     owner = {}
@@ -372,7 +418,7 @@ def oracle_collapse_moves(fs):
             owner[fs.grid.canonical_face(r)] = f
     moves, seen = [], set()
     for r, k in inc.items():
-        if k != 1 or (not fs.grid.periodic and fs.grid.on_boundary(r)):
+        if k != 1 or oracle_frozen(fs.grid, r):
             continue
         f = owner[r]
         if f not in seen:

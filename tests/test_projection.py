@@ -7,14 +7,16 @@ the image polyline.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from plateau_lab.geometry.core import EmbeddedMesh, measure
-from plateau_lab.grids import DyadicGrid
+from plateau_lab.grids import CubeFace, DyadicGrid
 from plateau_lab import projection as proj
 
-from conftest import segment_mesh, square_patch, torus
+from conftest import segment_mesh, torus
 
 
 # ── independent oracle for the fixed-center diagonal image ──
@@ -111,6 +113,39 @@ def test_cell_locality_on_seeded_meshes():
         result = proj.project_to_skeleton(seeded_blob(seed), grid, strategy="far")
         ok, worst = proj.verify_cell_locality(result, grid)
         assert ok, f"locality violated at seed {seed}: worst ratio {worst}"
+
+
+def beside_the_seam(seed: int) -> EmbeddedMesh:
+    """Three triangles whose vertices sit just below x = 1, the seam of x."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0, 1, (9, 3))
+    v[:, 0] = 1 - rng.uniform(0.01, 0.225, 9)
+    return EmbeddedMesh(2, v, np.arange(9).reshape(3, 3))
+
+
+@pytest.mark.parametrize("strategy", ["far", "chebyshev"])
+@pytest.mark.parametrize("big_n", [1, 2, 3, 4])
+def test_cell_locality_beside_the_seam(strategy, big_n):
+    """Content projected across the seam lands in a cell beside its owner
+    only around it; the locality walks must go around it too."""
+    grid = torus(3, big_n)
+    for seed in range(4):
+        result = proj.project_to_skeleton(beside_the_seam(seed), grid, strategy=strategy)
+        ok, worst = proj.verify_cell_locality(result, grid)
+        assert ok, f"locality violated at seed {seed}: worst slack {worst}"
+
+
+def test_locality_check_sees_both_sides_of_the_seam():
+    """A segment on the seam x = 0 of a 4 x 4 torus lies in the closed cells
+    on both sides of it.  Credited with its input two cells away on one side,
+    it is too far from the cell on the other side, and the check fails."""
+    grid = torus(2, 4)
+    res = proj.project_to_skeleton(segment_mesh([(0.0, 0.05), (0.0, 0.2)]), grid)
+    assert res.pieces.face.tolist() == [[0b10, 0, 0]]
+    rec = {"measure_in": res.measure_in, "measure_out": res.measure_out, "ratio": 1.0}
+    for i, ok in ((0, True), (1, False), (3, True), (2, False)):
+        moved = replace(res, per_cell={CubeFace(grid.full_mask, (i, 0)): rec})
+        assert proj.verify_cell_locality(moved, grid)[0] is ok, i
 
 
 def test_measure_ledger_is_consistent():

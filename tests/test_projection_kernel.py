@@ -8,6 +8,7 @@ give the same chunks, in the same order, with the same bytes.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import fields
 from typing import Optional
@@ -316,17 +317,33 @@ def running_sum(values):
     return total
 
 
+def oracle_cells(grid, center, steps):
+    """The cells at ``center`` plus a step per axis from ``steps``, wrapped
+    around identified axes, dropped off the walls of the others, each once,
+    in lattice order."""
+    N = grid.subdivisions
+    options = []
+    for c, glued, step in zip(center, grid.identified, steps):
+        near = [c + k for k in step]
+        near = {i % N for i in near} if glued else {i for i in near if 0 <= i < N}
+        options.append(sorted(near))
+    return [CubeFace(grid.full_mask, lat) for lat in itertools.product(*options)]
+
+
 def oracle_cell_locality(result, grid):
-    """verify_cell_locality summed piece by piece over ``containing_cells``."""
+    """verify_cell_locality summed piece by piece over the cells around each
+    piece and their neighbours, both walked here."""
     out_geo = {}
     for c, key in zip(result.pieces.corners, result.pieces.face):
-        for cell in containing_cells(grid, proj._cube_face(key)):
+        face = proj._cube_face(key)
+        steps = [(0,) if face.spans(a) else (-1, 0) for a in range(grid.ambient_dim)]
+        for cell in oracle_cells(grid, face.lattice, steps):
             out_geo[cell] = out_geo.get(cell, 0.0) + oracle_volume(c)
     worst, ok = math.inf, True
     for cell in set(out_geo) | set(result.per_cell):
         lhs = out_geo.get(cell, 0.0)
         rhs = 0.0
-        for nb in grid.cell_neighbors(cell):
+        for nb in oracle_cells(grid, cell.lattice, [(-1, 0, 1)] * grid.ambient_dim):
             rec = result.per_cell.get(nb)
             if rec is not None:
                 rhs += rec["ratio"] * rec["measure_in"]
@@ -687,6 +704,19 @@ def test_key_bounds_match_face_bounds():
             assert lo_f.tobytes() == want_lo.tobytes() and hi_f.tobytes() == want_hi.tobytes()
 
 
+def test_wall_mask_agrees_with_on_boundary():
+    """The key-row wall mask of the stages keeps exactly the faces that
+    ``DyadicGrid.on_boundary`` does not freeze, on every face of every grid
+    and of a 2-D grid with one axis identified."""
+    for grid in GRIDS + [DyadicGrid(np.array([-0.5, 0.25]), 2.0, 4, (False, True))]:
+        for k in range(grid.ambient_dim + 1):
+            faces = list(grid_faces(grid, k))
+            keys = np.array([key_of(f) for f in faces])
+            assert proj._faces_of_dim(keys, k, grid).tolist() == \
+                [not grid.on_boundary(f) for f in faces]
+            assert not proj._faces_of_dim(keys, k + 1, grid).any()
+
+
 def assert_same_projection(got, want):
     (table, source, ends), (want_table, want_source, want_ends) = got, want
     for f in fields(proj.PieceTable):
@@ -760,11 +790,11 @@ def test_one_stage_makes_one_kernel_call_per_spanned_axes(monkeypatch):
     real = proj._project_batch
     monkeypatch.setattr(proj, "_project_batch", lambda *a: calls.append(a[-2]) or real(*a))
     for k in (3, 2):
-        groups = proj._face_groups(pieces.face, proj._faces_of_dim(pieces.face, k, grid, True))
+        groups = proj._face_groups(pieces.face, proj._faces_of_dim(pieces.face, k, grid))
         centers = [grid.face_center(face) for face, _ in groups]
         calls.clear()
         images, _, _ = proj._project_groups(pieces, groups, centers, grid)
         assert len(calls) == len({face.axes for face, _ in groups}) <= math.comb(3, k)
-        moving = proj._faces_of_dim(pieces.face, k, grid, True)
+        moving = proj._faces_of_dim(pieces.face, k, grid)
         pieces = proj.PieceTable.concat([pieces.take(~moving), images])
     assert sorted(calls) == [[0, 1], [0, 2], [1, 2]]

@@ -1,4 +1,5 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module of the package or of the test suite imports is read
+somewhere in that module.
 
 Package ``__init__.py`` files are exempt: their imports are re-exports.
 """
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "plateau_lab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "plateau_lab"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +40,8 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(src) == ["line 2: os", "line 3: Sequence"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[str(p.relative_to(PACKAGE)) for p in MODULES]
+                         + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
