@@ -12,14 +12,18 @@ Cataloged constants (measure of the unit-ball slice):
 name        dim  theta
 ==========  ===  =======================================
 line         1   2
-v1(beta)     1   2            (any opening angle)
-y1           1   3
+v1           1   2            (two rays at a right angle)
+y1           1   3            (three rays at 120 degrees)
 plane        2   pi
 halfplane    2   pi/2
-v(beta)      2   pi           (any dihedral angle)
-y            2   3*pi/2
+v            2   pi           (two half-planes at a right dihedral)
+y            2   3*pi/2       (three half-planes at 120 degrees)
 t            2   3*arccos(-1/3)
 ==========  ===  =======================================
+
+The rays of ``v1`` and ``y1`` come from one ray builder, and the half-planes
+of ``v`` and ``y`` from one sheet builder at their azimuths; the densities of
+``v1`` and ``v`` hold at any opening angle.
 """
 
 from __future__ import annotations
@@ -74,24 +78,11 @@ def line_cone(extent: float = 1.0, ambient: int = 2) -> EmbeddedMesh:
     return EmbeddedMesh.from_simplex_list(1, [[o, extent * u], [o, -extent * u]])
 
 
-def v1_cone(beta: float, extent: float = 1.0, ambient: int = 2) -> EmbeddedMesh:
-    """Two rays from the origin with opening angle beta in the xy-plane."""
-    if not (0.0 < beta < math.pi):
-        raise ValueError("opening angle must be in (0, pi)")
+def _rays(angles: Sequence[float], extent: float, ambient: int) -> EmbeddedMesh:
+    """Rays from the origin in the xy-plane at the given angles."""
     o = np.zeros(ambient)
-    u1 = _pad([1.0, 0.0], ambient)
-    u2 = _pad([math.cos(beta), math.sin(beta)], ambient)
-    return EmbeddedMesh.from_simplex_list(1, [[o, extent * u1], [o, extent * u2]])
-
-
-def y1_cone(extent: float = 1.0, ambient: int = 2) -> EmbeddedMesh:
-    """Three rays at mutual 120 degrees in the xy-plane."""
-    o = np.zeros(ambient)
-    segs = []
-    for k in range(3):
-        a = 2.0 * math.pi * k / 3.0
-        segs.append([o, extent * _pad([math.cos(a), math.sin(a)], ambient)])
-    return EmbeddedMesh.from_simplex_list(1, segs)
+    return EmbeddedMesh.from_simplex_list(
+        1, [[o, extent * _pad([math.cos(a), math.sin(a)], ambient)] for a in angles])
 
 
 def plane_cone(extent: float = 1.0) -> EmbeddedMesh:
@@ -108,39 +99,25 @@ def halfplane_cone(extent: float = 1.0) -> EmbeddedMesh:
     return EmbeddedMesh.from_simplex_list(2, [[p[0], p[1], p[2]], [p[0], p[2], p[3]]])
 
 
-def _halfplane_sheet(phi: float, extent: float) -> list:
-    """Two triangles for the half-plane around the z-axis at azimuth phi."""
+def _sheets(phis: Sequence[float], extent: float) -> EmbeddedMesh:
+    """Half-planes hinged on the z-axis at the given azimuths, two triangles each."""
     R = extent
-    u = [math.cos(phi), math.sin(phi)]
-    p = [[0.0, 0.0, -R], [R * u[0], R * u[1], -R], [R * u[0], R * u[1], R], [0.0, 0.0, R]]
-    return [[p[0], p[1], p[2]], [p[0], p[2], p[3]]]
-
-
-def v_cone(beta: float, extent: float = 1.0) -> EmbeddedMesh:
-    """Two half-planes sharing the z-axis with dihedral angle beta."""
-    if not (0.0 < beta < 2.0 * math.pi):
-        raise ValueError("dihedral angle must be in (0, 2*pi)")
-    tris = _halfplane_sheet(0.0, extent) + _halfplane_sheet(beta, extent)
+    tris = []
+    for phi in phis:
+        u = [math.cos(phi), math.sin(phi)]
+        p = [[0.0, 0.0, -R], [R * u[0], R * u[1], -R], [R * u[0], R * u[1], R], [0.0, 0.0, R]]
+        tris += [[p[0], p[1], p[2]], [p[0], p[2], p[3]]]
     return EmbeddedMesh.from_simplex_list(2, tris)
 
 
 def v_cone_azimuths(phi1: float, phi2: float, extent: float = 1.0) -> EmbeddedMesh:
     """Two half-planes sharing the z-axis at explicit azimuths."""
-    tris = _halfplane_sheet(phi1, extent) + _halfplane_sheet(phi2, extent)
-    return EmbeddedMesh.from_simplex_list(2, tris)
+    return _sheets([phi1, phi2], extent)
 
 
 def halfplane_azimuth_cone(phi: float, extent: float = 1.0) -> EmbeddedMesh:
     """One half-plane hinged on the z-axis at the given azimuth."""
-    return EmbeddedMesh.from_simplex_list(2, _halfplane_sheet(phi, extent))
-
-
-def y_cone(extent: float = 1.0) -> EmbeddedMesh:
-    """Three half-planes sharing the z-axis at mutual 120 degree dihedrals."""
-    tris = []
-    for k in range(3):
-        tris.extend(_halfplane_sheet(2.0 * math.pi * k / 3.0, extent))
-    return EmbeddedMesh.from_simplex_list(2, tris)
+    return _sheets([phi], extent)
 
 
 def t_cone(extent: float = 1.0) -> EmbeddedMesh:
@@ -160,15 +137,19 @@ def t_cone(extent: float = 1.0) -> EmbeddedMesh:
     return EmbeddedMesh.from_simplex_list(2, tris)
 
 
+#: azimuths of the rays of v1 and y1 and of the half-planes of v and y
+_RIGHT = (0.0, math.pi / 2)
+_THIRDS = tuple(2.0 * math.pi * k / 3.0 for k in range(3))
+
 _BUILDERS = {
-    "line": lambda extent, ambient=3: line_cone(extent, ambient),
-    "v1": lambda extent, ambient=3: v1_cone(math.pi / 2, extent, ambient),
-    "y1": lambda extent, ambient=3: y1_cone(extent, ambient),
-    "plane": lambda extent, ambient=3: plane_cone(extent),
-    "halfplane": lambda extent, ambient=3: halfplane_cone(extent),
-    "v": lambda extent, ambient=3: v_cone(math.pi / 2, extent),
-    "y": lambda extent, ambient=3: y_cone(extent),
-    "t": lambda extent, ambient=3: t_cone(extent),
+    "line": lambda extent, ambient: line_cone(extent, ambient),
+    "v1": lambda extent, ambient: _rays(_RIGHT, extent, ambient),
+    "y1": lambda extent, ambient: _rays(_THIRDS, extent, ambient),
+    "plane": lambda extent, ambient: plane_cone(extent),
+    "halfplane": lambda extent, ambient: halfplane_cone(extent),
+    "v": lambda extent, ambient: _sheets(_RIGHT, extent),
+    "y": lambda extent, ambient: _sheets(_THIRDS, extent),
+    "t": lambda extent, ambient: t_cone(extent),
 }
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cones
 from .geometry.clipping import clip_to_ball, clipped_measure, sphere_slice_measure
-from .geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary, as_point
+from .geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary, as_point, ordered_sum
 from .geometry.distance import sample_mesh, sup_distance
 
 #: relative density spread below which a profile counts as flat
@@ -63,7 +63,7 @@ def _radii(radii: Sequence[float]) -> list:
 
 def _trend(values: list, adjusted: list) -> dict:
     """Flatness (relative spread) of ``values``, monotonicity of ``adjusted``."""
-    mean = sum(values) / len(values)
+    mean = ordered_sum(values) / len(values)
     spread = (max(values) - min(values)) / mean if mean > 0 else math.inf
     tol = 1e-9 * max(1.0, max(adjusted) if all(map(math.isfinite, adjusted)) else 1.0)
     return {"flat": spread <= FLAT_TOL, "spread": spread,

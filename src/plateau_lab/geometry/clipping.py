@@ -6,14 +6,14 @@ and the exact (d-1)-volume of mesh-on-sphere using closed-form circular
 geometry (a Green's-theorem edge walk per triangle), so densities and slice
 ratios carry no polygonalization error.  The mesh tier (``clip_to_ball``)
 returns the part of a mesh inside a ball as an actual mesh and replaces the
-curved boundary by an inscribed regular polygon sized from a relative area
-tolerance.
+curved boundary by an inscribed regular polygon whose relative area deficit
+is at most ``CLIP_TOL``.
 
 The measure tier runs over stacked arrays: one pass builds the plane frames
 of all candidate triangles, and the edge walks run over all of them at once.
 Each value takes the float operations of a walk over one simplex, in the
 same order: ``atan2`` and ``hypot`` come from ``math`` (numpy's round
-differently), and sums run left to right, never through ``np.sum``.
+differently), and sums run left to right (``core.ordered_sum``).
 """
 
 from __future__ import annotations
@@ -23,9 +23,15 @@ import math
 
 import numpy as np
 
-from .core import Ball, EmbeddedMesh, _corner_diameters, row_dots, simplex_volumes, stacked_dots
+from .core import (Ball, EmbeddedMesh, _corner_diameters, _corner_volumes, ordered_sum,
+                   row_dots, stacked_dots)
 
-DEFAULT_CLIP_TOL = 1e-4
+#: relative area deficit of the mesh tier's inscribed polygon
+CLIP_TOL = 1e-4
+
+#: sides of that polygon: a regular m-gon inscribed in a circle misses
+#: about (2 pi^2 / 3) / m^2 of the disk's area, so m = 257 at CLIP_TOL
+CLIP_SIDES = math.ceil(math.pi * math.sqrt(2.0 / (3.0 * CLIP_TOL)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +232,14 @@ def _corner_distance_band(corners: np.ndarray, ball: Ball):
     return surely_in, surely_out, dmax
 
 
-def _add_in_order(total: float, parts) -> float:
-    """``total`` plus each part in turn (``np.sum`` adds pairwise, and the
-    built-in ``sum`` compensates from Python 3.12 on)."""
-    for x in parts:
-        total += x
-    return total
-
-
-def clipped_measure(mesh: EmbeddedMesh, ball: Ball, inside: bool = True) -> float:
-    """Exact H^d of the part of the mesh inside (or outside) the closed ball."""
+def clipped_measure(mesh: EmbeddedMesh, ball: Ball) -> float:
+    """Exact H^d of the part of the mesh inside the closed ball."""
     if ball.ambient_dim != mesh.ambient_dim:
         raise ValueError("ball and mesh ambient dimensions differ")
-    corners = mesh.simplex_corners()
-    vols = simplex_volumes(mesh)
     if mesh.n_simplices == 0:
         return 0.0
+    corners = mesh.simplex_corners()
+    vols = _corner_volumes(corners, mesh.dimension)
     surely_in, surely_out, _ = _corner_distance_band(corners, ball)
     unsure = ~surely_in & ~surely_out & ~(vols == 0.0)
     if mesh.dimension == 1:
@@ -251,10 +249,7 @@ def clipped_measure(mesh: EmbeddedMesh, ball: Ball, inside: bool = True) -> floa
     else:
         p, q, d, _, rho = _near_triangles(corners[unsure], ball)
         parts = _disk_areas(p, q, d, rho)
-    total_in = _add_in_order(float(np.sum(vols[surely_in])), parts.tolist())
-    if inside:
-        return total_in
-    return float(np.sum(vols)) - total_in
+    return ordered_sum(np.r_[np.sum(vols[surely_in]), parts])
 
 
 def sphere_slice_measure(mesh: EmbeddedMesh, ball: Ball) -> float:
@@ -268,7 +263,7 @@ def sphere_slice_measure(mesh: EmbeddedMesh, ball: Ball) -> float:
     # strictly interior simplices never touch the sphere itself
     crossers = corners[~(surely_in & (dmax < ball.radius)) & ~surely_out]
     if mesh.dimension == 2:
-        return _add_in_order(0.0, _arc_lengths(*_near_triangles(crossers, ball)))
+        return ordered_sum(_arc_lengths(*_near_triangles(crossers, ball)))
     a, b = crossers[:, 0], crossers[:, 1]
     t, keep = _sphere_params(a, b, ball.center, ball.radius)
     pts = (a[:, None] + t[..., None] * (b - a)[:, None])[keep]
@@ -313,13 +308,6 @@ def _greedy_point_count(points: np.ndarray, center: np.ndarray, tol: float) -> i
 # mesh tier
 # ---------------------------------------------------------------------------
 
-def polygon_sides_for_tolerance(tol: float) -> int:
-    """Sides of an inscribed regular polygon whose relative area deficit <= tol."""
-    if not (0 < tol < 1):
-        raise ValueError("clip tolerance must be in (0, 1)")
-    return max(8, int(math.ceil(math.pi * math.sqrt(2.0 / (3.0 * tol)))))
-
-
 def _halfplane_clip(poly: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
     """Clip a convex polygon to the left of the oriented line through a->b."""
     if not poly:
@@ -346,15 +334,15 @@ def _fan_triangulate(poly: list[np.ndarray]) -> list[np.ndarray]:
     return tris
 
 
-def clip_to_ball(mesh: EmbeddedMesh, ball: Ball,
-                 tol: float = DEFAULT_CLIP_TOL) -> EmbeddedMesh:
+def clip_to_ball(mesh: EmbeddedMesh, ball: Ball) -> EmbeddedMesh:
     """Mesh of the part of ``mesh`` inside the ball.
 
-    d=1 output is exact.  For d=2 the circular boundary is replaced by an
-    inscribed regular polygon sized so the relative area deficit is <= tol.
-    Triangles entirely inside the closed disk are kept whole (there a cut
-    could only trade exactness for approximation), so the output may
-    undercount the ball clip by at most tol relative but never overcounts it.
+    d=1 output is exact.  For d=2 the circular boundary is replaced by the
+    inscribed regular ``CLIP_SIDES``-gon, whose relative area deficit is at
+    most ``CLIP_TOL``.  Triangles entirely inside the closed disk are kept
+    whole (there a cut could only trade exactness for approximation), so the
+    output may undercount the ball clip by at most ``CLIP_TOL`` relative but
+    never overcounts it.
     """
     if ball.ambient_dim != mesh.ambient_dim:
         raise ValueError("ball and mesh ambient dimensions differ")
@@ -375,8 +363,7 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball,
         return EmbeddedMesh.from_simplex_list(1, np.stack([pa, pb], axis=1),
                                               mesh.multiplicities[keep], allow_degenerate=True)
 
-    m_sides = polygon_sides_for_tolerance(tol)
-    angles = 2.0 * math.pi * np.arange(m_sides) / m_sides
+    angles = 2.0 * math.pi * np.arange(CLIP_SIDES) / CLIP_SIDES
     unit_poly = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
     t2d, rho2, origins, us, vs = _frames(corners, ball)
@@ -397,8 +384,8 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball,
             continue
         poly_pts = rho * unit_poly
         current = list(t2d[i])
-        for k in range(m_sides):
-            a2, b2 = poly_pts[k], poly_pts[(k + 1) % m_sides]
+        for k in range(CLIP_SIDES):
+            a2, b2 = poly_pts[k], poly_pts[(k + 1) % CLIP_SIDES]
             d2 = b2 - a2
             # cut depth below float noise: a near-tangent cut would place its
             # intersection vertices from nearly-degenerate crossings, folding

@@ -57,6 +57,13 @@ def row_dots(a, b) -> np.ndarray:
     return stacked_dots(a, b)[..., 0, 0]
 
 
+def ordered_sum(values) -> float:
+    """0.0 + v[0] + v[1] + ..., left to right on every Python version
+    (``np.sum`` adds pairwise, and the built-in ``sum`` compensates from
+    Python 3.12 on)."""
+    return float(np.cumsum(np.concatenate([[0.0], values]))[-1])
+
+
 def stacked_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The matmul of ``row_dots`` as a (..., 1, 1) stack, without its
     conversions: for float64 arrays in hot loops.  Each dot sees its
@@ -243,13 +250,10 @@ class EmbeddedMesh:
     def _simplex_diameters(self) -> np.ndarray:
         return _corner_diameters(self.simplex_corners(), self.dimension)
 
-    def transformed(self, rotation: Optional[np.ndarray] = None,
-                    translation: Optional[np.ndarray] = None,
+    def transformed(self, translation: Optional[np.ndarray] = None,
                     scale: float = 1.0) -> "EmbeddedMesh":
-        """Apply x -> scale * R x + t to every vertex."""
+        """Apply x -> scale * x + t to every vertex."""
         verts = self.vertices * float(scale)
-        if rotation is not None:
-            verts = verts @ np.asarray(rotation, dtype=float).T
         if translation is not None:
             verts = verts + np.asarray(translation, dtype=float)
         return EmbeddedMesh(self.dimension, verts, self.simplices.copy(),
@@ -308,12 +312,6 @@ def measure(mesh: EmbeddedMesh) -> float:
     Summation order is fixed (row order), so results are reproducible.
     """
     return float(np.sum(_effective_volumes(mesh)))
-
-
-def mass(mesh: EmbeddedMesh) -> float:
-    """Multiplicity-weighted measure: sum |m_s| * vol(s)."""
-    vols = _effective_volumes(mesh)
-    return float(np.sum(np.abs(mesh.multiplicities) * vols))
 
 
 #: midpoints appended to a simplex's corners, and the children of one split

@@ -65,10 +65,7 @@ def douglas_energy(samples) -> float:
     return float(delta * delta * integrand.sum())
 
 
-def circle_samples(m: int, radius: float = 1.0, ambient_dim: int = 2) -> np.ndarray:
-    """Uniform samples of a round circle (padded with zeros beyond 2 coords)."""
+def circle_samples(m: int, radius: float = 1.0) -> np.ndarray:
+    """Uniform samples of a round circle in the plane, (m, 2)."""
     theta = 2.0 * math.pi * np.arange(m) / m
-    out = np.zeros((m, ambient_dim))
-    out[:, 0] = radius * np.cos(theta)
-    out[:, 1] = radius * np.sin(theta)
-    return out
+    return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)

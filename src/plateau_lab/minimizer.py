@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry.core import Ball, EmbeddedMesh
+from .geometry.core import Ball, EmbeddedMesh, ordered_sum
 from .grids import CubeFace, DyadicGrid
 from .projection import ProjectionResult, project_to_skeleton
 
@@ -598,6 +598,6 @@ def run_scheme(mesh: EmbeddedMesh, domain: DyadicGrid, subdivision_levels: Seque
                         continue
                 row["gaps"].append({"radius": r * size,
                                     "max": max(gaps) if gaps else math.inf,
-                                    "mean": sum(gaps) / len(gaps) if gaps else math.inf})
+                                    "mean": ordered_sum(gaps) / len(gaps) if gaps else math.inf})
             distances.append(row)
     return SchemeResult(levels, distances)

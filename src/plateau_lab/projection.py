@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry.core import EmbeddedMesh, refine, row_dots
+from .geometry.core import EmbeddedMesh, ordered_sum, refine, row_dots
 from .geometry.distance import points_to_simplices
 from .grids import CubeFace, DyadicGrid
 
@@ -130,15 +130,10 @@ def _face_groups(keys: np.ndarray, select: np.ndarray) -> list[tuple[CubeFace, n
     return [(_cube_face(f), m) for f, m in zip(faces, members)]
 
 
-def _total(vol: np.ndarray) -> float:
-    """0.0 + v[0] + v[1] + ..., left to right on every Python version."""
-    return float(np.cumsum(np.concatenate([[0.0], vol]))[-1])
-
-
 def _ledger(keys: np.ndarray, vol: np.ndarray) -> dict:
     """{CubeFace: total measure} per distinct key row, in order of first appearance."""
     groups = sorted(_face_groups(keys, np.ones(len(keys), dtype=bool)), key=lambda g: g[1][0])
-    return {face: _total(vol[rows]) for face, rows in groups}
+    return {face: ordered_sum(vol[rows]) for face, rows in groups}
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +530,7 @@ def choose_center(grid: DyadicGrid, face: CubeFace, content: np.ndarray,
         vols = _volumes(images)
         ends = np.cumsum(np.bincount(center_of, minlength=group.size)).tolist()
         for i, start, end in zip(group.tolist(), [0] + ends, ends):
-            val = float(sum(vols[start:end]))
+            val = ordered_sum(vols[start:end])
             if val < best_val - 1e-15:
                 best_xi, best_val, best_clear = samples[i], val, float(dists[i])
     if best_xi is None:
@@ -675,7 +670,7 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     d = mesh.dimension
     n = grid.ambient_dim
     pieces, outside_chunks, outside_mults = split_into_grid(mesh, grid)
-    measure_in = _total(pieces.vol)
+    measure_in = ordered_sum(pieces.vol)
     in_by_owner = _ledger(pieces.owner, pieces.vol)
 
     stages: list[StageRecord] = []
@@ -689,8 +684,8 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
         stage_in = 0.0
         stage_out = 0.0
         for (fkey, rows), (xi, info), start, end in zip(groups, chosen, [0] + ends, ends):
-            m_in = _total(pieces.vol[rows])
-            m_out = _total(images.vol[start:end])
+            m_in = ordered_sum(pieces.vol[rows])
+            m_out = ordered_sum(images.vol[start:end])
             stage_in += m_in
             stage_out += m_out
             face_records[fkey] = info
@@ -712,7 +707,7 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     plan = {"strategy": strategy, "trials": trials, "seed": seed,
             "eta": eta, "freeze_boundary": not all(grid.identified),
             "periodic": any(grid.identified)}
-    return ProjectionResult(final, d, measure_in, _total(pieces.vol),
+    return ProjectionResult(final, d, measure_in, ordered_sum(pieces.vol),
                             stages, per_cell, plan, pieces, outside_chunks, outside_mults)
 
 
@@ -724,13 +719,10 @@ def skeleton_deviation(result: ProjectionResult, grid: DyadicGrid) -> float:
     return float(np.linalg.norm(over, axis=2).max(initial=0.0))
 
 
-def verify_cell_locality(result: ProjectionResult, grid: DyadicGrid) -> tuple[bool, float]:
-    """Check H^d(out cap R) <= sum_{R' in V(R)} ratio(R') H^d(in cap R') for all cells.
-
-    Both sides are evaluated geometrically (closed cells; shared boundary
-    content counts for every touching cell).  Returns (ok, worst slack).
-    """
-    pieces, n, N = result.pieces, grid.ambient_dim, grid.subdivisions
+def _closed_cell_ledger(pieces: PieceTable, grid: DyadicGrid) -> dict:
+    """{cell: H^d of the pieces in its closure}: content on a shared cell
+    boundary counts for every touching cell."""
+    n, N = grid.ambient_dim, grid.subdivisions
     # every piece against the 2**n choices of cell p-1 or p on each pinned
     # axis p, wrapped on identified axes; the valid ones are the cells whose
     # closure holds the piece, each once (p-1 and p are one cell when N = 1)
@@ -743,7 +735,16 @@ def verify_cell_locality(result: ProjectionResult, grid: DyadicGrid) -> tuple[bo
     valid = np.all((lat >= 0) & (lat < N) & ~(same & (upper == 1)), axis=2)
     cells = np.concatenate([np.full(lat.shape[:2] + (1,), grid.full_mask), lat], axis=2)
     vol = np.broadcast_to(pieces.vol[:, None], valid.shape)
-    out_geo = _ledger(cells[valid], vol[valid])
+    return _ledger(cells[valid], vol[valid])
+
+
+def verify_cell_locality(result: ProjectionResult, grid: DyadicGrid) -> tuple[bool, float]:
+    """Check H^d(out cap R) <= sum_{R' in V(R)} ratio(R') H^d(in cap R') for all cells.
+
+    Both sides are evaluated geometrically (closed cells, ``_closed_cell_ledger``).
+    Returns (ok, worst slack).
+    """
+    out_geo = _closed_cell_ledger(result.pieces, grid)
     per_cell = result.per_cell
     worst = math.inf
     ok = True
@@ -780,7 +781,7 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid) -> ProjectionResu
     blockers = []
     centers = []
     for fkey, rows in groups:
-        m = _total(pieces.vol[rows])
+        m = ordered_sum(pieces.vol[rows])
         if m >= threshold:
             blockers.append({"face": str(fkey), "reason": "content at least half-face measure",
                              "measure": m})
@@ -801,16 +802,16 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid) -> ProjectionResu
     rows[source[first]] = len(pieces) + np.flatnonzero(first)
     rows = np.r_[rows, len(pieces) + np.flatnonzero(~first)]
     new_pieces = PieceTable.concat([pieces, images]).take(rows)
-    collapsed = _total(pieces.vol[source[first]])
+    collapsed = ordered_sum(pieces.vol[source[first]])
     final = _assemble_mesh(d, grid.ambient_dim, new_pieces,
                            result.outside_chunks, result.outside_mults)
     report = {"fired": True, "faces": len(groups), "collapsed_measure": collapsed}
-    return replace(result, mesh=final, measure_out=_total(new_pieces.vol),
+    return replace(result, mesh=final, measure_out=ordered_sum(new_pieces.vol),
                    collapse_applied=True, collapse_report=report, pieces=new_pieces)
 
 
 def interior_face_measure(result: ProjectionResult, grid: DyadicGrid) -> float:
-    """Total content measure sitting in interiors of d-faces (not in lower skeleton)."""
+    """Total content measure in the interiors of the d-faces that
+    ``extra_collapse`` may move: not in the lower skeleton, nor in a frozen wall."""
     pieces = result.pieces
-    dims = _spans(pieces.face, grid.ambient_dim).sum(axis=1)
-    return _total(pieces.vol[dims == result.skeleton_dim])
+    return ordered_sum(pieces.vol[_faces_of_dim(pieces.face, result.skeleton_dim, grid)])

@@ -357,8 +357,7 @@ def _merge_collapsed(pos: np.ndarray, edges: np.ndarray, flows: np.ndarray,
 # certificates
 # ---------------------------------------------------------------------------
 
-def angle_audit(net: MultiplicityNet, n_terminals: int,
-                tol: float = ANGLE_AUDIT_TOL) -> dict:
+def angle_audit(net: MultiplicityNet, n_terminals: int) -> dict:
     """Check degree-3 interior junction angles against 120 degrees."""
     edges = net.edges[net.multiplicities > 0].tolist()
     worst = 0.0
@@ -378,7 +377,7 @@ def angle_audit(net: MultiplicityNet, n_terminals: int,
         for u1, u2 in itertools.combinations(dirs, 2):
             ang = math.acos(min(1.0, max(-1.0, float(u1 @ u2))))
             worst = max(worst, abs(ang - 2.0 * math.pi / 3.0))
-    return {"junctions": checked, "max_deviation": worst, "ok": worst <= tol or checked == 0}
+    return {"junctions": checked, "max_deviation": worst, "ok": worst <= ANGLE_AUDIT_TOL or checked == 0}
 
 
 def star_upper_bound(terminals: Sequence[Terminal], functional: str = "size",

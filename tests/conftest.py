@@ -63,6 +63,12 @@ def quotient_distance(grid: DyadicGrid, p, q) -> float:
     return math.sqrt(total)
 
 
+def rotated(mesh: EmbeddedMesh, rot) -> EmbeddedMesh:
+    """The mesh with every vertex x moved to R x (rows ``vertices @ R.T``)."""
+    return EmbeddedMesh(mesh.dimension, mesh.vertices @ np.asarray(rot, dtype=float).T,
+                        mesh.simplices, mesh.multiplicities, mesh.allow_degenerate)
+
+
 def segment_mesh(points, multiplicities=None) -> EmbeddedMesh:
     """Polyline through ``points`` as a 1-dimensional mesh."""
     pts = np.asarray(points, dtype=float)

@@ -28,7 +28,7 @@ from plateau_lab.grids import DyadicGrid
 from plateau_lab.steiner import (Terminal, angle_audit, check_kirchhoff,
                                  optimize_steiner)
 
-from conftest import flat_slice_mesh, torus, wiggle_mesh, write_mesh
+from conftest import flat_slice_mesh, rotated, torus, wiggle_mesh, write_mesh
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -57,7 +57,7 @@ def test_criterion_01_steiner_square():
 
     cost_ok = abs(result.cost - (1 + math.sqrt(3.0))) <= 1e-6
     junctions = result.net.points.shape[0] - 4
-    aud = angle_audit(result.net, 4, tol=1e-4)
+    aud = angle_audit(result.net, 4)
     checks = {
         "size": cost_ok,
         "junctions=2": junctions == 2 and aud["junctions"] == 2,
@@ -289,7 +289,7 @@ def test_criterion_08_classifier():
     for name, reps in plan:
         base = cones.build_cone(name, extent=1.5)
         for rot in _rotations(118 + k, reps):
-            moved = base.transformed(rotation=rot)
+            moved = rotated(base, rot)
             rep = diag.classify_point(moved, np.zeros(3), 1.0, **settings)
             if (rep["best"] or {}).get("name") != name:
                 stable = False
@@ -372,7 +372,7 @@ def test_criterion_11_determinism(tmp_path):
          "objective": "size"}))
     (shared / "grid.json").write_text(json.dumps(
         {"corner": [0, 0, 0], "size": 1.0, "N": 2}))
-    write_mesh(str(shared / "y.off"), cones.y_cone(extent=1.5))
+    write_mesh(str(shared / "y.off"), cones.build_cone("y", extent=1.5))
     write_mesh(str(shared / "blob.off"), _blob(3))
     write_mesh(str(shared / "flat.off"), flat_slice_mesh(level=0.5, n=4))
 

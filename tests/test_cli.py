@@ -45,7 +45,7 @@ def square_instance(tmp_path):
 @pytest.fixture
 def y_mesh(tmp_path):
     p = tmp_path / "y.off"
-    write_mesh(str(p), cones.y_cone(extent=1.5))
+    write_mesh(str(p), cones.build_cone("y", extent=1.5))
     return str(p)
 
 

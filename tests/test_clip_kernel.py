@@ -31,10 +31,11 @@ from plateau_lab.geometry.clipping import (_arc_lengths, _corner_distance_band, 
                                            _fan_triangulate, _frames, _greedy_point_count,
                                            _halfplane_clip, _near_triangles,
                                            _point_triangle_distance_2d, clip_to_ball,
-                                           clipped_measure, polygon_sides_for_tolerance,
+                                           CLIP_SIDES, CLIP_TOL, clipped_measure,
                                            segment_ball_intervals, sphere_slice_measure)
 from plateau_lab.geometry.core import Ball, EmbeddedMesh, refine, simplex_volumes
 
+from conftest import rotated
 from test_distance_kernel import kernel_triangles
 
 
@@ -213,7 +214,7 @@ def triangle_sphere_arclength(corners, ball):
     return 0.0 if frame is None else circle_arcs_in_convex(frame[0], frame[1])
 
 
-def oracle_clipped_measure(mesh, ball, inside=True):
+def oracle_clipped_measure(mesh, ball):
     corners = mesh.simplex_corners()
     vols = simplex_volumes(mesh)
     if mesh.n_simplices == 0:
@@ -230,7 +231,7 @@ def oracle_clipped_measure(mesh, ball, inside=True):
                 total_in += (interval[1] - interval[0]) * float(vols[i])
         else:
             total_in += triangle_disk_area(corners[i], ball)
-    return total_in if inside else float(np.sum(vols)) - total_in
+    return total_in
 
 
 def oracle_sphere_slice_measure(mesh, ball):
@@ -254,7 +255,7 @@ def oracle_sphere_slice_measure(mesh, ball):
     return float(_greedy_point_count(np.array(pts), ball.center, 1e-12 * ball.radius))
 
 
-def oracle_clip_to_ball(mesh, ball, tol=1e-4):
+def oracle_clip_to_ball(mesh, ball):
     corners = mesh.simplex_corners()
     n = mesh.ambient_dim
     chunks, mults = [], []
@@ -272,7 +273,7 @@ def oracle_clip_to_ball(mesh, ball, tol=1e-4):
         if not chunks:
             return EmbeddedMesh.empty(1, n)
         return EmbeddedMesh.from_simplex_list(1, chunks, mults, allow_degenerate=True)
-    m_sides = polygon_sides_for_tolerance(tol)
+    m_sides = CLIP_SIDES
     angles = 2.0 * math.pi * np.arange(m_sides) / m_sides
     unit_poly = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     for i in range(mesh.n_simplices):
@@ -308,6 +309,14 @@ def oracle_clip_to_ball(mesh, ball, tol=1e-4):
     return EmbeddedMesh.from_simplex_list(2, chunks, mults, allow_degenerate=True)
 
 
+def test_clip_sides_are_the_fewest_within_the_tolerance():
+    """An inscribed regular m-gon misses 1 - m sin(2 pi / m) / (2 pi) of its
+    disk's area: at most CLIP_TOL for the mesh tier's 257 sides, more for 256."""
+    deficit = [1.0 - m * math.sin(2.0 * math.pi / m) / (2.0 * math.pi)
+               for m in (CLIP_SIDES - 1, CLIP_SIDES)]
+    assert CLIP_SIDES == 257 and deficit[1] <= CLIP_TOL < deficit[0]
+
+
 # ── comparisons ──
 
 def assert_stacked_matches(corners, ball):
@@ -334,9 +343,7 @@ def assert_stacked_matches(corners, ball):
 
 
 def assert_measures_match(mesh, ball, clip=True):
-    for inside in (True, False):
-        assert (clipped_measure(mesh, ball, inside).hex()
-                == oracle_clipped_measure(mesh, ball, inside).hex())
+    assert clipped_measure(mesh, ball).hex() == oracle_clipped_measure(mesh, ball).hex()
     assert sphere_slice_measure(mesh, ball).hex() == oracle_sphere_slice_measure(mesh, ball).hex()
     if clip:
         assert clip_outcome(clip_to_ball, mesh, ball) == clip_outcome(oracle_clip_to_ball, mesh, ball)
@@ -429,7 +436,7 @@ def cone_meshes():
         "t": refine(build_cone("t", extent=1.1), 0.2),
         "t-coarse": build_cone("t", extent=1.5),
         "y": refine(build_cone("y", extent=1.3), 0.3),
-        "y-turned": refine(build_cone("y", extent=1.3), 0.3).transformed(rotation=rot),
+        "y-turned": rotated(refine(build_cone("y", extent=1.3), 0.3), rot),
         "plane": refine(build_cone("plane", extent=1.2), 0.25),
     }
 

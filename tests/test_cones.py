@@ -18,7 +18,7 @@ import pytest
 
 from plateau_lab import cones
 from plateau_lab.diagnostics import blowup, cone_slice_check, density
-from plateau_lab.geometry.core import measure
+from plateau_lab.geometry.core import EmbeddedMesh, measure
 
 
 ANALYTIC = {
@@ -48,7 +48,7 @@ def test_measured_apex_densities_are_exact():
 
 @pytest.mark.parametrize("radius", [0.2, 0.5, 0.8, 1.3])
 def test_apex_density_is_scale_invariant(radius):
-    y = cones.y_cone(extent=1.5)
+    y = cones.build_cone("y", extent=1.5)
     assert density(y, np.zeros(3), radius) == pytest.approx(3 * math.pi / 2, abs=1e-9)
 
 
@@ -59,10 +59,47 @@ def test_v_opening_angle_does_not_change_density():
 
 
 def test_build_cone_dispatch_matches_direct_constructors():
-    a = cones.build_cone("y", extent=1.2)
-    b = cones.y_cone(extent=1.2)
-    assert measure(a) == pytest.approx(measure(b), rel=1e-12)
-    assert a.dimension == 2 and cones.CONE_DIMENSION["y"] == 2
+    a = cones.build_cone("v", extent=1.2)
+    b = cones.v_cone_azimuths(0.0, math.pi / 2, extent=1.2)
+    assert same_mesh(a, b)
+    assert measure(a) == pytest.approx(2 * (1.2 * 2.4), rel=1e-12)   # two R x 2R sheets
+    assert a.dimension == 2 and cones.CONE_DIMENSION["v"] == 2
+
+
+def same_mesh(a, b) -> bool:
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               for f in ("vertices", "simplices", "multiplicities"))
+
+
+def explicit_rays(angles, extent, ambient):
+    o = np.zeros(ambient)
+    ends = [np.pad([math.cos(a), math.sin(a)], (0, ambient - 2)) for a in angles]
+    return EmbeddedMesh.from_simplex_list(1, [[o, extent * u] for u in ends])
+
+
+def explicit_sheets(phis, extent):
+    R = extent
+    tris = []
+    for phi in phis:
+        c, s = R * math.cos(phi), R * math.sin(phi)
+        tris += [[[0.0, 0.0, -R], [c, s, -R], [c, s, R]], [[0.0, 0.0, -R], [c, s, R], [0.0, 0.0, R]]]
+    return EmbeddedMesh.from_simplex_list(2, tris)
+
+
+@pytest.mark.parametrize("extent", [0.3, 1.0, 1.5, 2.0 ** 0.5])
+@pytest.mark.parametrize("ambient", range(2, 7))
+def test_family_cones_are_their_rays_and_sheets(extent, ambient):
+    """v1 and y1 are rays at a right angle and at thirds of a turn, v and y
+    half-planes at those azimuths, bit for bit."""
+    thirds = [2.0 * math.pi * k / 3.0 for k in range(3)]
+    assert same_mesh(cones.build_cone("v1", extent, ambient),
+                     explicit_rays([0.0, math.pi / 2], extent, ambient))
+    assert same_mesh(cones.build_cone("y1", extent, ambient),
+                     explicit_rays(thirds, extent, ambient))
+    assert same_mesh(cones.build_cone("v", extent, ambient),
+                     explicit_sheets([0.0, math.pi / 2], extent))
+    assert same_mesh(cones.build_cone("y", extent, ambient), explicit_sheets(thirds, extent))
+    assert same_mesh(cones.halfplane_azimuth_cone(1.1, extent), explicit_sheets([1.1], extent))
 
 
 def test_catalog_filters():
@@ -83,7 +120,7 @@ def test_slice_identity_on_generators(name):
 
 def test_slice_identity_fails_off_center():
     # recentering breaks the cone structure, the identity must notice
-    y = cones.y_cone(extent=2.5)
+    y = cones.build_cone("y", extent=2.5)
     rep = cone_slice_check(y, np.array([0.3, 0.1, 0.2]), 1.0, tol=1e-6)
     assert rep["residual"] > 1e-3
     assert not rep["ok"]

@@ -5,9 +5,12 @@ name starts with one underscore.  A refactor that drops its last caller
 leaves it orphaned; this scan finds it.  Two more scans hold every method of
 a package class to the rule that some attribute read in the package names
 it, and every field of a package dataclass to the rule that some attribute
-read in the package, the tests or the bench names it.  A last scan holds
+read in the package, the tests or the bench names it.  A further scan holds
 every public module-level name to the first rule: the package reads it
 outside its ``__init__.py`` files, so no API lives on for its tests alone.
+A last scan holds every defaulted parameter of a package function to the
+rule that some package call sets it, so no option lives on for its tests
+alone: an option with one value in use is a constant.
 """
 from __future__ import annotations
 
@@ -156,20 +159,49 @@ def _public_names(tree: ast.Module):
         yield from (n for n in names if not n.startswith("_"))
 
 
+def _imported_file(path: str, node: ast.ImportFrom, files) -> str | None:
+    """The file of ``files`` that a ``from`` import in ``path`` names, if any."""
+    base = Path(path).parents[node.level - 1] if node.level else Path("src")
+    target = base.joinpath(*node.module.split(".")) if node.module else base
+    for candidate in (target.with_suffix(".py"), target / "__init__.py"):
+        if str(candidate) in files:
+            return str(candidate)
+    return None
+
+
+def _module_reads(path: str, tree: ast.Module, files) -> set:
+    """``(file, name)`` for each read in ``path`` of a name that ``file``
+    defines: a ``Name`` load in ``path`` itself, a ``from file import name``,
+    or a ``module.name`` load where ``module`` is bound to ``file`` by a
+    ``from`` import."""
+    reads = {(path, name) for name in _loads(tree)}
+    modules = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = _imported_file(path, node, files)
+        for alias in node.names if source is not None else ():
+            module = str(Path(source).parent / f"{alias.name}.py")
+            if source.endswith("__init__.py") and module in files:
+                modules[alias.asname or alias.name] = module
+            else:
+                reads.add((source, alias.name))
+    reads |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id in modules}
+    return reads
+
+
 def unread_public_names(sources: dict, readers: dict) -> list[str]:
     """``file: name`` of each public name of ``sources`` that no file of ``src/``
-    outside an ``__init__.py`` reads by a ``Name``, an ``Attribute`` or an
-    imported alias."""
+    outside an ``__init__.py`` reads (``_module_reads``): an attribute load
+    of the same name on another object is no read."""
     read = set()
     for path, source in readers.items():
-        if not path.startswith("src/") or Path(path).name == "__init__.py":
-            continue
-        tree = ast.parse(source)
-        read |= _loads(tree)
-        read.update(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                    for alias in node.names)
+        if path.startswith("src/") and Path(path).name != "__init__.py":
+            read |= _module_reads(path, ast.parse(source), readers)
     return [f"{path}: {name}" for path, source in sources.items()
-            for name in _public_names(ast.parse(source)) if name not in read]
+            for name in _public_names(ast.parse(source)) if (path, name) not in read]
 
 
 _NAME_SOURCES = {
@@ -179,18 +211,26 @@ _NAME_SOURCES = {
                      "def renamed():\n    pass\n"
                      "def reexported():\n    pass\n"
                      "def tested():\n    pass\n"
+                     "def mass():\n    pass\n"
+                     "def total():\n    pass\n"
                      "class Kept:\n    pass\n"
                      "@click.command()\ndef sub():\n    pass\n"),
-    "src/pkg/b.py": "from .a import renamed as alias, used\nalias(used(), a.Kept)\n",
-    "tests/test_a.py": "from pkg.a import STALE, tested\ntested(STALE)\n",
+    "src/pkg/b.py": ("from . import a\nfrom .a import renamed as alias, used\n"
+                     "alias(used(), a.Kept, a.total())\n"
+                     "class Net:\n    def mass(self):\n        return 0\n"
+                     "    def cost(self):\n        return self.mass()\n"
+                     "Net().cost()\n"),
+    "tests/test_a.py": "from pkg.a import STALE, mass, tested\ntested(STALE, mass)\n",
 }
 
 
 def test_the_scan_finds_an_unread_public_name():
-    # a test file or an __init__ re-export is no read; an alias or a
-    # registering decorator is
+    # a test file or an __init__ re-export is no read, nor is a method of the
+    # same name (``self.mass()`` is not ``a.mass``); an alias, a read through
+    # the module and a registering decorator are
     assert unread_public_names(_NAME_SOURCES, _NAME_SOURCES) == [
-        "src/pkg/a.py: STALE", "src/pkg/a.py: reexported", "src/pkg/a.py: tested"]
+        "src/pkg/a.py: STALE", "src/pkg/a.py: reexported", "src/pkg/a.py: tested",
+        "src/pkg/a.py: mass"]
 
 
 #: public names no package code reads, each kept for a reader outside it
@@ -206,3 +246,111 @@ UNREAD_ALLOWED = {
 def test_every_public_name_is_read():
     unread = unread_public_names(_files("src"), _files("src"))
     assert sorted(entry.split(": ")[1] for entry in unread) == sorted(UNREAD_ALLOWED)
+
+
+def _value(node: ast.expr):
+    """A default or argument as a literal when it is one, else as its source tree."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return ast.dump(node)
+
+
+def _options(tree: ast.Module):
+    """``(function, position, parameter, default)`` for each defaulted
+    parameter of each function or method; the position counts the arguments
+    of a call (not ``self`` or ``cls``) and is None for keyword-only ones."""
+    methods = {id(m) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for m in cls.body
+               if isinstance(m, _FUNCS)
+               and not any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)}
+    for fn in ast.walk(tree):
+        if isinstance(fn, _FUNCS):
+            args = fn.args
+            positional = (args.posonlyargs + args.args)[id(fn) in methods:]
+            first = len(positional) - len(args.defaults)
+            for i, (arg, default) in enumerate(zip(positional[first:], args.defaults), first):
+                yield fn.name, i, arg.arg, default
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield fn.name, None, arg.arg, default
+
+
+def _calls(tree: ast.Module):
+    """``(name, Call)`` for each call by a bare or dotted name, with the
+    ``import ... as`` aliases of the module resolved to the imported name."""
+    aliases = {a.asname: a.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names if a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            yield aliases.get(node.func.id, node.func.id), node
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield node.func.attr, node
+
+
+def _sets(call: ast.Call, position, param: str, default: ast.expr) -> bool:
+    """Does the call pass the parameter a value other than its default?  A
+    ``*args`` or ``**kwargs`` that could reach it counts as setting it."""
+    if any(k.arg is None for k in call.keywords):
+        return True
+    values = [k.value for k in call.keywords if k.arg == param]
+    for i, arg in enumerate(call.args if position is not None else []):
+        if isinstance(arg, ast.Starred):
+            return i <= position
+        if i == position:
+            values.append(arg)
+    return any(_value(v) != _value(default) for v in values)
+
+
+def unset_options(sources: dict) -> list[str]:
+    """``file: function.parameter`` of each defaulted parameter of a function
+    in ``sources`` that no call in ``sources`` sets to another value.  Calls
+    match functions by name, so a method call matches every method and
+    function of that name."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    calls: dict = {}
+    for tree in trees.values():
+        for name, call in _calls(tree):
+            calls.setdefault(name, []).append(call)
+    return [f"{path}: {fn}.{param}" for path, tree in trees.items()
+            for fn, position, param, default in _options(tree)
+            if not any(_sets(call, position, param, default) for call in calls.get(fn, []))]
+
+
+_OPTION_SOURCES = {
+    "a.py": ("TOL = 1e-4\n"
+             "def clip(mesh, tol=TOL, inside=True, *, sides=8):\n    pass\n"
+             "def blowup(mesh, clip=True):\n    pass\n"
+             "def scaled(mesh, scale=1.0, shift=0.0):\n    pass\n"
+             "def spread(*args, step=1, **kw):\n    pass\n"
+             "class Net:\n    def cost(self, beta=1.0):\n        pass\n"
+             "    @staticmethod\n    def mean(values, start=0.0):\n        pass\n"),
+    "b.py": ("from a import blowup as blow\n"
+             "def f(mesh, t, n, args):\n"
+             "    clip(mesh, TOL, inside=True)\n"
+             "    blow(mesh, clip=False)\n"
+             "    scaled(mesh, 2.0, shift=-1.0)\n"
+             "    spread(*args)\n"
+             "    Net().cost(2.0)\n"
+             "    Net.mean([1.0], 0.0)\n"),
+}
+
+
+def test_the_scan_finds_an_option_no_call_sets():
+    # a value equal to the default is no setting, positional or by keyword;
+    # an aliased import resolves to the function it names; a method's
+    # positions skip ``self`` but a static method's do not
+    assert unset_options(_OPTION_SOURCES) == [
+        "a.py: clip.tol", "a.py: clip.inside", "a.py: clip.sides", "a.py: spread.step",
+        "a.py: mean.start"]
+
+
+#: options no package call sets, each kept for the tests that set it
+UNSET_ALLOWED = {
+    "admissible_moves.only_improving": "the move-vocabulary tests enumerate the full menu",
+    "big_projection_check.tau": "criterion 07 varies it",
+}
+
+
+def test_every_keyword_option_is_set():
+    unset = unset_options(_package())
+    assert sorted(entry.split(": ")[1] for entry in unset) == sorted(UNSET_ALLOWED)

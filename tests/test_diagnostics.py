@@ -13,7 +13,7 @@ from plateau_lab import cones
 from plateau_lab import diagnostics as diag
 from plateau_lab.geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary
 
-from conftest import square_patch
+from conftest import rotated, square_patch
 
 
 def polar_annulus(r0: float, r1: float, nr: int = 12, nth: int = 48) -> EmbeddedMesh:
@@ -134,7 +134,7 @@ def test_tilted_disk_still_passes():
     rot = np.array([[1, 0, 0],
                     [0, math.cos(th), -math.sin(th)],
                     [0, math.sin(th), math.cos(th)]])
-    rep = diag.big_projection_check(disk.transformed(rotation=rot), np.zeros(3), 1.0)
+    rep = diag.big_projection_check(rotated(disk, rot), np.zeros(3), 1.0)
     assert rep["ok"] and rep["covered_fraction"] == pytest.approx(1.0)
 
 
@@ -143,7 +143,7 @@ def test_projection_axis_is_the_disk_normal(th):
     rot = np.array([[1, 0, 0],
                     [0, math.cos(th), -math.sin(th)],
                     [0, math.sin(th), math.cos(th)]])
-    disk = polar_annulus(1e-9, 1.3).transformed(rotation=rot)
+    disk = rotated(polar_annulus(1e-9, 1.3), rot)
     rep = diag.big_projection_check(disk, np.zeros(3), 1.0)
     assert abs(float(np.dot(rep["axis"], rot[:, 2]))) >= 1 - 1e-9
 
@@ -188,7 +188,7 @@ def test_halfplane_on_its_edge_line_classifies_from_one_sample_set(monkeypatch):
 
 def test_open_book_classifies_as_v_with_its_dihedral():
     beta = 2.0
-    book = cones.v_cone(beta, extent=1.5)
+    book = cones.v_cone_azimuths(0.0, beta, extent=1.5)
     spine = diag.SlidingContext(LineBoundary(np.zeros(3), np.array([0.0, 0.0, 1.0])),
                                 np.array([1.0, 0.0, 0.0]))
     rep = diag.classify_point(book, np.zeros(3), 1.0, context=spine, depth=0.2)

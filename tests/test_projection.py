@@ -181,6 +181,20 @@ def test_extra_collapse_empties_interior_on_sparse_input():
     assert proj.interior_face_measure(collapsed, grid) <= 1e-12
 
 
+def test_frozen_wall_content_is_not_interior():
+    """A triangle in the z = 0 wall of a box stays where it is, and the
+    collapse, which moves no wall content, leaves nothing interior."""
+    v = np.array([[0.1, 0.1, 0.0], [0.3, 0.1, 0.0], [0.1, 0.3, 0.0]])
+    mesh = EmbeddedMesh(2, v, np.array([[0, 1, 2]]))
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
+    first = proj.project_to_skeleton(mesh, grid, strategy="far")
+    collapsed = proj.extra_collapse(first, grid)
+    assert collapsed.collapse_report == {"fired": True, "faces": 0, "collapsed_measure": 0.0}
+    assert collapsed.measure_out == pytest.approx(0.02)
+    assert proj.interior_face_measure(first, grid) == 0.0
+    assert proj.interior_face_measure(collapsed, grid) == 0.0
+
+
 def test_projection_on_torus_has_no_frozen_boundary():
     grid = torus(3, 4)
     mesh = seeded_blob(9, n_tri=6)

@@ -330,15 +330,22 @@ def oracle_cells(grid, center, steps):
     return [CubeFace(grid.full_mask, lat) for lat in itertools.product(*options)]
 
 
-def oracle_cell_locality(result, grid):
-    """verify_cell_locality summed piece by piece over the cells around each
-    piece and their neighbours, both walked here."""
+def oracle_closed_cell_ledger(result, grid):
+    """{cell: content in its closure}, summed piece by piece over the cells
+    around each piece, walked here."""
     out_geo = {}
     for c, key in zip(result.pieces.corners, result.pieces.face):
         face = proj._cube_face(key)
         steps = [(0,) if face.spans(a) else (-1, 0) for a in range(grid.ambient_dim)]
         for cell in oracle_cells(grid, face.lattice, steps):
             out_geo[cell] = out_geo.get(cell, 0.0) + oracle_volume(c)
+    return out_geo
+
+
+def oracle_cell_locality(result, grid):
+    """verify_cell_locality over the oracle's closed-cell ledger and the
+    neighbours of each cell, walked here."""
+    out_geo = oracle_closed_cell_ledger(result, grid)
     worst, ok = math.inf, True
     for cell in set(out_geo) | set(result.per_cell):
         lhs = out_geo.get(cell, 0.0)
@@ -686,9 +693,14 @@ def test_ledgers_match_per_piece_recomputation(case):
         [running_sum(first[f]) for f in sorted(first)]
 
     assert proj.verify_cell_locality(res, grid) == oracle_cell_locality(res, grid)
+    got = proj._closed_cell_ledger(res.pieces, grid)
+    want = oracle_closed_cell_ledger(res, grid)
+    assert sorted(got) == sorted(want)
+    assert all(got[cell].hex() == want[cell].hex() for cell in want)
     assert proj.interior_face_measure(res, grid) == running_sum(
         oracle_volume(c) for c, key in zip(res.pieces.corners, res.pieces.face)
-        if proj._cube_face(key).dim == mesh.dimension)
+        if proj._cube_face(key).dim == mesh.dimension
+        and not grid.on_boundary(proj._cube_face(key)))
 
 
 # ── one kernel call per stage and spanned axes vs one per face ──
