@@ -11,8 +11,9 @@ triangles); distances to the target are exact, so the estimate errs low by at
 most the sampling pitch.
 
 Both steps are culled by bounding balls without changing a bit: sampling
-skips the simplices that cannot reach the ball, and ``sup_distance`` skips
-the point-simplex pairs that cannot change the max of mins.
+skips the simplices that cannot reach the ball and, on each lattice row, the
+points off the ball's chord, and ``sup_distance`` skips the point-simplex
+pairs that cannot change the max of mins.
 """
 
 from __future__ import annotations
@@ -80,24 +81,29 @@ def _points_to_triangle(points: np.ndarray, a: np.ndarray, b: np.ndarray,
     vc = d1 * d4 - d3 * d2
     # np.select keeps the first region that holds, as the region walk does;
     # each region's closest point (a vertex, an edge point or, in region 6,
-    # the face point) is then computed on that region's rows only
+    # the face point) is then computed on that region's rows only, and a
+    # region with no rows is skipped
     region = np.select([(d1 <= 0) & (d2 <= 0),
                         (d3 >= 0) & (d4 <= d3),
                         (d6 >= 0) & (d5 <= d6),
                         (vc <= 0) & (d1 >= 0) & (d3 <= 0),
                         (vb <= 0) & (d2 >= 0) & (d6 <= 0),
                         (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)], range(6), default=6)
+    held = np.bincount(region, minlength=7).tolist()
     closest = np.empty_like(points)
     for k, vertex in enumerate((a, b, c)):
-        closest[region == k] = vertex
+        if held[k]:
+            closest[region == k] = vertex
     edges = ((a, ab, d1, d1 - d3), (a, ac, d2, d2 - d6), (b, c - b, d4 - d3, (d4 - d3) + (d5 - d6)))
     for k, (start, step, num, den) in enumerate(edges, start=3):
-        m = region == k
-        closest[m] = start + (num[m] / np.where(den[m] != 0, den[m], 1.0))[:, None] * step
-    m = region == 6
-    total = va[m] + vb[m] + vc[m]
-    total = np.where(total != 0, total, 1.0)
-    closest[m] = a + (vb[m] / total)[:, None] * ab + (vc[m] / total)[:, None] * ac
+        if held[k]:
+            m = region == k
+            closest[m] = start + (num[m] / np.where(den[m] != 0, den[m], 1.0))[:, None] * step
+    if held[6]:
+        m = region == 6
+        total = va[m] + vb[m] + vc[m]
+        total = np.where(total != 0, total, 1.0)
+        closest[m] = a + (vb[m] / total)[:, None] * ab + (vc[m] / total)[:, None] * ac
     return np.linalg.norm(points - closest, axis=1)
 
 
@@ -213,22 +219,61 @@ def _lattice_steps(length: float, spacing: float) -> int:
     return max(1, int(math.ceil(min(length / spacing, MAX_SAMPLE_POINTS))))
 
 
+def _ball_lattice(a: np.ndarray, b: np.ndarray, c: np.ndarray, k: int,
+                  center: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, m) of the lattice points a + (i/k)(b - a) + (m/k)(c - a),
+    i + m <= k, that may lie in the ball B(center, reach), row by row as
+    ``np.triu_indices`` walks them.
+
+    Row i is a line in m, and the ball's chord on it bounds m, widened by
+    one step on each side.  A row keeps all its points where the step
+    (c - a)/k has zero length or where the step or the chord overflows.
+    """
+    rows = np.arange(k + 1)
+    last = k - rows
+    lo, hi = np.zeros(k + 1), last.astype(float)
+    # an overflow leaves a step or a chord non-finite, and that row is kept whole
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = (c - a) / k
+        ee = float(e @ e)
+        if 0.0 < ee < math.inf:
+            q = a + (rows / k)[:, None] * (b - a) - center
+            mid = -(q @ e) / ee
+            w = q + mid[:, None] * e
+            slack = reach * reach - (w * w).sum(axis=1)
+            half = np.sqrt(np.where(slack > 0.0, slack, 0.0) / ee)
+            first, stop = mid - half, mid + half
+            bounded = np.isfinite(first) & np.isfinite(stop) & ~np.isnan(slack)
+            # clipped into [-1, last] before the cast; a row that misses is empty
+            lo = np.where(bounded, np.clip(np.floor(first) - 1.0, 0.0, last), lo)
+            hi = np.where(bounded, np.clip(np.ceil(stop) + 1.0, -1.0, last), hi)
+            hi[bounded & (slack < 0.0)] = -1.0
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    counts = np.maximum(hi - lo + 1, 0)
+    starts = np.cumsum(counts) - counts
+    i = np.repeat(rows, counts)
+    m = np.arange(i.size) - np.repeat(starts - lo, counts)
+    return i, m
+
+
 def sample_mesh(mesh: EmbeddedMesh, spacing: float,
                 ball: Optional[Ball] = None) -> np.ndarray:
     """Deterministic point samples on the mesh at pitch <= spacing.
 
     With a ball, simplices whose bounding ball misses it are skipped,
     segments are clipped exactly and triangle samples are filtered, so every
-    returned point lies on the mesh and inside the ball.  More than
-    ``MAX_SAMPLE_POINTS`` lattice points is a ``ValueError``, raised before
-    any lattice is allocated.
+    returned point lies on the mesh and inside the ball; a triangle builds
+    only the points of its lattice rows' chords through the ball.  More than
+    ``MAX_SAMPLE_POINTS`` lattice points, counting every triangle's whole
+    lattice, is a ``ValueError``, raised before any lattice is allocated.
     """
     _check_spacing(spacing)
     corners = mesh.simplex_corners()
     if ball is not None and corners.shape[0]:
+        margin = _margin(corners, ball.center, ball.radius)
         s_center, s_radius = _bounding_balls(corners)
         gap = np.sqrt(((s_center - ball.center) ** 2).sum(axis=1)) - s_radius
-        corners = corners[gap <= ball.radius + _margin(corners, ball.center, ball.radius)]
+        corners = corners[gap <= ball.radius + margin]
     # each segment's parameter interval in the ball, None where it misses
     spans = [(0.0, 1.0)] * corners.shape[0]
     if mesh.dimension == 1 and ball is not None:
@@ -263,10 +308,14 @@ def sample_mesh(mesh: EmbeddedMesh, spacing: float,
             out.append(pa + t[:, None] * (pb - pa))
         else:
             a, b, c, k = lattice
-            # (i, j - i) walks i + (j - i) <= k row by row, with no (k+1)^2 grid
-            i, j = np.triu_indices(k + 1)
+            if ball is None:
+                # (i, j - i) walks i + (j - i) <= k row by row, with no (k+1)^2 grid
+                i, j = np.triu_indices(k + 1)
+                m = j - i
+            else:
+                i, m = _ball_lattice(a, b, c, k, ball.center, ball.radius + margin)
             s = (i / k)[:, None]
-            t = ((j - i) / k)[:, None]
+            t = (m / k)[:, None]
             pts = a + s * (b - a) + t * (c - a)
             if ball is not None:
                 pts = pts[np.linalg.norm(pts - ball.center, axis=1) <= ball.radius]

@@ -216,6 +216,10 @@ def _split_by_plane(pts: np.ndarray, active: np.ndarray, normals: np.ndarray,
     that coordinate assigned exactly, and a triangle that is cut also has
     every cycle point within ``tol`` of the plane assigned.  Returns
     (chunks, parent).
+
+    Without ``exact`` an uncut chunk's tokens are the identity, so only the
+    cut chunks go on to the crossings; the others pass through as inactive
+    ones do.
     """
     T, v, n = pts.shape
     d = v - 1
@@ -230,6 +234,9 @@ def _split_by_plane(pts: np.ndarray, active: np.ndarray, normals: np.ndarray,
         sub[on_plane, axis] = value
     code = ((np.sign(vals) + 1).astype(np.intp) * 3 ** np.arange(d, -1, -1)).sum(axis=1)
     counts, tokens = _SPLIT[d]
+    if exact is None:
+        kept = counts[code] > 1
+        idx, sub, vals, code = idx[kept], sub[kept], vals[kept], code[kept]
     i0 = np.arange(1 if d == 1 else v)          # edge i runs from i0[i] to i1[i]
     i1 = (i0 + 1) % v
     sp, sq = vals[:, i0], vals[:, i1]

@@ -463,6 +463,9 @@ def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
             runner = cost
     assert best is not None
     _, cost, net, topo = best
+    if not (math.isfinite(cost) and np.isfinite(net.points).all()):
+        raise ValueError("the optimized network is not finite: the terminals' "
+                         "distances overflow in floating point")
     audit = angle_audit(net, N)
     ub = star_upper_bound(terminals, functional, beta)
     if cost > ub + 1e-9 * max(1.0, ub):

@@ -341,6 +341,20 @@ def test_steiner_terminal_cap_fails_fast(runner, tmp_path):
     assert f"limit of {MAX_TERMINALS}" in r.stderr
 
 
+def test_steiner_refuses_a_network_that_overflows(runner, tmp_path):
+    """Terminals 1e155 apart square to inf: the run exits 1 instead of
+    writing a score of inf with a failed angle audit."""
+    doc = {"terminals": [{"pos": [0.0, 0.0]}, {"pos": [1e155, 0.0]}, {"pos": [0.0, 1e155]}],
+           "objective": "size"}
+    inst = tmp_path / "far.json"
+    inst.write_text(json.dumps(doc))
+    out = tmp_path / "solution.json"
+    r = runner.invoke(main, ["steiner", "--instance", str(inst), "--out", str(out)])
+    assert r.exit_code == 1
+    assert "not finite" in r.stderr
+    assert r.stdout == "" and not out.exists()
+
+
 def test_minimize_flat_slice(runner, tmp_path):
     p = tmp_path / "flat.off"
     write_mesh(str(p), flat_slice_mesh(level=0.5, n=8))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,41 @@ def test_triangle_kernel_matches_oracle(n, seed):
         assert got.tobytes() == oracle_points_to_triangle(pts, *tri).tobytes(), name
 
 
+def region_points(region, n, rng, count=40):
+    """Points whose closest point on the right triangle (0, e0, e1) in R^n
+    is, for ``region`` 0..6: vertex a, b or c, a point of edge ab, ac or bc,
+    or a point of the face.  Off-plane axes carry noise."""
+    u = rng.uniform(0.1, 0.9, count)
+    w = rng.uniform(0.1, 2.0, count)
+    xy = {0: (-w, -rng.uniform(0.1, 2.0, count)),
+          1: (1.0 + w, rng.uniform(-0.5, 0.0, count) * w),
+          2: (rng.uniform(-0.5, 0.0, count) * w, 1.0 + w),
+          3: (u, -w),
+          4: (-w, u),
+          5: (u + w, 1.0 - u + w),
+          6: (u * rng.uniform(0.05, 0.95, count), (1.0 - u) * rng.uniform(0.05, 0.95, count))}
+    pts = rng.normal(0.0, 0.5, (count, n))
+    pts[:, 0], pts[:, 1] = xy[region]
+    return pts
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("region", range(7))
+def test_triangle_kernel_with_every_row_in_one_region(n, region):
+    """Six of the seven regions hold no row, and their writes are skipped."""
+    rng = np.random.default_rng([region, n])
+    a, b, c = np.zeros(n), np.eye(n)[0], np.eye(n)[1]
+    pts = region_points(region, n, rng)
+    got = _points_to_triangle(pts, a, b, c)
+    assert got.tobytes() == oracle_points_to_triangle(pts, a, b, c).tobytes()
+    if region < 3:
+        vertex = (a, b, c)[region]
+        assert got.tobytes() == np.linalg.norm(pts - vertex, axis=1).tobytes()
+    for row in pts[:3]:
+        one = _points_to_triangle(row[None, :], a, b, c)
+        assert one.tobytes() == oracle_points_to_triangle(row[None, :], a, b, c).tobytes()
+
+
 # ── sample_mesh ──
 
 def balls_for(mesh, rng):
@@ -395,6 +431,105 @@ def test_culled_sampling_matches_oracle(d, n):
             got = sample_mesh(mesh, spacing, ball)
             want = oracle_sample_mesh(mesh, spacing, ball)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def right_triangle(n, corners=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))):
+    verts = np.zeros((3, n))
+    verts[:, :2] = corners
+    return EmbeddedMesh(2, verts, np.array([[0, 1, 2]]), allow_degenerate=True)
+
+
+def edge_case_balls(n):
+    """Balls on the lattice of the unit right triangle at k = 8 (pitch 0.18):
+    spheres through dyadic lattice points, a sphere tangent to the plane at a
+    lattice point, spheres tangent to a row line at a lattice point, and each
+    of them a hair larger and smaller."""
+    def at(*xyz):
+        p = np.zeros(n)
+        p[:len(xyz)] = xyz
+        return p
+    balls = [(at(0.25, 0.25), 0.25), (at(0.5, 0.5), 0.5), (at(0.0, 0.0), 0.625),
+             (at(0.25, 0.25, 0.125), 0.125), (at(0.75, 0.25), 0.25),
+             (at(0.5, 0.375, 0.0), 0.125), (at(-0.25, 0.5), 0.25), (at(1.0, 1.0), 0.5 ** 0.5)]
+    return [Ball(c, r * f) for c, r in balls for f in (1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1 + 1e-9)]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_ball_sampling_on_spheres_through_lattice_points(n):
+    """Lattice points exactly on the sphere, tangent and grazing balls: every
+    point the whole-lattice filter keeps is kept, in the same order."""
+    mesh = right_triangle(n)
+    kept = 0
+    for ball in edge_case_balls(n):
+        got = sample_mesh(mesh, 0.18, ball)
+        want = oracle_sample_mesh(mesh, 0.18, ball)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        kept += got.shape[0]
+    assert kept > 0
+    # (0.5, 0.25) lies exactly on the first sphere, and is kept
+    on = sample_mesh(mesh, 0.18, Ball(edge_case_balls(n)[0].center, 0.25))
+    assert any(p[0] == 0.5 and p[1] == 0.25 for p in on.tolist())
+
+
+@pytest.mark.parametrize("corners", [
+    ((0.0, 0.0), (1.0, 0.0), (0.0, 0.0)),                      # c == a: zero row step
+    ((0.0, 0.0), (0.0, 0.0), (0.0, 1.0)),                      # b == a
+    ((0.0, 0.0), (1.0, 0.0), (2.0, 1e-9)),                     # sliver
+    ((0.0, 0.0), (1.0, 1e-12), (1e-300, 2e-300)),              # c - a nearly 0
+    ((0.0, 0.0), (1.0, 0.0), (0.5, 0.0)),                      # collinear
+])
+def test_ball_sampling_on_degenerate_triangles(corners):
+    mesh = right_triangle(3, corners)
+    rng = np.random.default_rng(5)
+    balls = [Ball(np.array([0.5, 0.0, 0.0]), 0.25), Ball(np.array([0.0, 0.0, 0.0]), 0.5),
+             Ball(np.array([0.25, 1e-10, 0.0]), 1e-3)]
+    balls += [Ball(rng.uniform(-0.2, 1.2, 3), r) for r in (0.05, 0.3)]
+    for ball in balls:
+        for spacing in (0.05, 0.013):
+            got = sample_mesh(mesh, spacing, ball)
+            want = oracle_sample_mesh(mesh, spacing, ball)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("a,b,c,center,reach,kept", [
+    # a step whose square overflows: every row whole
+    ((-1e308, 0, 0), (1e308, 0, 0), (1e308, 1e308, 0), (0.5, 0, 0), 1e300, 36),
+    # a chord whose square overflows: every row whole
+    ((0, 0, 0), (1e300, 0, 0), (0, 1e300, 0), (0.5, 0, 0), 1e300, 36),
+    # a step whose square underflows to 0: every row whole
+    ((0, 0, 0), (1, 0, 0), (0, 1e-310, 0), (0.5, 0, 0), 0.1, 36),
+    # a subnormal squared step: rows 3 and 4 whole, the others missed
+    ((0, 0, 0), (1, 0, 0), (0, 1e-160, 0), (0.5, 0, 0), 0.1, 9),
+])
+def test_ball_lattice_bounds_raise_no_float_warnings(a, b, c, center, reach, kept):
+    """The chord bounds guard their divisions and casts: no RuntimeWarning,
+    and a row whose bound is not finite keeps all its points."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b, c, center = (np.array(x, dtype=float) for x in (a, b, c, center))
+        i, m = dist._ball_lattice(a, b, c, 7, center, reach)
+    assert len(i) == kept
+    assert np.all((i >= 0) & (m >= 0) & (i + m <= 7))
+
+
+def test_small_ball_builds_only_its_lattice_rows():
+    """One triangle at just under the cap, k = 2894 (4,191,960 lattice
+    points), and a ball of radius 1e-3 inside it: only the points near the
+    ball are built, so the peak stays small."""
+    mesh = right_triangle(3)
+    spacing = math.sqrt(2.0) / 2893.5
+    k = math.ceil(math.sqrt(2.0) / spacing)
+    assert k == 2894 and (k + 1) * (k + 2) // 2 <= MAX_SAMPLE_POINTS
+    ball = Ball(np.array([0.25, 0.25, 0.0]), 1e-3)
+    tracemalloc.start()
+    try:
+        pts = sample_mesh(mesh, spacing, ball)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert 0 < pts.shape[0] < 100
+    assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius)
 
 
 def test_sampling_cap_refuses_before_allocating():

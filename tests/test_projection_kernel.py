@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from plateau_lab import projection as proj
-from plateau_lab.geometry.core import EmbeddedMesh
+from plateau_lab.geometry.core import EmbeddedMesh, row_dots
 from plateau_lab.geometry.distance import points_to_simplices
 from plateau_lab.grids import CubeFace, DyadicGrid
 
@@ -112,6 +112,53 @@ def oracle_grid_split(corners, grid, snap):
             chunks = oracle_split_collect(chunks, axis_normal, value, snap,
                                           exact_axis=a, exact_value=value)
     return chunks
+
+
+def oracle_split_by_plane(pts, active, normals, offsets, snaps, exact=None):
+    """``_split_by_plane`` as it was before uncut chunks skipped the crossings:
+    every active chunk goes through the crossings and the token gather."""
+    T, v, n = pts.shape
+    d = v - 1
+    idx = np.flatnonzero(active)
+    sub = pts[idx]
+    vals = row_dots(np.repeat(normals, v, axis=0), sub.reshape(-1, n)).reshape(-1, v) \
+        - offsets[:, None]
+    on_plane = np.abs(vals) <= snaps[:, None]
+    vals[on_plane] = 0.0
+    if exact is not None:
+        axis, value, tol = exact
+        sub[on_plane, axis] = value
+    code = ((np.sign(vals) + 1).astype(np.intp) * 3 ** np.arange(d, -1, -1)).sum(axis=1)
+    counts, tokens = proj._SPLIT[d]
+    i0 = np.arange(1 if d == 1 else v)
+    i1 = (i0 + 1) % v
+    sp, sq = vals[:, i0], vals[:, i1]
+    crossing = ((sp < 0.0) & (sq > 0.0)) | ((sq < 0.0) & (sp > 0.0))
+    t = np.divide(sp, sp - sq, out=np.zeros_like(sp), where=crossing)
+    p, q = sub[:, i0], sub[:, i1]
+    cross = p + t[..., None] * (q - p)
+    if exact is not None:
+        if d == 1:
+            cross[..., axis] = value
+        else:
+            cut = counts[code] > 1
+            cross_vals = row_dots(np.repeat(normals, v, axis=0), cross.reshape(-1, n)) \
+                .reshape(-1, v) - offsets[:, None]
+            sub[cut[:, None] & (np.abs(vals) <= tol), axis] = value
+            cross[cut[:, None] & (np.abs(cross_vals) <= tol), axis] = value
+    ext = np.concatenate([sub, cross], axis=1)
+    n_out = np.ones(T, dtype=np.intp)
+    n_out[idx] = counts[code]
+    parent = np.repeat(np.arange(T), n_out)
+    slot = np.arange(parent.size) - np.repeat(np.cumsum(n_out) - n_out, n_out)
+    row_of = np.full(T, -1)
+    row_of[idx] = np.arange(idx.size)
+    row = row_of[parent]
+    cut_rows = row >= 0
+    out = pts[parent]
+    r = row[cut_rows]
+    out[cut_rows] = ext[r[:, None], tokens[code[r], slot[cut_rows]]]
+    return out, parent
 
 
 def oracle_cone_planes(xi, lo, hi, spanned):
@@ -478,6 +525,63 @@ def test_one_batch_over_several_faces_equals_one_call_per_face(d, n, spanned):
     assert_same_chunks(images, np.concatenate([w[0] for w in want]))
     assert got_center.tolist() == sum((w[1] for w in want), [])
     assert got_source.tolist() == sum((w[2] for w in want), [])
+
+
+def split_inputs(d, n, kind, rng, count=60):
+    """Chunks, an active mask and one plane per active chunk.  ``random``
+    chunks straddle their planes or not; ``snapped`` ones have vertices on
+    their plane, within its snap, or just outside; ``on-plane`` ones lie in
+    it whole, or all but one vertex."""
+    pts = rng.uniform(-1.0, 1.0, (count, d + 1, n))
+    active = rng.random(count) < 0.8
+    a = int(active.sum())
+    normals = rng.normal(size=(a, n))
+    if kind != "random":
+        normals = np.round(normals * 4) / 4        # dyadic: exact plane values
+    offsets = rng.uniform(-0.5, 0.5, a)
+    snaps = np.full(a, 1e-13)
+    idx = np.flatnonzero(active)
+    for r, t in enumerate(idx.tolist()):
+        nrm, off = normals[r], offsets[r]
+        if not nrm.any():
+            continue
+        for i in range(d + 1):
+            on = kind == "on-plane" and (i < d or rng.random() < 0.5)
+            if on or (kind == "snapped" and rng.random() < 0.5):
+                x = pts[t, i]
+                gap = float(nrm @ x) - off
+                pts[t, i] = x - gap / float(nrm @ nrm) * nrm
+                if not on:
+                    pts[t, i] += rng.choice([0.0, 0.5e-13, 2e-13]) * nrm
+    return pts, active, normals, offsets, snaps
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 3), (2, 3), (2, 4)])
+@pytest.mark.parametrize("kind", ["random", "snapped", "on-plane"])
+def test_split_by_plane_matches_the_all_rows_splitter(d, n, kind):
+    """Skipping the uncut chunks' crossings gives the same chunks and
+    parents, byte for byte, as running every active chunk through them; so
+    do the axis-aligned exact splits, which keep every active chunk."""
+    rng = np.random.default_rng([31, d, n, len(kind)])
+    for _ in range(5):
+        pts, active, normals, offsets, snaps = split_inputs(d, n, kind, rng)
+        got, got_parent = proj._split_by_plane(pts, active, normals, offsets, snaps)
+        want, want_parent = oracle_split_by_plane(pts, active, normals, offsets, snaps)
+        assert got.tobytes() == want.tobytes()
+        assert got_parent.tolist() == want_parent.tolist()
+        assert len(got) > len(pts) or kind == "on-plane"
+        axis = int(rng.integers(n))
+        value = float(np.round(rng.uniform(-0.5, 0.5) * 8) / 8)
+        if kind != "random":
+            pts[:, :, axis] = np.where(rng.random(pts.shape[:2]) < 0.4, value, pts[:, :, axis])
+        unit = np.zeros((int(active.sum()), n))
+        unit[:, axis] = 1.0
+        plane = (unit, np.full(len(unit), value), snaps)
+        exact = (axis, value, 1e-12 * (abs(value) + 1.0))
+        got = proj._split_by_plane(pts, active, *plane, exact=exact)
+        want = oracle_split_by_plane(pts, active, *plane, exact=exact)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tolist() == want[1].tolist()
 
 
 def test_exact_plane_hits_are_exercised():
