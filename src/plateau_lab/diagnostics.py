@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cones
-from .geometry.clipping import ball_and_sphere_measures, clip_to_ball, clipped_measure
+from .geometry.clipping import clip_to_ball, clipped_measure, sphere_slice_measure
 from .geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary, as_point, ordered_sum
 from .geometry.distance import sample_mesh, sup_distance
 
@@ -152,7 +152,9 @@ def cone_slice_check(mesh: EmbeddedMesh, center, radius: float,
     H^(d-1)(E cap sphere_r) exactly; the relative residual of that identity
     is the conicity defect of the ball.
     """
-    lhs, slice_md = ball_and_sphere_measures(mesh, Ball(center, radius))
+    ball = Ball(center, radius)
+    lhs = clipped_measure(mesh, ball)
+    slice_md = sphere_slice_measure(mesh, ball)
     rhs = (radius / mesh.dimension) * slice_md
     scale = max(lhs, rhs, 1e-300)
     residual = abs(lhs - rhs) / scale

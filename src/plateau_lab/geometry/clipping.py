@@ -1,11 +1,10 @@
 """Clipping meshes against balls.
 
 Two tiers live here.  The measure tier (``clipped_measure``,
-``sphere_slice_measure``, and both at once in ``ball_and_sphere_measures``)
-evaluates the exact d-volume of mesh-inside-ball and the exact
-(d-1)-volume of mesh-on-sphere using closed-form circular geometry (a
-Green's-theorem edge walk per triangle), so densities and slice ratios
-carry no polygonalization error.  The mesh tier (``clip_to_ball``)
+``sphere_slice_measure``) evaluates the exact d-volume of mesh-inside-ball
+and the exact (d-1)-volume of mesh-on-sphere using closed-form circular
+geometry (a Green's-theorem edge walk per triangle), so densities and slice
+ratios carry no polygonalization error.  The mesh tier (``clip_to_ball``)
 returns the part of a mesh inside a ball as an actual mesh and replaces the
 curved boundary by an inscribed regular polygon whose relative area deficit
 is at most ``CLIP_TOL``.
@@ -233,22 +232,17 @@ def _corner_distance_band(corners: np.ndarray, ball: Ball):
     return surely_in, surely_out, dmax
 
 
-def _banded_corners(mesh: EmbeddedMesh, ball: Ball):
-    """The mesh's simplex corners and their ``_corner_distance_band``, or
-    None for a mesh with no simplices."""
+def clipped_measure(mesh: EmbeddedMesh, ball: Ball) -> float:
+    """Exact H^d of the part of the mesh inside the closed ball."""
     if ball.ambient_dim != mesh.ambient_dim:
         raise ValueError("ball and mesh ambient dimensions differ")
     if mesh.n_simplices == 0:
-        return None
+        return 0.0
     corners = mesh.simplex_corners()
-    return corners, _corner_distance_band(corners, ball)
-
-
-def _inside_measure(corners: np.ndarray, band, ball: Ball) -> float:
-    vols = _corner_volumes(corners, corners.shape[1] - 1)
-    surely_in, surely_out, _ = band
+    vols = _corner_volumes(corners, mesh.dimension)
+    surely_in, surely_out, _ = _corner_distance_band(corners, ball)
     unsure = ~surely_in & ~surely_out & ~(vols == 0.0)
-    if corners.shape[1] == 2:
+    if mesh.dimension == 1:
         a, b = corners[unsure, 0], corners[unsure, 1]
         ok, lo, hi = segment_ball_intervals(a, b, ball.center, ball.radius)
         parts = (hi - lo)[ok] * vols[unsure][ok]
@@ -258,11 +252,17 @@ def _inside_measure(corners: np.ndarray, band, ball: Ball) -> float:
     return ordered_sum(np.r_[np.sum(vols[surely_in]), parts])
 
 
-def _sphere_measure(corners: np.ndarray, band, ball: Ball) -> float:
-    surely_in, surely_out, dmax = band
+def sphere_slice_measure(mesh: EmbeddedMesh, ball: Ball) -> float:
+    """Exact H^{d-1} of mesh cap sphere: arc length for d=2, point count for d=1."""
+    if ball.ambient_dim != mesh.ambient_dim:
+        raise ValueError("ball and mesh ambient dimensions differ")
+    corners = mesh.simplex_corners()
+    if mesh.n_simplices == 0:
+        return 0.0
+    surely_in, surely_out, dmax = _corner_distance_band(corners, ball)
     # strictly interior simplices never touch the sphere itself
     crossers = corners[~(surely_in & (dmax < ball.radius)) & ~surely_out]
-    if corners.shape[1] == 3:
+    if mesh.dimension == 2:
         return ordered_sum(_arc_lengths(*_near_triangles(crossers, ball)))
     a, b = crossers[:, 0], crossers[:, 1]
     t, keep = _sphere_params(a, b, ball.center, ball.radius)
@@ -270,27 +270,6 @@ def _sphere_measure(corners: np.ndarray, band, ball: Ball) -> float:
     if not len(pts):
         return 0.0
     return float(_greedy_point_count(pts, ball.center, 1e-12 * ball.radius))
-
-
-def clipped_measure(mesh: EmbeddedMesh, ball: Ball) -> float:
-    """Exact H^d of the part of the mesh inside the closed ball."""
-    banded = _banded_corners(mesh, ball)
-    return 0.0 if banded is None else _inside_measure(*banded, ball)
-
-
-def sphere_slice_measure(mesh: EmbeddedMesh, ball: Ball) -> float:
-    """Exact H^{d-1} of mesh cap sphere: arc length for d=2, point count for d=1."""
-    banded = _banded_corners(mesh, ball)
-    return 0.0 if banded is None else _sphere_measure(*banded, ball)
-
-
-def ball_and_sphere_measures(mesh: EmbeddedMesh, ball: Ball) -> tuple[float, float]:
-    """``clipped_measure`` and ``sphere_slice_measure`` of one mesh and ball,
-    from one corner gather and one distance band."""
-    banded = _banded_corners(mesh, ball)
-    if banded is None:
-        return 0.0, 0.0
-    return _inside_measure(*banded, ball), _sphere_measure(*banded, ball)
 
 
 def _greedy_point_count(points: np.ndarray, center: np.ndarray, tol: float) -> int:

@@ -219,11 +219,11 @@ def _lattice_steps(length: float, spacing: float) -> int:
     return max(1, int(math.ceil(min(length / spacing, MAX_SAMPLE_POINTS))))
 
 
-def _ball_lattice(a: np.ndarray, b: np.ndarray, c: np.ndarray, k: int,
-                  center: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_indices(a: np.ndarray, b: np.ndarray, c: np.ndarray, k: int,
+                     ball: Optional[Ball], margin: float) -> tuple[np.ndarray, np.ndarray]:
     """Indices (i, m) of the lattice points a + (i/k)(b - a) + (m/k)(c - a),
-    i + m <= k, that may lie in the ball B(center, reach), row by row as
-    ``np.triu_indices`` walks them.
+    i + m <= k, row by row and m ascending; with a ball, only those that may
+    lie in the ball enlarged by ``margin``.
 
     Row i is a line in m, and the ball's chord on it bounds m, widened by
     one step on each side.  A row keeps all its points where the step
@@ -236,10 +236,11 @@ def _ball_lattice(a: np.ndarray, b: np.ndarray, c: np.ndarray, k: int,
     with np.errstate(over="ignore", invalid="ignore"):
         e = (c - a) / k
         ee = float(e @ e)
-        if 0.0 < ee < math.inf:
-            q = a + (rows / k)[:, None] * (b - a) - center
+        if ball is not None and 0.0 < ee < math.inf:
+            q = a + (rows / k)[:, None] * (b - a) - ball.center
             mid = -(q @ e) / ee
             w = q + mid[:, None] * e
+            reach = ball.radius + margin
             slack = reach * reach - (w * w).sum(axis=1)
             half = np.sqrt(np.where(slack > 0.0, slack, 0.0) / ee)
             first, stop = mid - half, mid + half
@@ -269,6 +270,7 @@ def sample_mesh(mesh: EmbeddedMesh, spacing: float,
     """
     _check_spacing(spacing)
     corners = mesh.simplex_corners()
+    margin = 0.0
     if ball is not None and corners.shape[0]:
         margin = _margin(corners, ball.center, ball.radius)
         s_center, s_radius = _bounding_balls(corners)
@@ -308,12 +310,7 @@ def sample_mesh(mesh: EmbeddedMesh, spacing: float,
             out.append(pa + t[:, None] * (pb - pa))
         else:
             a, b, c, k = lattice
-            if ball is None:
-                # (i, j - i) walks i + (j - i) <= k row by row, with no (k+1)^2 grid
-                i, j = np.triu_indices(k + 1)
-                m = j - i
-            else:
-                i, m = _ball_lattice(a, b, c, k, ball.center, ball.radius + margin)
+            i, m = _lattice_indices(a, b, c, k, ball, margin)
             s = (i / k)[:, None]
             t = (m / k)[:, None]
             pts = a + s * (b - a) + t * (c - a)

@@ -6,6 +6,12 @@ every workload's seed-0 jobs in-process, as ``bench/worker.py`` does (each
 job in its own directory, artifacts under relative names), so a change of
 one byte fails the test suite too.  It reads ``bench/`` and changes nothing
 there.
+
+The digests are bit-exact, so they belong to the platform they were
+recorded on: x86_64 Linux, CPython 3.11.7, numpy 2.4.6 from its wheel with the
+bundled scipy-openblas 0.3.31 (DYNAMIC_ARCH, which picks its kernels by CPU).
+Another BLAS or numpy build may round a dot or gemv differently and fail
+this test with no change to the program.
 """
 from __future__ import annotations
 
@@ -21,15 +27,21 @@ RECORDED = json.loads((BENCH / "digests.json").read_text())
 
 @pytest.fixture(scope="module")
 def bench_modules():
+    """The bench's modules, which import each other under top-level names;
+    they are dropped from ``sys.modules`` again afterwards."""
+    from plateau_lab import cli
+    loaded = set(sys.modules)
     sys.path.insert(0, str(BENCH))
     try:
         import oracle
         import worker
         import workloads
-        from plateau_lab import cli
     finally:
         sys.path.remove(str(BENCH))
-    return cli, oracle, worker, workloads
+    yield cli, oracle, worker, workloads
+    for name in set(sys.modules) - loaded:
+        if Path(getattr(sys.modules[name], "__file__", None) or "").parent == BENCH:
+            del sys.modules[name]
 
 
 @pytest.mark.parametrize("workload", sorted(RECORDED))

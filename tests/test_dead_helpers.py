@@ -240,9 +240,6 @@ UNREAD_ALLOWED = {
     "big_projection_check": "criterion 07 reads it",
     "point_mesh_distance": ("bench/spans.py hooks it, and tests/test_bench_hooks.py "
                             "guards that hook until ROADMAP item 2 replaces it"),
-    "sphere_slice_measure": ("bench/spans.py hooks it, and tests/test_bench_hooks.py "
-                             "guards that hook until ROADMAP item 2 replaces it; "
-                             "cone_slice_check takes it from ball_and_sphere_measures"),
 }
 
 

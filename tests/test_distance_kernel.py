@@ -507,7 +507,7 @@ def test_ball_lattice_bounds_raise_no_float_warnings(a, b, c, center, reach, kep
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a, b, c, center = (np.array(x, dtype=float) for x in (a, b, c, center))
-        i, m = dist._ball_lattice(a, b, c, 7, center, reach)
+        i, m = dist._lattice_indices(a, b, c, 7, Ball(center, reach), 0.0)
     assert len(i) == kept
     assert np.all((i >= 0) & (m >= 0) & (i + m <= 7))
 
