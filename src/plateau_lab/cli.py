@@ -464,7 +464,7 @@ def density(vals):
     gauge = _load_gauge(vals["gauge"]) if vals["gauge"] else None
     context = _build_context(vals)
     prof = density_profile(mesh, c, rs, gauge=gauge)
-    slid = sliding_profile(mesh, c, rs, context, gauge=gauge) if context else None
+    slid = sliding_profile(prof, c, context, gauge=gauge) if context else None
     f_col = slid["shaded_densities"] if slid else prof["densities"]
     table = vals["out"] and "r,theta,adjusted,F,err\n" + "".join(
         ",".join(meshio.fmt_float(x) for x in (*row, 0.0)) + "\n"

@@ -132,12 +132,11 @@ class SlidingContext:
         ])
 
 
-def sliding_profile(mesh: EmbeddedMesh, center, radii: Sequence[float],
-                    context: SlidingContext, gauge: Optional[Gauge] = None) -> dict:
-    """Density profile with the boundary shade added to every ball."""
-    rs = _radii(radii)
+def sliding_profile(profile: dict, center, context: SlidingContext,
+                    gauge: Optional[Gauge] = None) -> dict:
+    """A ``density_profile`` with the boundary shade added to every ball."""
+    rs, dens = profile["radii"], profile["densities"]
     shade = context.shade_mesh(center, rs[-1])
-    dens = [density(mesh, center, r) for r in rs]
     shaded = [th + density(shade, center, r) for th, r in zip(dens, rs)]
     adj = [ts * _gauge_adjustment(gauge, r) for ts, r in zip(shaded, rs)]
     return {"radii": rs, "densities": dens, "shaded_densities": shaded,

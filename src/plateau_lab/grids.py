@@ -4,8 +4,10 @@ A grid subdivides an axis-aligned cube Q into N^n closed subcubes of side
 s = size/N.  Faces of every dimension are addressed by integer keys: a
 bitmask of spanned axes plus a lattice tuple holding cell indices (0..N-1) on
 spanned axes and plane indices (0..N) on pinned axes.  All incidence and
-adjacency is integer arithmetic; geometry (bounds, centers, meshes) is
-derived from the key.
+adjacency is integer arithmetic; geometry (bounds, centers) is derived from
+the key.  Many faces travel as an int array of key rows [axes, lattice...],
+and a face's bounds and its frozen-wall test are written once, over such
+rows; the one-face forms read a one-row array.
 
 A grid may identify opposite faces of Q on a subset of axes (all axes = flat
 torus, none = box).  Each axis has its own boundary rule: an identified axis
@@ -115,16 +117,36 @@ class DyadicGrid:
                 return False
         return True
 
-    # -- geometry of a face ----------------------------------------------------
+    # -- geometry of key rows ----------------------------------------------------
+
+    def key_rows(self, faces) -> np.ndarray:
+        """(R, n+1) int64 key rows [axes, lattice...] of the faces, in order."""
+        return np.array([(f.axes,) + f.lattice for f in faces],
+                        dtype=np.int64).reshape(-1, self.ambient_dim + 1)
+
+    def spans(self, keys: np.ndarray) -> np.ndarray:
+        """(R, n) mask of the axes each key row spans."""
+        return (keys[:, :1] >> np.arange(self.ambient_dim)) & 1 == 1
+
+    def bounds(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(R, n) lower and upper corners of each key row's face.
+
+        Each coordinate is ``plane_coordinate``'s, so bounds compare
+        bit-identically against exactly-assigned split coordinates.
+        """
+        lat = keys[:, 1:]
+        lo = self.corner + lat * self.spacing
+        return lo, np.where(self.spans(keys), self.corner + (lat + 1) * self.spacing, lo)
+
+    def frozen(self, keys: np.ndarray) -> np.ndarray:
+        """(R,) True where the row's face lies in a frozen wall: a wall of Q
+        on an axis that is not identified."""
+        wall = (keys[:, 1:] == 0) | (keys[:, 1:] == self.subdivisions)
+        return (wall & ~self.spans(keys) & ~np.array(self.identified)).any(axis=1)
 
     def face_bounds(self, face: CubeFace) -> tuple[np.ndarray, np.ndarray]:
-        # build both corners from plane_coordinate so that bounds compare
-        # bit-identically against exactly-assigned split coordinates
-        lo = np.array([self.plane_coordinate(a, face.lattice[a])
-                       for a in range(self.ambient_dim)])
-        hi = np.array([self.plane_coordinate(a, face.lattice[a] + 1) if face.spans(a)
-                       else lo[a] for a in range(self.ambient_dim)])
-        return lo, hi
+        lo, hi = self.bounds(self.key_rows([face]))
+        return lo[0], hi[0]
 
     def face_center(self, face: CubeFace) -> np.ndarray:
         lo, hi = self.face_bounds(face)
@@ -132,23 +154,6 @@ class DyadicGrid:
 
     def face_diameter(self, face: CubeFace) -> float:
         return self.spacing * math.sqrt(face.dim)
-
-    def face_mesh_chunk(self, face: CubeFace) -> list[np.ndarray]:
-        """The face as simplex corner blocks (1 segment or 2 triangles)."""
-        lo, hi = self.face_bounds(face)
-        spanned = [a for a in range(self.ambient_dim) if face.spans(a)]
-        if face.dim == 1:
-            b = lo.copy()
-            b[spanned[0]] = hi[spanned[0]]
-            return [np.array([lo, b])]
-        if face.dim == 2:
-            a0, a1 = spanned
-            p00 = lo.copy()
-            p10 = lo.copy(); p10[a0] = hi[a0]
-            p11 = lo.copy(); p11[a0] = hi[a0]; p11[a1] = hi[a1]
-            p01 = lo.copy(); p01[a1] = hi[a1]
-            return [np.array([p00, p10, p11]), np.array([p00, p11, p01])]
-        raise ValueError("mesh chunks only for 1- and 2-faces")
 
     # -- incidence ---------------------------------------------------------------
 
@@ -165,13 +170,8 @@ class DyadicGrid:
         return out
 
     def on_boundary(self, face: CubeFace) -> bool:
-        """True when the face lies in a frozen wall: a wall of Q on an axis
-        that is not identified."""
-        N = self.subdivisions
-        for a in range(self.ambient_dim):
-            if not (self.identified[a] or face.spans(a)) and face.lattice[a] in (0, N):
-                return True
-        return False
+        """True when the face lies in a frozen wall (``frozen``)."""
+        return bool(self.frozen(self.key_rows([face]))[0])
 
     # -- cube adjacency -----------------------------------------------------------
 

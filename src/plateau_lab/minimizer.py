@@ -97,15 +97,25 @@ class FaceSet:
 
     def is_relative_cycle(self) -> bool:
         """Even incidence at every ridge off the frozen walls."""
-        return all(self.grid.on_boundary(r) for r in self.odd_ridges())
+        return bool(self.grid.frozen(self.grid.key_rows(self.odd_ridges())).all())
 
     def to_mesh(self) -> EmbeddedMesh:
-        chunks = []
-        for f in sorted(self.faces):
-            chunks.extend(self.grid.face_mesh_chunk(f))
-        if not chunks:
-            return EmbeddedMesh.empty(self.dimension, self.grid.ambient_dim)
-        return EmbeddedMesh.from_simplex_list(self.dimension, chunks)
+        """The faces in sorted order, each as a segment or as the two
+        triangles [p00, p10, p11] and [p00, p11, p01]."""
+        grid, d = self.grid, self.dimension
+        if not self.faces:
+            return EmbeddedMesh.empty(d, grid.ambient_dim)
+        if d not in (1, 2):
+            raise ValueError("mesh chunks only for 1- and 2-faces")
+        keys = grid.key_rows(sorted(self.faces))
+        lo, hi = grid.bounds(keys)
+        corners = [lo, hi]
+        if d == 2:
+            spans = grid.spans(keys)
+            first = spans & (np.cumsum(spans, axis=1) == 1)
+            corners = [lo, np.where(first, hi, lo), hi, lo, hi, np.where(spans & ~first, hi, lo)]
+        return EmbeddedMesh.from_simplex_list(
+            d, np.stack(corners, axis=1).reshape(-1, d + 1, grid.ambient_dim))
 
     def with_faces(self, faces: Iterable[CubeFace]) -> "FaceSet":
         return FaceSet(self.grid, frozenset(faces))
@@ -129,23 +139,11 @@ class Move:
 
 
 def _support_ball(grid: DyadicGrid, faces: Iterable[CubeFace]) -> Ball:
-    lows, highs = zip(*(grid.face_bounds(f) for f in faces))
-    lo = np.minimum.reduce(lows)
-    hi = np.maximum.reduce(highs)
+    lows, highs = grid.bounds(grid.key_rows(faces))
+    lo = lows.min(axis=0)
+    hi = highs.max(axis=0)
     center = (lo + hi) / 2.0
     return Ball(center, float(np.linalg.norm(hi - center)) + 1e-12)
-
-
-def _cell_facets(grid: DyadicGrid, cell: CubeFace) -> list:
-    """The 2n boundary facets of a top cell."""
-    n = grid.ambient_dim
-    out = []
-    for a in range(n):
-        for side in (0, 1):
-            lat = list(cell.lattice)
-            lat[a] = cell.lattice[a] + side
-            out.append(CubeFace(grid.full_mask & ~(1 << a), tuple(lat)))
-    return out
 
 
 def _boundary_toggle(fs: FaceSet, facets: Iterable[CubeFace]):
@@ -169,13 +167,10 @@ def _cell_across(grid: DyadicGrid, face: CubeFace, axis: int, level: int):
 
     The index wraps on an identified axis; off the grid there is no cell (None).
     """
-    if grid.identified[axis]:
-        level %= grid.subdivisions
-    elif not 0 <= level < grid.subdivisions:
-        return None
     lat = list(face.lattice)
     lat[axis] = level
-    return CubeFace(grid.full_mask, tuple(lat))
+    cell = grid.canonical_face(CubeFace(grid.full_mask, tuple(lat)))
+    return cell if grid.is_valid(cell) else None
 
 
 def _cells_touching(fs: FaceSet, face: CubeFace) -> list:
@@ -205,8 +200,8 @@ def _cell_boundary_move(fs: FaceSet, variant: str, cells: list, anchor: tuple,
                         only_improving: bool) -> list:
     """The move toggling by the boundary of ``cells``, if it is admissible."""
     grid = fs.grid
-    toggles, delta = _boundary_toggle(fs, [f for c in cells for f in _cell_facets(grid, c)])
-    if (only_improving and delta >= 0) or not toggles or any(map(grid.on_boundary, toggles)):
+    toggles, delta = _boundary_toggle(fs, [f for c in cells for f in grid.subfaces(c)])
+    if (only_improving and delta >= 0) or not toggles or grid.frozen(grid.key_rows(toggles)).any():
         return []
     return [Move("interior-projection", variant, toggles, delta, anchor,
                  _support_ball(grid, cells))]
@@ -500,11 +495,10 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0,
     max_radius = AUDIT_RADIUS_CELLS * s
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(0xA0D17,)))
-    lo_arr, hi_arr = (np.array(b) for b in zip(*map(grid.face_bounds, fs.faces)))
+    lo_arr, hi_arr = grid.bounds(grid.key_rows(fs.faces))
     # every toggled face of every move, one row each; move i owns the rows
     # from starts[i] to the next start
-    move_lo, move_hi = (np.array(b) for b in zip(*(grid.face_bounds(f) for m in moves
-                                                   for f in m.toggles)))
+    move_lo, move_hi = grid.bounds(grid.key_rows(f for m in moves for f in m.toggles))
     starts = np.cumsum([0] + [len(m.toggles) for m in moves[:-1]])
     deltas = np.array([m.delta_faces for m in moves])
 

@@ -98,26 +98,9 @@ def _cube_face(key) -> CubeFace:
     return CubeFace(int(key[0]), tuple(int(x) for x in key[1:]))
 
 
-def _spans(keys: np.ndarray, n: int) -> np.ndarray:
-    """(R, n) mask of the axes each key row spans."""
-    return (keys[:, :1] >> np.arange(n)) & 1 == 1
-
-
-def _key_bounds(keys: np.ndarray, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(R, n) lower and upper corners of each key row's face, with the
-    arithmetic of ``DyadicGrid.face_bounds``."""
-    lat = keys[:, 1:]
-    lo = grid.corner + lat * grid.spacing
-    return lo, np.where(_spans(keys, grid.ambient_dim), grid.corner + (lat + 1) * grid.spacing, lo)
-
-
 def _faces_of_dim(keys: np.ndarray, dim: int, grid: DyadicGrid) -> np.ndarray:
-    """Rows whose face has dimension ``dim`` and lies in no frozen wall
-    (``DyadicGrid.on_boundary``)."""
-    spans = _spans(keys, grid.ambient_dim)
-    wall = (keys[:, 1:] == 0) | (keys[:, 1:] == grid.subdivisions)
-    frozen = (wall & ~spans & ~np.array(grid.identified)).any(axis=1)
-    return (spans.sum(axis=1) == dim) & ~frozen
+    """Rows whose face has dimension ``dim`` and lies in no frozen wall."""
+    return (grid.spans(keys).sum(axis=1) == dim) & ~grid.frozen(keys)
 
 
 def _face_groups(keys: np.ndarray, select: np.ndarray) -> list[tuple[CubeFace, np.ndarray]]:
@@ -462,7 +445,7 @@ def _assign_faces(corners: np.ndarray, grid: DyadicGrid) -> np.ndarray:
 def _owner_cells(keys: np.ndarray, grid: DyadicGrid) -> np.ndarray:
     """Key row of the lexicographically smallest cell containing each face."""
     lat = keys[:, 1:]
-    cells = np.where(_spans(keys, grid.ambient_dim), lat, np.maximum(lat - 1, 0))
+    cells = np.where(grid.spans(keys), lat, np.maximum(lat - 1, 0))
     return np.column_stack([np.full(len(keys), grid.full_mask), cells])
 
 
@@ -601,7 +584,7 @@ def _project_groups(pieces: PieceTable, groups: list, centers: list, grid: Dyadi
     rows = np.concatenate([r for _, r in groups] + [np.zeros(0, dtype=np.intp)])
     group_of = np.repeat(np.arange(len(groups)), [len(r) for _, r in groups])
     keys = pieces.face[[r[0] for _, r in groups]]
-    lo, hi = _key_bounds(keys, grid)
+    lo, hi = grid.bounds(keys)
     xi = np.array(centers, dtype=float).reshape(-1, n)
     chunks, image_group, sources = [pieces.corners[:0]], [group_of[:0]], [rows[:0]]
     for axes in np.unique(keys[:, 0]).tolist():
@@ -684,8 +667,10 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     for k in range(n, d, -1):
         moving = _faces_of_dim(pieces.face, k, grid)
         groups = _face_groups(pieces.face, moving)
+        # only the chebyshev search draws samples
         chosen = [choose_center(grid, fkey, pieces.corners[rows], strategy, trials,
-                                _face_rng(seed, k, fkey)) for fkey, rows in groups]
+                                _face_rng(seed, k, fkey) if strategy == "chebyshev" else None)
+                  for fkey, rows in groups]
         images, _, ends = _project_groups(pieces, groups, [xi for xi, _ in chosen], grid)
         face_records = {}
         stage_in = 0.0
@@ -721,7 +706,7 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
 def skeleton_deviation(result: ProjectionResult, grid: DyadicGrid) -> float:
     """Max distance from any content vertex to its assigned face (0 = exact)."""
     pieces = result.pieces
-    lo, hi = _key_bounds(pieces.face, grid)
+    lo, hi = grid.bounds(pieces.face)
     over = np.maximum(np.maximum(lo[:, None] - pieces.corners, pieces.corners - hi[:, None]), 0.0)
     return float(np.linalg.norm(over, axis=2).max(initial=0.0))
 
@@ -734,7 +719,7 @@ def _closed_cell_ledger(pieces: PieceTable, grid: DyadicGrid) -> dict:
     # axis p, wrapped on identified axes; the valid ones are the cells whose
     # closure holds the piece, each once (p-1 and p are one cell when N = 1)
     glued = np.array(grid.identified)
-    spans = _spans(pieces.face, n)[:, None, :]
+    spans = grid.spans(pieces.face)[:, None, :]
     upper = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
     lat = np.where(spans, pieces.face[:, None, 1:], pieces.face[:, None, 1:] - 1 + upper)
     lat = np.where(glued, lat % N, lat)

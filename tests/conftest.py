@@ -36,6 +36,14 @@ def grid_faces(grid: DyadicGrid, dim: int):
             yield CubeFace(mask, lattice)
 
 
+def plane_bounds(grid: DyadicGrid, face: CubeFace) -> tuple[np.ndarray, np.ndarray]:
+    """A face's lower and upper corners, axis by axis from ``plane_coordinate``."""
+    lo = [grid.plane_coordinate(a, face.lattice[a]) for a in range(grid.ambient_dim)]
+    hi = [grid.plane_coordinate(a, face.lattice[a] + 1) if face.spans(a) else lo[a]
+          for a in range(grid.ambient_dim)]
+    return np.array(lo), np.array(hi)
+
+
 def containing_cells(grid: DyadicGrid, face: CubeFace) -> list[CubeFace]:
     """All top cells whose closure contains the face."""
     N = grid.subdivisions

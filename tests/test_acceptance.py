@@ -202,10 +202,10 @@ def test_criterion_06_sliding_functional():
     ctx = diag.SlidingContext(LineBoundary(np.zeros(3), np.array([0.0, 1.0, 0.0])),
                               np.array([1.0, 0.0, 0.0]))
     ladder = [t / 4, t / 2, t, 2 * t, 4 * t]
-    prof = diag.sliding_profile(hp, x, ladder, ctx)
+    prof = diag.sliding_profile(diag.density_profile(hp, x, ladder), x, ctx)
     const_ok = all(abs(v - math.pi) <= 1e-2 for v in prof["shaded_densities"])
 
-    inner = diag.sliding_profile(hp, x, [t / 4, t / 2, 0.99 * t], ctx)
+    inner = diag.sliding_profile(diag.density_profile(hp, x, [t / 4, t / 2, 0.99 * t]), x, ctx)
     zero_ok = list(inner["shaded_densities"]) == list(inner["densities"])
 
     _report(6, "sliding functional", const_ok and zero_ok,

@@ -16,6 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from plateau_lab import cones
+from plateau_lab import steiner as steiner_module
 from plateau_lab.cli import main
 from plateau_lab.geometry import meshio
 from plateau_lab.geometry.core import MAX_AMBIENT_DIM
@@ -341,9 +342,11 @@ def test_steiner_terminal_cap_fails_fast(runner, tmp_path):
     assert f"limit of {MAX_TERMINALS}" in r.stderr
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_steiner_refuses_a_network_that_overflows(runner, tmp_path):
     """Terminals 1e155 apart square to inf: the run exits 1 instead of
-    writing a score of inf with a failed angle audit."""
+    writing a score of inf with a failed angle audit, and it refuses before
+    any float overflows, so numpy warns of nothing."""
     doc = {"terminals": [{"pos": [0.0, 0.0]}, {"pos": [1e155, 0.0]}, {"pos": [0.0, 1e155]}],
            "objective": "size"}
     inst = tmp_path / "far.json"
@@ -353,6 +356,23 @@ def test_steiner_refuses_a_network_that_overflows(runner, tmp_path):
     assert r.exit_code == 1
     assert "not finite" in r.stderr
     assert r.stdout == "" and not out.exists()
+
+
+def test_steiner_refuses_beta_out_of_range_before_the_solve(runner, tmp_path, monkeypatch):
+    doc = {"terminals": [{"pos": [0.0, 0.0], "charge": 2}, {"pos": [1.0, 0.0], "charge": -1},
+                         {"pos": [0.0, 1.0], "charge": -1}]}
+    inst = tmp_path / "dipole.json"
+    inst.write_text(json.dumps(doc))
+
+    batches = []
+    solve = steiner_module._optimize_interiors
+    monkeypatch.setattr(steiner_module, "_optimize_interiors",
+                        lambda *args: batches.append(args) or solve(*args))
+    r = runner.invoke(main, ["steiner", "--instance", str(inst),
+                             "--functional", "m_beta", "--beta", "2"])
+    assert r.exit_code == 1
+    assert "beta must be in (0, 1]" in r.stderr
+    assert r.stdout == "" and batches == []
 
 
 def test_minimize_flat_slice(runner, tmp_path):

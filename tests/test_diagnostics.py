@@ -85,7 +85,7 @@ def test_sliding_functional_constant_on_halfplane():
     t = 1.0
     x = np.array([t, 0.0, 0.0])
     radii = [t / 4, t / 2, t, 2 * t, 4 * t]
-    prof = diag.sliding_profile(hp, x, radii, halfplane_context())
+    prof = diag.sliding_profile(diag.density_profile(hp, x, radii), x, halfplane_context())
     assert np.allclose(prof["shaded_densities"], math.pi, atol=1e-2)
 
 
@@ -94,7 +94,7 @@ def test_shade_term_is_exactly_zero_inside_the_reach():
     t = 1.0
     x = np.array([t, 0.0, 0.0])
     inside = [t / 4, t / 2, 0.999 * t]
-    prof = diag.sliding_profile(hp, x, inside, halfplane_context())
+    prof = diag.sliding_profile(diag.density_profile(hp, x, inside), x, halfplane_context())
     # balls that do not reach the boundary line gain nothing: identical floats
     assert list(prof["shaded_densities"]) == list(prof["densities"])
 
@@ -102,7 +102,8 @@ def test_shade_term_is_exactly_zero_inside_the_reach():
 def test_edge_point_sliding_density_is_half_disk_plus_shade():
     hp = cones.halfplane_cone(extent=8.0)
     x = np.zeros(3)   # on the boundary line itself
-    prof = diag.sliding_profile(hp, x, [0.5, 1.0, 2.0], halfplane_context())
+    prof = diag.sliding_profile(diag.density_profile(hp, x, [0.5, 1.0, 2.0]), x,
+                                halfplane_context())
     # half-disk (pi/2) plus half-disk of shade = pi, scale free
     assert np.allclose(prof["shaded_densities"], math.pi, atol=1e-9)
 

@@ -103,17 +103,6 @@ def test_cell_neighbors_wrap_identified_axes(big_n):
         assert len(got) == len(set(got)) and set(got) == want
 
 
-def test_face_mesh_chunk_measures():
-    grid = DyadicGrid(np.zeros(3), 1.0, 2)
-    cell_face = CubeFace(0b011, (0, 1, 2))   # a square of side 1/2
-    chunks = grid.face_mesh_chunk(cell_face)
-    total = 0.0
-    for ch in chunks:
-        a, b, c = ch
-        total += 0.5 * np.linalg.norm(np.cross(b - a, c - a))
-    assert total == pytest.approx(0.25)
-
-
 # ── flat torus ──
 
 def test_quotient_distance_goes_around_the_seam():

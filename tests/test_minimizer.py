@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plateau_lab.geometry.core import EmbeddedMesh
 from plateau_lab.grids import CubeFace, DyadicGrid
 from plateau_lab import minimizer as mz
 
-from conftest import (flat_slice_mesh, grid_faces, quotient_distance, segment_mesh, torus,
-                      wiggle_mesh)
+from conftest import (flat_slice_mesh, grid_faces, plane_bounds, quotient_distance,
+                      segment_mesh, torus, wiggle_mesh)
 
 
 def torus_grid(n_sub: int, dim: int = 3):
@@ -580,6 +581,68 @@ def test_a_face_whose_ridges_wrap_onto_one_is_held_twice():
     assert fs.ridges == {CubeFace(0, (0, 0)): [face, face]}
     assert fs.is_relative_cycle()
     assert mz.collapse_moves(fs) == []
+
+
+# ── the face-set mesh against the per-face chunks ──
+
+
+def oracle_face_chunks(grid, face):
+    """The face as simplex corner blocks (1 segment or 2 triangles), built
+    one face at a time."""
+    lo, hi = plane_bounds(grid, face)
+    spanned = [a for a in range(grid.ambient_dim) if face.spans(a)]
+    if face.dim == 1:
+        b = lo.copy()
+        b[spanned[0]] = hi[spanned[0]]
+        return [np.array([lo, b])]
+    a0, a1 = spanned
+    p10, p11, p01 = lo.copy(), lo.copy(), lo.copy()
+    p10[a0] = p11[a0] = hi[a0]
+    p11[a1] = p01[a1] = hi[a1]
+    return [np.array([lo, p10, p11]), np.array([lo, p11, p01])]
+
+
+def test_to_mesh_measures():
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
+    fs = mz.FaceSet(grid, frozenset([CubeFace(0b011, (0, 1, 2))]))   # a square of side 1/2
+    corners = fs.to_mesh().simplex_corners()
+    assert corners.shape == (2, 3, 3)
+    total = sum(0.5 * np.linalg.norm(np.cross(b - a, c - a)) for a, b, c in corners)
+    assert total == pytest.approx(0.25)
+
+
+MESH_GRIDS = {
+    "box2": DyadicGrid(np.array([-0.5, 0.25]), 2.0, 4),
+    "torus2": torus(2, 3),
+    "slab2": DyadicGrid(np.array([0.1, -7.3]), 0.7, 5, (False, True)),
+    "box3": DyadicGrid(np.array([0.1, -7.3, 1e3 / 3]), 0.7, 3),
+    "torus3": torus(3, 2, size=3.0),
+    "slab3": DyadicGrid(np.full(3, 1000.0), 2.0 ** -6, 3, (True, False, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_GRIDS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_to_mesh_matches_the_per_face_chunks(name, seed):
+    """Vertices, simplices and multiplicities bit for bit against the mesh of
+    the per-face chunks, on about half of the grid's canonical d-faces."""
+    grid = MESH_GRIDS[name]
+    faces = sorted({grid.canonical_face(f) for f in grid_faces(grid, grid.ambient_dim - 1)})
+    keep = np.random.default_rng(seed).random(len(faces)) < 0.5
+    fs = mz.FaceSet(grid, frozenset(f for f, k in zip(faces, keep) if k))
+    got = fs.to_mesh()
+    want = EmbeddedMesh.from_simplex_list(
+        fs.dimension, [c for f in sorted(fs.faces) for c in oracle_face_chunks(grid, f)])
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.simplices.tobytes() == want.simplices.tobytes()
+    assert got.multiplicities.tobytes() == want.multiplicities.tobytes()
+
+
+def test_to_mesh_of_an_empty_set_and_of_3_faces():
+    empty = mz.FaceSet(torus(3, 2), frozenset()).to_mesh()
+    assert (empty.dimension, empty.ambient_dim, empty.n_simplices) == (2, 3, 0)
+    with pytest.raises(ValueError, match="only for 1- and 2-faces"):
+        mz.FaceSet(torus(4, 1), frozenset([CubeFace(0b0111, (0, 0, 0, 0))])).to_mesh()
 
 
 def test_batched_audit_matches_the_per_move_loop():

@@ -21,7 +21,8 @@ from plateau_lab.geometry.core import EmbeddedMesh, row_dots
 from plateau_lab.geometry.distance import points_to_simplices
 from plateau_lab.grids import CubeFace, DyadicGrid
 
-from conftest import containing_cells, grid_faces
+from conftest import containing_cells, grid_faces, plane_bounds
+from test_minimizer import oracle_frozen
 from test_projection import seeded_blob
 
 
@@ -810,26 +811,32 @@ def test_ledgers_match_per_piece_recomputation(case):
 # ── one kernel call per stage and spanned axes vs one per face ──
 
 def test_key_bounds_match_face_bounds():
-    """Every face of every grid, the one far from the origin included, and
-    of a grid whose corner and spacing round."""
+    """``DyadicGrid.bounds`` over key rows and its one-row form
+    ``face_bounds`` give the per-axis ``plane_coordinate`` corners bit for
+    bit, on every face of every grid, the one far from the origin included,
+    and of a grid whose corner and spacing round."""
     for grid in GRIDS + [DyadicGrid(np.array([0.1, -7.3, 1e3 / 3]), 0.7, 12)]:
         faces = [f for k in range(grid.ambient_dim + 1) for f in grid_faces(grid, k)]
-        lo, hi = proj._key_bounds(np.array([key_of(f) for f in faces]), grid)
+        lo, hi = grid.bounds(np.array([key_of(f) for f in faces]))
         for f, lo_f, hi_f in zip(faces, lo, hi):
-            want_lo, want_hi = grid.face_bounds(f)
-            assert lo_f.tobytes() == want_lo.tobytes() and hi_f.tobytes() == want_hi.tobytes()
+            want_lo, want_hi = plane_bounds(grid, f)
+            for got_lo, got_hi in ((lo_f, hi_f), grid.face_bounds(f)):
+                assert got_lo.tobytes() == want_lo.tobytes()
+                assert got_hi.tobytes() == want_hi.tobytes()
 
 
 def test_wall_mask_agrees_with_on_boundary():
-    """The key-row wall mask of the stages keeps exactly the faces that
-    ``DyadicGrid.on_boundary`` does not freeze, on every face of every grid
-    and of a 2-D grid with one axis identified."""
+    """``DyadicGrid.frozen`` over key rows, its one-row form ``on_boundary``
+    and the stage selection all follow the per-axis wall rule, on every face
+    of every grid and of a 2-D grid with one axis identified."""
     for grid in GRIDS + [DyadicGrid(np.array([-0.5, 0.25]), 2.0, 4, (False, True))]:
         for k in range(grid.ambient_dim + 1):
             faces = list(grid_faces(grid, k))
             keys = np.array([key_of(f) for f in faces])
-            assert proj._faces_of_dim(keys, k, grid).tolist() == \
-                [not grid.on_boundary(f) for f in faces]
+            want = [oracle_frozen(grid, f) for f in faces]
+            assert grid.frozen(keys).tolist() == want
+            assert [grid.on_boundary(f) for f in faces] == want
+            assert proj._faces_of_dim(keys, k, grid).tolist() == [not w for w in want]
             assert not proj._faces_of_dim(keys, k + 1, grid).any()
 
 

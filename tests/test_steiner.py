@@ -166,6 +166,6 @@ def test_every_emitted_net_passes_kirchhoff():
 def test_size_ignores_flow_magnitude_mass_does_not():
     net = MultiplicityNet(np.array([[0.0, 0.0], [1.0, 0.0]]),
                           np.array([[0, 1]]), np.array([3]))
-    assert net.size() == pytest.approx(1.0)
-    assert net.mass() == pytest.approx(3.0)
-    assert net.m_beta(0.5) == pytest.approx(math.sqrt(3.0))
+    assert net.cost("size") == pytest.approx(1.0)
+    assert net.cost("mass") == pytest.approx(3.0)
+    assert net.cost("m_beta", 0.5) == pytest.approx(math.sqrt(3.0))
