@@ -18,7 +18,7 @@ import numpy as np
 from . import cones
 from .geometry.clipping import clip_to_ball, clipped_measure, sphere_slice_measure
 from .geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary, as_point, ordered_sum
-from .geometry.distance import sample_mesh, sup_distance
+from .geometry.distance import point_blocks, sample_mesh, sup_distance
 
 #: relative density spread below which a profile counts as flat
 FLAT_TOL = 0.05
@@ -268,25 +268,32 @@ def _planar_rotation(w) -> np.ndarray:
 
 def _rotation_net(seed: int, count: int, n: int) -> list:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    out = [np.eye(n)]
     if n == 2:
-        for a in rng.uniform(0.0, 2.0 * math.pi, size=count):
-            out.append(_planar_rotation([a]))
-    else:
-        qs = rng.normal(size=(count, 4))
-        for q in qs:
-            out.append(_rotation_from_quaternion(q))
-    return out
+        return [np.eye(n)] + [_planar_rotation([a]) for a in rng.uniform(0.0, 2.0 * math.pi, count)]
+    return [np.eye(n)] + [_rotation_from_quaternion(q) for q in rng.normal(size=(count, 4))]
 
 
-def _one_sided(samples: np.ndarray, center: np.ndarray, rot: np.ndarray,
-               cone: EmbeddedMesh, radius: float, bound: float = math.inf) -> float:
-    """sup dist(E-samples -> posed cone) / r, measured in the cone frame;
-    exact below ``bound``, and at least ``bound`` otherwise."""
-    if samples.shape[0] == 0:
+def _blocked(points: np.ndarray) -> tuple:
+    """Points and their ``point_blocks``, which a rigid motion carries."""
+    return points, point_blocks(points)
+
+
+def _moved(blocked: tuple, rot: np.ndarray, shift: Optional[np.ndarray] = None) -> tuple:
+    """Blocked points under ``x @ rot (+ shift)``, the block balls carried, not rebuilt."""
+    points, (centers, radii) = blocked
+    points, centers = points @ rot, centers @ rot
+    if shift is not None:
+        points, centers = points + shift, centers + shift
+    return points, (centers, radii)
+
+
+def _one_sided(local: tuple, cone: EmbeddedMesh, radius: float, bound: float = math.inf) -> float:
+    """sup dist(E-samples -> cone) / r, ``local`` being the blocked samples posed in
+    the cone frame; exact below ``bound``, and at least ``bound`` otherwise."""
+    points, blocks = local
+    if points.shape[0] == 0:
         return math.inf
-    local = (samples - center) @ rot
-    return sup_distance(local, cone.simplex_corners(), bound, radius) / radius
+    return sup_distance(points, cone.simplex_corners(), bound, radius, blocks) / radius
 
 
 def _sample_cone(cone: EmbeddedMesh, radius: float) -> np.ndarray:
@@ -294,16 +301,18 @@ def _sample_cone(cone: EmbeddedMesh, radius: float) -> np.ndarray:
     return sample_mesh(cone, radius / 24.0, Ball(np.zeros(cone.ambient_dim), radius))
 
 
-def _two_sided(mesh: EmbeddedMesh, samples: np.ndarray, center: np.ndarray,
-               rot: np.ndarray, cone: EmbeddedMesh, cone_samples: np.ndarray,
+def _two_sided(mesh: EmbeddedMesh, local: tuple, cone: EmbeddedMesh, world,
                radius: float, bound: float = math.inf) -> float:
     """Two-sided normalized sup distance between E cap B and the posed cone;
-    exact below ``bound``, and at least ``bound`` otherwise."""
-    a = _one_sided(samples, center, rot, cone, radius, bound)
-    if cone_samples.shape[0] == 0 or a >= bound:
+    exact below ``bound``, and at least ``bound`` otherwise.  ``world()``, the
+    blocked cone samples posed in E's frame, is called only below ``bound``."""
+    a = _one_sided(local, cone, radius, bound)
+    if a >= bound:
         return a
-    world = cone_samples @ rot.T + center
-    return max(a, sup_distance(world, mesh.simplex_corners(), bound, radius) / radius)
+    points, blocks = world()
+    if points.shape[0] == 0:
+        return a
+    return max(a, sup_distance(points, mesh.simplex_corners(), bound, radius, blocks) / radius)
 
 
 def _pattern_descent(fun, x0: np.ndarray, f0: float, step: float, depth: float):
@@ -366,17 +375,18 @@ def _fit_interior(mesh: EmbeddedMesh, samples: np.ndarray, coarse: np.ndarray,
                   rotations: int, depth: float) -> ConeFit:
     n = mesh.ambient_dim
     cone = cones.build_cone(name, extent=1.02 * radius, ambient=n)
-    cone_samples = _sample_cone(cone, radius)
+    q, q_coarse = _blocked(samples - center), _blocked(coarse - center)
+    cone_samples = _blocked(_sample_cone(cone, radius))
     pose = _planar_rotation if n == 2 else _axis_angle
     net = _rotation_net(seed, rotations, n)
+    residual = lambda rot, bound=math.inf: _two_sided(
+        mesh, _moved(q, rot), cone, lambda: _moved(cone_samples, rot.T, center), radius, bound)
     best_rot, best_val = None, math.inf
-    for i in _two_best(net, lambda rot, bound: _one_sided(coarse, center, rot, cone,
+    for i in _two_best(net, lambda rot, bound: _one_sided(_moved(q_coarse, rot), cone,
                                                           radius, bound)):
         base = net[i]
-        fun = lambda w, bound: _two_sided(mesh, samples, center, base @ pose(w), cone,
-                                          cone_samples, radius, bound)
-        f0 = _two_sided(mesh, samples, center, base, cone, cone_samples, radius)
-        w, val = _pattern_descent(fun, np.zeros(n * (n - 1) // 2), f0, 0.2, depth)
+        fun = lambda w, bound: residual(base @ pose(w), bound)
+        w, val = _pattern_descent(fun, np.zeros(n * (n - 1) // 2), residual(base), 0.2, depth)
         if val < best_val:
             best_rot, best_val = base @ pose(w), val
     return ConeFit(name, best_val, best_rot, {})
@@ -386,14 +396,13 @@ def _fit_boundary(mesh: EmbeddedMesh, samples: np.ndarray, center: np.ndarray,
                   radius: float, name: str, context: SlidingContext,
                   depth: float) -> ConeFit:
     frame = _complete_basis(context.line.direction)
+    local = _blocked((samples - center) @ frame)
 
     def residual(phis, bound):
-        if name == "halfplane":
-            cone = cones.halfplane_azimuth_cone(phis[0], extent=1.02 * radius)
-        else:
-            cone = cones.v_cone_azimuths(phis[0], phis[1], extent=1.02 * radius)
-        return _two_sided(mesh, samples, center, frame, cone, _sample_cone(cone, radius),
-                          radius, bound)
+        cone = (cones.halfplane_azimuth_cone(phis[0], extent=1.02 * radius) if name == "halfplane"
+                else cones.v_cone_azimuths(phis[0], phis[1], extent=1.02 * radius))
+        world = lambda: (_sample_cone(cone, radius) @ frame.T + center, None)
+        return _two_sided(mesh, local, cone, world, radius, bound)
 
     k = 1 if name == "halfplane" else 2
     grid = np.linspace(0.0, 2.0 * math.pi, 25 if k == 2 else 64, endpoint=False)

@@ -137,23 +137,19 @@ def _margin(*arrays) -> float:
     return BOUND_MARGIN * max(float(np.abs(a).max(initial=0.0)) for a in arrays)
 
 
-def _block_balls(points: np.ndarray, vertices: np.ndarray):
-    """Centroid, covering radius and nearest target vertex distance of each
-    ``SUP_BLOCK``-row block of points."""
+def point_blocks(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid and covering radius of each ``SUP_BLOCK``-row block of points;
+    a rigid motion carries them: ``(centers @ R + t, radii)`` may stand for
+    the blocks of ``points @ R + t``, whose rounding lies far inside ``BOUND_MARGIN``."""
     starts = np.arange(0, points.shape[0], SUP_BLOCK)
     owner = np.arange(points.shape[0]) // SUP_BLOCK
     centers = np.add.reduceat(points, starts) / np.bincount(owner)[:, None]
     radii = np.maximum.reduceat(np.sqrt(((points - centers[owner]) ** 2).sum(axis=1)), starts)
-    # blocks x vertices x n at most about 2^18 floats at a time
-    step = max(1, (1 << 18) // vertices.size)
-    nearest = np.concatenate([
-        np.sqrt(((vertices - c[:, None]) ** 2).sum(axis=2)).min(axis=1)
-        for c in np.split(centers, np.arange(step, centers.shape[0], step))])
-    return centers, radii, nearest
+    return centers, radii
 
 
 def sup_distance(points: np.ndarray, corners: np.ndarray, bound: float = math.inf,
-                 radius: float = 1.0) -> float:
+                 radius: float = 1.0, blocks=None) -> float:
     """``points_to_simplices(points, corners).max()`` to the bit, most pairs skipped.
 
     The early break of Taha & Hanbury (IEEE TPAMI 37, 2015) over blocks of
@@ -171,13 +167,20 @@ def sup_distance(points: np.ndarray, corners: np.ndarray, bound: float = math.in
     ``cmax / radius >= bound``, for the positive ``radius`` the caller
     divides by: the value returned is then a lower bound on the sup, but it
     divides to at least ``bound`` too, so a caller that keeps only values
-    below ``bound`` keeps exact ones.
+    below ``bound`` keeps exact ones.  ``blocks`` are ``point_blocks(points)``,
+    computed here when not given.
     """
     if points.shape[0] == 0 or corners.shape[0] == 0:
         return float(points_to_simplices(points, corners).max())
     s_center, s_radius = _bounding_balls(corners)
     margin = _margin(points, corners)
-    centers, radii, nearest = _block_balls(points, corners.reshape(-1, corners.shape[2]))
+    centers, radii = point_blocks(points) if blocks is None else blocks
+    vertices = corners.reshape(-1, corners.shape[2])
+    # blocks x vertices x n at most about 2^18 floats at a time
+    step = max(1, (1 << 18) // vertices.size)
+    nearest = np.concatenate([
+        np.sqrt(((vertices - c[:, None]) ** 2).sum(axis=2)).min(axis=1)
+        for c in np.split(centers, np.arange(step, centers.shape[0], step))])
     upper = nearest + radii + margin
     cmax = -math.inf
     for b in np.argsort(-upper, kind="stable").tolist():

@@ -411,6 +411,8 @@ def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
     for mass or m_beta costs.  Terminals whose squared distances overflow
     are refused before any topology is solved.
     """
+    if functional not in ("size", "mass", "m_beta"):
+        raise ValueError(f"unknown functional {functional!r}")
     terminals = list(terminals)
     N = len(terminals)
     if N < 2:

@@ -177,14 +177,21 @@ def test_halfplane_on_its_edge_line_classifies_from_one_sample_set(monkeypatch):
         calls.append(mesh is hp)
         return sample_mesh(mesh, *args, **kwargs)
 
+    posed = []
+    pose = cones.halfplane_azimuth_cone
     monkeypatch.setattr(diag, "sample_mesh", counting)
+    monkeypatch.setattr(cones, "halfplane_azimuth_cone",
+                        lambda *args, **kwargs: posed.append(1) or pose(*args, **kwargs))
     rep = diag.classify_point(hp, np.zeros(3), 1.0, context=halfplane_context(),
                               depth=0.2)
     assert rep["best"]["name"] == "halfplane"
     assert rep["best"]["residual"] <= diag.RESIDUAL_OK
     assert rep["ok"]
     assert calls.count(True) == 1      # the 64 azimuths share one sample set
-    assert calls.count(False) == 64    # one posed cone per azimuth
+    assert len(posed) == 64            # one posed cone per azimuth
+    # the first azimuth fits exactly, so every later one is cut on its
+    # one-sided term and its cone is never sampled
+    assert calls.count(False) == 1
 
 
 def test_open_book_classifies_as_v_with_its_dihedral():
@@ -228,13 +235,13 @@ def test_net_with_repeated_rotations_ranks_as_sorted():
     """Repeated rotations give bitwise-equal residuals, so ties decide."""
     cone = cones.build_cone("y", extent=1.02)
     coarse = diag.sample_mesh(cones.build_cone("t", extent=1.5), 1 / 16, Ball(np.zeros(3), 1.0))
-    center = np.zeros(3)
+    blocked = diag._blocked(coarse)
     rots = diag._rotation_net(3, 4, 3)
     for pattern in ([1, 1, 2, 1, 0, 2, 0, 1], [3, 0, 3, 0, 3], [2, 2, 2], [4, 1, 4, 1, 1, 4]):
         net = [rots[k] for k in pattern]
-        exact = [diag._one_sided(coarse, center, rot, cone, 1.0) for rot in net]
+        exact = [diag._one_sided(diag._moved(blocked, rot), cone, 1.0) for rot in net]
         assert len(set(exact)) < len(net)
-        got = diag._two_best(net, lambda rot, bound: diag._one_sided(coarse, center, rot,
+        got = diag._two_best(net, lambda rot, bound: diag._one_sided(diag._moved(blocked, rot),
                                                                      cone, 1.0, bound))
         assert got == sorted(range(len(net)), key=lambda i: exact[i])[:2]
 
@@ -249,12 +256,14 @@ def test_two_sided_is_exact_below_its_bound():
     one; bounds between the two sides must not skip it."""
     sheet = cones.halfplane_azimuth_cone(0.3, extent=1.5)
     cone = cones.build_cone("y", extent=1.02)
-    samples = diag.sample_mesh(sheet, 1 / 32, Ball(np.zeros(3), 1.0))
-    cone_samples = diag._sample_cone(cone, 1.0)
+    samples = diag._blocked(diag.sample_mesh(sheet, 1 / 32, Ball(np.zeros(3), 1.0)))
+    cone_samples = diag._blocked(diag._sample_cone(cone, 1.0))
     for rot in diag._rotation_net(1, 6, 3):
-        args = (sheet, samples, np.zeros(3), rot, cone, cone_samples, 1.0)
+        local = diag._moved(samples, rot)
+        world = lambda: diag._moved(cone_samples, rot.T, np.zeros(3))
+        args = (sheet, local, cone, world, 1.0)
         exact = diag._two_sided(*args)
-        near = diag._one_sided(samples, np.zeros(3), rot, cone, 1.0)
+        near = diag._one_sided(local, cone, 1.0)
         assert near < exact
         for bound in (0.5 * near, near, (near + exact) / 2, exact,
                       math.nextafter(exact, math.inf), 2 * exact, math.inf):
@@ -286,7 +295,31 @@ def test_bounded_residuals_leave_every_report_byte_identical(case, monkeypatch):
     mesh, center, radius, kwargs = BOUNDED_CASES[case]()
     got = json.dumps(diag.classify_point(mesh, center, radius, **kwargs))
     sup_distance = diag.sup_distance
-    monkeypatch.setattr(diag, "sup_distance",
-                        lambda points, corners, bound, radius: sup_distance(points, corners))
+    # the oracle drops the carried blocks too, so every sup builds its own
+    monkeypatch.setattr(diag, "sup_distance", lambda points, corners, bound, radius, blocks:
+                        sup_distance(points, corners))
     want = json.dumps(diag.classify_point(mesh, center, radius, **kwargs))
     assert got == want
+
+
+def test_the_boundary_fit_samples_a_cone_only_for_residuals_below_their_bound(monkeypatch):
+    """Each ``_sample_cone`` call follows a one-sided term below its bound,
+    and most azimuths of the half-plane fit are cut before it."""
+    mesh, center, radius, kwargs = BOUNDED_CASES["halfplane"]()
+    events = []
+    one_sided, sample_cone = diag._one_sided, diag._sample_cone
+
+    def spy_one_sided(local, cone, radius, bound=math.inf):
+        value = one_sided(local, cone, radius, bound)
+        events.append(value < bound)
+        return value
+
+    monkeypatch.setattr(diag, "_one_sided", spy_one_sided)
+    monkeypatch.setattr(diag, "_sample_cone",
+                        lambda cone, radius: events.append("sample") or sample_cone(cone, radius))
+    report = diag.classify_point(mesh, center, radius, **kwargs)
+    assert report["best"]["name"] == "halfplane"
+    samples = [k for k, event in enumerate(events) if event == "sample"]
+    assert samples and all(events[k - 1] is True for k in samples)
+    assert len(samples) == events.count(True)
+    assert len(samples) < events.count(False)

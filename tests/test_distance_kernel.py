@@ -19,13 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plateau_lab import diagnostics as diag
 from plateau_lab import minimizer as mz
 from plateau_lab.geometry import distance as dist
 from plateau_lab.geometry.clipping import segment_ball_intervals
 from plateau_lab.geometry.core import Ball, EmbeddedMesh
 from plateau_lab.geometry.distance import (MAX_SAMPLE_POINTS, SUP_BLOCK, _points_to_segment,
                                            _points_to_triangle, local_hausdorff_distance,
-                                           points_to_simplices, sample_mesh, sup_distance)
+                                           point_blocks, points_to_simplices, sample_mesh,
+                                           sup_distance)
 
 from conftest import graph_mesh, torus
 
@@ -322,6 +324,44 @@ def test_a_last_block_of_one_point_matches_the_oracle():
     pts = rng.uniform(-0.5, 1.5, (513, 3))
     pts[-1] = rng.uniform(3, 4, 3)
     assert sup_distance(pts, corners).hex() == oracle_sup(pts, corners).hex()
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 3), (2, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_balls_carried_by_a_rigid_motion_keep_every_float(d, n, seed):
+    """The classifier turns its samples' block balls instead of rebuilding
+    them.  Under the rotations of its net and shifts of up to 1e3 times the
+    set's size, the carried blocks give the fresh call's float, and with a
+    bound, the same float below it and a value at or above it otherwise."""
+    rng = np.random.default_rng([seed, d, n])
+    mesh = random_mesh(d, n, rng, count=12)
+    middle = mesh.vertices.mean(axis=0)
+    for count in (SUP_BLOCK - 1, SUP_BLOCK, SUP_BLOCK + 1, 2 * SUP_BLOCK):
+        q = points_on(mesh, rng, count) + rng.normal(0.0, 0.05, (count, n)) - middle
+        centers, radii = point_blocks(q)
+        for rot in diag._rotation_net(seed, 2, n):
+            for size in (0.0, 1.0, 1e3):
+                shift = size * rng.normal(size=n)
+                points = q @ rot + shift
+                target = (mesh.simplex_corners() - middle) @ rot + shift
+                blocks = (centers @ rot + shift, radii)
+                want = sup_distance(points, target)
+                assert sup_distance(points, target, blocks=blocks).hex() == want.hex()
+                for bound in (0.5 * want, want, math.nextafter(want, math.inf), 2.0 * want):
+                    got = sup_distance(points, target, bound, 1.0, blocks)
+                    if want < bound:
+                        assert got.hex() == want.hex()
+                    else:
+                        assert bound <= got <= want
+    empty = np.zeros((0, n))
+    corners = mesh.simplex_corners()
+    with pytest.raises(ValueError):
+        oracle_sup(empty, corners)
+    with pytest.raises(ValueError):
+        sup_distance(empty, corners, blocks=point_blocks(empty))
+    q = rng.uniform(0.0, 1.0, (5, n))
+    got = sup_distance(q, corners[:0], blocks=point_blocks(q))
+    assert got == math.inf == oracle_sup(q, corners[:0])
 
 
 # ── the triangle kernel ──

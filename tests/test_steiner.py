@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from plateau_lab import steiner
 from plateau_lab.steiner import (
     MultiplicityNet,
     Terminal,
@@ -169,3 +170,15 @@ def test_size_ignores_flow_magnitude_mass_does_not():
     assert net.cost("size") == pytest.approx(1.0)
     assert net.cost("mass") == pytest.approx(3.0)
     assert net.cost("m_beta", 0.5) == pytest.approx(math.sqrt(3.0))
+
+
+def test_an_unknown_functional_is_refused_before_anything_else(monkeypatch):
+    """Unbalanced charges would fail the flow step with another reason, and
+    enumerating the topologies first would cost the whole census."""
+    def enumerate_topologies(N):
+        raise AssertionError("topologies enumerated before the functional was checked")
+
+    monkeypatch.setattr(steiner, "enumerate_topologies", enumerate_topologies)
+    terms = [term(math.cos(k), math.sin(k)) for k in range(8)]
+    with pytest.raises(ValueError, match="unknown functional 'bogus'"):
+        optimize_steiner(terms, functional="bogus")
