@@ -603,7 +603,7 @@ def minimize(vals):
             "initial_measure": lv.result.initial_measure,
             "final_measure": lv.result.final_measure,
             "rounds": lv.result.rounds,
-            "moves": lv.result.log.entries,
+            "moves": lv.result.log,
             "audit": {"worst_ratio": lv.audit.worst_ratio,
                       "improving_trials": lv.audit.improving_trials,
                       "trials": lv.audit.trials},

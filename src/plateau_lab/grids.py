@@ -6,15 +6,17 @@ bitmask of spanned axes plus a lattice tuple holding cell indices (0..N-1) on
 spanned axes and plane indices (0..N) on pinned axes.  All incidence and
 adjacency is integer arithmetic; geometry (bounds, centers) is derived from
 the key.  Many faces travel as an int array of key rows [axes, lattice...],
-and a face's bounds and its frozen-wall test are written once, over such
-rows; the one-face forms read a one-row array.
+and a face's bounds, its frozen-wall test, its canonical key and the cells
+around it are written once, over such rows; the one-face forms read a
+one-row array, save ``canonical_face``, which is too hot for the round trip.
 
 A grid may identify opposite faces of Q on a subset of axes (all axes = flat
 torus, none = box).  Each axis has its own boundary rule: an identified axis
 is glued, so its face keys canonicalize (plane index N is plane 0, and cell
 indices run mod N) and adjacency wraps around it; the two walls of every
 other axis are frozen.  A slab glued in x and y and walled in z is a film
-between two plates.
+between two plates.  Every glue decision is made here: other modules read no
+identification flag and wrap no index themselves.
 """
 
 from __future__ import annotations
@@ -186,13 +188,53 @@ class DyadicGrid:
                   for i, glued in zip(cell.lattice, self.identified)]
         return [CubeFace(self.full_mask, lat) for lat in itertools.product(*ranges)]
 
+    def closure_cells(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cells whose closure holds each key row's face, each cell once.
+
+        Returns cells (R, 2^n, n+1) and valid (R, 2^n): row r's candidates
+        take cell p-1 or p on each axis the face pins at plane p (bit a of
+        the candidate's index picks p), wrapped on identified axes; the valid
+        ones lie in the grid and are distinct (p-1 and p are one cell when
+        a glued axis has N = 1).
+        """
+        n, N = self.ambient_dim, self.subdivisions
+        glued = np.array(self.identified)
+        spans = self.spans(keys)[:, None, :]
+        upper = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        lat = np.where(spans, keys[:, None, 1:], keys[:, None, 1:] - 1 + upper)
+        lat = np.where(glued, lat % N, lat)
+        same = spans | (glued & (N == 1))
+        valid = np.all((lat >= 0) & (lat < N) & ~(same & (upper == 1)), axis=2)
+        cells = np.concatenate([np.full(lat.shape[:2] + (1,), self.full_mask), lat], axis=2)
+        return cells, valid
+
     # -- identifications -----------------------------------------------------------
 
+    def canonical(self, keys: np.ndarray) -> np.ndarray:
+        """Key rows wrapped on identified axes: plane index N -> 0, cell indices mod N."""
+        return np.where(np.r_[False, self.identified], keys % self.subdivisions, keys)
+
     def canonical_face(self, face: CubeFace) -> CubeFace:
-        """Wrap a face key: plane index N -> 0, cell indices mod N, on identified axes."""
+        """One face's ``canonical`` key, without the array round trip."""
         N = self.subdivisions
         lat = list(face.lattice)
         for a in range(self.ambient_dim):
             if self.identified[a]:
                 lat[a] = lat[a] % N
         return CubeFace(face.axes, tuple(lat))
+
+    def farthest_offsets(self, center: np.ndarray, lo: np.ndarray,
+                         hi: np.ndarray) -> np.ndarray:
+        """(..., n) per-axis offset from ``center`` to the farthest point of
+        each box [lo, hi] of Q, measured around the circle on identified axes.
+
+        On a glued axis the farthest point is the antipode of ``center``, at
+        size/2, when the box holds it; otherwise it is the end whose folded
+        offset is larger.
+        """
+        d_lo, d_hi = np.abs(lo - center), np.abs(hi - center)
+        half = 0.5 * self.size
+        antipode = (((lo <= center + half) & (center + half <= hi))
+                    | ((lo <= center - half) & (center - half <= hi)))
+        folded = np.maximum(np.minimum(d_lo, self.size - d_lo), np.minimum(d_hi, self.size - d_hi))
+        return np.where(self.identified, np.where(antipode, half, folded), np.maximum(d_lo, d_hi))

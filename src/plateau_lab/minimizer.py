@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -173,13 +173,6 @@ def _cell_across(grid: DyadicGrid, face: CubeFace, axis: int, level: int):
     return cell if grid.is_valid(cell) else None
 
 
-def _cells_touching(fs: FaceSet, face: CubeFace) -> list:
-    """Both cells whose closure holds the facet, wrapping identified axes."""
-    a = _pinned_axis(face)
-    cells = (_cell_across(fs.grid, face, a, c) for c in (face.lattice[a] - 1, face.lattice[a]))
-    return [c for c in cells if c is not None]
-
-
 def collapse_moves(fs: FaceSet) -> list:
     """One move per d-face holding a free ridge off the frozen walls."""
     moves = []
@@ -209,11 +202,11 @@ def _cell_boundary_move(fs: FaceSet, variant: str, cells: list, anchor: tuple,
 
 def flip_moves(fs: FaceSet, only_improving: bool = True) -> list:
     """Toggle by one cell boundary; improving needs > n present facets."""
-    cells = {c for f in fs.faces for c in _cells_touching(fs, f)}
+    cells, valid = fs.grid.closure_cells(fs.grid.key_rows(fs.faces))
     moves = []
-    for cell in sorted(cells):
-        moves += _cell_boundary_move(fs, "flip", [cell], (cell.axes,) + cell.lattice,
-                                     only_improving)
+    for row in np.unique(cells[valid], axis=0).tolist():
+        cell = CubeFace(row[0], tuple(row[1:]))
+        moves += _cell_boundary_move(fs, "flip", [cell], tuple(row), only_improving)
     return moves
 
 
@@ -273,36 +266,6 @@ def admissible_moves(fs: FaceSet, only_improving: bool = True) -> list:
     return sorted(moves, key=Move.sort_key)
 
 
-def apply_move(fs: FaceSet, move: Move) -> FaceSet:
-    faces = set(fs.faces)
-    for f in move.toggles:
-        if f in faces:
-            faces.discard(f)
-        else:
-            faces.add(f)
-    return fs.with_faces(faces)
-
-
-# ---------------------------------------------------------------------------
-# deformation log
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DeformationLog:
-    """Moves with their support balls and measures, in application order."""
-
-    entries: list = field(default_factory=list)
-
-    def record(self, move: Move, before: float, after: float) -> None:
-        self.entries.append({
-            "kind": move.kind, "variant": move.variant,
-            "ball_center": [float(x) for x in move.ball.center],
-            "ball_radius": float(move.ball.radius),
-            "faces": [[f.axes, list(f.lattice)] for f in sorted(move.toggles)],
-            "measure_before": before, "measure_after": after,
-        })
-
-
 # ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
@@ -312,7 +275,7 @@ class MinimizeResult:
     faceset: FaceSet
     initial_measure: float
     final_measure: float
-    log: DeformationLog
+    log: list                 # one entry per applied move, in order
     rounds: int
 
 
@@ -322,7 +285,7 @@ def minimize_faceset(fs: FaceSet) -> MinimizeResult:
     Each round applies the single best move, ordered by (measure delta,
     kind, face keys), so the descent is fully deterministic.
     """
-    log = DeformationLog()
+    log = []
     start = fs.measure()
     rounds = 0
     while rounds < MAX_ROUNDS:
@@ -331,9 +294,15 @@ def minimize_faceset(fs: FaceSet) -> MinimizeResult:
             break
         move = picks[0]     # admissible_moves sorts by Move.sort_key
         before = fs.measure()
-        fs = apply_move(fs, move)
+        fs = fs.with_faces(fs.faces ^ move.toggles)
         rounds += 1
-        log.record(move, before, fs.measure())
+        log.append({
+            "kind": move.kind, "variant": move.variant,
+            "ball_center": [float(x) for x in move.ball.center],
+            "ball_radius": float(move.ball.radius),
+            "faces": [[f.axes, list(f.lattice)] for f in sorted(move.toggles)],
+            "measure_before": before, "measure_after": fs.measure(),
+        })
     if rounds >= MAX_ROUNDS:
         logger.warning("minimization stopped at the round cap %d", MAX_ROUNDS)
     return MinimizeResult(fs, start, fs.measure(), log, rounds)
@@ -364,9 +333,10 @@ def _completion_faceset(res: ProjectionResult, grid: DyadicGrid) -> FaceSet:
 
     Pick the axis carrying the most projected coverage, choose the best
     level per column (argmax coverage, ties to the lower plane), and emit
-    the graph surface: one pinned face per column plus wall stacks between
-    neighboring columns of different levels.  The result is a cycle by
-    construction, in the class of a constant-level slice.
+    the graph surface: the default-level slice toggled by the boundary of the
+    cells between it and each column's level, less the walls of Q that this
+    leaves on the other axes.  The result is a cycle by construction, in the
+    class of a constant-level slice.
     """
     n = grid.ambient_dim
     N = grid.subdivisions
@@ -394,41 +364,18 @@ def _completion_faceset(res: ProjectionResult, grid: DyadicGrid) -> FaceSet:
         default = max(sorted(tally), key=lambda p: tally[p])
     else:
         default = N // 2
-    other_axes = [a for a in range(n) if a != axis]
-    cols = list(np.ndindex(*([N] * len(other_axes))))
-    level_of = {col: levels.get(tuple(col), (0.0, default))[1] for col in cols}
-
-    def face_at(col, p) -> CubeFace:
-        lat = [0] * n
-        for i, a in enumerate(other_axes):
-            lat[a] = col[i]
-        lat[axis] = p
-        return CubeFace(mask, tuple(lat))
-
-    faces = set()
-    for col in cols:
-        faces.add(face_at(col, level_of[col]))
-    # walls between neighboring columns at different levels
-    for col in cols:
-        for i, a in enumerate(other_axes):
-            nb = list(col)
-            nb[i] += 1
-            if nb[i] >= N:
-                if not grid.identified[a]:
-                    continue
-                nb[i] %= N
-            p0, p1 = level_of[col], level_of[tuple(nb)]
-            if p0 == p1:
-                continue
-            wall_mask = grid.full_mask & ~(1 << a)
-            for h in range(min(p0, p1), max(p0, p1)):
-                lat = [0] * n
-                for j, aa in enumerate(other_axes):
-                    lat[aa] = col[j]
-                lat[a] = col[i] + 1
-                lat[axis] = h
-                faces.add(grid.canonical_face(CubeFace(wall_mask, tuple(lat))))
-    return FaceSet(grid, frozenset(faces))
+    slice_faces, cells = [], []
+    for col in np.ndindex(*([N] * (n - 1))):
+        face = CubeFace(mask, col[:axis] + (default,) + col[axis:])
+        slice_faces.append(face)
+        p = levels.get(col, (0.0, default))[1]
+        cells += [_cell_across(grid, face, axis, h) for h in range(min(p, default), max(p, default))]
+    graph = FaceSet(grid, frozenset(slice_faces))
+    toggles, _ = _boundary_toggle(graph, [f for c in cells for f in grid.subfaces(c)])
+    faces = sorted(graph.faces ^ toggles)
+    keys = grid.key_rows(faces)
+    walls = grid.frozen(keys) & (keys[:, 0] != mask)
+    return graph.with_faces(f for f, wall in zip(faces, walls) if not wall)
 
 
 def initialize_from_mesh(mesh: EmbeddedMesh, grid: DyadicGrid, *,
@@ -503,12 +450,8 @@ def quasiminimality_audit(fs: FaceSet, trials: int = 1000, seed: int = 0,
     deltas = np.array([m.delta_faces for m in moves])
 
     def farthest(center, lo, hi):
-        # per-face farthest corner distance, wrapped on identified axes
-        far = np.maximum(np.abs(lo - center), np.abs(hi - center))
-        for a in range(grid.ambient_dim):
-            if grid.identified[a]:
-                far[..., a] = np.minimum(far[..., a], grid.size - far[..., a])
-        return np.sqrt((far ** 2).sum(axis=-1))
+        # per-face distance to its farthest point, in the quotient
+        return np.sqrt((grid.farthest_offsets(center, lo, hi) ** 2).sum(axis=-1))
 
     worst = 1.0
     improving = 0

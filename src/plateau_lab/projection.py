@@ -431,12 +431,9 @@ def _assign_faces(corners: np.ndarray, grid: DyadicGrid) -> np.ndarray:
     identified axes a chunk on a non-canonical face key moves onto the
     canonical representative and its face is derived again."""
     keys = _derive_faces(corners, grid)
-    N = grid.subdivisions
-    lat = keys[:, 1:]
-    ident = np.array(grid.identified)
-    moved = np.any(ident & (lat % N != lat), axis=1)
-    shift = np.where(ident, (lat[moved] % N - lat[moved]) * (grid.size / N), 0.0)
-    shifted = corners[moved] + shift[:, None, :]
+    steps = (grid.canonical(keys) - keys)[:, 1:]
+    moved = steps.any(axis=1)
+    shifted = corners[moved] + (steps[moved] * grid.spacing)[:, None, :]
     keys[moved] = _derive_faces(shifted, grid)
     corners[moved] = shifted
     return keys
@@ -544,7 +541,6 @@ class StageRecord:
 
 @dataclass
 class ProjectionResult:
-    mesh: EmbeddedMesh
     skeleton_dim: int
     measure_in: float
     measure_out: float
@@ -560,19 +556,20 @@ class ProjectionResult:
     def content_measure_by_face(self) -> dict:
         return _ledger(self.pieces.face, self.pieces.vol)
 
+    @property
+    def mesh(self) -> EmbeddedMesh:
+        """The projected content: the outside chunks, then the pieces."""
+        chunks = list(self.outside_chunks) + list(self.pieces.corners)
+        if not chunks:
+            return EmbeddedMesh.empty(self.skeleton_dim, self.pieces.corners.shape[2])
+        mults = list(self.outside_mults) + self.pieces.mult.tolist()
+        return EmbeddedMesh.from_simplex_list(self.skeleton_dim, chunks, mults,
+                                              allow_degenerate=True)
+
 
 def _face_rng(seed: int, stage: int, face: CubeFace) -> np.random.Generator:
     key = (stage & 0xFFFFFFFF, face.axes & 0xFFFFFFFF) + tuple(int(x) & 0xFFFFFFFF for x in face.lattice)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
-
-
-def _assemble_mesh(dimension: int, ambient: int, pieces: PieceTable,
-                   outside_chunks: list, outside_mults: list) -> EmbeddedMesh:
-    chunks = list(outside_chunks) + list(pieces.corners)
-    if not chunks:
-        return EmbeddedMesh.empty(dimension, ambient)
-    mults = list(outside_mults) + pieces.mult.tolist()
-    return EmbeddedMesh.from_simplex_list(dimension, chunks, mults, allow_degenerate=True)
 
 
 def _project_groups(pieces: PieceTable, groups: list, centers: list, grid: DyadicGrid):
@@ -695,11 +692,10 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
         per_cell[cell] = {"measure_in": m_in, "measure_out": m_out,
                           "ratio": m_out / m_in if m_in > 1e-300 else 0.0}
 
-    final = _assemble_mesh(d, n, pieces, outside_chunks, outside_mults)
     plan = {"strategy": strategy, "trials": trials, "seed": seed,
             "eta": eta, "freeze_boundary": not all(grid.identified),
             "periodic": any(grid.identified)}
-    return ProjectionResult(final, d, measure_in, ordered_sum(pieces.vol),
+    return ProjectionResult(d, measure_in, ordered_sum(pieces.vol),
                             stages, per_cell, plan, pieces, outside_chunks, outside_mults)
 
 
@@ -714,18 +710,7 @@ def skeleton_deviation(result: ProjectionResult, grid: DyadicGrid) -> float:
 def _closed_cell_ledger(pieces: PieceTable, grid: DyadicGrid) -> dict:
     """{cell: H^d of the pieces in its closure}: content on a shared cell
     boundary counts for every touching cell."""
-    n, N = grid.ambient_dim, grid.subdivisions
-    # every piece against the 2**n choices of cell p-1 or p on each pinned
-    # axis p, wrapped on identified axes; the valid ones are the cells whose
-    # closure holds the piece, each once (p-1 and p are one cell when N = 1)
-    glued = np.array(grid.identified)
-    spans = grid.spans(pieces.face)[:, None, :]
-    upper = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-    lat = np.where(spans, pieces.face[:, None, 1:], pieces.face[:, None, 1:] - 1 + upper)
-    lat = np.where(glued, lat % N, lat)
-    same = spans | (glued & (N == 1))
-    valid = np.all((lat >= 0) & (lat < N) & ~(same & (upper == 1)), axis=2)
-    cells = np.concatenate([np.full(lat.shape[:2] + (1,), grid.full_mask), lat], axis=2)
+    cells, valid = grid.closure_cells(pieces.face)
     vol = np.broadcast_to(pieces.vol[:, None], valid.shape)
     return _ledger(cells[valid], vol[valid])
 
@@ -795,10 +780,8 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid) -> ProjectionResu
     rows = np.r_[rows, len(pieces) + np.flatnonzero(~first)]
     new_pieces = PieceTable.concat([pieces, images]).take(rows)
     collapsed = ordered_sum(pieces.vol[source[first]])
-    final = _assemble_mesh(d, grid.ambient_dim, new_pieces,
-                           result.outside_chunks, result.outside_mults)
     report = {"fired": True, "faces": len(groups), "collapsed_measure": collapsed}
-    return replace(result, mesh=final, measure_out=ordered_sum(new_pieces.vol),
+    return replace(result, measure_out=ordered_sum(new_pieces.vol),
                    collapse_applied=True, collapse_report=report, pieces=new_pieces)
 
 

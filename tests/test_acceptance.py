@@ -309,7 +309,7 @@ def test_criterion_09_minimizer():
         rep = mz.initialize_from_mesh(flat_slice_mesh(level=0.5, n=n_sub), grid)
         res = mz.minimize_faceset(rep.faceset)
         fixed_ok = fixed_ok and (res.final_measure == pytest.approx(1.0)
-                                 and not res.log.entries)
+                                 and not res.log)
 
     t0 = time.perf_counter()
     scheme = mz.run_scheme(wiggle_mesh(amplitude=0.1, n=32), torus(3, 1),

@@ -10,7 +10,9 @@ every public module-level name to the first rule: the package reads it
 outside its ``__init__.py`` files, so no API lives on for its tests alone.
 A last scan holds every defaulted parameter of a package function to the
 rule that some package call sets it, so no option lives on for its tests
-alone: an option with one value in use is a constant.
+alone: an option with one value in use is a constant.  The glue scan holds
+the boundary rule of identified axes to ``grids.py``: no other module reads
+a grid's ``identified`` flags or wraps a lattice index ``% N``.
 """
 from __future__ import annotations
 
@@ -354,3 +356,56 @@ UNSET_ALLOWED = {
 def test_every_keyword_option_is_set():
     unset = unset_options(_package())
     assert sorted(entry.split(": ")[1] for entry in unset) == sorted(UNSET_ALLOWED)
+
+
+def glue_decisions(sources: dict) -> list[str]:
+    """Sorted ``file: where`` of each read of an ``identified`` attribute and
+    each ``% N`` or ``% x.subdivisions`` outside ``grids.py``.  ``where`` is the
+    string key of the dict entry that holds the read, else its line."""
+    found = []
+    for path, source in sources.items():
+        if Path(path).name == "grids.py":
+            continue
+        tree = ast.parse(source)
+        entry = {id(node): key.value for d in ast.walk(tree) if isinstance(d, ast.Dict)
+                 for key, value in zip(d.keys, d.values) if isinstance(key, ast.Constant)
+                 for node in ast.walk(value)}
+        for node in ast.walk(tree):
+            mod = None
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+                mod = node.right
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod):
+                mod = node.value
+            wraps = getattr(mod, "id", getattr(mod, "attr", None)) in ("N", "subdivisions")
+            reads = (isinstance(node, ast.Attribute) and node.attr == "identified"
+                     and isinstance(node.ctx, ast.Load))
+            if wraps or reads:
+                found.append(f"{path}: {entry.get(id(node), f'line {node.lineno}')}")
+    return sorted(found)
+
+
+_GLUE_SOURCES = {
+    "grids.py": "ok = grid.identified\nlat = lat % N\n",
+    "a.py": ("plan = {'glued': any(grid.identified)}\n"
+             "lat = lat % grid.subdivisions\n"
+             "lat %= N\n"
+             "odd = k % 2\n"
+             "grid.identified = None\n"
+             "text = 'identified'\n"),
+}
+
+
+def test_the_scan_finds_a_glue_decision():
+    # grids.py may decide; a store, a string or another modulus is no decision
+    assert glue_decisions(_GLUE_SOURCES) == ["a.py: glued", "a.py: line 2", "a.py: line 3"]
+
+
+#: reads of ``identified`` outside grids.py, each kept for its reason
+GLUE_ALLOWED = {
+    "projection.py: freeze_boundary": "the projection plan records the grid's boundary rule",
+    "projection.py: periodic": "the projection plan records the grid's boundary rule",
+}
+
+
+def test_only_grids_decides_glued_axes():
+    assert glue_decisions(_package()) == sorted(GLUE_ALLOWED)

@@ -7,6 +7,7 @@ face enumerator that the other grid tests use.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -169,3 +170,83 @@ def test_grids_compare_and_hash_by_value():
                   torus(2, 4)):                         # dimension
         assert a != other and not a == other
     assert a != "torus" and a != None  # noqa: E711
+
+
+# ── glued axes over key rows: canonical, closure cells, farthest offsets ──
+
+GLUE_GRIDS = {f"n{n}-N{big_n}-{''.join('g' if b else 'w' for b in ident)}":
+              DyadicGrid(np.zeros(n), 1.0, big_n, ident)
+              for n in (2, 3) for big_n in (1, 2, 3)
+              for ident in itertools.product((False, True), repeat=n)}
+
+
+@pytest.mark.parametrize("name", sorted(GLUE_GRIDS))
+def test_canonical_matches_canonical_face_row_by_row(name):
+    """Key rows with lattice entries from -N to 2N, and every axes mask."""
+    grid = GLUE_GRIDS[name]
+    n, big_n = grid.ambient_dim, grid.subdivisions
+    rng = np.random.default_rng(sorted(GLUE_GRIDS).index(name))
+    keys = np.column_stack([rng.integers(0, grid.full_mask + 1, 300),
+                            rng.integers(-big_n, 2 * big_n + 1, (300, n))])
+    want = [[f.axes, *f.lattice] for f in (grid.canonical_face(CubeFace(r[0], tuple(r[1:])))
+                                           for r in keys.tolist())]
+    assert grid.canonical(keys).tolist() == want
+
+
+def oracle_closure_cells(grid, face):
+    """Cells whose closure holds the face, walked: p-1 or p on each pinned
+    axis, wrapped on identified axes and dropped off the walls of the others."""
+    big_n = grid.subdivisions
+    options = []
+    for a, glued in enumerate(grid.identified):
+        p = face.lattice[a]
+        near = (p,) if face.spans(a) else (p - 1, p)
+        options.append({i % big_n for i in near} if glued
+                       else {i for i in near if 0 <= i < big_n})
+    return sorted(CubeFace(grid.full_mask, lat) for lat in itertools.product(*options))
+
+
+@pytest.mark.parametrize("name", sorted(GLUE_GRIDS))
+def test_closure_cells_match_the_walk_each_cell_once(name):
+    """Every face of every dimension, the glued far planes (index N) too."""
+    grid = GLUE_GRIDS[name]
+    n = grid.ambient_dim
+    faces = [f for k in range(n + 1) for f in grid_faces(grid, k)]
+    cells, valid = grid.closure_cells(grid.key_rows(faces))
+    assert cells.shape == (len(faces), 2 ** n, n + 1) and valid.shape == cells.shape[:2]
+    for face, rows, keep in zip(faces, cells.tolist(), valid.tolist()):
+        got = [CubeFace(r[0], tuple(r[1:])) for r, k in zip(rows, keep) if k]
+        assert sorted(got) == oracle_closure_cells(grid, face)
+
+
+def test_farthest_offsets_reach_the_antipode_across_the_seam():
+    """Seen from (0.1, 0.1, 0.1) on the 3-torus, the square x in [0.5, 0.75],
+    y in [0, 0.25], z = 0 holds the antipode x = 0.6; its nearer x end 0.75
+    (0.35 around the seam) is not its farthest point."""
+    grid = torus(3, 4)
+    lo, hi = grid.face_bounds(CubeFace(0b011, (2, 0, 0)))
+    far = grid.farthest_offsets(np.full(3, 0.1), lo, hi)
+    assert far == pytest.approx([0.5, 0.15, 0.1])
+    assert math.sqrt((far ** 2).sum()) == pytest.approx(0.5315, abs=1e-4)
+
+
+@pytest.mark.parametrize("name", sorted(GLUE_GRIDS))
+def test_farthest_offsets_match_dense_sampling(name):
+    """The quotient distance splits over the axes, so a box's farthest point
+    is farthest on each axis on its own: sample each axis of every face at
+    1,025 points, fold the glued ones around the seam, and take the max."""
+    grid = GLUE_GRIDS[name]
+    n = grid.ambient_dim
+    faces = [f for k in range(n + 1) for f in grid_faces(grid, k)]
+    lo, hi = grid.bounds(grid.key_rows(faces))
+    t = np.linspace(0.0, 1.0, 1025)
+    step = grid.spacing / 1024
+    rng = np.random.default_rng(sorted(GLUE_GRIDS).index(name))
+    for center in grid.corner + rng.random((6, n)) * grid.size:
+        got = grid.farthest_offsets(center, lo, hi)
+        for a in range(n):
+            off = np.abs(lo[:, a, None] + (hi[:, a] - lo[:, a])[:, None] * t - center[a])
+            if grid.identified[a]:
+                off = np.minimum(np.fmod(off, grid.size), grid.size - np.fmod(off, grid.size))
+            want = off.max(axis=1)
+            assert np.all(got[:, a] >= want - 1e-12) and np.all(got[:, a] <= want + step)

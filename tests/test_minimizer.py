@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ def flat_faceset(n_sub: int = 4, level: int = 2) -> mz.FaceSet:
 
 def cell_boundary(grid, cell: CubeFace) -> frozenset:
     return frozenset(grid.canonical_face(f) for f in grid.subfaces(cell))
+
+
+def applied(fs: mz.FaceSet, move: mz.Move) -> mz.FaceSet:
+    """The face set after the move, as ``minimize_faceset`` applies it."""
+    return fs.with_faces(fs.faces ^ move.toggles)
 
 
 # ── face-set semantics ──
@@ -91,7 +97,7 @@ class TestMoves:
         best = min(moves, key=lambda m: m.sort_key())
         assert best.kind == "interior-projection"
         assert best.delta_faces == -4
-        after = mz.apply_move(fs, best)
+        after = applied(fs, best)
         assert after.faces == frozenset(slice_faces)
 
     def test_apply_move_is_an_involution_on_faces(self):
@@ -102,17 +108,17 @@ class TestMoves:
         move = [m for m in mz.admissible_moves(fs, only_improving=False)
                 if frozenset(m.toggles) == toggles]
         assert move, "the single-cell toggle should be admissible"
-        once = mz.apply_move(fs, move[0])
+        once = applied(fs, move[0])
         again = [m for m in mz.admissible_moves(once, only_improving=False)
                  if frozenset(m.toggles) == toggles]
-        assert again and mz.apply_move(once, again[0]).faces == fs.faces
+        assert again and applied(once, again[0]).faces == fs.faces
 
     def test_move_deltas_are_exact_face_counts(self):
         fs = flat_faceset(4)
         s = fs.grid.spacing
         # the flat slice has no improving move, so inspect the full menu
         for move in mz.admissible_moves(fs, only_improving=False):
-            after = mz.apply_move(fs, move)
+            after = applied(fs, move)
             assert len(after.faces) - len(fs.faces) == move.delta_faces
             assert after.measure() - fs.measure() == pytest.approx(
                 move.delta_faces * s**2, abs=1e-12)
@@ -140,7 +146,7 @@ class TestMoves:
         assert fs.is_relative_cycle()
         for move in mz.admissible_moves(fs, only_improving=False):
             if move.kind == "interior-projection":
-                assert mz.apply_move(fs, move).is_relative_cycle()
+                assert applied(fs, move).is_relative_cycle()
 
     def test_free_collapse_trims_a_whisker(self):
         # a dangling edge on a 2-torus curve: exactly one free ridge
@@ -163,7 +169,7 @@ class TestMoves:
 def test_flat_slice_is_a_fixed_point():
     result = mz.minimize_faceset(flat_faceset(4))
     assert result.final_measure == pytest.approx(1.0)
-    assert result.rounds == 0 or not result.log.entries
+    assert result.rounds == 0 or not result.log
     assert result.faceset.faces == flat_faceset(4).faces
 
 
@@ -173,8 +179,8 @@ def test_pimple_is_flattened_in_one_move():
     faces = frozenset(flat_slice_faces(4, 2)) ^ cell_boundary(grid, cell)
     result = mz.minimize_faceset(mz.FaceSet(grid, faces))
     assert result.final_measure == pytest.approx(1.0)
-    assert len(result.log.entries) == 1
-    entry = result.log.entries[0]
+    assert len(result.log) == 1
+    entry = result.log[0]
     assert entry["kind"] == "interior-projection"
 
 
@@ -472,6 +478,18 @@ def oracle_cell_across(grid, face, axis, level):
     return CubeFace(grid.full_mask, tuple(lat))
 
 
+def oracle_flip_moves(fs):
+    """One flip per cell on either side of a face of the set, walked face by face."""
+    grid = fs.grid
+    cells = set()
+    for f in fs.faces:
+        a = next(ax for ax in range(grid.ambient_dim) if not f.spans(ax))
+        cells |= {oracle_cell_across(grid, f, a, level)
+                  for level in (f.lattice[a] - 1, f.lattice[a])} - {None}
+    return [m for cell in sorted(cells) for m in mz._cell_boundary_move(
+        fs, "flip", [cell], (cell.axes,) + cell.lattice, False)]
+
+
 def oracle_audit(fs, trials, seed):
     """The audit with one ``farthest`` call per move and trial.
 
@@ -493,10 +511,16 @@ def oracle_audit(fs, trials, seed):
         move_bounds.append((np.array(ml), np.array(mh)))
 
     def farthest(center, lo, hi):
+        # on a glued axis the circle distance from the center peaks at its
+        # antipode; a box that misses the antipode peaks at an end
         far = np.maximum(np.abs(lo - center), np.abs(hi - center))
         for a in range(grid.ambient_dim):
             if grid.identified[a]:
-                far[..., a] = np.minimum(far[..., a], grid.size - far[..., a])
+                ends = [np.minimum(np.abs(x - center[a]), grid.size - np.abs(x - center[a]))
+                        for x in (lo[..., a], hi[..., a])]
+                antipode = (center[a] - grid.corner[a] + grid.size / 2) % grid.size + grid.corner[a]
+                holds = (lo[..., a] <= antipode) & (antipode <= hi[..., a])
+                far[..., a] = np.where(holds, grid.size / 2, np.maximum(*ends))
         return np.sqrt((far ** 2).sum(axis=-1))
 
     worst, improving, most_fits = 1.0, 0, 0
@@ -572,6 +596,8 @@ def test_ridge_table_and_its_readers_match_the_walks(name, seed):
         a = next(ax for ax in range(grid.ambient_dim) if not f.spans(ax))
         for level in range(-1, grid.subdivisions + 1):
             assert mz._cell_across(grid, f, a, level) == oracle_cell_across(grid, f, a, level)
+    assert _move_rows(mz.flip_moves(fs, only_improving=False)) == \
+        _move_rows(oracle_flip_moves(fs))
 
 
 def test_a_face_whose_ridges_wrap_onto_one_is_held_twice():
@@ -654,3 +680,108 @@ def test_batched_audit_matches_the_per_move_loop():
     # the batched min has to pick among several fitting moves somewhere
     assert max(most.values()) >= 2
     assert most["flat", 0] == 0
+
+
+# ── the graph completion against the wall stacks it replaced ──
+
+
+def oracle_completion(res, grid):
+    """The dominant-level graph completion with its wall stacks built by hand:
+    one pinned face per column plus the walls between neighbouring columns
+    of different levels, wrapped on identified axes."""
+    n = grid.ambient_dim
+    N = grid.subdivisions
+    cover = res.content_measure_by_face()
+    per_axis = [0.0] * n
+    for f, m in cover.items():
+        if f.dim == n - 1:
+            per_axis[mz._pinned_axis(f)] += m
+    axis = int(np.argmax(per_axis))
+    mask = grid.full_mask & ~(1 << axis)
+    levels = {}
+    for f, m in cover.items():
+        if f.dim != n - 1 or f.axes != mask:
+            continue
+        col = tuple(x for i, x in enumerate(f.lattice) if i != axis)
+        p = f.lattice[axis]
+        cur = levels.get(col)
+        if cur is None or m > cur[0] + 1e-15 or (abs(m - cur[0]) <= 1e-15 and p < cur[1]):
+            levels[col] = (m, p)
+    if levels:
+        tally = {}
+        for m, p in levels.values():
+            tally[p] = tally.get(p, 0.0) + m
+        default = max(sorted(tally), key=lambda p: tally[p])
+    else:
+        default = N // 2
+    other_axes = [a for a in range(n) if a != axis]
+    cols = list(np.ndindex(*([N] * len(other_axes))))
+    level_of = {col: levels.get(tuple(col), (0.0, default))[1] for col in cols}
+
+    def face_at(col, p):
+        lat = [0] * n
+        for i, a in enumerate(other_axes):
+            lat[a] = col[i]
+        lat[axis] = p
+        return CubeFace(mask, tuple(lat))
+
+    faces = {face_at(col, level_of[col]) for col in cols}
+    for col in cols:
+        for i, a in enumerate(other_axes):
+            nb = list(col)
+            nb[i] += 1
+            if nb[i] >= N:
+                if not grid.identified[a]:
+                    continue
+                nb[i] %= N
+            p0, p1 = level_of[col], level_of[tuple(nb)]
+            if p0 == p1:
+                continue
+            wall_mask = grid.full_mask & ~(1 << a)
+            for h in range(min(p0, p1), max(p0, p1)):
+                lat = [0] * n
+                for j, aa in enumerate(other_axes):
+                    lat[aa] = col[j]
+                lat[a] = col[i] + 1
+                lat[axis] = h
+                faces.add(grid.canonical_face(CubeFace(wall_mask, tuple(lat))))
+    return mz.FaceSet(grid, frozenset(faces))
+
+
+#: each grid with its canonical faces of dimension n-1 and below
+COMPLETION_GRIDS = [(grid, sorted({grid.canonical_face(f) for k in range(grid.ambient_dim)
+                                   for f in grid_faces(grid, k)}))
+                    for grid in (DyadicGrid(np.zeros(n), 1.0, big_n, ident)
+                                 for n in (2, 3) for big_n in range(1, 6)
+                                 for ident in itertools.product((False, True), repeat=n))]
+
+
+def random_cover(grid, faces, rng):
+    """A seeded coverage table: some of ``faces`` in a random order (the
+    order breaks chained ties), empty one time in twenty.  Most values come
+    from a few levels, each also moved by a few 1e-16, so columns and axes
+    tie within the 1e-15 tolerance."""
+    n = grid.ambient_dim
+    if rng.random() < 0.05:
+        return {}
+    picked = rng.permutation(len(faces))[:rng.integers(1, len(faces) + 1)]
+    base = rng.choice([0.25, 0.5, 1.0], size=picked.size) * grid.spacing ** (n - 1)
+    jitter = rng.integers(-4, 5, size=picked.size) * 3e-16
+    values = np.where(rng.random(picked.size) < 0.8, base + jitter,
+                      rng.random(picked.size) * grid.spacing ** (n - 1))
+    return {faces[i]: float(v) for i, v in zip(picked.tolist(), values.tolist())}
+
+
+def test_completion_matches_the_wall_stacks():
+    """3,000 seeded tables over n = 2, 3, N = 1..5 and every choice of
+    identified axes: box, torus and partly identified grids."""
+    rng = np.random.default_rng(2018)
+    empty = set()
+    for t in range(3000):
+        grid, faces = COMPLETION_GRIDS[t % len(COMPLETION_GRIDS)]
+        cover = random_cover(grid, faces, rng)
+        res = SimpleNamespace(content_measure_by_face=lambda cover=cover: cover)
+        got = mz._completion_faceset(res, grid)
+        assert got == oracle_completion(res, grid), (t, grid)
+        empty.add(not cover)
+    assert empty == {True, False}
