@@ -75,13 +75,13 @@ def line_cone(extent: float = 1.0, ambient: int = 2) -> EmbeddedMesh:
     """The x-axis through the origin, as two apex rays."""
     u = _pad([1.0], ambient)
     o = np.zeros(ambient)
-    return EmbeddedMesh.from_simplex_list(1, [[o, extent * u], [o, -extent * u]])
+    return EmbeddedMesh(1, [[o, extent * u], [o, -extent * u]])
 
 
 def _rays(angles: Sequence[float], extent: float, ambient: int) -> EmbeddedMesh:
     """Rays from the origin in the xy-plane at the given angles."""
     o = np.zeros(ambient)
-    return EmbeddedMesh.from_simplex_list(
+    return EmbeddedMesh(
         1, [[o, extent * _pad([math.cos(a), math.sin(a)], ambient)] for a in angles])
 
 
@@ -89,14 +89,14 @@ def plane_cone(extent: float = 1.0) -> EmbeddedMesh:
     """The xy-plane through the origin as a two-triangle square in 3-space."""
     R = extent
     p = [[-R, -R, 0.0], [R, -R, 0.0], [R, R, 0.0], [-R, R, 0.0]]
-    return EmbeddedMesh.from_simplex_list(2, [[p[0], p[1], p[2]], [p[0], p[2], p[3]]])
+    return EmbeddedMesh(2, [[p[0], p[1], p[2]], [p[0], p[2], p[3]]])
 
 
 def halfplane_cone(extent: float = 1.0) -> EmbeddedMesh:
     """The half-plane x >= 0 of the xy-plane; its edge is the y-axis."""
     R = extent
     p = [[0.0, -R, 0.0], [R, -R, 0.0], [R, R, 0.0], [0.0, R, 0.0]]
-    return EmbeddedMesh.from_simplex_list(2, [[p[0], p[1], p[2]], [p[0], p[2], p[3]]])
+    return EmbeddedMesh(2, [[p[0], p[1], p[2]], [p[0], p[2], p[3]]])
 
 
 def _sheets(phis: Sequence[float], extent: float) -> EmbeddedMesh:
@@ -107,7 +107,7 @@ def _sheets(phis: Sequence[float], extent: float) -> EmbeddedMesh:
         u = [math.cos(phi), math.sin(phi)]
         p = [[0.0, 0.0, -R], [R * u[0], R * u[1], -R], [R * u[0], R * u[1], R], [0.0, 0.0, R]]
         tris += [[p[0], p[1], p[2]], [p[0], p[2], p[3]]]
-    return EmbeddedMesh.from_simplex_list(2, tris)
+    return EmbeddedMesh(2, tris)
 
 
 def v_cone_azimuths(phi1: float, phi2: float, extent: float = 1.0) -> EmbeddedMesh:
@@ -134,7 +134,7 @@ def t_cone(extent: float = 1.0) -> EmbeddedMesh:
     for i in range(4):
         for j in range(i + 1, 4):
             tris.append([o, c * TETRA_DIRECTIONS[i], c * TETRA_DIRECTIONS[j]])
-    return EmbeddedMesh.from_simplex_list(2, tris)
+    return EmbeddedMesh(2, tris)
 
 
 #: azimuths of the rays of v1 and y1 and of the half-planes of v and y

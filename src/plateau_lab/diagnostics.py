@@ -126,7 +126,7 @@ class SlidingContext:
         R = 2.0 * extent
         p0 = foot - R * u
         p1 = foot + R * u
-        return EmbeddedMesh.from_simplex_list(2, [
+        return EmbeddedMesh(2, [
             [p0, p1, p1 - R * w],
             [p0, p1 - R * w, p0 - R * w],
         ])
@@ -293,7 +293,7 @@ def _one_sided(local: tuple, cone: EmbeddedMesh, radius: float, bound: float = m
     points, blocks = local
     if points.shape[0] == 0:
         return math.inf
-    return sup_distance(points, cone.simplex_corners(), bound, radius, blocks) / radius
+    return sup_distance(points, cone.corners, bound, radius, blocks) / radius
 
 
 def _sample_cone(cone: EmbeddedMesh, radius: float) -> np.ndarray:
@@ -312,7 +312,7 @@ def _two_sided(mesh: EmbeddedMesh, local: tuple, cone: EmbeddedMesh, world,
     points, blocks = world()
     if points.shape[0] == 0:
         return a
-    return max(a, sup_distance(points, mesh.simplex_corners(), bound, radius, blocks) / radius)
+    return max(a, sup_distance(points, mesh.corners, bound, radius, blocks) / radius)
 
 
 def _pattern_descent(fun, x0: np.ndarray, f0: float, step: float, depth: float):

@@ -238,7 +238,7 @@ def clipped_measure(mesh: EmbeddedMesh, ball: Ball) -> float:
         raise ValueError("ball and mesh ambient dimensions differ")
     if mesh.n_simplices == 0:
         return 0.0
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     vols = _corner_volumes(corners, mesh.dimension)
     surely_in, surely_out, _ = _corner_distance_band(corners, ball)
     unsure = ~surely_in & ~surely_out & ~(vols == 0.0)
@@ -256,7 +256,7 @@ def sphere_slice_measure(mesh: EmbeddedMesh, ball: Ball) -> float:
     """Exact H^{d-1} of mesh cap sphere: arc length for d=2, point count for d=1."""
     if ball.ambient_dim != mesh.ambient_dim:
         raise ValueError("ball and mesh ambient dimensions differ")
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     if mesh.n_simplices == 0:
         return 0.0
     surely_in, surely_out, dmax = _corner_distance_band(corners, ball)
@@ -346,7 +346,7 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball) -> EmbeddedMesh:
     """
     if ball.ambient_dim != mesh.ambient_dim:
         raise ValueError("ball and mesh ambient dimensions differ")
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     n = mesh.ambient_dim
     chunks: list[np.ndarray] = []
     mults: list[int] = []
@@ -355,13 +355,11 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball) -> EmbeddedMesh:
         a, b = corners[:, 0], corners[:, 1]
         ok, lo, hi = segment_ball_intervals(a, b, ball.center, ball.radius)
         keep = ok & ~(hi - lo <= 1e-14)
-        if not keep.any():
-            return EmbeddedMesh.empty(1, n)
         a, b, lo, hi = a[keep], b[keep], lo[keep, None], hi[keep, None]
         pa = np.where(lo == 0.0, a, a + lo * (b - a))
         pb = np.where(hi == 1.0, b, a + hi * (b - a))
-        return EmbeddedMesh.from_simplex_list(1, np.stack([pa, pb], axis=1),
-                                              mesh.multiplicities[keep], allow_degenerate=True)
+        return EmbeddedMesh(1, np.stack([pa, pb], axis=1), mesh.multiplicities[keep],
+                            allow_degenerate=True)
 
     angles = 2.0 * math.pi * np.arange(CLIP_SIDES) / CLIP_SIDES
     unit_poly = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -403,9 +401,7 @@ def clip_to_ball(mesh: EmbeddedMesh, ball: Ball) -> EmbeddedMesh:
             chunks.append(origins[i] + t[:, :1] * us[i] + t[:, 1:2] * vs[i])
             mults.append(mult)
 
-    if not chunks:
-        return EmbeddedMesh.empty(2, n)
-    return EmbeddedMesh.from_simplex_list(2, chunks, mults, allow_degenerate=True)
+    return EmbeddedMesh(2, np.reshape(chunks, (-1, 3, n)), mults, allow_degenerate=True)
 
 
 def _point_triangle_distance_2d(pt: np.ndarray, tri: np.ndarray) -> float:

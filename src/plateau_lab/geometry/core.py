@@ -2,7 +2,7 @@
 
 Everything downstream (grid projections, density diagnostics, the minimizer)
 speaks in terms of the small value types defined here.  Meshes are simplicial
-soups: a shared vertex array plus integer simplex rows.  No conformity is
+soups: one (S, d+1, n) array of simplex corners.  No conformity is
 required — simplices only need pairwise disjoint interiors, which all
 generators in this package maintain.
 """
@@ -23,10 +23,6 @@ MAX_AMBIENT_DIM = 6
 
 #: relative d-volume below which a simplex counts as degenerate
 DEGENERACY_REL_TOL = 1e-14
-
-#: the degeneracy check at construction runs over blocks of this many
-#: simplices, so it never holds a full-size corner array
-CHECK_BLOCK = 1 << 16
 
 #: cap on the number of simplices refine() may produce
 DEFAULT_REFINE_CAP = 2_000_000
@@ -145,16 +141,17 @@ class LineBoundary:
 class EmbeddedMesh:
     """A d-dimensional simplicial soup embedded in R^n (d in {1,2}, d < n).
 
-    ``vertices``: (V, n) float array.  ``simplices``: (S, d+1) integer rows of
-    vertex indices.  ``multiplicities``: (S,) integers (>= 1 for plain sets;
-    signed values appear only through net exports).  Degenerate simplices
-    (zero d-volume) are rejected unless ``allow_degenerate`` is set, in which
-    case they are carried along but contribute nothing to any measure.
+    ``corners``: (S, d+1, n) float array, one row of corner points per
+    simplex; which simplices share a point is not recorded (the file writers
+    number shared points themselves).  ``multiplicities``: (S,) integers
+    (>= 1 for plain sets; signed values appear only through net exports).
+    Degenerate simplices (zero d-volume, which includes a repeated corner)
+    are rejected unless ``allow_degenerate`` is set, in which case they are
+    carried along but contribute nothing to any measure.
     """
 
     dimension: int
-    vertices: np.ndarray
-    simplices: np.ndarray
+    corners: np.ndarray
     multiplicities: Optional[np.ndarray] = None
     allow_degenerate: bool = False
 
@@ -162,102 +159,49 @@ class EmbeddedMesh:
         d = int(self.dimension)
         if d not in (1, 2):
             raise ValueError("mesh dimension must be 1 or 2")
-        verts = np.asarray(self.vertices, dtype=float)
-        if verts.ndim != 2:
-            raise ValueError("vertices must be a (V, n) array")
-        n = verts.shape[1]
+        corners = np.asarray(self.corners, dtype=float)
+        if corners.ndim != 3 or corners.shape[1] != d + 1:
+            raise ValueError("corners must be an (S, d+1, n) array")
+        n = corners.shape[2]
         if not (MIN_AMBIENT_DIM <= n <= MAX_AMBIENT_DIM):
             raise ValueError("ambient dimension must be in 2..6")
         if d >= n:
             raise ValueError("mesh dimension must be smaller than ambient dimension")
-        if verts.size and not np.all(np.isfinite(verts)):
+        if corners.size and not np.all(np.isfinite(corners)):
             raise ValueError("vertex coordinates must be finite")
-        simp = np.asarray(self.simplices, dtype=np.int64)
-        if simp.size == 0:
-            simp = simp.reshape(0, d + 1)
-        if simp.ndim != 2 or simp.shape[1] != d + 1:
-            raise ValueError("simplices must be a (S, d+1) index array")
-        if simp.size:
-            if simp.min() < 0 or simp.max() >= verts.shape[0]:
-                raise ValueError("simplex index out of range")
-            if not self.allow_degenerate:
-                for j in range(d + 1):
-                    for k in range(j + 1, d + 1):
-                        if np.any(simp[:, j] == simp[:, k]):
-                            raise ValueError("simplex with repeated vertex index")
         mult = self.multiplicities
         if mult is None:
-            mult = np.ones(simp.shape[0], dtype=np.int64)
+            mult = np.ones(corners.shape[0], dtype=np.int64)
         else:
             mult = np.asarray(mult, dtype=np.int64)
-            if mult.shape != (simp.shape[0],):
+            if mult.shape != (corners.shape[0],):
                 raise ValueError("multiplicities must be one integer per simplex")
         object.__setattr__(self, "dimension", d)
-        object.__setattr__(self, "vertices", _freeze(verts))
-        object.__setattr__(self, "simplices", _freeze(simp))
+        object.__setattr__(self, "corners", _freeze(corners))
         object.__setattr__(self, "multiplicities", _freeze(mult))
-        if not self.allow_degenerate and simp.shape[0]:
-            bad = np.nonzero(np.concatenate([_degenerate(verts[simp[i:i + CHECK_BLOCK]], d)[1]
-                                             for i in range(0, simp.shape[0], CHECK_BLOCK)]))[0]
+        if not self.allow_degenerate:
+            bad = np.flatnonzero(_degenerate(corners, d)[1])
             if bad.size:
                 raise ValueError(f"degenerate simplex at rows {bad[:8].tolist()} (pass allow_degenerate to keep)")
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def empty(cls, dimension: int, ambient_dim: int) -> "EmbeddedMesh":
-        return cls(dimension, np.zeros((0, ambient_dim)), np.zeros((0, dimension + 1), dtype=np.int64))
-
-    @classmethod
-    def from_simplex_list(cls, dimension: int, corners, multiplicities=None,
-                          allow_degenerate: bool = False) -> "EmbeddedMesh":
-        """Build a mesh from simplex corners: an (S, d+1, n) array or a list of
-        (d+1, n) blocks.  Corners with equal bytes become one vertex (so -0.0
-        and 0.0 stay apart), numbered in order of first appearance."""
-        if not len(corners):
-            raise ValueError("empty simplex list; use EmbeddedMesh.empty")
-        corners = np.asarray(corners, dtype=float)
-        rows = np.ascontiguousarray(corners.reshape(-1, corners.shape[-1]))
-        # rows compare by their int64 words, which are their bytes; the sort is
-        # stable, so each run of equal rows starts at its first appearance
-        words = rows.view(np.int64)
-        order = np.lexsort(words.T[::-1])
-        ranked = words[order]
-        starts = np.concatenate([[True], np.any(ranked[1:] != ranked[:-1], axis=1)])
-        first = np.zeros(len(rows), dtype=bool)
-        first[order[starts]] = True
-        # a first appearance's vertex number counts the first appearances before it
-        number = np.cumsum(first) - 1
-        index = np.empty_like(order)
-        index[order] = number[order[starts]][np.cumsum(starts) - 1]
-        return cls(dimension, rows[first], index.reshape(corners.shape[:-1]),
-                   multiplicities, allow_degenerate)
 
     # -- basic queries ---------------------------------------------------------
 
     @property
     def ambient_dim(self) -> int:
-        return self.vertices.shape[1]
+        return self.corners.shape[2]
 
     @property
     def n_simplices(self) -> int:
-        return self.simplices.shape[0]
-
-    def simplex_corners(self) -> np.ndarray:
-        """(S, d+1, n) array of simplex corner coordinates."""
-        return self.vertices[self.simplices]
-
-    def _simplex_diameters(self) -> np.ndarray:
-        return _corner_diameters(self.simplex_corners(), self.dimension)
+        return self.corners.shape[0]
 
     def transformed(self, translation: Optional[np.ndarray] = None,
                     scale: float = 1.0) -> "EmbeddedMesh":
-        """Apply x -> scale * x + t to every vertex."""
-        verts = self.vertices * float(scale)
+        """Apply x -> scale * x + t to every corner."""
+        corners = self.corners * float(scale)
         if translation is not None:
-            verts = verts + np.asarray(translation, dtype=float)
-        return EmbeddedMesh(self.dimension, verts, self.simplices.copy(),
-                            self.multiplicities.copy(), allow_degenerate=self.allow_degenerate)
+            corners = corners + np.asarray(translation, dtype=float)
+        return EmbeddedMesh(self.dimension, corners, self.multiplicities,
+                            allow_degenerate=self.allow_degenerate)
 
 
 def _corner_volumes(corners: np.ndarray, d: int) -> np.ndarray:
@@ -277,7 +221,7 @@ def _corner_volumes(corners: np.ndarray, d: int) -> np.ndarray:
 
 def simplex_volumes(mesh: EmbeddedMesh) -> np.ndarray:
     """Unsigned d-volume per simplex."""
-    return _corner_volumes(mesh.simplex_corners(), mesh.dimension)
+    return _corner_volumes(mesh.corners, mesh.dimension)
 
 
 def _corner_diameters(corners: np.ndarray, d: int) -> np.ndarray:
@@ -299,7 +243,7 @@ def _effective_volumes(mesh: EmbeddedMesh) -> np.ndarray:
     """Simplex volumes with degenerate rows (if allowed) zeroed out."""
     if not (mesh.allow_degenerate and mesh.n_simplices):
         return simplex_volumes(mesh)
-    vols, degenerate = _degenerate(mesh.simplex_corners(), mesh.dimension)
+    vols, degenerate = _degenerate(mesh.corners, mesh.dimension)
     if degenerate.any():
         logger.debug("measure: %d degenerate simplices contribute 0", int(degenerate.sum()))
         vols = np.where(degenerate, 0.0, vols)
@@ -309,7 +253,8 @@ def _effective_volumes(mesh: EmbeddedMesh) -> np.ndarray:
 def measure(mesh: EmbeddedMesh) -> float:
     """Total d-dimensional Hausdorff measure of the mesh (multiplicity-blind).
 
-    Summation order is fixed (row order), so results are reproducible.
+    The volumes are added by ``np.sum``, pairwise over fixed blocks of the
+    rows, so the same rows give the same bits on every run.
     """
     return float(np.sum(_effective_volumes(mesh)))
 
@@ -335,7 +280,7 @@ def refine(mesh: EmbeddedMesh, eta: float) -> EmbeddedMesh:
     if mesh.n_simplices == 0:
         return mesh
     d = mesh.dimension
-    diam = mesh._simplex_diameters()
+    diam = _corner_diameters(mesh.corners, d)
     levels = np.zeros(mesh.n_simplices, dtype=np.int64)
     need = diam > eta
     levels[need] = np.ceil(np.log2(diam[need] / eta)).astype(np.int64)
@@ -345,7 +290,7 @@ def refine(mesh: EmbeddedMesh, eta: float) -> EmbeddedMesh:
     if total > DEFAULT_REFINE_CAP:
         raise ValueError(f"refine would produce {total:.0f} simplices (cap {DEFAULT_REFINE_CAP})")
 
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     mults = mesh.multiplicities
     children = np.array(_SPLIT_CHILDREN[d])
     for _ in range(int(levels.max())):
@@ -361,4 +306,4 @@ def refine(mesh: EmbeddedMesh, eta: float) -> EmbeddedMesh:
         corners = out
         levels = np.repeat(levels - split, counts)
         mults = np.repeat(mults, counts)
-    return EmbeddedMesh.from_simplex_list(d, corners, mults, mesh.allow_degenerate)
+    return EmbeddedMesh(d, corners, mults, mesh.allow_degenerate)

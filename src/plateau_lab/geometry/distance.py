@@ -209,7 +209,7 @@ def point_mesh_distance(points, mesh: EmbeddedMesh) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if mesh.n_simplices == 0:
         raise ValueError("distance to an empty mesh is undefined")
-    return points_to_simplices(pts, mesh.simplex_corners())
+    return points_to_simplices(pts, mesh.corners)
 
 
 def _check_spacing(spacing: float) -> None:
@@ -272,7 +272,7 @@ def sample_mesh(mesh: EmbeddedMesh, spacing: float,
     lattice, is a ``ValueError``, raised before any lattice is allocated.
     """
     _check_spacing(spacing)
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     margin = 0.0
     if ball is not None and corners.shape[0]:
         margin = _margin(corners, ball.center, ball.radius)
@@ -344,5 +344,5 @@ def local_hausdorff_distance(mesh_a: EmbeddedMesh, mesh_b: EmbeddedMesh,
         pts = sample_mesh(ranging, spacing, ball=ball)
         if pts.shape[0] == 0:
             continue
-        total += sup_distance(pts, target.simplex_corners())
+        total += sup_distance(pts, target.corners)
     return total / ball.radius

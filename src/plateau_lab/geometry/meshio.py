@@ -116,13 +116,48 @@ def atomic_write_text(path: PathLike, text: str) -> None:
 # triangle meshes: OFF / OBJ
 # ---------------------------------------------------------------------------
 
+def _vertex_table(corners: np.ndarray) -> tuple:
+    """(vertices, simplices) of (S, d+1, n) corners: corners with equal bytes
+    become one vertex (so -0.0 and 0.0 stay apart), numbered in order of
+    first appearance."""
+    rows = np.ascontiguousarray(corners.reshape(-1, corners.shape[-1]))
+    if not len(rows):
+        return rows, np.zeros(corners.shape[:-1], dtype=np.int64)
+    # rows compare by their int64 words, which are their bytes; the sort is
+    # stable, so each run of equal rows starts at its first appearance
+    words = rows.view(np.int64)
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    starts = np.concatenate([[True], np.any(ranked[1:] != ranked[:-1], axis=1)])
+    first = np.zeros(len(rows), dtype=bool)
+    first[order[starts]] = True
+    # a first appearance's vertex number counts the first appearances before it
+    number = np.cumsum(first) - 1
+    index = np.empty_like(order)
+    index[order] = number[order[starts]][np.cumsum(starts) - 1]
+    return rows[first], index.reshape(corners.shape[:-1])
+
+
+def _indexed_triangles(verts: np.ndarray, faces: list) -> EmbeddedMesh:
+    """The triangles of a file's vertex list and face rows, checked as
+    outside input: every vertex finite, used or not, and every index in
+    range."""
+    faces = np.array(faces, dtype=np.int64).reshape(len(faces), 3)
+    if verts.size and not np.all(np.isfinite(verts)):
+        raise ValueError("vertex coordinates must be finite")
+    if faces.size and (faces.min() < 0 or faces.max() >= verts.shape[0]):
+        raise ValueError("simplex index out of range")
+    return EmbeddedMesh(2, verts[faces], allow_degenerate=True)
+
+
 def mesh_to_off(mesh: EmbeddedMesh) -> str:
     if mesh.dimension != 2 or mesh.ambient_dim != 3:
         raise ValueError("OFF export requires a triangle mesh in R^3")
-    lines = ["OFF", f"{mesh.vertices.shape[0]} {mesh.n_simplices} 0"]
-    for v in mesh.vertices:
+    verts, simplices = _vertex_table(mesh.corners)
+    lines = ["OFF", f"{verts.shape[0]} {mesh.n_simplices} 0"]
+    for v in verts:
         lines.append(" ".join(fmt_float(x) for x in v))
-    for s in mesh.simplices:
+    for s in simplices:
         lines.append("3 " + " ".join(str(int(i)) for i in s))
     return "\n".join(lines) + "\n"
 
@@ -150,17 +185,18 @@ def mesh_from_off(text: str) -> EmbeddedMesh:
             pos += 4
     except IndexError:
         raise ValueError("OFF file ends before its declared vertices and faces") from None
-    return EmbeddedMesh(2, verts, np.array(faces, dtype=np.int64).reshape(len(faces), 3),
-                        allow_degenerate=True)
+    del tokens
+    return _indexed_triangles(verts, faces)
 
 
 def mesh_to_obj(mesh: EmbeddedMesh) -> str:
     if mesh.dimension != 2 or mesh.ambient_dim != 3:
         raise ValueError("OBJ export requires a triangle mesh in R^3")
+    verts, simplices = _vertex_table(mesh.corners)
     lines = []
-    for v in mesh.vertices:
+    for v in verts:
         lines.append("v " + " ".join(fmt_float(x) for x in v))
-    for s in mesh.simplices:
+    for s in simplices:
         lines.append("f " + " ".join(str(int(i) + 1) for i in s))
     return "\n".join(lines) + "\n"
 
@@ -179,9 +215,7 @@ def mesh_from_obj(text: str) -> EmbeddedMesh:
             if len(idx) != 3:
                 raise ValueError("only triangle faces are supported")
             faces.append(idx)
-    return EmbeddedMesh(2, np.array(verts, dtype=float).reshape(len(verts), 3),
-                        np.array(faces, dtype=np.int64).reshape(len(faces), 3),
-                        allow_degenerate=True)
+    return _indexed_triangles(np.array(verts, dtype=float).reshape(len(verts), 3), faces)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +227,7 @@ def mesh_to_segment_csv(mesh: EmbeddedMesh) -> str:
         raise ValueError("segment CSV export requires a d=1 mesh")
     n = mesh.ambient_dim
     lines = [f"# segments ambient={n}"]
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     for i in range(mesh.n_simplices):
         row = list(corners[i, 0]) + list(corners[i, 1])
         lines.append(",".join(fmt_float(x) for x in row))
@@ -222,7 +256,7 @@ def mesh_from_segment_csv(text: str) -> EmbeddedMesh:
         segs.append(np.array([vals[:n], vals[n:]], dtype=float))
     if not segs:
         raise ValueError("no segments in CSV")
-    return EmbeddedMesh.from_simplex_list(1, segs, allow_degenerate=True)
+    return EmbeddedMesh(1, segs, allow_degenerate=True)
 
 
 # ---------------------------------------------------------------------------

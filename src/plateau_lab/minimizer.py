@@ -33,7 +33,7 @@ import numpy as np
 
 from .geometry.core import Ball, EmbeddedMesh, ordered_sum
 from .grids import CubeFace, DyadicGrid
-from .projection import ProjectionResult, project_to_skeleton
+from .projection import project_to_skeleton
 
 logger = logging.getLogger(__name__)
 
@@ -103,8 +103,6 @@ class FaceSet:
         """The faces in sorted order, each as a segment or as the two
         triangles [p00, p10, p11] and [p00, p11, p01]."""
         grid, d = self.grid, self.dimension
-        if not self.faces:
-            return EmbeddedMesh.empty(d, grid.ambient_dim)
         if d not in (1, 2):
             raise ValueError("mesh chunks only for 1- and 2-faces")
         keys = grid.key_rows(sorted(self.faces))
@@ -114,8 +112,7 @@ class FaceSet:
             spans = grid.spans(keys)
             first = spans & (np.cumsum(spans, axis=1) == 1)
             corners = [lo, np.where(first, hi, lo), hi, lo, hi, np.where(spans & ~first, hi, lo)]
-        return EmbeddedMesh.from_simplex_list(
-            d, np.stack(corners, axis=1).reshape(-1, d + 1, grid.ambient_dim))
+        return EmbeddedMesh(d, np.stack(corners, axis=1).reshape(-1, d + 1, grid.ambient_dim))
 
     def with_faces(self, faces: Iterable[CubeFace]) -> "FaceSet":
         return FaceSet(self.grid, frozenset(faces))
@@ -319,17 +316,15 @@ class InitReport:
     covered_faces: int
 
 
-def _threshold_faceset(res: ProjectionResult, grid: DyadicGrid,
-                       threshold: float) -> FaceSet:
+def _threshold_faceset(cover: dict, grid: DyadicGrid, threshold: float) -> FaceSet:
     d = grid.ambient_dim - 1
     target = threshold * grid.spacing ** d
-    chosen = [f for f, m in res.content_measure_by_face().items()
-              if f.dim == d and m >= target]
+    chosen = [f for f, m in cover.items() if f.dim == d and m >= target]
     return FaceSet(grid, frozenset(chosen))
 
 
-def _completion_faceset(res: ProjectionResult, grid: DyadicGrid) -> FaceSet:
-    """Dominant-level graph completion.
+def _completion_faceset(cover: dict, grid: DyadicGrid) -> FaceSet:
+    """Dominant-level graph completion of the coverage ledger ``cover``.
 
     Pick the axis carrying the most projected coverage, choose the best
     level per column (argmax coverage, ties to the lower plane), and emit
@@ -340,7 +335,6 @@ def _completion_faceset(res: ProjectionResult, grid: DyadicGrid) -> FaceSet:
     """
     n = grid.ambient_dim
     N = grid.subdivisions
-    cover = res.content_measure_by_face()
     per_axis = [0.0] * n
     for f, m in cover.items():
         if f.dim == n - 1:
@@ -391,12 +385,12 @@ def initialize_from_mesh(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     """
     if mesh.dimension != grid.ambient_dim - 1:
         raise ValueError("initialization expects codimension-one content")
-    res = project_to_skeleton(mesh, grid, strategy=strategy, seed=seed)
-    fs = _threshold_faceset(res, grid, threshold)
+    cover = project_to_skeleton(mesh, grid, strategy=strategy, seed=seed).content_measure_by_face()
+    fs = _threshold_faceset(cover, grid, threshold)
     covered = len(fs.faces)
     if fs.faces and fs.is_relative_cycle():
         return InitReport(fs, "threshold", covered)
-    fs2 = _completion_faceset(res, grid)
+    fs2 = _completion_faceset(cover, grid)
     if not fs2.is_relative_cycle():
         logger.warning("completion faceset has %d odd ridges", len(fs2.odd_ridges()))
     return InitReport(fs2, "completion", covered)

@@ -548,8 +548,8 @@ class ProjectionResult:
     per_cell: dict
     plan: dict
     pieces: PieceTable = field(repr=False)
-    outside_chunks: list = field(repr=False)
-    outside_mults: list = field(repr=False)
+    outside_chunks: np.ndarray = field(repr=False)
+    outside_mults: np.ndarray = field(repr=False)
     collapse_applied: bool = False
     collapse_report: Optional[dict] = None
 
@@ -559,12 +559,10 @@ class ProjectionResult:
     @property
     def mesh(self) -> EmbeddedMesh:
         """The projected content: the outside chunks, then the pieces."""
-        chunks = list(self.outside_chunks) + list(self.pieces.corners)
-        if not chunks:
-            return EmbeddedMesh.empty(self.skeleton_dim, self.pieces.corners.shape[2])
-        mults = list(self.outside_mults) + self.pieces.mult.tolist()
-        return EmbeddedMesh.from_simplex_list(self.skeleton_dim, chunks, mults,
-                                              allow_degenerate=True)
+        return EmbeddedMesh(self.skeleton_dim,
+                            np.concatenate([self.outside_chunks, self.pieces.corners]),
+                            np.concatenate([self.outside_mults, self.pieces.mult]),
+                            allow_degenerate=True)
 
 
 def _face_rng(seed: int, stage: int, face: CubeFace) -> np.random.Generator:
@@ -609,13 +607,14 @@ def _project_groups(pieces: PieceTable, groups: list, centers: list, grid: Dyadi
 def split_into_grid(mesh: EmbeddedMesh, grid: DyadicGrid):
     """Split a mesh at all grid hyperplanes.
 
-    Returns (pieces, outside_chunks, outside_mults).  Pieces carry exact
+    Returns (pieces, outside_chunks, outside_mults), the outside content as a
+    (K, d+1, n) corner array and its (K,) multiplicities.  Pieces carry exact
     plane coordinates, their minimal face (canonical on identified axes,
     translating the piece into the canonical representative), and their owner
     cell.  Simplices whose bounding box misses Q are passed through verbatim,
     and so are chunks whose barycenter misses Q, all in simplex order.
     """
-    corners_all = mesh.simplex_corners()
+    corners_all = mesh.corners
     snap = SNAP_REL * grid.spacing
     lo_q, hi_q = grid.corner, grid.corner + grid.size
     missed = (np.any(corners_all.max(axis=1) < lo_q - snap, axis=1)
@@ -627,8 +626,8 @@ def split_into_grid(mesh: EmbeddedMesh, grid: DyadicGrid):
     inside = np.all((bary >= lo_q - snap) & (bary <= hi_q + snap), axis=1)
     source = np.concatenate([np.flatnonzero(missed), source_of[~inside]])
     order = np.argsort(source, kind="stable")
-    outside_chunks = list(np.concatenate([corners_all[missed], chunks[~inside]])[order])
-    outside_mults = mesh.multiplicities[source[order]].tolist()
+    outside_chunks = np.concatenate([corners_all[missed], chunks[~inside]])[order]
+    outside_mults = mesh.multiplicities[source[order]]
     corners = chunks[inside]
     face = _assign_faces(corners, grid)
     return (PieceTable(corners, mesh.multiplicities[source_of[inside]], face,

@@ -106,10 +106,7 @@ class MultiplicityNet:
 
     def as_segments_mesh(self) -> EmbeddedMesh:
         keep = self.multiplicities > 0
-        if not keep.any():
-            return EmbeddedMesh.empty(1, self.ambient_dim)
-        return EmbeddedMesh.from_simplex_list(1, self.points[self.edges[keep]],
-                                              self.multiplicities[keep])
+        return EmbeddedMesh(1, self.points[self.edges[keep]], self.multiplicities[keep])
 
 
 def check_kirchhoff(net: MultiplicityNet, terminals: Sequence[Terminal]) -> None:

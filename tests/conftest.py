@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from plateau_lab.geometry.core import EmbeddedMesh, as_point
-from plateau_lab.geometry.meshio import atomic_write_text, mesh_text
+from plateau_lab.geometry.meshio import _vertex_table, atomic_write_text, mesh_text
 from plateau_lab.grids import CubeFace, DyadicGrid
 
 
@@ -72,9 +72,11 @@ def quotient_distance(grid: DyadicGrid, p, q) -> float:
 
 
 def rotated(mesh: EmbeddedMesh, rot) -> EmbeddedMesh:
-    """The mesh with every vertex x moved to R x (rows ``vertices @ R.T``)."""
-    return EmbeddedMesh(mesh.dimension, mesh.vertices @ np.asarray(rot, dtype=float).T,
-                        mesh.simplices, mesh.multiplicities, mesh.allow_degenerate)
+    """The mesh with every vertex x moved to R x: the rows of its vertex
+    table turn as ``vertices @ R.T`` and are gathered back into corners."""
+    verts, simplices = _vertex_table(mesh.corners)
+    return EmbeddedMesh(mesh.dimension, (verts @ np.asarray(rot, dtype=float).T)[simplices],
+                        mesh.multiplicities, mesh.allow_degenerate)
 
 
 def segment_mesh(points, multiplicities=None) -> EmbeddedMesh:
@@ -82,7 +84,7 @@ def segment_mesh(points, multiplicities=None) -> EmbeddedMesh:
     pts = np.asarray(points, dtype=float)
     segs = np.column_stack([np.arange(len(pts) - 1), np.arange(1, len(pts))])
     mult = None if multiplicities is None else np.asarray(multiplicities, dtype=float)
-    return EmbeddedMesh(1, pts, segs, mult)
+    return EmbeddedMesh(1, pts[segs], mult)
 
 
 def graph_mesh(height, n: int = 16, corner=(0.0, 0.0, 0.0), size: float = 1.0,
@@ -111,8 +113,7 @@ def graph_mesh(height, n: int = 16, corner=(0.0, 0.0, 0.0), size: float = 1.0,
             d = i * (n + 1) + j + 1
             tris.append((a, b, c))
             tris.append((a, c, d))
-    return EmbeddedMesh(2, np.asarray(verts, dtype=float),
-                        np.asarray(tris, dtype=np.int64))
+    return EmbeddedMesh(2, np.asarray(verts, dtype=float)[np.asarray(tris, dtype=np.int64)])
 
 
 def flat_slice_mesh(level: float = 0.5, n: int = 8) -> EmbeddedMesh:
@@ -134,7 +135,7 @@ def square_patch(side: float = 1.0, z: float = 0.0) -> EmbeddedMesh:
         [0.0, 0.0, z], [side, 0.0, z], [side, side, z], [0.0, side, z],
     ])
     t = np.array([[0, 1, 2], [0, 2, 3]])
-    return EmbeddedMesh(2, v, t)
+    return EmbeddedMesh(2, v[t])
 
 
 @pytest.fixture

@@ -144,7 +144,7 @@ def test_criterion_04_cone_slice_identity():
 def _blob(seed: int, n_tri: int = 10) -> EmbeddedMesh:
     r = np.random.default_rng(seed)
     verts = r.uniform(0.08, 0.92, size=(n_tri * 3, 3))
-    return EmbeddedMesh(2, verts, np.arange(n_tri * 3).reshape(n_tri, 3))
+    return EmbeddedMesh(2, verts[np.arange(n_tri * 3).reshape(n_tri, 3)])
 
 
 def test_criterion_05_ff_projection():
@@ -152,8 +152,7 @@ def test_criterion_05_ff_projection():
 
     # (a) identity outside the box, bit exact
     far = np.array([[10.0, 10.0, 10.0], [11.0, 10.0, 10.0], [10.0, 11.0, 10.0]])
-    mesh = EmbeddedMesh.from_simplex_list(
-        2, [_blob(1).simplex_corners()[i] for i in range(10)] + [far])
+    mesh = EmbeddedMesh(2, [_blob(1).corners[i] for i in range(10)] + [far])
     res = proj.project_to_skeleton(mesh, grid, strategy="far")
     out_verts = {tuple(v) for chunk in res.outside_chunks for v in chunk}
     a_ok = all(tuple(v) in out_verts for v in far)
@@ -170,8 +169,7 @@ def test_criterion_05_ff_projection():
         c_ok = c_ok and ok
 
     # (d) diagonal with the pinned center
-    diag_mesh = EmbeddedMesh(1, np.array([[0.0, 0.0], [1.0, 1.0]]),
-                             np.array([[0, 1]]))
+    diag_mesh = EmbeddedMesh(1, np.array([[0.0, 0.0], [1.0, 1.0]])[np.array([[0, 1]])])
     sq = DyadicGrid(np.zeros(2), 1.0, 1)
     pieces, _, _ = proj.split_into_grid(diag_mesh, sq)
     lo, hi = sq.face_bounds(proj._cube_face(pieces.owner[0]))
@@ -182,7 +180,7 @@ def test_criterion_05_ff_projection():
 
     # (e) second collapse pass drains sparse interiors
     tiny = EmbeddedMesh(2, np.array([[0.30, 0.30, 0.30], [0.38, 0.31, 0.33],
-                                     [0.33, 0.39, 0.36]]), np.array([[0, 1, 2]]))
+                                     [0.33, 0.39, 0.36]])[np.array([[0, 1, 2]])])
     first = proj.project_to_skeleton(tiny, grid, strategy="far")
     drained = proj.extra_collapse(first, grid)
     e_ok = proj.interior_face_measure(drained, grid) <= 1e-12
@@ -231,7 +229,7 @@ def _flat_disk(r0: float, r1: float) -> EmbeddedMesh:
             d = (i + 1) * nth + (k + 1) % nth
             ts.append((a, b, d))
             ts.append((a, d, c))
-    return EmbeddedMesh(2, np.array(vs), np.array(ts))
+    return EmbeddedMesh(2, np.array(vs)[np.array(ts)])
 
 
 def test_criterion_07_big_projection():

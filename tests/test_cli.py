@@ -277,6 +277,43 @@ def test_blowup_keeps_a_point_segment_inside_the_ball(runner, tmp_path):
     assert out.read_text().splitlines()[1:] == ["0,0,0.5,0", "0.25,0.25,0.25,0.25"]
 
 
+def test_blowup_no_clip_numbers_shared_corners_in_order(runner, tmp_path):
+    """The written mesh keeps no trace of the input's vertex list: byte-equal
+    corners share one vertex, numbered in order of first appearance, so the
+    repeated origin merges, -0.0 stays apart and the unused vertex goes."""
+    mesh, out = tmp_path / "in.off", tmp_path / "zoom.off"
+    mesh.write_text("OFF\n7 3 0\n0 0 0\n1 0 0\n0 1 0\n0 0 0\n0 0 1\n9 9 9\n-0 0 0\n"
+                    "3 3 4 1\n3 0 1 2\n3 6 2 4\n")
+    r = runner.invoke(main, ["blowup", "--mesh", str(mesh), "--center", "0,0,0",
+                             "--radius", "0.5", "--no-clip", "--out", str(out)])
+    assert summary_of(r)["simplices"] == 3
+    assert out.read_text() == ("OFF\n5 3 0\n0 0 0\n0 0 2\n2 0 0\n0 2 0\n-0 0 0\n"
+                               "3 0 1 2\n3 0 2 3\n3 4 3 1\n")
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("high.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n", "simplex index out of range"),
+    ("negative.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 -1 1 2\n",
+     "simplex index out of range"),
+    ("high.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n", "simplex index out of range"),
+    ("negative.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n", "simplex index out of range"),
+    ("unused.off", "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\nnan 0 0\n3 0 1 2\n",
+     "vertex coordinates must be finite"),
+    ("unused.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv inf 0 0\nf 1 2 3\n",
+     "vertex coordinates must be finite"),
+])
+def test_bad_mesh_files_are_config_errors(runner, tmp_path, name, text, message):
+    """Indices out of range and non-finite vertices, used or not, are refused
+    as the file's fault, before any output is written."""
+    mesh, out = tmp_path / name, tmp_path / "zoom.off"
+    mesh.write_text(text)
+    r = runner.invoke(main, ["blowup", "--mesh", str(mesh), "--center", "0,0,0",
+                             "--radius", "1", "--out", str(out)])
+    assert r.exit_code == 2
+    assert f"mesh {mesh}: {message}" in r.stderr
+    assert not out.exists()
+
+
 def test_hausdorff_of_mesh_with_itself(runner, y_mesh):
     r = runner.invoke(main, ["hausdorff", "--mesh-a", y_mesh, "--mesh-b", y_mesh,
                              "--center", "0,0,0", "--radius", "1.0"])
@@ -427,7 +464,7 @@ def test_ff_project_determinism(runner, tmp_path):
     rng = np.random.default_rng(3)
     from plateau_lab.geometry.core import EmbeddedMesh
     verts = rng.uniform(0.1, 0.9, size=(9, 3))
-    write_mesh(str(mesh), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
+    write_mesh(str(mesh), EmbeddedMesh(2, verts[np.arange(9).reshape(3, 3)]))
     hashes = []
     for run in ("a", "b"):
         out = tmp_path / f"proj_{run}.off"
@@ -456,7 +493,7 @@ def test_partially_identified_grid_freezes_the_other_walls(runner, tmp_path):
                                     "--out", str(out), "--report", str(rep)]))
     plan = json.loads(rep.read_text())["plan"]
     assert plan["periodic"] is True and plan["freeze_boundary"] is True
-    segments = meshio.read_mesh(str(out)).simplex_corners().tolist()
+    segments = meshio.read_mesh(str(out)).corners.tolist()
     assert wall in segments and side not in segments
     assert all(any(x in (0.0, 0.5) for x in p[1:]) for s in segments if s != wall for p in s)
 
@@ -473,7 +510,7 @@ def test_locality_holds_beside_the_torus_seam(runner, tmp_path, strategy):
     v[:, 0] = 1 - rng.uniform(0.01, 0.225, 9)
     mesh = tmp_path / "seam.off"
     from plateau_lab.geometry.core import EmbeddedMesh
-    write_mesh(str(mesh), EmbeddedMesh(2, v, np.arange(9).reshape(3, 3)))
+    write_mesh(str(mesh), EmbeddedMesh(2, v[np.arange(9).reshape(3, 3)]))
     doc = summary_of(runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh),
                                           "--strategy", strategy]))
     assert doc["locality_ok"] is True
@@ -541,7 +578,7 @@ def test_ff_project_report_is_local(runner, tmp_path):
     rng = np.random.default_rng(5)
     from plateau_lab.geometry.core import EmbeddedMesh
     verts = rng.uniform(0.1, 0.9, size=(9, 3))
-    write_mesh(str(mesh), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
+    write_mesh(str(mesh), EmbeddedMesh(2, verts[np.arange(9).reshape(3, 3)]))
     rep = tmp_path / "rep.json"
     r = runner.invoke(main, ["ff-project", "--grid", str(grid), "--mesh", str(mesh),
                              "--report", str(rep)])
@@ -633,7 +670,7 @@ def test_flags_without_other_coverage(runner, y_mesh, tmp_path, case):
     blob = tmp_path / "blob.off"
     verts = np.random.default_rng(3).uniform(0.1, 0.9, size=(9, 3))
     from plateau_lab.geometry.core import EmbeddedMesh
-    write_mesh(str(blob), EmbeddedMesh(2, verts, np.arange(9).reshape(3, 3)))
+    write_mesh(str(blob), EmbeddedMesh(2, verts[np.arange(9).reshape(3, 3)]))
     flat = tmp_path / "flat.off"
     write_mesh(str(flat), flat_slice_mesh(level=0.5, n=4))
     gauge = tmp_path / "gauge.json"

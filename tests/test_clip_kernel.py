@@ -215,7 +215,7 @@ def triangle_sphere_arclength(corners, ball):
 
 
 def oracle_clipped_measure(mesh, ball):
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     vols = simplex_volumes(mesh)
     if mesh.n_simplices == 0:
         return 0.0
@@ -235,7 +235,7 @@ def oracle_clipped_measure(mesh, ball):
 
 
 def oracle_sphere_slice_measure(mesh, ball):
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     if mesh.n_simplices == 0:
         return 0.0
     surely_in, surely_out, dmax = _corner_distance_band(corners, ball)
@@ -256,7 +256,7 @@ def oracle_sphere_slice_measure(mesh, ball):
 
 
 def oracle_clip_to_ball(mesh, ball):
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     n = mesh.ambient_dim
     chunks, mults = [], []
     if mesh.dimension == 1:
@@ -271,8 +271,8 @@ def oracle_clip_to_ball(mesh, ball):
             chunks.append(np.array([pa, pb]))
             mults.append(int(mesh.multiplicities[i]))
         if not chunks:
-            return EmbeddedMesh.empty(1, n)
-        return EmbeddedMesh.from_simplex_list(1, chunks, mults, allow_degenerate=True)
+            return EmbeddedMesh(1, np.zeros((0, 2, n)))
+        return EmbeddedMesh(1, chunks, mults, allow_degenerate=True)
     m_sides = CLIP_SIDES
     angles = 2.0 * math.pi * np.arange(m_sides) / m_sides
     unit_poly = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -305,8 +305,8 @@ def oracle_clip_to_ball(mesh, ball):
             chunks.append(origin + t[:, :1] * u + t[:, 1:2] * v)
             mults.append(mult)
     if not chunks:
-        return EmbeddedMesh.empty(2, n)
-    return EmbeddedMesh.from_simplex_list(2, chunks, mults, allow_degenerate=True)
+        return EmbeddedMesh(2, np.zeros((0, 3, n)))
+    return EmbeddedMesh(2, chunks, mults, allow_degenerate=True)
 
 
 def test_clip_sides_are_the_fewest_within_the_tolerance():
@@ -352,7 +352,7 @@ def assert_measures_match(mesh, ball, clip=True):
 def clip_outcome(clip, mesh, ball):
     """The clipped mesh's arrays as bytes."""
     out = clip(mesh, ball)
-    return [getattr(out, f).tobytes() for f in ("vertices", "simplices", "multiplicities")]
+    return [getattr(out, f).tobytes() for f in ("corners", "multiplicities")]
 
 
 coords = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
@@ -367,7 +367,7 @@ def test_stacked_frames_and_walks_match_the_scalar_oracles(n, data, radius):
     corners = data.draw(arrays(np.float64, (data.draw(st.integers(1, 12)), 3, n), elements=coords))
     ball = Ball(data.draw(arrays(np.float64, (n,), elements=coords)), radius)
     assert_stacked_matches(corners, ball)
-    mesh = EmbeddedMesh(2, corners.reshape(-1, n), np.arange(corners.shape[0] * 3).reshape(-1, 3),
+    mesh = EmbeddedMesh(2, corners.reshape(-1, n)[np.arange(corners.shape[0] * 3).reshape(-1, 3)],
                         allow_degenerate=True)
     assert_measures_match(mesh, ball, clip=corners.shape[0] <= 4)
 
@@ -409,7 +409,7 @@ def test_touching_triangles_match_the_oracles(n, scale):
     assert_stacked_matches(tris, ball)
     rho2 = _frames(tris, ball)[1]
     assert rho2[6] == 0.0     # the tangent plane reaches rho^2 = 0 exactly
-    mesh = EmbeddedMesh(2, tris.reshape(-1, n), np.arange(tris.shape[0] * 3).reshape(-1, 3))
+    mesh = EmbeddedMesh(2, tris.reshape(-1, n)[np.arange(tris.shape[0] * 3).reshape(-1, 3)])
     assert_measures_match(mesh, ball)
 
 
@@ -426,7 +426,7 @@ def test_vertices_within_rounding_of_the_circle(n):
     tris[200:, 1] = tris[200:, 0] + 1e-13 * rng.normal(size=(100, n)) * (np.arange(n) < 2)
     for ball in (Ball(np.zeros(n), 1.0), Ball(np.eye(n)[2] * 0.6, 1.0 / 0.8)):
         assert_stacked_matches(tris, ball)
-    mesh = EmbeddedMesh(2, tris.reshape(-1, n), np.arange(900).reshape(-1, 3), allow_degenerate=True)
+    mesh = EmbeddedMesh(2, tris.reshape(-1, n)[np.arange(900).reshape(-1, 3)], allow_degenerate=True)
     assert_measures_match(mesh, Ball(np.zeros(n), 1.0), clip=False)
 
 
@@ -459,14 +459,14 @@ def segment_meshes(n, rng):
     radial = rng.normal(size=(10, n))
     radial /= np.linalg.norm(radial, axis=1)[:, None]
     segs[15:25] = np.stack([0.5 * radial, 2.0 * radial], axis=1)
-    return EmbeddedMesh(1, segs.reshape(-1, n), np.arange(120).reshape(-1, 2), allow_degenerate=True)
+    return EmbeddedMesh(1, segs.reshape(-1, n)[np.arange(120).reshape(-1, 2)], allow_degenerate=True)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_segment_meshes_match_the_oracles(n):
     rng = np.random.default_rng(n)
     mesh = segment_meshes(n, rng)
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     for ball in (Ball(np.zeros(n), 1.0), Ball(np.full(n, 0.5), 0.5), Ball(rng.normal(size=n), 0.8),
                  Ball(np.eye(n)[0], 1.0)):
         assert_measures_match(mesh, ball)
@@ -516,7 +516,7 @@ def test_slice_dedupe_of_twenty_thousand_crossers_is_fast():
     rng = np.random.default_rng(0)
     dirs = rng.normal(size=(20_000, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    mesh = EmbeddedMesh.from_simplex_list(1, list(np.stack([0.5 * dirs, 2.0 * dirs], axis=1)))
+    mesh = EmbeddedMesh(1, list(np.stack([0.5 * dirs, 2.0 * dirs], axis=1)))
     start = time.perf_counter()
     count = sphere_slice_measure(mesh, Ball(np.zeros(3), 1.0))
     assert time.perf_counter() - start < 1.0
@@ -527,5 +527,5 @@ def test_shared_sphere_points_are_counted_once():
     """Segments meeting at a point on the sphere count it once."""
     star = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.8, 0.0]])
     segs = [np.array([a, b]) for a in star for b in (np.zeros(3), 2.0 * a, a + 0.1)]
-    mesh = EmbeddedMesh.from_simplex_list(1, segs)
+    mesh = EmbeddedMesh(1, segs)
     assert sphere_slice_measure(mesh, Ball(np.zeros(3), 1.0)) == 4.0

@@ -68,13 +68,13 @@ def test_build_cone_dispatch_matches_direct_constructors():
 
 def same_mesh(a, b) -> bool:
     return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
-               for f in ("vertices", "simplices", "multiplicities"))
+               for f in ("corners", "multiplicities"))
 
 
 def explicit_rays(angles, extent, ambient):
     o = np.zeros(ambient)
     ends = [np.pad([math.cos(a), math.sin(a)], (0, ambient - 2)) for a in angles]
-    return EmbeddedMesh.from_simplex_list(1, [[o, extent * u] for u in ends])
+    return EmbeddedMesh(1, [[o, extent * u] for u in ends])
 
 
 def explicit_sheets(phis, extent):
@@ -83,7 +83,7 @@ def explicit_sheets(phis, extent):
     for phi in phis:
         c, s = R * math.cos(phi), R * math.sin(phi)
         tris += [[[0.0, 0.0, -R], [c, s, -R], [c, s, R]], [[0.0, 0.0, -R], [c, s, R], [0.0, 0.0, R]]]
-    return EmbeddedMesh.from_simplex_list(2, tris)
+    return EmbeddedMesh(2, tris)
 
 
 @pytest.mark.parametrize("extent", [0.3, 1.0, 1.5, 2.0 ** 0.5])

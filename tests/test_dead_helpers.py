@@ -12,7 +12,9 @@ A last scan holds every defaulted parameter of a package function to the
 rule that some package call sets it, so no option lives on for its tests
 alone: an option with one value in use is a constant.  The glue scan holds
 the boundary rule of identified axes to ``grids.py``: no other module reads
-a grid's ``identified`` flags or wraps a lattice index ``% N``.
+a grid's ``identified`` flags or wraps a lattice index ``% N``.  The vertex
+table scan holds shared vertex numbering to ``geometry/meshio.py``: a mesh is
+its corner array, and only the file writers and readers number vertices.
 """
 from __future__ import annotations
 
@@ -409,3 +411,40 @@ GLUE_ALLOWED = {
 
 def test_only_grids_decides_glued_axes():
     assert glue_decisions(_package()) == sorted(GLUE_ALLOWED)
+
+
+def vertex_table_uses(sources: dict) -> list[str]:
+    """Sorted ``file: line N`` of each read of a ``vertices`` or ``simplices``
+    attribute and each call of ``_vertex_table`` outside ``geometry/meshio.py``."""
+    found = []
+    for path, source in sources.items():
+        if Path(path).as_posix() == "geometry/meshio.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            reads = (isinstance(node, ast.Attribute) and node.attr in ("vertices", "simplices")
+                     and isinstance(node.ctx, ast.Load))
+            callee = getattr(node, "func", None)
+            calls = getattr(callee, "id", getattr(callee, "attr", None)) == "_vertex_table"
+            if reads or calls:
+                found.append(f"{path}: line {node.lineno}")
+    return sorted(found)
+
+
+_TABLE_SOURCES = {
+    "geometry/meshio.py": "verts, simps = _vertex_table(mesh.corners)\nn = mesh.vertices\n",
+    "meshio.py": "n = mesh.simplices\n",
+    "a.py": ("verts = mesh.vertices\n"
+             "table = meshio._vertex_table(c)\n"
+             "mesh.simplices = None\n"
+             "text = 'vertices'\n"
+             "corners = mesh.corners\n"),
+}
+
+
+def test_the_scan_finds_a_vertex_table_use():
+    # only geometry/meshio.py may number vertices; a store or a string is no use
+    assert vertex_table_uses(_TABLE_SOURCES) == ["a.py: line 1", "a.py: line 2", "meshio.py: line 1"]
+
+
+def test_only_meshio_numbers_vertices():
+    assert vertex_table_uses(_package()) == []

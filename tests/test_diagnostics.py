@@ -32,7 +32,7 @@ def polar_annulus(r0: float, r1: float, nr: int = 12, nth: int = 48) -> Embedded
             d = (i + 1) * nth + (k + 1) % nth
             ts.append((a, b, d))
             ts.append((a, d, c))
-    return EmbeddedMesh(2, np.array(vs), np.array(ts))
+    return EmbeddedMesh(2, np.array(vs)[np.array(ts)])
 
 
 # ── plain profiles ──

@@ -39,7 +39,7 @@ def oracle_sup(points, corners) -> float:
 
 
 def oracle_sample_mesh(mesh, spacing, ball=None):
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     out = []
     for i in range(mesh.n_simplices):
         if mesh.dimension == 1:
@@ -151,11 +151,11 @@ def random_mesh(d, n, rng, count=40, degenerate=0):
             corners[i, -1] = a + 1.3 * (b - a) + 10.0 ** rng.uniform(-12, -6) * rng.normal(size=n)
     verts = corners.reshape(-1, n)
     simp = np.arange(verts.shape[0]).reshape(count, d + 1)
-    return EmbeddedMesh(d, verts, simp, allow_degenerate=True)
+    return EmbeddedMesh(d, verts[simp], allow_degenerate=True)
 
 
 def points_on(mesh, rng, count):
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     w = rng.dirichlet(np.ones(mesh.dimension + 1), count)
     pick = rng.integers(0, mesh.n_simplices, count)
     return np.einsum("pk,pkn->pn", w, corners[pick])
@@ -165,7 +165,7 @@ def point_sets(mesh, rng):
     """Point sets in random order, where every block spans the whole set,
     and in sweep order, where blocks are local and the early exit bites."""
     n = mesh.ambient_dim
-    verts = mesh.vertices
+    verts = mesh.corners.reshape(-1, n)
     cloud = rng.uniform(-0.2, 1.2, (3000, n))
     return {
         "cloud": cloud,
@@ -194,7 +194,7 @@ DN = [(d, n) for d in (1, 2) for n in range(2, 7) if d < n]
 def test_sup_distance_matches_oracle(d, n, seed):
     rng = np.random.default_rng([seed, d, n])
     mesh = random_mesh(d, n, rng, degenerate=12 if d == 2 else 0)
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     for name, pts in point_sets(mesh, rng).items():
         got = sup_distance(pts, corners)
         assert got.hex() == oracle_sup(pts, corners).hex(), name
@@ -208,7 +208,7 @@ def test_sup_distance_on_block_boundaries(n):
     far target that makes every block's bounds loose."""
     rng = np.random.default_rng(n)
     mesh = random_mesh(1, n, rng)
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     for count in (SUP_BLOCK - 1, SUP_BLOCK, SUP_BLOCK + 1, 2 * SUP_BLOCK + 7):
         pts = rng.uniform(0.0, 1.0, (count, n))
         for target in (corners, corners[:1], corners + 1e3):
@@ -230,7 +230,7 @@ def test_sup_distance_skips_most_pairs(monkeypatch):
     mesh = graph_mesh(lambda x, y: 0.5 + 0.1 * math.sin(2 * math.pi * x), n=16)
     other = graph_mesh(lambda x, y: 0.45 + 0.1 * math.sin(2 * math.pi * y), n=16)
     pts = sample_mesh(mesh, 0.125 / 32, Ball(np.array([0.5, 0.5, 0.5]), 0.125))
-    corners = other.simplex_corners()
+    corners = other.corners
     want = oracle_sup(pts, corners)
     pairs = []
     kernel = dist._points_to_simplex
@@ -253,7 +253,7 @@ def test_bounded_sup_is_exact_below_its_bound(seed, dn, radius, kind, frac):
     d, n = dn
     rng = np.random.default_rng(seed)
     mesh = random_mesh(d, n, rng, count=20, degenerate=6 if d == 2 else 0)
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     pts = list(point_sets(mesh, rng).values())[int(rng.integers(0, 10))]
     want = oracle_sup(pts, corners)
     bound = {"inf": math.inf, "exact": want / radius, "below": frac * want / radius,
@@ -272,7 +272,7 @@ def test_bound_stops_after_the_first_block_that_reaches_it(monkeypatch):
     kernel, and its max falls short of the sup of all blocks."""
     rng = np.random.default_rng(5)
     mesh = random_mesh(2, 3, rng)
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     pts = point_sets(mesh, rng)["near"]
     want = oracle_sup(pts, corners)
     rows = []
@@ -335,7 +335,7 @@ def test_block_balls_carried_by_a_rigid_motion_keep_every_float(d, n, seed):
     bound, the same float below it and a value at or above it otherwise."""
     rng = np.random.default_rng([seed, d, n])
     mesh = random_mesh(d, n, rng, count=12)
-    middle = mesh.vertices.mean(axis=0)
+    middle = mesh.corners.reshape(-1, n).mean(axis=0)
     for count in (SUP_BLOCK - 1, SUP_BLOCK, SUP_BLOCK + 1, 2 * SUP_BLOCK):
         q = points_on(mesh, rng, count) + rng.normal(0.0, 0.05, (count, n)) - middle
         centers, radii = point_blocks(q)
@@ -343,7 +343,7 @@ def test_block_balls_carried_by_a_rigid_motion_keep_every_float(d, n, seed):
             for size in (0.0, 1.0, 1e3):
                 shift = size * rng.normal(size=n)
                 points = q @ rot + shift
-                target = (mesh.simplex_corners() - middle) @ rot + shift
+                target = (mesh.corners - middle) @ rot + shift
                 blocks = (centers @ rot + shift, radii)
                 want = sup_distance(points, target)
                 assert sup_distance(points, target, blocks=blocks).hex() == want.hex()
@@ -354,7 +354,7 @@ def test_block_balls_carried_by_a_rigid_motion_keep_every_float(d, n, seed):
                     else:
                         assert bound <= got <= want
     empty = np.zeros((0, n))
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     with pytest.raises(ValueError):
         oracle_sup(empty, corners)
     with pytest.raises(ValueError):
@@ -447,16 +447,17 @@ def test_triangle_kernel_with_every_row_in_one_region(n, region):
 
 def balls_for(mesh, rng):
     n = mesh.ambient_dim
-    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    verts = mesh.corners.reshape(-1, n)
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
     out = [None, Ball((lo + hi) / 2, 10.0)]
     out += [Ball(rng.uniform(lo, hi), r) for r in (0.05, 0.2, 0.4)]
     out.append(Ball(hi + 5.0, 1.0))                  # far: misses everything
-    v = mesh.vertices[0]
+    v = verts[0]
     u = rng.normal(size=n)
     u /= np.linalg.norm(u)
     out.append(Ball(v + 0.3 * u, 0.3))               # sphere through a vertex
     c = rng.uniform(lo, hi) + 0.3
-    gap = float(points_to_simplices(c[None, :], mesh.simplex_corners()).min())
+    gap = float(points_to_simplices(c[None, :], mesh.corners).min())
     out.append(Ball(c, gap))                          # tangent to the mesh
     out.append(Ball(c, gap * (1 + 1e-12)))
     return out
@@ -476,7 +477,7 @@ def test_culled_sampling_matches_oracle(d, n):
 def right_triangle(n, corners=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))):
     verts = np.zeros((3, n))
     verts[:, :2] = corners
-    return EmbeddedMesh(2, verts, np.array([[0, 1, 2]]), allow_degenerate=True)
+    return EmbeddedMesh(2, verts[np.array([[0, 1, 2]])], allow_degenerate=True)
 
 
 def edge_case_balls(n):
@@ -590,7 +591,7 @@ def test_sampling_cap_refuses_before_allocating():
 @pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
 def test_bad_spacing_is_refused_even_with_an_empty_mesh(spacing):
     full = random_mesh(2, 3, np.random.default_rng(1), count=3)
-    empty = EmbeddedMesh(2, full.vertices, np.zeros((0, 3), dtype=np.int64))
+    empty = EmbeddedMesh(2, full.corners[:0])
     ball = Ball(np.full(3, 0.5), 0.5)
     with pytest.raises(ValueError, match="spacing"):
         local_hausdorff_distance(full, empty, ball, spacing=spacing)

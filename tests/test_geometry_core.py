@@ -55,6 +55,18 @@ def triangles3(draw):
 
 
 @st.composite
+def soup_corners(draw, k, n):
+    """(S, k, n) corners drawn from a pool of a few points plus the origin
+    written with 0.0 and with -0.0, so rows repeat exactly or by sign only."""
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 4)), n),
+                       elements=st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1])))
+    pool = np.vstack([pool, np.zeros((1, n)), np.full((1, n), -0.0)])
+    rows = draw(arrays(np.int64, (draw(st.integers(1, 8)), k),
+                       elements=st.integers(0, len(pool) - 1)))
+    return pool[rows]
+
+
+@st.composite
 def balls3(draw):
     return Ball(draw(points3), draw(radii))
 
@@ -66,8 +78,7 @@ class TestMeasure:
     """H^d of simple meshes against closed-form values."""
 
     def test_unit_right_triangle(self):
-        m = EmbeddedMesh(2, np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]),
-                         np.array([[0, 1, 2]]))
+        m = EmbeddedMesh(2, np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])[np.array([[0, 1, 2]])])
         assert measure(m) == pytest.approx(0.5, abs=1e-15)
 
     def test_square_patch_area(self):
@@ -85,7 +96,7 @@ class TestMeasure:
     @given(triangles3())
     @settings(max_examples=100)
     def test_simplex_volume_matches_cross_product(self, tri):
-        m = EmbeddedMesh(2, tri, np.array([[0, 1, 2]]))
+        m = EmbeddedMesh(2, tri[np.array([[0, 1, 2]])])
         expect = 0.5 * np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
         assert simplex_volumes(m)[0] == pytest.approx(expect, rel=1e-12)
 
@@ -93,7 +104,7 @@ class TestMeasure:
         m = square_patch()
         fine = refine(m, 0.05)
         assert measure(fine) == pytest.approx(measure(m), rel=1e-12)
-        assert len(fine.simplices) > len(m.simplices)
+        assert len(fine.corners) > len(m.corners)
 
 
 def neumaier_sum(values, start=0):
@@ -167,7 +178,7 @@ class TestClipping:
     @given(triangles3(), balls3())
     @settings(max_examples=150, deadline=None)
     def test_inside_outside_partition(self, tri, ball):
-        m = EmbeddedMesh(2, tri, np.array([[0, 1, 2]]))
+        m = EmbeddedMesh(2, tri[np.array([[0, 1, 2]])])
         inside = clipped_measure(m, ball)
         outside = measure(m) - inside
         assert inside >= -1e-12 and outside >= -1e-12
@@ -178,7 +189,7 @@ class TestClipping:
         # clip_to_ball inscribes a polygon in the circular boundary that
         # misses at most CLIP_TOL of the disk, so it may undercount the
         # triangle's clip by that much of the ball's great disk, never overshoot
-        m = EmbeddedMesh(2, tri, np.array([[0, 1, 2]]))
+        m = EmbeddedMesh(2, tri[np.array([[0, 1, 2]])])
         exact = clipped_measure(m, ball)
         approx = measure(clip_to_ball(m, ball))
         assert -1e-9 <= exact - approx <= CLIP_TOL * math.pi * ball.radius**2 + 1e-9
@@ -263,8 +274,7 @@ class TestDistances:
 
     def test_local_hausdorff_detects_offset(self):
         a = square_patch(side=3.0)
-        shifted = EmbeddedMesh(2, a.vertices + np.array([0.0, 0.0, 0.12]),
-                               a.simplices, a.multiplicities)
+        shifted = EmbeddedMesh(2, a.corners + np.array([0.0, 0.0, 0.12]), a.multiplicities)
         ball = Ball(np.array([1.5, 1.5, 0.0]), 1.0)
         # sum of both one-sided sups, each normalized by the ball radius
         d = local_hausdorff_distance(a, shifted, ball)
@@ -279,14 +289,13 @@ class TestMeshIO:
         m = square_patch(side=1.5)
         text = meshio.mesh_to_off(m)
         back = meshio.mesh_from_off(text)
-        assert np.allclose(back.vertices, m.vertices)
-        assert np.array_equal(back.simplices, m.simplices)
+        assert np.array_equal(back.corners, m.corners)
         assert measure(back) == pytest.approx(measure(m), rel=1e-12)
 
     def test_obj_round_trip(self):
         m = square_patch()
         back = meshio.mesh_from_obj(meshio.mesh_to_obj(m))
-        assert np.allclose(back.vertices, m.vertices)
+        assert np.array_equal(back.corners, m.corners)
 
     def test_segment_csv_round_trip(self):
         # the CSV format stores bare segment coordinates; multiplicities
@@ -295,6 +304,33 @@ class TestMeshIO:
         back = meshio.mesh_from_segment_csv(meshio.mesh_to_segment_csv(m))
         assert measure(back) == pytest.approx(3.0)
         assert back.multiplicities.tolist() == [1, 1]
+
+    @given(st.data(), st.sampled_from(["off", "obj"]))
+    @settings(max_examples=60, deadline=None)
+    def test_triangle_writers_round_trip_the_corner_bytes(self, data, fmt):
+        """Corners drawn from a small pool with 0.0 beside -0.0 and exact
+        duplicates: the file holds one vertex per distinct corner bytes and
+        reads back the same corner bytes."""
+        corners = data.draw(soup_corners(3, 3))
+        text = getattr(meshio, f"mesh_to_{fmt}")(EmbeddedMesh(2, corners, allow_degenerate=True))
+        back = getattr(meshio, f"mesh_from_{fmt}")(text)
+        assert back.corners.tobytes() == corners.tobytes()
+        lines = text.splitlines()
+        written = (int(lines[1].split()[0]) if fmt == "off"
+                   else sum(line.startswith("v ") for line in lines))
+        assert written == len({row.tobytes() for row in corners.reshape(-1, 3)})
+
+    @given(st.data(), st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_segment_csv_round_trips_the_corner_bytes(self, data, n):
+        corners = data.draw(soup_corners(2, n))
+        back = meshio.mesh_from_segment_csv(
+            meshio.mesh_to_segment_csv(EmbeddedMesh(1, corners, allow_degenerate=True)))
+        assert back.corners.tobytes() == corners.tobytes()
+
+    def test_an_empty_mesh_writes_an_empty_off(self):
+        assert meshio.mesh_to_off(EmbeddedMesh(2, np.zeros((0, 3, 3)))) == "OFF\n0 0 0\n"
+        assert meshio.mesh_from_off("OFF\n0 0 0\n").n_simplices == 0
 
     def test_write_read_by_extension(self, tmp_path):
         m = square_patch()

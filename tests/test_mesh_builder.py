@@ -1,11 +1,10 @@
-"""The array mesh builder and refine against the loops they replaced.
+"""The writers' vertex table and refine against the loops they replaced.
 
-The oracles below are the code the builder ran before it worked on arrays:
-``from_simplex_list`` merged vertices one corner at a time in a dict keyed by
-the corner's bytes, and ``refine`` split one simplex at a time by recursion.
-Both then built the mesh a second time to attach multiplicities.  The array
-code must give the same vertices, simplex rows and multiplicities, byte for
-byte.
+The oracles below are the code that ran before it worked on arrays: the
+vertex numbering merged vertices one corner at a time in a dict keyed by the
+corner's bytes, and ``refine`` split one simplex at a time by recursion.  The
+array code must give the same vertices, simplex rows, corners and
+multiplicities, byte for byte.
 """
 from __future__ import annotations
 
@@ -15,12 +14,14 @@ import numpy as np
 import pytest
 
 from plateau_lab import cones
-from plateau_lab.geometry.core import DEFAULT_REFINE_CAP, EmbeddedMesh, measure, refine
+from plateau_lab.geometry.core import (DEFAULT_REFINE_CAP, EmbeddedMesh, _corner_diameters,
+                                       measure, refine)
+from plateau_lab.geometry.meshio import _vertex_table
 
 
 # ── oracles ──
 
-def oracle_from_simplex_list(dimension, chunks, multiplicities=None, allow_degenerate=False):
+def oracle_vertex_table(chunks):
     n = np.asarray(chunks[0], dtype=float).shape[1]
     key_to_idx: dict[bytes, int] = {}
     verts: list[np.ndarray] = []
@@ -37,16 +38,11 @@ def oracle_from_simplex_list(dimension, chunks, multiplicities=None, allow_degen
                 verts.append(v)
             row.append(idx)
         rows.append(row)
-    base = EmbeddedMesh(dimension, np.array(verts, dtype=float).reshape(len(verts), n),
-                        np.array(rows, dtype=np.int64), allow_degenerate=allow_degenerate)
-    if multiplicities is None:
-        return base
-    return EmbeddedMesh(dimension, base.vertices, base.simplices,
-                        np.array(multiplicities, dtype=np.int64), allow_degenerate=allow_degenerate)
+    return np.array(verts, dtype=float).reshape(len(verts), n), np.array(rows, dtype=np.int64)
 
 
 def oracle_refine(mesh, eta):
-    diam = mesh._simplex_diameters()
+    diam = _corner_diameters(mesh.corners, mesh.dimension)
     levels = np.zeros(mesh.n_simplices, dtype=np.int64)
     need = diam > eta
     levels[need] = np.ceil(np.log2(diam[need] / eta)).astype(np.int64)
@@ -71,7 +67,7 @@ def oracle_refine(mesh, eta):
         split_triangle(ca, bc, c, k - 1)
         split_triangle(ab, bc, ca, k - 1)
 
-    corners = mesh.simplex_corners()
+    corners = mesh.corners
     for i in range(mesh.n_simplices):
         before = len(chunks)
         if mesh.dimension == 1:
@@ -79,16 +75,19 @@ def oracle_refine(mesh, eta):
         else:
             split_triangle(corners[i, 0], corners[i, 1], corners[i, 2], int(levels[i]))
         mults.extend([int(mesh.multiplicities[i])] * (len(chunks) - before))
-    return oracle_from_simplex_list(mesh.dimension, chunks, mults, mesh.allow_degenerate)
+    return EmbeddedMesh(mesh.dimension, chunks, mults, mesh.allow_degenerate)
+
+
+def assert_same_arrays(got, want):
+    for i, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert a.shape == b.shape and a.dtype == b.dtype, i
+        assert a.tobytes() == b.tobytes(), i
 
 
 def assert_same_mesh(got, want):
     assert got.dimension == want.dimension
     assert got.allow_degenerate == want.allow_degenerate
-    for field in ("vertices", "simplices", "multiplicities"):
-        a, b = getattr(got, field), getattr(want, field)
-        assert a.shape == b.shape and a.dtype == b.dtype, field
-        assert a.tobytes() == b.tobytes(), field
+    assert_same_arrays((got.corners, got.multiplicities), (want.corners, want.multiplicities))
 
 
 # ── inputs ──
@@ -122,45 +121,50 @@ def distinct_soup(d, n, rng, count=40):
     return points[rows]
 
 
-# ── from_simplex_list ──
+# ── the vertex table ──
 
 @pytest.mark.parametrize("d,n", DN)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_builder_matches_oracle(d, n, seed):
     rng = np.random.default_rng([seed, d, n])
     corners = soup(d, n, rng)
-    mults = rng.integers(-3, 6, corners.shape[0])
-    for m in (None, mults):
-        want = oracle_from_simplex_list(d, list(corners), m, allow_degenerate=True)
-        assert_same_mesh(EmbeddedMesh.from_simplex_list(d, corners, m, True), want)
-        assert_same_mesh(EmbeddedMesh.from_simplex_list(d, list(corners), m, True), want)
+    want = oracle_vertex_table(list(corners))
+    assert_same_arrays(_vertex_table(corners), want)
+    verts, simplices = want
+    assert verts[simplices].tobytes() == corners.tobytes()
     clean = distinct_soup(d, n, rng)
-    assert_same_mesh(EmbeddedMesh.from_simplex_list(d, clean),
-                     oracle_from_simplex_list(d, list(clean)))
+    assert_same_arrays(_vertex_table(EmbeddedMesh(d, clean).corners),
+                       oracle_vertex_table(list(clean)))
 
 
 def test_signed_zeros_stay_apart():
     tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     flipped = np.array([[-0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, -0.0]])
-    mesh = EmbeddedMesh.from_simplex_list(2, [tri, flipped, tri])
-    assert mesh.vertices.shape[0] == 5
-    assert mesh.simplices.tolist() == [[0, 1, 2], [3, 1, 4], [0, 1, 2]]
-    assert np.signbit(mesh.vertices[3, 0]) and np.signbit(mesh.vertices[4, 2])
+    verts, simplices = _vertex_table(EmbeddedMesh(2, [tri, flipped, tri]).corners)
+    assert verts.shape[0] == 5
+    assert simplices.tolist() == [[0, 1, 2], [3, 1, 4], [0, 1, 2]]
+    assert np.signbit(verts[3, 0]) and np.signbit(verts[4, 2])
 
 
 def test_builder_refuses_an_empty_list():
-    with pytest.raises(ValueError, match="empty simplex list"):
-        EmbeddedMesh.from_simplex_list(2, [])
-    with pytest.raises(ValueError, match="empty simplex list"):
-        EmbeddedMesh.from_simplex_list(1, np.zeros((0, 2, 3)))
+    """An empty list has no (S, d+1, n) shape; an empty corner array is the
+    empty mesh, and its vertex table is empty."""
+    with pytest.raises(ValueError, match=r"\(S, d\+1, n\)"):
+        EmbeddedMesh(2, [])
+    mesh = EmbeddedMesh(1, np.zeros((0, 2, 3)))
+    assert (mesh.n_simplices, mesh.ambient_dim, mesh.multiplicities.shape) == (0, 3, (0,))
+    verts, simplices = _vertex_table(mesh.corners)
+    assert verts.shape == (0, 3) and simplices.shape == (0, 2) and simplices.dtype == np.int64
 
 
 def test_builder_checks_multiplicities_and_rows():
     tri = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
     with pytest.raises(ValueError, match="multiplicities"):
-        EmbeddedMesh.from_simplex_list(2, tri, [1, 2])
-    with pytest.raises(ValueError, match=r"\(S, d\+1\)"):
-        EmbeddedMesh.from_simplex_list(1, tri)
+        EmbeddedMesh(2, tri, [1, 2])
+    with pytest.raises(ValueError, match=r"\(S, d\+1, n\)"):
+        EmbeddedMesh(1, tri)
+    with pytest.raises(ValueError, match="degenerate simplex at rows \\[0\\]"):
+        EmbeddedMesh(2, tri[:, [0, 1, 0]])
 
 
 # ── refine ──
@@ -173,14 +177,14 @@ def mixed_level_mesh(d, n, rng, count=12):
     scale = np.geomspace(0.01, 1.0, count)[:, None, None]
     corners = anchor + scale * (corners - anchor)
     corners[0, 0] = -0.0
-    return EmbeddedMesh.from_simplex_list(d, corners, rng.integers(1, 5, count), True)
+    return EmbeddedMesh(d, corners, rng.integers(1, 5, count), True)
 
 
 @pytest.mark.parametrize("d,n", DN)
 def test_refine_matches_oracle(d, n):
     rng = np.random.default_rng([3, d, n])
     mesh = mixed_level_mesh(d, n, rng)
-    levels = np.ceil(np.log2(np.maximum(mesh._simplex_diameters() / 0.1, 1.0)))
+    levels = np.ceil(np.log2(np.maximum(_corner_diameters(mesh.corners, d) / 0.1, 1.0)))
     assert levels.min() == 0 and levels.max() >= 3
     for eta in (0.1, 0.37, 10.0):
         got = refine(mesh, eta)

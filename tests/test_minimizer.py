@@ -631,7 +631,7 @@ def oracle_face_chunks(grid, face):
 def test_to_mesh_measures():
     grid = DyadicGrid(np.zeros(3), 1.0, 2)
     fs = mz.FaceSet(grid, frozenset([CubeFace(0b011, (0, 1, 2))]))   # a square of side 1/2
-    corners = fs.to_mesh().simplex_corners()
+    corners = fs.to_mesh().corners
     assert corners.shape == (2, 3, 3)
     total = sum(0.5 * np.linalg.norm(np.cross(b - a, c - a)) for a, b, c in corners)
     assert total == pytest.approx(0.25)
@@ -650,17 +650,16 @@ MESH_GRIDS = {
 @pytest.mark.parametrize("name", sorted(MESH_GRIDS))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_to_mesh_matches_the_per_face_chunks(name, seed):
-    """Vertices, simplices and multiplicities bit for bit against the mesh of
+    """Corners and multiplicities bit for bit against the mesh of
     the per-face chunks, on about half of the grid's canonical d-faces."""
     grid = MESH_GRIDS[name]
     faces = sorted({grid.canonical_face(f) for f in grid_faces(grid, grid.ambient_dim - 1)})
     keep = np.random.default_rng(seed).random(len(faces)) < 0.5
     fs = mz.FaceSet(grid, frozenset(f for f, k in zip(faces, keep) if k))
     got = fs.to_mesh()
-    want = EmbeddedMesh.from_simplex_list(
+    want = EmbeddedMesh(
         fs.dimension, [c for f in sorted(fs.faces) for c in oracle_face_chunks(grid, f)])
-    assert got.vertices.tobytes() == want.vertices.tobytes()
-    assert got.simplices.tobytes() == want.simplices.tobytes()
+    assert got.corners.tobytes() == want.corners.tobytes()
     assert got.multiplicities.tobytes() == want.multiplicities.tobytes()
 
 
@@ -781,7 +780,7 @@ def test_completion_matches_the_wall_stacks():
         grid, faces = COMPLETION_GRIDS[t % len(COMPLETION_GRIDS)]
         cover = random_cover(grid, faces, rng)
         res = SimpleNamespace(content_measure_by_face=lambda cover=cover: cover)
-        got = mz._completion_faceset(res, grid)
+        got = mz._completion_faceset(cover, grid)
         assert got == oracle_completion(res, grid), (t, grid)
         empty.add(not cover)
     assert empty == {True, False}

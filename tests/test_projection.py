@@ -59,10 +59,10 @@ def test_oracle_value_for_the_standard_center():
 
 
 def test_fixed_center_diagonal_image_matches_oracle():
-    diag = EmbeddedMesh(1, np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[0, 1]]))
+    diag = EmbeddedMesh(1, np.array([[0.0, 0.0], [1.0, 1.0]])[np.array([[0, 1]])])
     grid = DyadicGrid(np.zeros(2), 1.0, 1)
     pieces, outside, _ = proj.split_into_grid(diag, grid)
-    assert outside == [] and len(pieces) == 1
+    assert len(outside) == 0 and len(pieces) == 1
     lo, hi = grid.face_bounds(proj._cube_face(pieces.owner[0]))
     imgs, _, _ = proj._project_batch(pieces.corners, np.zeros(1, dtype=int), np.array([[0.7, 0.3]]),
                                      lo[None], hi[None], [0, 1], grid.spacing)
@@ -78,7 +78,7 @@ def seeded_blob(seed: int, n_tri: int = 12, lo: float = 0.1, hi: float = 0.9):
     r = np.random.default_rng(seed)
     verts = r.uniform(lo, hi, size=(n_tri * 3, 3))
     tris = np.arange(n_tri * 3).reshape(n_tri, 3)
-    return EmbeddedMesh(2, verts, tris)
+    return EmbeddedMesh(2, verts[tris])
 
 
 def test_identity_outside_the_grid_box_is_bit_exact():
@@ -86,9 +86,8 @@ def test_identity_outside_the_grid_box_is_bit_exact():
     far = np.array([[10.0, 10.0, 10.0], [11.0, 10.0, 10.0], [10.0, 11.0, 10.0],
                     [-3.0, 0.5, 0.25], [-3.0, 1.5, 0.25], [-4.0, 0.5, 0.75]])
     far_tris = np.array([[0, 1, 2], [3, 4, 5]])
-    mesh = EmbeddedMesh.from_simplex_list(2, [inside.simplex_corners()[i]
-                                              for i in range(inside.n_simplices)]
-                                          + [far[t] for t in far_tris])
+    mesh = EmbeddedMesh(2, [inside.corners[i] for i in range(inside.n_simplices)]
+                        + [far[t] for t in far_tris])
     grid = DyadicGrid(np.zeros(3), 1.0, 2)
     result = proj.project_to_skeleton(mesh, grid, strategy="far")
     out_verts = {tuple(v) for chunk in result.outside_chunks for v in chunk}
@@ -96,7 +95,7 @@ def test_identity_outside_the_grid_box_is_bit_exact():
         for v in far[t]:
             assert tuple(v) in out_verts      # exact float equality, no tolerance
     # and the outside part is carried into the final mesh unchanged
-    mesh_verts = {tuple(v) for v in result.mesh.vertices}
+    mesh_verts = {tuple(v) for chunk in result.mesh.corners for v in chunk}
     assert out_verts <= mesh_verts
 
 
@@ -120,7 +119,7 @@ def beside_the_seam(seed: int) -> EmbeddedMesh:
     rng = np.random.default_rng(seed)
     v = rng.uniform(0, 1, (9, 3))
     v[:, 0] = 1 - rng.uniform(0.01, 0.225, 9)
-    return EmbeddedMesh(2, v, np.arange(9).reshape(3, 3))
+    return EmbeddedMesh(2, v[np.arange(9).reshape(3, 3)])
 
 
 @pytest.mark.parametrize("strategy", ["far", "chebyshev"])
@@ -172,7 +171,7 @@ def test_extra_collapse_empties_interior_on_sparse_input():
     # one tiny triangle: after projection no 2-face is fully covered, so the
     # second pass pushes everything into the 1-skeleton
     v = np.array([[0.30, 0.30, 0.30], [0.38, 0.31, 0.33], [0.33, 0.39, 0.36]])
-    mesh = EmbeddedMesh(2, v, np.array([[0, 1, 2]]))
+    mesh = EmbeddedMesh(2, v[np.array([[0, 1, 2]])])
     grid = DyadicGrid(np.zeros(3), 1.0, 2)
     first = proj.project_to_skeleton(mesh, grid, strategy="far")
     assert proj.interior_face_measure(first, grid) > 1e-6
@@ -185,7 +184,7 @@ def test_frozen_wall_content_is_not_interior():
     """A triangle in the z = 0 wall of a box stays where it is, and the
     collapse, which moves no wall content, leaves nothing interior."""
     v = np.array([[0.1, 0.1, 0.0], [0.3, 0.1, 0.0], [0.1, 0.3, 0.0]])
-    mesh = EmbeddedMesh(2, v, np.array([[0, 1, 2]]))
+    mesh = EmbeddedMesh(2, v[np.array([[0, 1, 2]])])
     grid = DyadicGrid(np.zeros(3), 1.0, 2)
     first = proj.project_to_skeleton(mesh, grid, strategy="far")
     collapsed = proj.extra_collapse(first, grid)

@@ -132,8 +132,8 @@ def oracle_segments_mesh(net):
     segs = [np.array([net.points[a], net.points[b]])
             for (a, b), k in zip(net.edges, keep) if k]
     if not segs:
-        return EmbeddedMesh.empty(1, net.ambient_dim)
-    return EmbeddedMesh.from_simplex_list(1, segs, net.multiplicities[keep])
+        return EmbeddedMesh(1, np.zeros((0, 2, net.ambient_dim)))
+    return EmbeddedMesh(1, segs, net.multiplicities[keep])
 
 
 def random_terminals(seed, N, dim, functional):
@@ -287,9 +287,9 @@ def test_net_arrays_match_the_loops():
     for net in net_cases():
         assert net.vertex_balance().tobytes() == oracle_vertex_balance(net).tobytes()
         got, want = net.as_segments_mesh(), oracle_segments_mesh(net)
-        for field in ("vertices", "simplices", "multiplicities"):
+        for field in ("corners", "multiplicities"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        assert got.vertices.shape == want.vertices.shape
+        assert got.corners.shape == want.corners.shape
 
 
 def test_batched_norms_match_linalg_norm():
