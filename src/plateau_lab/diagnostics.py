@@ -166,6 +166,8 @@ def blowup(mesh: EmbeddedMesh, center, radius: float, clip: bool = True) -> Embe
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     c = as_point(center)
+    if c.shape[0] != mesh.ambient_dim:
+        raise ValueError("ball and mesh ambient dimensions differ")
     scaled = mesh.transformed(scale=1.0 / radius, translation=-c / radius)
     if not clip:
         return scaled

@@ -7,8 +7,9 @@ The localized gap between two sets on a ball B(x, r) is
 with the convention that a term is 0 when its ranging set misses the ball or
 its target set is empty.  Sups are estimated by dense deterministic sampling
 of the ranging mesh (exact clip for segments, barycentric lattices for
-triangles); distances to the target are exact, so the estimate errs low by at
-most the sampling pitch.
+triangles); distances to the target are exact, to its simplices or, for grid
+faces, by one clamp to each face's box, so the estimate errs low by at most
+the sampling pitch.
 
 Both steps are culled by bounding balls without changing a bit: sampling
 skips the simplices that cannot reach the ball and, on each lattice row, the
@@ -107,6 +108,13 @@ def _points_to_triangle(points: np.ndarray, a: np.ndarray, b: np.ndarray,
     return np.linalg.norm(points - closest, axis=1)
 
 
+def _points_to_box(points: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Exact distances from points to the axis-aligned box [lo, hi] = ``box``,
+    one clamp: ``|max(lo - p, 0, p - hi)|``."""
+    lo, hi = box
+    return np.linalg.norm(np.maximum(np.maximum(lo - points, 0.0), points - hi), axis=1)
+
+
 def _points_to_simplex(points: np.ndarray, c: np.ndarray) -> np.ndarray:
     if c.shape[0] == 2:
         return _points_to_segment(points, c[0], c[1])
@@ -149,7 +157,7 @@ def point_blocks(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sup_distance(points: np.ndarray, corners: np.ndarray, bound: float = math.inf,
-                 radius: float = 1.0, blocks=None) -> float:
+                 radius: float = 1.0, blocks=None, boxes: bool = False) -> float:
     """``points_to_simplices(points, corners).max()`` to the bit, most pairs skipped.
 
     The early break of Taha & Hanbury (IEEE TPAMI 37, 2015) over blocks of
@@ -169,9 +177,15 @@ def sup_distance(points: np.ndarray, corners: np.ndarray, bound: float = math.in
     divides to at least ``bound`` too, so a caller that keeps only values
     below ``bound`` keeps exact ones.  ``blocks`` are ``point_blocks(points)``,
     computed here when not given.
+
+    With ``boxes``, ``corners`` are the (S, 2, n) [lo, hi] rows of
+    axis-aligned boxes, and each pair runs ``_points_to_box``.  The bounds
+    hold as they are: a box's bounding ball is its circumscribed ball, and
+    lo and hi are points of the box.
     """
     if points.shape[0] == 0 or corners.shape[0] == 0:
-        return float(points_to_simplices(points, corners).max())
+        return float(np.full(points.shape[0], math.inf).max())
+    kernel = _points_to_box if boxes else _points_to_simplex
     s_center, s_radius = _bounding_balls(corners)
     margin = _margin(points, corners)
     centers, radii = point_blocks(points) if blocks is None else blocks
@@ -193,7 +207,7 @@ def sup_distance(points: np.ndarray, corners: np.ndarray, bound: float = math.in
         for s in np.argsort(lower, kind="stable"):
             if lower[s] > best[rows].max():
                 break
-            best[rows] = np.minimum(best[rows], _points_to_simplex(block[rows], corners[s]))
+            best[rows] = np.minimum(best[rows], kernel(block[rows], corners[s]))
             rows = rows[best[rows] > cmax]
             if rows.size == 0:
                 break
@@ -328,8 +342,15 @@ def sample_mesh(mesh: EmbeddedMesh, spacing: float,
 
 
 def local_hausdorff_distance(mesh_a: EmbeddedMesh, mesh_b: EmbeddedMesh,
-                             ball: Ball, spacing: Optional[float] = None) -> float:
-    """Two-sided localized gap between two meshes on a ball (see module doc)."""
+                             ball: Ball, spacing: Optional[float] = None,
+                             boxes: Optional[tuple] = None) -> float:
+    """Two-sided localized gap between two meshes on a ball (see module doc).
+
+    ``boxes`` are the [lo, hi] rows of the two meshes' axis-aligned faces
+    (``FaceSet.boxes``), when each mesh is its faces cut into simplices: the
+    samples still come from the simplices, and each side measures to the
+    other's boxes, one clamp per box.
+    """
     if mesh_a.ambient_dim != mesh_b.ambient_dim:
         raise ValueError("meshes live in different ambient dimensions")
     if ball.ambient_dim != mesh_a.ambient_dim:
@@ -337,12 +358,13 @@ def local_hausdorff_distance(mesh_a: EmbeddedMesh, mesh_b: EmbeddedMesh,
     if spacing is None:
         spacing = ball.radius / DEFAULT_SAMPLING_DIVISOR
     _check_spacing(spacing)
+    targets = (mesh_b.corners, mesh_a.corners) if boxes is None else boxes[::-1]
     total = 0.0
-    for ranging, target in ((mesh_a, mesh_b), (mesh_b, mesh_a)):
-        if ranging.n_simplices == 0 or target.n_simplices == 0:
+    for ranging, target in zip((mesh_a, mesh_b), targets):
+        if ranging.n_simplices == 0 or target.shape[0] == 0:
             continue
         pts = sample_mesh(ranging, spacing, ball=ball)
         if pts.shape[0] == 0:
             continue
-        total += sup_distance(pts, target.corners)
+        total += sup_distance(pts, target, boxes=boxes is not None)
     return total / ball.radius

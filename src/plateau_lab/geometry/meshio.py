@@ -203,13 +203,16 @@ def mesh_to_obj(mesh: EmbeddedMesh) -> str:
 
 def mesh_from_obj(text: str) -> EmbeddedMesh:
     verts, faces = [], []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "v":
-            verts.append([float(x) for x in parts[1:4]])
+            if len(parts) != 4:
+                raise ValueError(f"line {number}: a vertex takes exactly three coordinates, "
+                                 f"got {len(parts) - 1}")
+            verts.append([float(x) for x in parts[1:]])
         elif parts[0] == "f":
             idx = [int(p.split("/", 1)[0]) - 1 for p in parts[1:]]
             if len(idx) != 3:

@@ -31,6 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .geometry import distance
 from .geometry.core import Ball, EmbeddedMesh, ordered_sum
 from .grids import CubeFace, DyadicGrid
 from .projection import project_to_skeleton
@@ -99,17 +100,21 @@ class FaceSet:
         """Even incidence at every ridge off the frozen walls."""
         return bool(self.grid.frozen(self.grid.key_rows(self.odd_ridges())).all())
 
+    @cached_property
+    def boxes(self) -> np.ndarray:
+        """(S, 2, n): each face's [lo, hi] rows, faces in sorted order."""
+        return np.stack(self.grid.bounds(self.grid.key_rows(sorted(self.faces))), axis=1)
+
     def to_mesh(self) -> EmbeddedMesh:
         """The faces in sorted order, each as a segment or as the two
         triangles [p00, p10, p11] and [p00, p11, p01]."""
         grid, d = self.grid, self.dimension
         if d not in (1, 2):
             raise ValueError("mesh chunks only for 1- and 2-faces")
-        keys = grid.key_rows(sorted(self.faces))
-        lo, hi = grid.bounds(keys)
+        lo, hi = self.boxes[:, 0], self.boxes[:, 1]
         corners = [lo, hi]
         if d == 2:
-            spans = grid.spans(keys)
+            spans = hi != lo     # the axes each face spans
             first = spans & (np.cumsum(spans, axis=1) == 1)
             corners = [lo, np.where(first, hi, lo), hi, lo, hi, np.where(spans & ~first, hi, lo)]
         return EmbeddedMesh(d, np.stack(corners, axis=1).reshape(-1, d + 1, grid.ambient_dim))
@@ -495,8 +500,6 @@ def run_scheme(mesh: EmbeddedMesh, domain: DyadicGrid, subdivision_levels: Seque
     ladder: centers sampled on the finest minimizer, one row per (center,
     radius) scale.
     """
-    from .geometry.distance import local_hausdorff_distance
-
     _check_audit_trials(audit_trials)
     size = domain.size
     levels = []
@@ -517,6 +520,8 @@ def run_scheme(mesh: EmbeddedMesh, domain: DyadicGrid, subdivision_levels: Seque
         step = max(1, len(faces) // LADDER_CENTERS)
         centers = [fine.grid.face_center(f) for f in faces[::step][:LADDER_CENTERS]]
         meshes = [lv.result.faceset.to_mesh() for lv in levels]
+        # the target side measures to the faces' boxes, whose triangles these are
+        boxes = [lv.result.faceset.boxes for lv in levels]
         for (ia, ma), mb in zip(enumerate(meshes), meshes[1:]):
             row = {"coarse": levels[ia].subdivisions,
                    "fine": levels[ia + 1].subdivisions, "gaps": []}
@@ -524,7 +529,8 @@ def run_scheme(mesh: EmbeddedMesh, domain: DyadicGrid, subdivision_levels: Seque
                 gaps = []
                 for c in centers:
                     try:
-                        gaps.append(local_hausdorff_distance(ma, mb, Ball(c, r * size)))
+                        gaps.append(distance.local_hausdorff_distance(
+                            ma, mb, Ball(c, r * size), boxes=(boxes[ia], boxes[ia + 1])))
                     except ValueError:
                         continue
                 row["gaps"].append({"radius": r * size,

@@ -1,18 +1,26 @@
-"""Every library function the bench traces still exists.
+"""Every library function the bench traces still exists, and the work it
+times still runs through it.
 
 ``bench/spans.py`` wraps functions by (module, name) and records a missing
 one only in the trace report, so a refactor that renames or deletes a hooked
-function would silently drop its span.  This test reads ``bench/`` and
-changes nothing there.
+function would silently drop its span, and one that moves work out from
+under a hooked name leaves its span timing less.  This test reads ``bench/``
+and changes nothing there.
 """
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import pytest
+
+from plateau_lab import minimizer as mz
+from plateau_lab.geometry import distance
+
+from conftest import graph_mesh, torus
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -32,3 +40,34 @@ spans = _load_spans()
 @pytest.mark.parametrize("module,attr", sorted({(m, a) for _, m, a, _ in spans.HOOKS + spans.COUNTERS}))
 def test_hooked_name_is_callable(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_the_ladder_runs_through_the_hooked_names(monkeypatch):
+    """The ``geometry.hausdorff`` and ``geometry.sample`` spans time the
+    minimizer's Hausdorff ladder only while ``run_scheme`` reaches its gaps
+    and their samples through these two module attributes.  Each gap is one
+    call, and each of its two sides samples inside it."""
+    hooked = {(m, a): name for name, m, a, _ in spans.HOOKS}
+    calls, depth = [], [0]
+
+    def counted(attr, fn):
+        def call(*args, **kwargs):
+            calls.append((attr, depth[0]))
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return call
+
+    for attr, span in (("local_hausdorff_distance", "geometry.hausdorff"),
+                       ("sample_mesh", "geometry.sample")):
+        assert hooked[("plateau_lab.geometry.distance", attr)] == span
+        monkeypatch.setattr(distance, attr, counted(attr, getattr(distance, attr)))
+    monkeypatch.setattr(mz, "LADDER_CENTERS", 3)
+    surface = graph_mesh(lambda x, y: 0.45 + 0.15 * math.sin(2 * math.pi * x)
+                         * math.sin(2 * math.pi * (y + 0.3)), n=8)
+    mz.run_scheme(surface, torus(3, 1), [4, 8], audit_trials=20, seed=0)
+    assert calls.count(("local_hausdorff_distance", 0)) == 3 * len(mz.LADDER_RADII)
+    assert calls.count(("sample_mesh", 1)) == 2 * 3 * len(mz.LADDER_RADII)
+    assert len(calls) == 3 * 3 * len(mz.LADDER_RADII)

@@ -301,16 +301,33 @@ def test_blowup_no_clip_numbers_shared_corners_in_order(runner, tmp_path):
      "vertex coordinates must be finite"),
     ("unused.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv inf 0 0\nf 1 2 3\n",
      "vertex coordinates must be finite"),
+    ("short.obj", "v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n",
+     "line 2: a vertex takes exactly three coordinates, got 2"),
+    ("long.obj", "v 0 0 0\n# a w weight\nv 1 0 0 5\nv 0 1 0\nf 1 2 3\n",
+     "line 3: a vertex takes exactly three coordinates, got 4"),
 ])
 def test_bad_mesh_files_are_config_errors(runner, tmp_path, name, text, message):
-    """Indices out of range and non-finite vertices, used or not, are refused
-    as the file's fault, before any output is written."""
+    """Indices out of range, non-finite vertices, used or not, and OBJ
+    vertices of two or four coordinates are refused as the file's fault,
+    before any output is written."""
     mesh, out = tmp_path / name, tmp_path / "zoom.off"
     mesh.write_text(text)
     r = runner.invoke(main, ["blowup", "--mesh", str(mesh), "--center", "0,0,0",
                              "--radius", "1", "--out", str(out)])
     assert r.exit_code == 2
     assert f"mesh {mesh}: {message}" in r.stderr
+    assert not out.exists()
+
+
+def test_blowup_refuses_a_center_of_another_dimension(runner, tmp_path):
+    """A 2-D center on a 3-D segment CSV is refused by name, like the ball
+    commands refuse it, and nothing is written."""
+    mesh, out = tmp_path / "net.csv", tmp_path / "zoom.csv"
+    mesh.write_text("# segments ambient=3\n0,0,0,1,0,0\n1,0,0,1,1,0\n")
+    r = runner.invoke(main, ["blowup", "--mesh", str(mesh), "--center", "0.5,0.5",
+                             "--radius", "0.4", "--out", str(out)])
+    assert r.exit_code == 1
+    assert "error: ball and mesh ambient dimensions differ" in r.stderr
     assert not out.exists()
 
 

@@ -1,8 +1,9 @@
 """The culled sup-distance, sampling and triangle kernel against the code
-they replaced.
+they replaced, and the box kernel against the triangles it stands for.
 
 The oracle for ``sup_distance`` is the max over the full point x simplex
-distance table of ``points_to_simplices``; the oracle for ``sample_mesh`` is
+distance table of ``points_to_simplices`` (over the full point x box table of
+one broadcast clamp, for boxes); the oracle for ``sample_mesh`` is
 the per-simplex loop it ran before simplices were culled by bounding balls;
 the oracle for ``_points_to_triangle`` is its region walk with masked
 writes.  The new code must give the same floats, and the same sample bytes
@@ -24,17 +25,26 @@ from plateau_lab import minimizer as mz
 from plateau_lab.geometry import distance as dist
 from plateau_lab.geometry.clipping import segment_ball_intervals
 from plateau_lab.geometry.core import Ball, EmbeddedMesh
-from plateau_lab.geometry.distance import (MAX_SAMPLE_POINTS, SUP_BLOCK, _points_to_segment,
-                                           _points_to_triangle, local_hausdorff_distance,
-                                           point_blocks, points_to_simplices, sample_mesh,
-                                           sup_distance)
+from plateau_lab.geometry.distance import (MAX_SAMPLE_POINTS, SUP_BLOCK, _points_to_box,
+                                           _points_to_segment, _points_to_triangle,
+                                           local_hausdorff_distance, point_blocks,
+                                           points_to_simplices, sample_mesh, sup_distance)
+from plateau_lab.grids import DyadicGrid
 
-from conftest import graph_mesh, torus
+from conftest import graph_mesh, grid_faces, segment_mesh, torus
 
 
 # ── oracles ──
 
-def oracle_sup(points, corners) -> float:
+def box_table(points, boxes) -> np.ndarray:
+    """(P, S) distances from each point to each [lo, hi] box, one broadcast clamp."""
+    p = points[:, None, :]
+    return np.sqrt((np.maximum(np.maximum(boxes[:, 0] - p, 0.0), p - boxes[:, 1]) ** 2).sum(axis=2))
+
+
+def oracle_sup(points, corners, boxes=False) -> float:
+    if boxes:
+        return float(box_table(points, corners).min(axis=1, initial=math.inf).max())
     return float(points_to_simplices(points, corners).max())
 
 
@@ -302,7 +312,8 @@ def test_kernel_rows_are_independent(n):
     a, b, c = rng.uniform(0.0, 1.0, (3, n))
     kernels = [lambda p: _points_to_segment(p, a, b),
                lambda p: _points_to_triangle(p, a, b, c),
-               lambda p: _points_to_triangle(p, a, b, a + 0.5 * (b - a))]
+               lambda p: _points_to_triangle(p, a, b, a + 0.5 * (b - a)),
+               lambda p: _points_to_box(p, np.sort(np.stack([a, b]), axis=0))]
     for kernel in kernels:
         full = kernel(pts)
         for size in (1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 100, 511, 512, 513, 1000, 2048):
@@ -441,6 +452,111 @@ def test_triangle_kernel_with_every_row_in_one_region(n, region):
     for row in pts[:3]:
         one = _points_to_triangle(row[None, :], a, b, c)
         assert one.tobytes() == oracle_points_to_triangle(row[None, :], a, b, c).tobytes()
+
+
+# ── the box kernel ──
+
+def random_faceset(n, rng, count=24, unit=False):
+    """``count`` random (n-1)-faces of an unidentified grid: over [0, 1]^n
+    with ``unit``, else with a corner and a size drawn over six decades."""
+    corner, size = np.zeros(n), 1.0
+    if not unit:
+        corner = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 4)
+        size = float(rng.uniform(0.5, 2.0) * 10.0 ** rng.integers(-3, 4))
+    grid = DyadicGrid(corner, size, int(rng.integers(1, 9)))
+    faces = list(grid_faces(grid, n - 1))
+    pick = rng.choice(len(faces), min(count, len(faces)), replace=False)
+    return mz.FaceSet(grid, frozenset(faces[i] for i in pick))
+
+
+def face_points(boxes, rng, count):
+    """Points on the faces, clamped into their box so that they lie on it exactly."""
+    pick = rng.integers(0, boxes.shape[0], count)
+    lo, hi = boxes[pick, 0], boxes[pick, 1]
+    return np.clip(lo + rng.uniform(0.0, 1.0, lo.shape) * (hi - lo), lo, hi)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_box_kernel_matches_the_simplices_of_each_face(n, seed):
+    """On grid segments in R^2 and grid squares in R^3, one clamp per face is
+    within 4 ulp of the coordinate scale of the min over the face's segment
+    or two triangles, on points all around, near and on the faces."""
+    rng = np.random.default_rng([seed, n, 25])
+    fs = random_faceset(n, rng)
+    grid, boxes = fs.grid, fs.boxes
+    # each face is one segment (n = 2) or two triangles (n = 3) of n corners
+    simplices = fs.to_mesh().corners.reshape(boxes.shape[0], n - 1, n, n)
+    pts = np.vstack([grid.corner + rng.uniform(-0.2, 1.2, (2000, n)) * grid.size,
+                     face_points(boxes, rng, 1000) + rng.normal(0.0, 1e-3 * grid.spacing, (1000, n)),
+                     face_points(boxes, rng, 500)])
+    for box, corners in zip(boxes, simplices):
+        got = _points_to_box(pts, box)
+        want = np.minimum.reduce([dist._points_to_simplex(pts, c) for c in corners])
+        scale = max(float(np.abs(pts).max()), float(np.abs(box).max()))
+        assert float(np.abs(got - want).max()) <= 4 * np.spacing(scale)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_point_on_its_face_is_at_distance_zero(n):
+    rng = np.random.default_rng([n, 26])
+    for _ in range(6):
+        boxes = random_faceset(n, rng).boxes
+        for box in boxes:
+            lo, hi = box
+            pts = np.vstack([box, np.where(rng.random((20, n)) < 0.5, lo, hi),
+                             face_points(box[None], rng, 300)])
+            assert (_points_to_box(pts, box) == 0.0).all()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sup_distance_on_boxes_matches_the_full_table(n, seed):
+    """Bit for bit, and with a bound, the oracle's float below it and a value
+    at or above it otherwise."""
+    rng = np.random.default_rng([seed, n, 27])
+    fs = random_faceset(n, rng, unit=True)
+    boxes = fs.boxes
+    sets = point_sets(fs.to_mesh(), rng)
+    sets["faces"] = face_points(boxes, rng, 900)
+    for name, pts in sets.items():
+        want = oracle_sup(pts, boxes, boxes=True)
+        assert sup_distance(pts, boxes, boxes=True).hex() == want.hex(), name
+        for radius in (1.0, 0.125):
+            for bound in (want / radius, math.nextafter(want / radius, math.inf),
+                          0.5 * want / radius, 2.0 * want / radius + 1e-300):
+                got = sup_distance(pts, boxes, bound, radius, boxes=True)
+                if want / radius < bound:
+                    assert got.hex() == want.hex(), name
+                else:
+                    assert got <= want and got / radius >= bound, name
+    assert sup_distance(sets["faces"], boxes, boxes=True) == 0.0
+
+
+def test_sup_distance_on_boxes_empty_inputs_follow_the_table():
+    none = np.zeros((0, 2, 3))
+    assert sup_distance(np.zeros((4, 3)), none, boxes=True) == math.inf
+    assert oracle_sup(np.zeros((4, 3)), none, boxes=True) == math.inf
+    for sup in (sup_distance, oracle_sup):
+        with pytest.raises(ValueError):
+            sup(np.zeros((0, 3)), np.zeros((2, 2, 3)), boxes=True)
+
+
+def test_sup_distance_on_boxes_skips_most_pairs(monkeypatch):
+    """The culling loop serves the box kernel as it serves the triangles: on
+    a ladder-like query most point-box pairs are never evaluated."""
+    fine = mz.initialize_from_mesh(graph_mesh(lambda x, y: 0.5 + 0.1 * math.sin(2 * math.pi * x),
+                                              n=16), torus(3, 8)).faceset
+    pts = sample_mesh(graph_mesh(lambda x, y: 0.45 + 0.1 * math.sin(2 * math.pi * y), n=16),
+                      0.125 / 32, Ball(np.array([0.5, 0.5, 0.5]), 0.125))
+    boxes = fine.boxes
+    want = oracle_sup(pts, boxes, boxes=True)
+    pairs = []
+    kernel = dist._points_to_box
+    monkeypatch.setattr(dist, "_points_to_box", lambda p, b: pairs.append(p.shape[0]) or kernel(p, b))
+    monkeypatch.setattr(dist, "_points_to_simplex", None)
+    assert sup_distance(pts, boxes, boxes=True).hex() == want.hex()
+    assert 0 < sum(pairs) < 0.05 * pts.shape[0] * boxes.shape[0]
 
 
 # ── sample_mesh ──
@@ -617,3 +733,18 @@ def test_run_scheme_distances_match_oracle(monkeypatch):
     want = ladder()
     assert repr(got) == repr(want)
     assert all(g["max"] > 0.5 for g in got[0]["gaps"])
+
+
+@pytest.mark.parametrize("n,surface", [
+    (3, lambda: graph_mesh(lambda x, y: 0.5, n=8)),
+    (2, lambda: segment_mesh([[x / 8, 0.5] for x in range(9)])),
+])
+def test_coincident_minimizers_read_gaps_of_exactly_zero(n, surface):
+    """A flat slice of the torus minimizes to itself at N = 2, 4 and 8, and
+    every sample lies on a face of the other level, so each gap is 0.0 (the
+    two-triangle kernel read up to 1.9e-15 on the squares)."""
+    res = mz.run_scheme(surface(), torus(n, 1), [2, 4, 8], audit_trials=20, seed=0)
+    assert [lv.result.faceset.measure() for lv in res.levels] == [1.0] * 3
+    gaps = [g[k] for row in res.distances for g in row["gaps"] for k in ("max", "mean")]
+    assert len(gaps) == 2 * 2 * len(mz.LADDER_RADII)
+    assert all(g == 0.0 for g in gaps)
