@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import cones
 from .geometry.clipping import clip_to_ball, clipped_measure, sphere_slice_measure
 from .geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary, as_point, ordered_sum
-from .geometry.distance import point_blocks, sample_mesh, sup_distance
+from .geometry.distance import _margin, point_blocks, sample_mesh, sup_distance
 
 #: relative density spread below which a profile counts as flat
 FLAT_TOL = 0.05
@@ -41,7 +42,11 @@ def density(mesh: EmbeddedMesh, center, radius: float) -> float:
     """H^d(mesh cap B(center, radius)) / radius^d, evaluated exactly."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    return clipped_measure(mesh, Ball(center, radius)) / radius ** mesh.dimension
+    scale = radius ** mesh.dimension
+    if scale < sys.float_info.min:
+        raise ValueError(f"radius {radius!r} is too small: radius**{mesh.dimension} "
+                         "is below the normal float range")
+    return clipped_measure(mesh, Ball(center, radius)) / scale
 
 
 def _gauge_adjustment(gauge: Optional[Gauge], radius: float) -> float:
@@ -275,27 +280,36 @@ def _rotation_net(seed: int, count: int, n: int) -> list:
     return [np.eye(n)] + [_rotation_from_quaternion(q) for q in rng.normal(size=(count, 4))]
 
 
-def _blocked(points: np.ndarray) -> tuple:
-    """Points and their ``point_blocks``, which a rigid motion carries."""
-    return points, point_blocks(points)
+def _moved(points: np.ndarray, blocks: tuple, rot: np.ndarray, shift: np.ndarray) -> tuple:
+    """``points @ rot + shift`` and their ``point_blocks``, carried, not rebuilt."""
+    centers, radii = blocks
+    return points @ rot + shift, (centers @ rot + shift, radii)
 
 
-def _moved(blocked: tuple, rot: np.ndarray, shift: Optional[np.ndarray] = None) -> tuple:
-    """Blocked points under ``x @ rot (+ shift)``, the block balls carried, not rebuilt."""
-    points, (centers, radii) = blocked
-    points, centers = points @ rot, centers @ rot
-    if shift is not None:
-        points, centers = points + shift, centers + shift
-    return points, (centers, radii)
+def _one_sided(points: np.ndarray, cone: cones.Cone, radius: float,
+               bound: float = math.inf) -> float:
+    """sup dist(E-samples -> cone) / r, ``points`` being the samples posed in
+    the cone frame; exact below ``bound``, and at least ``bound`` otherwise.
 
-
-def _one_sided(local: tuple, cone: EmbeddedMesh, radius: float, bound: float = math.inf) -> float:
-    """sup dist(E-samples -> cone) / r, ``local`` being the blocked samples posed in
-    the cone frame; exact below ``bound``, and at least ``bound`` otherwise."""
-    points, blocks = local
+    The cone's closed form ``a`` is within a few ulp of the coordinate scale
+    of the triangle kernel at every sample within the cone's extent, and at
+    most it beyond, far inside the margin ``delta`` of ``sup_distance``.  So
+    ``max a - delta`` is at most the sup, and is returned when it divides to
+    at least ``bound``; else the kernel measures only the samples with
+    ``a >= max a - 2 delta`` and those beyond the extent, since every other
+    sample lies below the sup.  Every value below ``bound`` is the kernel's.
+    """
     if points.shape[0] == 0:
         return math.inf
-    return sup_distance(points, cone.corners, bound, radius, blocks) / radius
+    near = cone.distance(points)
+    top = float(near.max())
+    margin = _margin(points, cone.corners)
+    low = (top - margin) / radius
+    if low >= bound:
+        return low
+    beyond = np.einsum("ij,ij->i", points, points) > cone.extent * cone.extent
+    keep = (near >= top - 2.0 * margin) | beyond
+    return sup_distance(points[keep], cone.corners, bound, radius) / radius
 
 
 def _sample_cone(cone: EmbeddedMesh, radius: float) -> np.ndarray:
@@ -303,11 +317,12 @@ def _sample_cone(cone: EmbeddedMesh, radius: float) -> np.ndarray:
     return sample_mesh(cone, radius / 24.0, Ball(np.zeros(cone.ambient_dim), radius))
 
 
-def _two_sided(mesh: EmbeddedMesh, local: tuple, cone: EmbeddedMesh, world,
+def _two_sided(mesh: EmbeddedMesh, local: np.ndarray, cone: cones.Cone, world,
                radius: float, bound: float = math.inf) -> float:
     """Two-sided normalized sup distance between E cap B and the posed cone;
-    exact below ``bound``, and at least ``bound`` otherwise.  ``world()``, the
-    blocked cone samples posed in E's frame, is called only below ``bound``."""
+    exact below ``bound``, and at least ``bound`` otherwise.  ``local`` is E's
+    samples posed in the cone frame; ``world()``, the cone samples posed in
+    E's frame and their blocks (or None), is called only below ``bound``."""
     a = _one_sided(local, cone, radius, bound)
     if a >= bound:
         return a
@@ -377,15 +392,16 @@ def _fit_interior(mesh: EmbeddedMesh, samples: np.ndarray, coarse: np.ndarray,
                   rotations: int, depth: float) -> ConeFit:
     n = mesh.ambient_dim
     cone = cones.build_cone(name, extent=1.02 * radius, ambient=n)
-    q, q_coarse = _blocked(samples - center), _blocked(coarse - center)
-    cone_samples = _blocked(_sample_cone(cone, radius))
+    q, q_coarse = samples - center, coarse - center
+    cone_samples = _sample_cone(cone, radius)
+    cone_blocks = point_blocks(cone_samples)
     pose = _planar_rotation if n == 2 else _axis_angle
     net = _rotation_net(seed, rotations, n)
     residual = lambda rot, bound=math.inf: _two_sided(
-        mesh, _moved(q, rot), cone, lambda: _moved(cone_samples, rot.T, center), radius, bound)
+        mesh, q @ rot, cone, lambda: _moved(cone_samples, cone_blocks, rot.T, center),
+        radius, bound)
     best_rot, best_val = None, math.inf
-    for i in _two_best(net, lambda rot, bound: _one_sided(_moved(q_coarse, rot), cone,
-                                                          radius, bound)):
+    for i in _two_best(net, lambda rot, bound: _one_sided(q_coarse @ rot, cone, radius, bound)):
         base = net[i]
         fun = lambda w, bound: residual(base @ pose(w), bound)
         w, val = _pattern_descent(fun, np.zeros(n * (n - 1) // 2), residual(base), 0.2, depth)
@@ -398,7 +414,7 @@ def _fit_boundary(mesh: EmbeddedMesh, samples: np.ndarray, center: np.ndarray,
                   radius: float, name: str, context: SlidingContext,
                   depth: float) -> ConeFit:
     frame = _complete_basis(context.line.direction)
-    local = _blocked((samples - center) @ frame)
+    local = (samples - center) @ frame
 
     def residual(phis, bound):
         cone = (cones.halfplane_azimuth_cone(phis[0], extent=1.02 * radius) if name == "halfplane"
@@ -438,6 +454,9 @@ def classify_point(mesh: EmbeddedMesh, center, radius: float, *,
     """
     if not 0 <= rotations <= MAX_ROTATIONS:
         raise ValueError(f"rotations must be in 0..{MAX_ROTATIONS}, got {rotations}")
+    if mesh.ambient_dim not in (2, 3):
+        raise ValueError(f"classify poses cones in R^2 and R^3 only; the mesh lies in "
+                         f"R^{mesh.ambient_dim}")
     c = as_point(center)
     r = float(radius)
     d = mesh.dimension

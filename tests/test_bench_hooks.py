@@ -15,10 +15,14 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from plateau_lab import cones
+from plateau_lab import diagnostics as diag
 from plateau_lab import minimizer as mz
 from plateau_lab.geometry import distance
+from plateau_lab.geometry.core import LineBoundary
 
 from conftest import graph_mesh, torus
 
@@ -71,3 +75,37 @@ def test_the_ladder_runs_through_the_hooked_names(monkeypatch):
     assert calls.count(("local_hausdorff_distance", 0)) == 3 * len(mz.LADDER_RADII)
     assert calls.count(("sample_mesh", 1)) == 2 * 3 * len(mz.LADDER_RADII)
     assert len(calls) == 3 * 3 * len(mz.LADDER_RADII)
+
+
+def test_the_classifier_builds_its_cones_through_the_hooked_names(monkeypatch):
+    """``cones.build.calls`` counts the cones a classify pass builds only while
+    every cone a fit measures comes from a call of one of these three module
+    attributes: one cone per interior fit, one per boundary residual."""
+    spine = diag.SlidingContext(LineBoundary(np.zeros(3), np.array([0.0, 0.0, 1.0])),
+                                np.array([1.0, 0.0, 0.0]))
+    fits = [(cones.build_cone("y", extent=1.5), {"rotations": 4}, "y"),
+            (cones.halfplane_azimuth_cone(2.5, extent=1.5), {"context": spine}, "halfplane"),
+            (cones.v_cone_azimuths(1.1, 3.4, extent=1.5), {"context": spine}, "v")]
+    hooked = {(m, a): name for name, m, a, _ in spans.HOOKS}
+    built = []
+
+    def counted(attr, fn):
+        def call(*args, **kwargs):
+            built.append((attr, fn(*args, **kwargs)))
+            return built[-1][1]
+        return call
+
+    for attr in ("build_cone", "halfplane_azimuth_cone", "v_cone_azimuths"):
+        assert hooked[("plateau_lab.cones", attr)] == "cones.build"
+        monkeypatch.setattr(cones, attr, counted(attr, getattr(cones, attr)))
+    measured = []
+    one_sided = diag._one_sided
+    monkeypatch.setattr(diag, "_one_sided", lambda points, cone, *args:
+                        measured.append(cone) or one_sided(points, cone, *args))
+    for mesh, kwargs, name in fits:
+        report = diag.classify_point(mesh, np.zeros(3), 1.0, depth=0.2, **kwargs)
+        assert report["best"]["name"] == name
+    assert [attr for attr, _ in built].count("build_cone") == 1
+    assert {attr for attr, _ in built} == {"build_cone", "halfplane_azimuth_cone",
+                                           "v_cone_azimuths"}
+    assert {id(cone) for _, cone in built} == {id(cone) for cone in measured}

@@ -24,7 +24,7 @@ from plateau_lab.geometry.distance import MAX_SAMPLE_POINTS
 from plateau_lab.geometry.energy import MAX_SAMPLES
 from plateau_lab.steiner import MAX_TERMINALS
 
-from conftest import flat_slice_mesh, square_patch, write_mesh
+from conftest import flat_slice_mesh, rotated, square_patch, write_mesh
 
 
 @pytest.fixture
@@ -329,6 +329,33 @@ def test_blowup_refuses_a_center_of_another_dimension(runner, tmp_path):
     assert r.exit_code == 1
     assert "error: ball and mesh ambient dimensions differ" in r.stderr
     assert not out.exists()
+
+
+def test_classify_refuses_a_mesh_outside_r2_and_r3(runner, tmp_path):
+    """The rotation net and the descent's poses exist in R^2 and R^3 only, so
+    a segment CSV in R^4 is refused by name before it is sampled."""
+    mesh, out = tmp_path / "segs.csv", tmp_path / "fit.json"
+    mesh.write_text("0,0,0,0,1,0,0,0\n0,0,0,0,-1,0,0,0\n")
+    r = runner.invoke(main, ["classify", "--mesh", str(mesh), "--center", "0,0,0,0",
+                             "--radius", "0.5", "--rotations", "4", "--out", str(out)])
+    assert r.exit_code == 1
+    assert "error: classify poses cones in R^2 and R^3 only; the mesh lies in R^4" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,radius", [
+    (["density", "--radii", "1e-300"], "1e-300"),
+    (["classify", "--radius", "1e-200"], "2.5e-201"),
+])
+def test_a_radius_whose_power_underflows_is_a_domain_error(runner, tmp_path, args, radius):
+    """r^2 below the normal floats would divide the ball's measure by 0 (or
+    by a subnormal); the smallest ball radius a run divides by is named."""
+    mesh = tmp_path / "y_rotated.off"
+    turn = np.array([[0.0, -1.0, 0.0], [0.6, 0.0, -0.8], [0.8, 0.0, 0.6]])
+    write_mesh(str(mesh), rotated(cones.build_cone("y", extent=1.5), turn))
+    r = runner.invoke(main, [args[0], "--mesh", str(mesh), "--center", "0,0,0", *args[1:]])
+    assert r.exit_code == 1
+    assert r.stderr.startswith(f"error: radius {radius} is too small: radius**2 ")
 
 
 def test_hausdorff_of_mesh_with_itself(runner, y_mesh):

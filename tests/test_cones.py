@@ -12,13 +12,15 @@ Density oracles, all analytic:
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from plateau_lab import cones
 from plateau_lab.diagnostics import blowup, cone_slice_check, density
-from plateau_lab.geometry.core import EmbeddedMesh, measure
+from plateau_lab.geometry.core import Ball, EmbeddedMesh, measure
+from plateau_lab.geometry.distance import points_to_simplices, sample_mesh
 
 
 ANALYTIC = {
@@ -100,6 +102,68 @@ def test_family_cones_are_their_rays_and_sheets(extent, ambient):
                      explicit_sheets([0.0, math.pi / 2], extent))
     assert same_mesh(cones.build_cone("y", extent, ambient), explicit_sheets(thirds, extent))
     assert same_mesh(cones.halfplane_azimuth_cone(1.1, extent), explicit_sheets([1.1], extent))
+
+
+def _form_cases():
+    for name in cones.catalog(dimension=1):
+        for ambient in (2, 3):
+            yield f"{name}-R{ambient}", partial(cones.build_cone, name, ambient=ambient)
+    for name in cones.catalog(dimension=2, boundary=True):
+        yield name, partial(cones.build_cone, name)
+    for phi in (0.0, 1.1, 2.5, -math.pi / 3, math.pi):
+        yield f"halfplane-at-{phi:.3f}", partial(cones.halfplane_azimuth_cone, phi)
+    for phis in ((0.0, 1.9), (1.1, 3.4), (0.4, 0.4 + math.pi), (5.0, 0.3), (2.0, 2.0)):
+        yield f"v-at-{phis[0]:.3f}-{phis[1]:.3f}", partial(cones.v_cone_azimuths, *phis)
+
+
+FORM_CASES = dict(_form_cases())
+
+
+def probe_points(cone, seed: int) -> np.ndarray:
+    """Points in the ball of radius 3 * extent, on the cone and 1e-6 * extent
+    off it, at the apex, and on every edge of every simplex, which holds the
+    rays and the hinges of the cone."""
+    rng = np.random.default_rng(seed)
+    n, R = cone.ambient_dim, cone.extent
+    ball = rng.normal(size=(6000, n))
+    ball *= (3.0 * R * rng.uniform(0.0, 1.0, 6000) / np.linalg.norm(ball, axis=1))[:, None]
+    on = sample_mesh(cone, R / 16.0, Ball(np.zeros(n), R))
+    near = on + rng.normal(scale=1e-6 * R, size=on.shape)
+    c = cone.corners
+    s = np.linspace(0.0, 1.0, 33)[:, None]
+    edges = [a + s * (b - a) for simplex in c for i, a in enumerate(simplex) for b in simplex[i + 1:]]
+    return np.concatenate([ball, on, near, np.zeros((1, n)), *edges])
+
+
+@pytest.mark.parametrize("extent", [0.45, 1.02, 3.0e4])
+@pytest.mark.parametrize("case", sorted(FORM_CASES))
+def test_closed_form_is_the_triangle_kernel(case, extent):
+    """Within the extent the closed form is the distance to the mesh, within
+    4 ulp of the largest coordinate (the classifier's margin is 1e-9 of it);
+    beyond, the mesh is truncated and the form is at most the distance."""
+    cone = FORM_CASES[case](extent=extent)
+    assert cone.extent == extent
+    points = probe_points(cone, 0)
+    got, want = cone.distance(points), points_to_simplices(points, cone.corners)
+    inside = np.linalg.norm(points, axis=1) <= extent
+    tol = 4.0 * np.spacing(np.abs(points).max())
+    assert inside.sum() > 1000 and (~inside).sum() > 1000
+    assert np.abs(got - want)[inside].max() <= tol
+    assert (got - want)[~inside].max() <= tol
+
+
+def test_closed_form_runs_in_blocks(monkeypatch):
+    """A block boundary changes no value, and no block exceeds ``FORM_ROWS``."""
+    cone = cones.build_cone("y", extent=1.02)
+    points = probe_points(cone, 1)
+    want = cone.form(points)
+    monkeypatch.setattr(cones, "FORM_ROWS", 1000)
+    rows = []
+    blocked = cones.Cone(2, cone.corners, extent=cone.extent,
+                         form=lambda block: rows.append(len(block)) or cone.form(block))
+    assert blocked.distance(points).tobytes() == want.tobytes()
+    assert max(rows) == 1000 and sum(rows) == len(points)
+    assert blocked.distance(points[:0]).shape == (0,)
 
 
 def test_catalog_filters():

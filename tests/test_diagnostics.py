@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from plateau_lab import cones
 from plateau_lab import diagnostics as diag
 from plateau_lab.geometry.core import Ball, EmbeddedMesh, Gauge, LineBoundary
+from plateau_lab.geometry.distance import points_to_simplices
 
 from conftest import rotated, square_patch
 
@@ -235,14 +236,12 @@ def test_net_with_repeated_rotations_ranks_as_sorted():
     """Repeated rotations give bitwise-equal residuals, so ties decide."""
     cone = cones.build_cone("y", extent=1.02)
     coarse = diag.sample_mesh(cones.build_cone("t", extent=1.5), 1 / 16, Ball(np.zeros(3), 1.0))
-    blocked = diag._blocked(coarse)
     rots = diag._rotation_net(3, 4, 3)
     for pattern in ([1, 1, 2, 1, 0, 2, 0, 1], [3, 0, 3, 0, 3], [2, 2, 2], [4, 1, 4, 1, 1, 4]):
         net = [rots[k] for k in pattern]
-        exact = [diag._one_sided(diag._moved(blocked, rot), cone, 1.0) for rot in net]
+        exact = [diag._one_sided(coarse @ rot, cone, 1.0) for rot in net]
         assert len(set(exact)) < len(net)
-        got = diag._two_best(net, lambda rot, bound: diag._one_sided(diag._moved(blocked, rot),
-                                                                     cone, 1.0, bound))
+        got = diag._two_best(net, lambda rot, bound: diag._one_sided(coarse @ rot, cone, 1.0, bound))
         assert got == sorted(range(len(net)), key=lambda i: exact[i])[:2]
 
 
@@ -256,11 +255,12 @@ def test_two_sided_is_exact_below_its_bound():
     one; bounds between the two sides must not skip it."""
     sheet = cones.halfplane_azimuth_cone(0.3, extent=1.5)
     cone = cones.build_cone("y", extent=1.02)
-    samples = diag._blocked(diag.sample_mesh(sheet, 1 / 32, Ball(np.zeros(3), 1.0)))
-    cone_samples = diag._blocked(diag._sample_cone(cone, 1.0))
+    samples = diag.sample_mesh(sheet, 1 / 32, Ball(np.zeros(3), 1.0))
+    cone_samples = diag._sample_cone(cone, 1.0)
+    blocks = diag.point_blocks(cone_samples)
     for rot in diag._rotation_net(1, 6, 3):
-        local = diag._moved(samples, rot)
-        world = lambda: diag._moved(cone_samples, rot.T, np.zeros(3))
+        local = samples @ rot
+        world = lambda: diag._moved(cone_samples, blocks, rot.T, np.zeros(3))
         args = (sheet, local, cone, world, 1.0)
         exact = diag._two_sided(*args)
         near = diag._one_sided(local, cone, 1.0)
@@ -272,6 +272,74 @@ def test_two_sided_is_exact_below_its_bound():
                 assert got.hex() == exact.hex()
             else:
                 assert bound <= got <= exact
+
+
+def _full_one_sided(points, cone, radius, bound=math.inf):
+    """The one-sided term as the max of the full point x simplex table."""
+    if points.shape[0] == 0:
+        return math.inf
+    return float(points_to_simplices(points, cone.corners).max()) / radius
+
+
+def _posed_samples(name: str, seed: int):
+    """(cone, E's samples posed in the cone frame) for a fit of ``name``: E is
+    the same cone, built wider, so that the identity pose puts every sample
+    on the cone, and the other poses come from a rotation net."""
+    radius = 0.7
+    if name == "halfplane":
+        build = lambda extent: cones.halfplane_azimuth_cone(0.3, extent)
+    elif name == "book":
+        build = lambda extent: cones.v_cone_azimuths(0.3, 2.2, extent)
+    else:
+        kind, n = name.split("-R")
+        build = lambda extent: cones.build_cone(kind, extent, int(n))
+    cone, mesh = build(1.02 * radius), build(1.5)
+    n = mesh.ambient_dim
+    samples = diag.sample_mesh(mesh, radius / 16, Ball(np.zeros(n), radius))
+    return cone, radius, [samples @ rot for rot in diag._rotation_net(seed, 5, n)]
+
+
+@pytest.mark.parametrize("name", ["y-R3", "t-R3", "plane-R3", "y1-R2", "v1-R3", "line-R2",
+                                  "halfplane", "book"])
+def test_one_sided_is_the_full_table_below_its_bound(name, monkeypatch):
+    """Below ``bound``, bit for bit the max of the full point x simplex table;
+    at or above it, between ``bound`` and that max.  At the identity pose
+    every sample is on the cone and the closed form keeps them all."""
+    cone, radius, poses = _posed_samples(name, sum(map(ord, name)))
+    rows = []
+    sup_distance = diag.sup_distance
+    monkeypatch.setattr(diag, "sup_distance", lambda points, *args:
+                        rows.append(len(points)) or sup_distance(points, *args))
+    for k, points in enumerate(poses):
+        exact = _full_one_sided(points, cone, radius)
+        rows.clear()
+        assert diag._one_sided(points, cone, radius).hex() == exact.hex()
+        # off the cone the kernel measures only the samples that can hold
+        # the sup (y1's three ray ends tie); on it, every sample
+        assert rows == [len(points)] and exact < 1e-14 if k == 0 else 1 <= rows[0] <= 3
+        for bound in (0.5 * exact, math.nextafter(exact, -math.inf), exact,
+                      math.nextafter(exact, math.inf), 1.5 * exact, math.inf):
+            got = diag._one_sided(points, cone, radius, bound)
+            if exact < bound:
+                assert got.hex() == exact.hex()
+            else:
+                assert bound <= got <= exact
+    assert diag._one_sided(poses[0][:0], cone, radius) == math.inf
+
+
+@pytest.mark.parametrize("name", ["y", "t"])
+def test_one_sided_measures_every_sample_beyond_the_truncation(name):
+    """Beyond the cone's extent the closed form runs below the distance to the
+    truncated mesh, so those samples are measured whatever their form says."""
+    cone = cones.build_cone(name, extent=0.35)
+    samples = diag.sample_mesh(cones.build_cone(name, extent=1.5), 1 / 24, Ball(np.zeros(3), 1.0))
+    for rot in diag._rotation_net(5, 4, 3):
+        points = samples @ rot
+        exact = _full_one_sided(points, cone, 1.0)
+        assert exact > cone.distance(points).max() + 1e-3
+        assert diag._one_sided(points, cone, 1.0).hex() == exact.hex()
+        assert diag._one_sided(points, cone, 1.0, math.nextafter(exact, math.inf)).hex() == \
+            exact.hex()
 
 
 BOUNDED_CASES = {
@@ -291,13 +359,16 @@ BOUNDED_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BOUNDED_CASES))
 def test_bounded_residuals_leave_every_report_byte_identical(case, monkeypatch):
-    """The oracle is the same fit with every sup run to the end."""
+    """The oracle is the same fit with every sup run to the end: each
+    one-sided term is the max of the full table over every sample, so that
+    neither the closed-form filter nor the bound can skip a sample."""
     mesh, center, radius, kwargs = BOUNDED_CASES[case]()
     got = json.dumps(diag.classify_point(mesh, center, radius, **kwargs))
     sup_distance = diag.sup_distance
     # the oracle drops the carried blocks too, so every sup builds its own
     monkeypatch.setattr(diag, "sup_distance", lambda points, corners, bound, radius, blocks:
                         sup_distance(points, corners))
+    monkeypatch.setattr(diag, "_one_sided", _full_one_sided)
     want = json.dumps(diag.classify_point(mesh, center, radius, **kwargs))
     assert got == want
 
