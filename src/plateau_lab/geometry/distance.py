@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .clipping import segment_ball_intervals
-from .core import Ball, EmbeddedMesh
+from .core import Ball, EmbeddedMesh, row_dots
 
 #: ball-radius divisor giving the default sampling pitch
 DEFAULT_SAMPLING_DIVISOR = 64
@@ -35,6 +35,8 @@ MAX_SAMPLE_POINTS = 2 ** 22
 SUP_BLOCK = 512
 #: float margin of every culling bound, as a fraction of the coordinate scale
 BOUND_MARGIN = 1e-9
+#: most (point, simplex) pairs per call of ``stacked_points_to_simplices``'s kernels
+STACK_PAIRS = 1 << 14
 
 
 def _points_to_segment(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,6 +134,110 @@ def points_to_simplices(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
         d = _points_to_simplex(points, c)
         np.minimum(best, d, out=best)
     return best
+
+
+def _gemv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m[k] @ x[k]`` for each k, (K, P, n) by (K, n): one BLAS gemv per k,
+    as the per-simplex kernels run it, for P >= 2."""
+    return np.matmul(m, x[:, :, None])[:, :, 0]
+
+
+def _stacked_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    e = b - a
+    ee = row_dots(e, e)
+    w = points - a[:, None]
+    point = ee <= 0.0
+    t = np.clip(_gemv(w, e) / np.where(point, 1.0, ee)[:, None], 0.0, 1.0)
+    t[point] = 0.0
+    return np.linalg.norm(w - t[:, :, None] * e[:, None], axis=2)
+
+
+def _stacked_triangles(points: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       c: np.ndarray) -> np.ndarray:
+    """``_points_to_triangle`` on each row, its steps in the same order."""
+    ab = b - a
+    ac = c - a
+    uu, vv, uv = row_dots(ab, ab).tolist(), row_dots(ac, ac).tolist(), row_dots(ab, ac).tolist()
+    # Python floats: ``x ** 2`` is libm pow, which numpy's square can round apart from
+    flat = np.array([u * v - w ** 2 <= 1e-24 * max(u, v, 1e-300) ** 2
+                     for u, v, w in zip(uu, vv, uv)], dtype=bool)
+    out = np.empty(points.shape[:2])
+    if flat.any():
+        p, fa, fb, fc = points[flat], a[flat], b[flat], c[flat]
+        out[flat] = np.minimum.reduce([_stacked_segments(p, fa, fb), _stacked_segments(p, fa, fc),
+                                       _stacked_segments(p, fb, fc)])
+    keep = ~flat
+    if not keep.any():
+        return out
+    points, a, b, c, ab, ac = points[keep], a[keep], b[keep], c[keep], ab[keep], ac[keep]
+    ap = points - a[:, None]
+    d1 = _gemv(ap, ab)
+    d2 = _gemv(ap, ac)
+    bp = points - b[:, None]
+    d3 = _gemv(bp, ab)
+    d4 = _gemv(bp, ac)
+    cp = points - c[:, None]
+    d5 = _gemv(cp, ab)
+    d6 = _gemv(cp, ac)
+
+    va = d3 * d6 - d5 * d4
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+    region = np.select([(d1 <= 0) & (d2 <= 0),
+                        (d3 >= 0) & (d4 <= d3),
+                        (d6 >= 0) & (d5 <= d6),
+                        (vc <= 0) & (d1 >= 0) & (d3 <= 0),
+                        (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+                        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)], range(6), default=6)
+    held = np.bincount(region.ravel(), minlength=7).tolist()
+    closest = np.empty_like(points)
+    rows = np.broadcast_to(np.arange(len(a))[:, None], region.shape)
+    for k, vertex in enumerate((a, b, c)):
+        if held[k]:
+            m = region == k
+            closest[m] = vertex[rows[m]]
+    edges = ((a, ab, d1, d1 - d3), (a, ac, d2, d2 - d6), (b, c - b, d4 - d3, (d4 - d3) + (d5 - d6)))
+    for k, (start, step, num, den) in enumerate(edges, start=3):
+        if held[k]:
+            m = region == k
+            r = rows[m]
+            closest[m] = start[r] + (num[m] / np.where(den[m] != 0, den[m], 1.0))[:, None] * step[r]
+    if held[6]:
+        m = region == 6
+        r = rows[m]
+        total = va[m] + vb[m] + vc[m]
+        total = np.where(total != 0, total, 1.0)
+        closest[m] = a[r] + (vb[m] / total)[:, None] * ab[r] + (vc[m] / total)[:, None] * ac[r]
+    out[keep] = np.linalg.norm(points - closest, axis=2)
+    return out
+
+
+def stacked_points_to_simplices(points: np.ndarray, owner: np.ndarray,
+                                corners: np.ndarray) -> np.ndarray:
+    """Distances (K, P) from the points of each row k, ``points[owner[k]]``
+    (P, n) of ``points`` (F, P, n), to its own segment or triangle
+    ``corners[k]`` (K, d+1, n).
+
+    Row k is ``_points_to_simplex(points[owner[k]], corners[k])`` bit for
+    bit: each product of the per-simplex kernel is the same BLAS call on the
+    same operands, every other step is elementwise, and a row's floats do
+    not depend on the rows beside it.  One point goes as two, as there.  The
+    rows go in calls of at most ``STACK_PAIRS`` pairs, each of which gathers
+    its own points.
+    """
+    K, P = len(owner), points.shape[1]
+    if K == 0 or P == 0:
+        return np.zeros((K, P))
+    if P == 1:
+        return stacked_points_to_simplices(np.repeat(points, 2, axis=1), owner, corners)[:, :1]
+    kernel = _stacked_segments if corners.shape[1] == 2 else _stacked_triangles
+    step = max(1, STACK_PAIRS // P)
+    out = np.empty((K, P))
+    for first in range(0, K, step):
+        chunk = corners[first:first + step]
+        out[first:first + step] = kernel(points[owner[first:first + step]],
+                                         *(chunk[:, i] for i in range(chunk.shape[1])))
+    return out
 
 
 def _bounding_balls(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Union
@@ -142,7 +143,7 @@ def _indexed_triangles(verts: np.ndarray, faces: list) -> EmbeddedMesh:
     """The triangles of a file's vertex list and face rows, checked as
     outside input: every vertex finite, used or not, and every index in
     range."""
-    faces = np.array(faces, dtype=np.int64).reshape(len(faces), 3)
+    faces = np.asarray(faces, dtype=np.int64).reshape(len(faces), 3)
     if verts.size and not np.all(np.isfinite(verts)):
         raise ValueError("vertex coordinates must be finite")
     if faces.size and (faces.min() < 0 or faces.max() >= verts.shape[0]):
@@ -162,31 +163,28 @@ def mesh_to_off(mesh: EmbeddedMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: a comment runs from '#' to the end of its line, as ``str.splitlines`` ends lines
+_OFF_COMMENT = re.compile(r"#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def mesh_from_off(text: str) -> EmbeddedMesh:
-    tokens: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    tokens = _OFF_COMMENT.sub("", text).split()
     if not tokens or tokens[0].upper() != "OFF":
         raise ValueError("not an OFF file")
     try:
         nv, nf = int(tokens[1]), int(tokens[2])
-        pos = 4
-        verts = np.array([[float(tokens[pos + 3 * i + j]) for j in range(3)]
-                          for i in range(nv)], dtype=float).reshape(nv, 3)
-        pos += 3 * nv
-        faces = []
-        for _ in range(nf):
-            k = int(tokens[pos])
-            if k != 3:
-                raise ValueError("only triangle faces are supported")
-            faces.append([int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])])
-            pos += 4
     except IndexError:
         raise ValueError("OFF file ends before its declared vertices and faces") from None
+    if nv < 0 or nf < 0:
+        raise ValueError(f"OFF vertex and face counts must not be negative, got {nv} and {nf}")
+    verts = np.array(list(map(float, tokens[4:4 + 3 * nv])), dtype=float)
+    block = np.array(list(map(int, tokens[4 + 3 * nv:4 + 3 * nv + 4 * nf])), dtype=np.int64)
     del tokens
-    return _indexed_triangles(verts, faces)
+    if np.any(block[::4] != 3):
+        raise ValueError("only triangle faces are supported")
+    if verts.size < 3 * nv or block.size < 4 * nf:
+        raise ValueError("OFF file ends before its declared vertices and faces")
+    return _indexed_triangles(verts.reshape(nv, 3), block.reshape(nf, 4)[:, 1:])
 
 
 def mesh_to_obj(mesh: EmbeddedMesh) -> str:

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry.core import EmbeddedMesh, ordered_sum, refine, row_dots
-from .geometry.distance import points_to_simplices
+from .geometry.distance import BOUND_MARGIN, stacked_points_to_simplices
 from .grids import CubeFace, DyadicGrid
 
 logger = logging.getLogger(__name__)
@@ -47,6 +47,10 @@ CLEARANCE_REL = 1e-9
 
 #: grid resolutions per face dimension for the deterministic 'far' center search
 _FAR_GRID = {1: 65, 2: 17, 3: 9}
+
+#: most 'far' samples held at once: a stage's faces go through the search in
+#: blocks of this many grid samples
+_FAR_SAMPLES = 1 << 17
 
 #: most center samples per face of the 'chebyshev' search; each face draws a
 #: (trials, n) array
@@ -210,20 +214,24 @@ def _split_by_plane(pts: np.ndarray, active: np.ndarray, normals: np.ndarray,
     sub = pts[idx]
     vals = row_dots(np.repeat(normals, v, axis=0), sub.reshape(-1, n)).reshape(-1, v) \
         - offsets[:, None]
-    on_plane = np.abs(vals) <= snaps[:, None]
-    vals[on_plane] = 0.0
+    above = vals > snaps[:, None]
+    below = vals < -snaps[:, None]
     if exact is not None:
         axis, value, tol = exact
-        sub[on_plane, axis] = value
-    code = ((np.sign(vals) + 1).astype(np.intp) * 3 ** np.arange(d, -1, -1)).sum(axis=1)
+        sub[~(above | below), axis] = value
+    sign = above.view(np.int8) - below.view(np.int8)
+    code = np.full(len(sign), 3 ** v // 2)
+    for i in range(v):
+        code += sign[:, i] * 3 ** (d - i)
     counts, tokens = _SPLIT[d]
     if exact is None:
-        kept = counts[code] > 1
-        idx, sub, vals, code = idx[kept], sub[kept], vals[kept], code[kept]
+        kept = np.flatnonzero(counts[code] > 1)
+        idx, sub, vals, above, below, code = (idx[kept], sub[kept], vals[kept], above[kept],
+                                              below[kept], code[kept])
     i0 = np.arange(1 if d == 1 else v)          # edge i runs from i0[i] to i1[i]
     i1 = (i0 + 1) % v
     sp, sq = vals[:, i0], vals[:, i1]
-    crossing = ((sp < 0.0) & (sq > 0.0)) | ((sq < 0.0) & (sp > 0.0))
+    crossing = (below[:, i0] & above[:, i1]) | (below[:, i1] & above[:, i0])
     t = np.divide(sp, sp - sq, out=np.zeros_like(sp), where=crossing)
     p, q = sub[:, i0], sub[:, i1]
     cross = p + t[..., None] * (q - p)
@@ -239,17 +247,14 @@ def _split_by_plane(pts: np.ndarray, active: np.ndarray, normals: np.ndarray,
     ext = np.concatenate([sub, cross], axis=1)
 
     n_out = np.ones(T, dtype=np.intp)
-    n_out[idx] = counts[code]
-    parent = np.repeat(np.arange(T), n_out)
-    slot = np.arange(parent.size) - np.repeat(np.cumsum(n_out) - n_out, n_out)
-    row_of = np.full(T, -1)
-    row_of[idx] = np.arange(idx.size)
-    row = row_of[parent]
-    cut_rows = row >= 0
-    out = pts[parent]
-    r = row[cut_rows]
-    out[cut_rows] = ext[r[:, None], tokens[code[r], slot[cut_rows]]]
-    return out, parent
+    n_out[idx] = made = counts[code]
+    out = np.repeat(pts, n_out, axis=0)
+    # the rows made from the split chunks: chunk r's slots 0 .. made[r] - 1
+    r = np.repeat(np.arange(idx.size), made)
+    slot = np.arange(r.size) - np.repeat(np.cumsum(made) - made, made)
+    at = np.repeat((np.cumsum(n_out) - n_out)[idx], made) + slot
+    out[at] = ext[r[:, None], tokens[code[r], slot]]
+    return out, np.repeat(np.arange(T), n_out)
 
 
 def _cone_planes(xi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -450,81 +455,159 @@ def _owner_cells(keys: np.ndarray, grid: DyadicGrid) -> np.ndarray:
 # center selection
 # ---------------------------------------------------------------------------
 
-def choose_center(grid: DyadicGrid, face: CubeFace, content: np.ndarray,
-                  strategy: str = "chebyshev", trials: int = 32,
-                  rng: Optional[np.random.Generator] = None) -> tuple[np.ndarray, dict]:
-    """Pick a projection center in the concentric half-face.
+def _stage_distances(corners: np.ndarray, starts: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(F, P) distance from each face's points (F, P, n) to its pieces, the
+    rows of ``corners`` (S, d+1, n) from ``starts[f]`` to the next face's
+    start: one stacked kernel over every (piece, point) pair."""
+    face_of = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(corners)]))
+    return np.minimum.reduceat(stacked_points_to_simplices(points, face_of, corners), starts)
 
-    ``content`` holds the face's pieces as corners (C, d+1, n).
-    ``far``: deterministic sample-grid argmax of the distance to the content
-    (ties break to the first sample), reporting the a-priori ratio bound
-    (diam(S)/dist)^d.  ``chebyshev``: best of ``trials`` seeded uniform
-    samples ranked by exact image measure (ties keep the earliest sample).
-    An empty face takes the midpoint with ratio 0 by convention.
+
+def _far_centers(corners: np.ndarray, starts: np.ndarray, spanned: np.ndarray,
+                 half_lo: np.ndarray, half_hi: np.ndarray) -> tuple:
+    """Per face, the sample-grid argmax of the distance to its pieces (ties
+    to the first sample) and that distance.
+
+    The samples are a g^k grid in the half-face.  The distance to the content
+    is 1-Lipschitz, so the even-index sub-grid is measured first: its maximum
+    M bounds the argmax from below, and a sample whose coarse cell's corners
+    e give min f(e) + |s - e| below M, by more than a float margin, lies
+    strictly below the maximum and is not measured.  Every measured sample
+    gets the kernel's float, so the argmax is the full grid's.
+    """
+    F, k = spanned.shape
+    g = _FAR_GRID.get(k, 9)
+    index = np.indices((g,) * k).reshape(k, -1).T            # the grid's samples in ij order
+    ticks = np.linspace(np.take_along_axis(half_lo, spanned, 1),
+                        np.take_along_axis(half_hi, spanned, 1), g, axis=-1)
+    center = 0.5 * (half_lo + half_hi)
+
+    def at(face, sample):
+        """Coordinates of sample ``sample[i]`` of face ``face[i]``."""
+        p = center[face]
+        for j in range(k):
+            p[np.arange(len(face)), spanned[face, j]] = ticks[face, j, index[sample, j]]
+        return p
+
+    odd = index & 1
+    fine = np.flatnonzero(odd.any(axis=1))
+    even = np.flatnonzero(~odd.any(axis=1))
+    grid_pts = at(np.repeat(np.arange(F), len(even)), np.tile(even, F)).reshape(F, len(even), -1)
+    coarse = _stage_distances(corners, starts, grid_pts)
+    # a fine sample's coarse cell has the corners one step down or up on each odd axis
+    nearest = np.full((F, len(fine)), math.inf)
+    for shift in np.indices((2,) * k).reshape(k, -1).T * 2 - 1:
+        cell = (index[fine] + odd[fine] * shift) // 2
+        np.minimum(nearest, coarse[:, np.ravel_multi_index(tuple(cell.T), ((g + 1) // 2,) * k)],
+                   out=nearest)
+    step = (half_hi - half_lo).max() / (g - 1)
+    margin = BOUND_MARGIN * max(np.abs(grid_pts).max(), np.abs(corners).max())
+    nearest += np.sqrt(odd[fine].sum(axis=1)) * step + margin
+    face_of, sample = np.nonzero(nearest >= coarse.max(axis=1)[:, None])
+    sample = fine[sample]
+    dist = np.full((F, len(index)), -math.inf)
+    dist[:, even] = coarse
+    if face_of.size:
+        counts = np.diff(np.r_[starts, len(corners)])[face_of]
+        first = np.cumsum(counts) - counts
+        rep = np.repeat(np.arange(face_of.size), counts)
+        piece = starts[face_of][rep] + np.arange(rep.size) - first[rep]
+        pair = stacked_points_to_simplices(at(face_of, sample)[:, None], rep, corners[piece])
+        dist[face_of, sample] = np.minimum.reduceat(pair[:, 0], first)
+    faces = np.arange(F)
+    idx = dist.argmax(axis=1)
+    return at(faces, idx), dist[faces, idx]
+
+
+def choose_center(grid: DyadicGrid, corners: np.ndarray, groups: list,
+                  strategy: str = "chebyshev", trials: int = 32,
+                  rngs: Optional[list] = None) -> list:
+    """Pick a projection center in the concentric half-face of each face of a stage.
+
+    ``groups`` are the stage's faces, all of one dimension, each
+    ``(CubeFace, rows)`` with the rows of its pieces in ``corners``
+    (S, d+1, n).  Returns one ``(center, info)`` per face, or None for a
+    face with no admissible center.  ``far``: deterministic sample-grid
+    argmax of the distance to the content (ties break to the first sample),
+    reporting the a-priori ratio bound (diam(S)/dist)^d.  ``chebyshev``: best
+    of ``trials`` uniform samples from the face's generator in ``rngs``,
+    ranked by exact image measure (ties keep the earliest sample); a face
+    none of whose samples clears the content falls back to ``far``.  The
+    distances of a stage go through a few stacked kernel calls.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials {trials} must be at least 1 "
                          f"and not exceed the cap of {MAX_TRIALS}")
-    lo, hi = grid.face_bounds(face)
-    spanned = [a for a in range(grid.ambient_dim) if face.spans(a)]
-    if not spanned:
+    if strategy not in ("far", "chebyshev"):
+        raise ValueError(f"unknown center strategy {strategy!r}")
+    if not groups:
+        return []
+    keys = grid.key_rows([face for face, _ in groups])
+    mask = grid.spans(keys)
+    if not mask.any():
         raise ValueError("cannot choose a center inside a vertex")
-    diam = grid.face_diameter(face)
-    half_lo, half_hi = lo.copy(), hi.copy()
-    for a in spanned:
-        half_lo[a] = lo[a] + 0.25 * grid.spacing
-        half_hi[a] = hi[a] - 0.25 * grid.spacing
-    center = 0.5 * (half_lo + half_hi)
-    if len(content) == 0:
-        return center, {"strategy": strategy, "ratio_bound": 0.0, "clearance": math.inf}
+    lo, hi = grid.bounds(keys)
+    half_lo = np.where(mask, lo + 0.25 * grid.spacing, lo)
+    half_hi = np.where(mask, hi - 0.25 * grid.spacing, hi)
+    spanned = np.nonzero(mask)[1].reshape(len(keys), -1)
+    sizes = [len(rows) for _, rows in groups]
+    starts = np.cumsum(sizes) - sizes
+    content = corners[np.concatenate([rows for _, rows in groups])]
+    diam = grid.face_diameter(groups[0][0])
     clearance_min = CLEARANCE_REL * diam
 
-    if strategy == "far":
-        g = _FAR_GRID.get(len(spanned), 9)
-        axes_pts = [np.linspace(half_lo[a], half_hi[a], g) for a in spanned]
-        mesh = np.meshgrid(*axes_pts, indexing="ij")
-        pts = np.tile(center, (mesh[0].size, 1))
-        for j, a in enumerate(spanned):
-            pts[:, a] = mesh[j].ravel()
-        dist = points_to_simplices(pts, content)
-        idx = int(np.argmax(dist))
-        best = pts[idx]
-        d_best = float(dist[idx])
-        if d_best < clearance_min:
-            raise ValueError("no admissible projection center in the half-face")
-        return best, {"strategy": "far", "clearance": d_best,
-                      "ratio_bound": (diam / d_best) ** (content.shape[1] - 1)}
+    def far(faces: list) -> list:
+        out = []
+        block = max(1, _FAR_SAMPLES // _FAR_GRID.get(spanned.shape[1], 9) ** spanned.shape[1])
+        for first in range(0, len(faces), block):
+            sub = faces[first:first + block]
+            rows = np.concatenate([np.arange(starts[f], starts[f] + sizes[f]) for f in sub])
+            xi, clear = _far_centers(content[rows], np.cumsum([0] + [sizes[f] for f in sub[:-1]]),
+                                     spanned[sub], half_lo[sub], half_hi[sub])
+            out += [None if c < clearance_min else
+                    (x, {"strategy": "far", "clearance": c,
+                         "ratio_bound": (diam / c) ** (corners.shape[1] - 1)})
+                    for x, c in zip(xi, clear.tolist())]
+        return out
 
-    if strategy != "chebyshev":
-        raise ValueError(f"unknown center strategy {strategy!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    samples = rng.uniform(half_lo, half_hi, size=(trials, grid.ambient_dim))
-    for a in range(grid.ambient_dim):
-        if a not in spanned:
-            samples[:, a] = lo[a]
-    dists = points_to_simplices(samples, content)
-    admissible = np.flatnonzero(~(dists < clearance_min))
-    best_xi, best_val, best_clear = None, math.inf, 0.0
-    step = max(1, _CENTER_BATCH // len(content))
-    for first in range(0, admissible.size, step):
-        group = admissible[first:first + step]
-        shape = (group.size, grid.ambient_dim)
-        images, center_of, _ = _project_batch(
-            np.tile(content, (group.size, 1, 1)), np.repeat(np.arange(group.size), len(content)),
-            samples[group], np.broadcast_to(lo, shape), np.broadcast_to(hi, shape), spanned,
-            grid.spacing)
-        vols = _volumes(images)
-        ends = np.cumsum(np.bincount(center_of, minlength=group.size)).tolist()
-        for i, start, end in zip(group.tolist(), [0] + ends, ends):
-            val = ordered_sum(vols[start:end])
-            if val < best_val - 1e-15:
-                best_xi, best_val, best_clear = samples[i], val, float(dists[i])
-    if best_xi is None:
-        logger.warning("chebyshev center sampling found no admissible candidate; falling back to far")
-        return choose_center(grid, face, content, "far", trials, rng)
-    return best_xi, {"strategy": "chebyshev", "clearance": best_clear,
-                     "trials": int(samples.shape[0]), "image_measure": best_val}
+    if strategy == "far":
+        return far(list(range(len(groups))))
+
+    if rngs is None:
+        rngs = [np.random.default_rng(0) for _ in groups]
+    n = grid.ambient_dim
+    samples = np.stack([rng.uniform(half_lo[f], half_hi[f], size=(trials, n))
+                        for f, rng in enumerate(rngs)])
+    samples = np.where(mask[:, None], samples, lo[:, None])
+    dists = _stage_distances(content, starts, samples)
+    chosen, fallback = [], []
+    for f, (size, start) in enumerate(zip(sizes, starts.tolist())):
+        face_content = content[start:start + size]
+        admissible = np.flatnonzero(~(dists[f] < clearance_min))
+        best_xi, best_val, best_clear = None, math.inf, 0.0
+        step = max(1, _CENTER_BATCH // size)
+        for first in range(0, admissible.size, step):
+            group = admissible[first:first + step]
+            shape = (group.size, n)
+            images, center_of, _ = _project_batch(
+                np.tile(face_content, (group.size, 1, 1)), np.repeat(np.arange(group.size), size),
+                samples[f, group], np.broadcast_to(lo[f], shape), np.broadcast_to(hi[f], shape),
+                spanned[f].tolist(), grid.spacing)
+            vols = _volumes(images)
+            ends = np.cumsum(np.bincount(center_of, minlength=group.size)).tolist()
+            for i, s0, s1 in zip(group.tolist(), [0] + ends, ends):
+                val = ordered_sum(vols[s0:s1])
+                if val < best_val - 1e-15:
+                    best_xi, best_val, best_clear = samples[f, i], val, float(dists[f, i])
+        if best_xi is None:
+            logger.warning("chebyshev center sampling found no admissible candidate; "
+                           "falling back to far")
+            fallback.append(f)
+        chosen.append((best_xi, {"strategy": "chebyshev", "clearance": best_clear,
+                                 "trials": trials, "image_measure": best_val}))
+    for f, pick in zip(fallback, far(fallback)):
+        chosen[f] = pick
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +747,10 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
         moving = _faces_of_dim(pieces.face, k, grid)
         groups = _face_groups(pieces.face, moving)
         # only the chebyshev search draws samples
-        chosen = [choose_center(grid, fkey, pieces.corners[rows], strategy, trials,
-                                _face_rng(seed, k, fkey) if strategy == "chebyshev" else None)
-                  for fkey, rows in groups]
+        rngs = [_face_rng(seed, k, fkey) for fkey, _ in groups] if strategy == "chebyshev" else None
+        chosen = choose_center(grid, pieces.corners, groups, strategy, trials, rngs)
+        if None in chosen:
+            raise ValueError("no admissible projection center in the half-face")
         images, _, ends = _project_groups(pieces, groups, [xi for xi, _ in chosen], grid)
         face_records = {}
         stage_in = 0.0
@@ -754,20 +838,21 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid) -> ProjectionResu
     moving = _faces_of_dim(pieces.face, d, grid) & (pieces.vol > 0.0)
     groups = _face_groups(pieces.face, moving)
     threshold = (grid.spacing / 2.0) ** d
+    measures = [ordered_sum(pieces.vol[rows]) for _, rows in groups]
+    chosen = iter(choose_center(grid, pieces.corners,
+                                [g for g, m in zip(groups, measures) if m < threshold], "far"))
     blockers = []
     centers = []
-    for fkey, rows in groups:
-        m = ordered_sum(pieces.vol[rows])
+    for (fkey, _), m in zip(groups, measures):
         if m >= threshold:
             blockers.append({"face": str(fkey), "reason": "content at least half-face measure",
                              "measure": m})
             continue
-        try:
-            xi, _ = choose_center(grid, fkey, pieces.corners[rows], "far")
-        except ValueError:
+        pick = next(chosen)
+        if pick is None:
             blockers.append({"face": str(fkey), "reason": "no admissible center"})
             continue
-        centers.append(xi)
+        centers.append(pick[0])
     if blockers:
         return replace(result, collapse_applied=False,
                        collapse_report={"fired": False, "blockers": blockers})

@@ -21,10 +21,12 @@ import pytest
 from plateau_lab import cones
 from plateau_lab import diagnostics as diag
 from plateau_lab import minimizer as mz
+from plateau_lab import projection as proj
 from plateau_lab.geometry import distance
 from plateau_lab.geometry.core import LineBoundary
 
 from conftest import graph_mesh, torus
+from test_projection import seeded_blob
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -75,6 +77,51 @@ def test_the_ladder_runs_through_the_hooked_names(monkeypatch):
     assert calls.count(("local_hausdorff_distance", 0)) == 3 * len(mz.LADDER_RADII)
     assert calls.count(("sample_mesh", 1)) == 2 * 3 * len(mz.LADDER_RADII)
     assert len(calls) == 3 * 3 * len(mz.LADDER_RADII)
+
+
+def test_the_center_search_runs_through_the_hooked_name(monkeypatch):
+    """``projection.center`` times the whole center search only while both
+    strategies and ``extra_collapse`` reach the distance kernel inside
+    ``choose_center``, which runs once per stage; and a stage's kernel calls
+    do not grow with its face count: one clearance test for chebyshev, the
+    coarse grid and the samples it keeps for far."""
+    hooked = {(m, a): name for name, m, a, _ in spans.HOOKS}
+    assert hooked[("plateau_lab.projection", "choose_center")] == "projection.center"
+    depth, stages = [0], []
+
+    def center(*args, **kwargs):
+        stages.append({"faces": len(args[2]), "calls": 0})
+        depth[0] += 1
+        try:
+            return search(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            assert depth[0] == 1
+            stages[-1]["calls"] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    search = proj.choose_center
+    monkeypatch.setattr(proj, "choose_center", center)
+    monkeypatch.setattr(proj, "stacked_points_to_simplices",
+                        counted(proj.stacked_points_to_simplices))
+    monkeypatch.setattr(distance, "_points_to_simplex", counted(distance._points_to_simplex))
+    grid = torus(3, 4)
+    for strategy, calls in (("chebyshev", {1}), ("far", {1, 2})):
+        faces = []
+        for n_tri in (2, 24):
+            stages.clear()
+            proj.project_to_skeleton(seeded_blob(3, n_tri), grid, strategy=strategy, trials=8)
+            assert len(stages) == 1 and stages[0]["calls"] in calls
+            faces.append(stages[0]["faces"])
+        assert faces[1] >= 4 * faces[0]
+    specks = proj.project_to_skeleton(seeded_blob(4, 6, 0.3, 0.31), grid, strategy="far")
+    stages.clear()
+    assert proj.extra_collapse(specks, grid).collapse_applied
+    assert len(stages) == 1 and stages[0]["faces"] and stages[0]["calls"] in {1, 2}
 
 
 def test_the_classifier_builds_its_cones_through_the_hooked_names(monkeypatch):

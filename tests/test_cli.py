@@ -305,11 +305,15 @@ def test_blowup_no_clip_numbers_shared_corners_in_order(runner, tmp_path):
      "line 2: a vertex takes exactly three coordinates, got 2"),
     ("long.obj", "v 0 0 0\n# a w weight\nv 1 0 0 5\nv 0 1 0\nf 1 2 3\n",
      "line 3: a vertex takes exactly three coordinates, got 4"),
+    ("no_vertices.off", "OFF\n-1 0 0\n",
+     "OFF vertex and face counts must not be negative, got -1 and 0"),
+    ("no_faces.off", "OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+     "OFF vertex and face counts must not be negative, got 3 and -1"),
 ])
 def test_bad_mesh_files_are_config_errors(runner, tmp_path, name, text, message):
-    """Indices out of range, non-finite vertices, used or not, and OBJ
-    vertices of two or four coordinates are refused as the file's fault,
-    before any output is written."""
+    """Indices out of range, non-finite vertices, used or not, OBJ vertices
+    of two or four coordinates and negative OFF counts are refused as the
+    file's fault, before any output is written."""
     mesh, out = tmp_path / name, tmp_path / "zoom.off"
     mesh.write_text(text)
     r = runner.invoke(main, ["blowup", "--mesh", str(mesh), "--center", "0,0,0",

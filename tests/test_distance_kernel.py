@@ -28,7 +28,8 @@ from plateau_lab.geometry.core import Ball, EmbeddedMesh
 from plateau_lab.geometry.distance import (MAX_SAMPLE_POINTS, SUP_BLOCK, _points_to_box,
                                            _points_to_segment, _points_to_triangle,
                                            local_hausdorff_distance, point_blocks,
-                                           points_to_simplices, sample_mesh, sup_distance)
+                                           points_to_simplices, sample_mesh,
+                                           stacked_points_to_simplices, sup_distance)
 from plateau_lab.grids import DyadicGrid
 
 from conftest import graph_mesh, grid_faces, segment_mesh, torus
@@ -452,6 +453,59 @@ def test_triangle_kernel_with_every_row_in_one_region(n, region):
     for row in pts[:3]:
         one = _points_to_triangle(row[None, :], a, b, c)
         assert one.tobytes() == oracle_points_to_triangle(row[None, :], a, b, c).tobytes()
+
+
+# ── the stacked kernel ──
+
+def stacked_rows(n, rng, rows, far):
+    """(K, d+1, n) triangles and segments for the stacked kernel: each of
+    ``kernel_triangles`` (and its edges, and a point segment) ``rows``
+    times; with ``far``, moved to the grid at 1000 with spacing 2^-6."""
+    tris = np.array([t for t in kernel_triangles(n, rng).values() for _ in range(rows)])
+    segs = np.concatenate([tris[:, :2], tris[:, 1:], tris[:, ::2]])
+    if far:
+        tris, segs = 1000.0 + 2.0 ** -6 * tris, 1000.0 + 2.0 ** -6 * segs
+    return tris, segs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("P", [1, 2, 729])
+@pytest.mark.parametrize("far", [False, True])
+def test_stacked_kernel_rows_equal_the_per_simplex_kernel(n, P, far, monkeypatch):
+    """Row k of ``stacked_points_to_simplices`` is ``_points_to_simplex``
+    on ``points[owner[k]]`` and ``corners[k]``, byte for byte: segments,
+    point segments, regular, sliver and degenerate triangles, one point (the
+    padded dot path), two, and a 9^3 grid's worth; at the origin and on the
+    grid far from it.  Every kernel call covers at most ``STACK_PAIRS``
+    pairs, and a smaller cap changes no byte."""
+    rng = np.random.default_rng([n, P, far])
+    for corners in stacked_rows(n, rng, 3, far):
+        lo, hi = corners.min(axis=(0, 1)), corners.max(axis=(0, 1))
+        points = lo + (hi - lo) * rng.uniform(-0.5, 1.5, (len(corners) // 2, P, n))
+        owner = rng.integers(0, len(points), len(corners))
+        points[owner[:5], :1] = corners[:5, :1]            # points on a vertex
+        pairs = []
+        for name in ("_stacked_segments", "_stacked_triangles"):
+            kernel = getattr(dist, name)
+            monkeypatch.setattr(dist, name, lambda p, *c, kernel=kernel:
+                                pairs.append(p.shape[0] * p.shape[1]) or kernel(p, *c))
+        got = stacked_points_to_simplices(points, owner, corners)
+        assert got.shape == (len(corners), P)
+        for k in range(len(corners)):
+            want = dist._points_to_simplex(points[owner[k]], corners[k])
+            assert got[k].tobytes() == want.tobytes()
+        assert max(pairs) <= dist.STACK_PAIRS
+        monkeypatch.setattr(dist, "STACK_PAIRS", 3 * max(P, 2))
+        assert stacked_points_to_simplices(points, owner, corners).tobytes() == got.tobytes()
+        monkeypatch.undo()
+
+
+def test_stacked_kernel_of_no_rows_is_empty():
+    empty = np.zeros(0, dtype=int)
+    assert stacked_points_to_simplices(np.zeros((1, 4, 3)), empty, np.zeros((0, 3, 3))).shape \
+        == (0, 4)
+    assert stacked_points_to_simplices(np.zeros((1, 0, 3)), np.zeros(2, dtype=int),
+                                       np.zeros((2, 3, 3))).shape == (2, 0)
 
 
 # ── the box kernel ──

@@ -134,8 +134,9 @@ def _trend_spread():
 def _center_image_measure():
     grid = DyadicGrid(np.zeros(3), 1.0, 2)
     content = np.random.default_rng(0).uniform(0.05, 0.45, size=(12, 3, 3))
-    _, info = projection.choose_center(grid, CubeFace(grid.full_mask, (0, 0, 0)), content,
-                                       "chebyshev", 16, np.random.default_rng(0))
+    [(_, info)] = projection.choose_center(grid, content,
+                                           [(CubeFace(grid.full_mask, (0, 0, 0)), np.arange(12))],
+                                           "chebyshev", 16, [np.random.default_rng(0)])
     return [info["image_measure"]]
 
 

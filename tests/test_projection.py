@@ -218,7 +218,7 @@ def test_trials_over_the_cap_raise_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"cap of {proj.MAX_TRIALS}"):
-            proj.choose_center(grid, CubeFace(grid.full_mask, (0, 0, 0)), content,
+            proj.choose_center(grid, content, [(CubeFace(grid.full_mask, (0, 0, 0)), [0])],
                                trials=proj.MAX_TRIALS + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -233,5 +233,5 @@ def test_trials_below_one_raise(trials, strategy):
     grid = DyadicGrid(np.zeros(3), 1.0, 2)
     content = np.array([[[0.1, 0.1, 0.2], [0.4, 0.1, 0.3], [0.1, 0.4, 0.2]]])
     with pytest.raises(ValueError, match=f"trials {trials} must be at least 1"):
-        proj.choose_center(grid, CubeFace(grid.full_mask, (0, 0, 0)), content,
+        proj.choose_center(grid, content, [(CubeFace(grid.full_mask, (0, 0, 0)), [0])],
                            strategy=strategy, trials=trials)

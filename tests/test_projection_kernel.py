@@ -652,23 +652,40 @@ def test_grid_split_matches_scalar_oracle(d, n, corner, size):
 @pytest.mark.parametrize("seed", [0, 3, 11])
 @pytest.mark.parametrize("one_center_per_call", [False, True])
 def test_chebyshev_center_matches_scalar_oracle(seed, one_center_per_call, monkeypatch):
+    """The stage's search, its clearance test stacked over every face, against
+    the scalar oracle face by face."""
     if one_center_per_call:
         monkeypatch.setattr(proj, "_CENTER_BATCH", 1)
     grid = DyadicGrid(np.zeros(3), 1.0, 2)
     pieces, _, _ = proj.split_into_grid(seeded_blob(seed), grid)
-    faces = {}
-    for corners, key in zip(pieces.corners, pieces.face):
-        face = proj._cube_face(key)
-        if face.dim == 3:
-            faces.setdefault(face, []).append(corners)
-    assert faces
-    for face in sorted(faces)[:3]:
-        content = np.array(faces[face])
-        got = proj.choose_center(grid, face, content, "chebyshev", 8,
-                                 proj._face_rng(seed, 3, face))
-        want = oracle_chebyshev(grid, face, content, 8, proj._face_rng(seed, 3, face))
+    groups = proj._face_groups(pieces.face, proj._faces_of_dim(pieces.face, 3, grid))
+    assert len(groups) > 1
+    chosen = proj.choose_center(grid, pieces.corners, groups, "chebyshev", 8,
+                                [proj._face_rng(seed, 3, face) for face, _ in groups])
+    for (face, rows), got in list(zip(groups, chosen))[:3]:
+        want = oracle_chebyshev(grid, face, pieces.corners[rows], 8, proj._face_rng(seed, 3, face))
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1] == want[1]
+
+
+def test_chebyshev_falls_back_to_far_on_its_own_faces(caplog):
+    """A face none of whose samples clears its content takes the far center,
+    with a warning; the other faces of the stage keep their chebyshev pick."""
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
+    faces = [CubeFace(grid.full_mask, (0, 0, 0)), CubeFace(grid.full_mask, (1, 0, 0))]
+    xi = proj.choose_center(grid, np.zeros((1, 3, 3)), [(faces[0], [0])], "chebyshev", 1,
+                            [np.random.default_rng(7)])[0][0]
+    # a triangle through the face's one sample, and one far from the other's
+    content = np.array([xi + [[0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [0.0, 0.05, 0.0]],
+                        [[0.55, 0.05, 0.05], [0.6, 0.05, 0.05], [0.55, 0.1, 0.05]]])
+    groups = [(faces[0], [0]), (faces[1], [1])]
+    with caplog.at_level("WARNING", logger=proj.__name__):
+        got = proj.choose_center(grid, content, groups, "chebyshev", 1,
+                                 [np.random.default_rng(7) for _ in groups])
+    assert "falling back to far" in caplog.text
+    far = proj.choose_center(grid, content, groups, "far")
+    assert got[0][0].tobytes() == far[0][0].tobytes() and got[0][1] == far[0][1]
+    assert got[1][1]["strategy"] == "chebyshev"
 
 
 # ── face assignment, split and ledgers vs the per-piece oracle ──
@@ -921,3 +938,120 @@ def test_one_stage_makes_one_kernel_call_per_spanned_axes(monkeypatch):
         moving = proj._faces_of_dim(pieces.face, k, grid)
         pieces = proj.PieceTable.concat([pieces.take(~moving), images])
     assert sorted(calls) == [[0, 1], [0, 2], [1, 2]]
+
+
+# ── the far search vs the full sample grid ──
+
+def oracle_far(grid, face, content):
+    """The far search of one face as it ran before stages: every sample of
+    the full grid against every piece, one ``points_to_simplices`` call."""
+    lo, hi = grid.face_bounds(face)
+    spanned = [a for a in range(grid.ambient_dim) if face.spans(a)]
+    diam = grid.face_diameter(face)
+    half_lo, half_hi = lo.copy(), hi.copy()
+    for a in spanned:
+        half_lo[a] = lo[a] + 0.25 * grid.spacing
+        half_hi[a] = hi[a] - 0.25 * grid.spacing
+    center = 0.5 * (half_lo + half_hi)
+    g = proj._FAR_GRID.get(len(spanned), 9)
+    mesh = np.meshgrid(*[np.linspace(half_lo[a], half_hi[a], g) for a in spanned], indexing="ij")
+    pts = np.tile(center, (mesh[0].size, 1))
+    for j, a in enumerate(spanned):
+        pts[:, a] = mesh[j].ravel()
+    dist = points_to_simplices(pts, content)
+    idx = int(np.argmax(dist))
+    d_best = float(dist[idx])
+    if d_best < proj.CLEARANCE_REL * diam:
+        return None
+    return pts[idx], {"strategy": "far", "clearance": d_best,
+                      "ratio_bound": (diam / d_best) ** (content.shape[1] - 1)}, dist
+
+
+def assert_far_matches_oracle(grid, corners, groups, chosen):
+    assert len(chosen) == len(groups)
+    for (face, rows), got in zip(groups, chosen):
+        want = oracle_far(grid, face, corners[rows])
+        if want is None:
+            assert got is None
+            continue
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("g,d", STAGE_CASES)
+def test_far_stage_matches_the_full_grid_per_face(g, d, monkeypatch):
+    """Every far search of a projection and of its extra collapse, in R^2
+    and R^3 and on the grid far from the origin, against the per-face argmax
+    over the full sample grid: the same center bytes and the same info."""
+    grid = GRIDS[g]
+    real = proj.choose_center
+    stages = []
+
+    def checked(grid, corners, groups, strategy="chebyshev", trials=32, rngs=None):
+        chosen = real(grid, corners, groups, strategy, trials, rngs)
+        assert_far_matches_oracle(grid, corners, groups, chosen)
+        stages.append(len(groups))
+        return chosen
+
+    monkeypatch.setattr(proj, "choose_center", checked)
+    rng = np.random.default_rng(190 + 10 * g + d)
+    proj.project_to_skeleton(stage_content(grid, d, rng, 16, 0.3), grid, strategy="far")
+    specks = proj.project_to_skeleton(stage_content(grid, d, rng, 3, 0.01), grid, strategy="far")
+    assert proj.extra_collapse(specks, grid).collapse_applied
+    assert len(stages) == 2 * (grid.ambient_dim - d) + 1 and all(stages[:grid.ambient_dim - d])
+
+
+def plane_content(n, levels):
+    """Corners of the hyperplanes {x_last = z} for z in ``levels``, across
+    the cell [0, 0.5]^n: segments in R^2, two triangles each in R^3."""
+    out = []
+    for z in levels:
+        if n == 2:
+            out.append([[0.0, z], [0.5, z]])
+        else:
+            out += [[[0.0, 0.0, z], [0.5, 0.0, z], [0.0, 0.5, z]],
+                    [[0.5, 0.5, z], [0.0, 0.5, z], [0.5, 0.0, z]]]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fine", [False, True])
+def test_far_ties_go_to_the_first_sample(n, fine):
+    """A plane through the cell's middle puts the maximum on two whole layers
+    of samples, the first one coarse (even index).  Planes 3h apart, h the
+    sample step, starting h/2 below the half-face, put it on every third
+    layer from the second, whose samples are fine (odd index).  The search
+    returns the oracle's first tied sample either way."""
+    grid = DyadicGrid(np.zeros(n), 1.0, 2)
+    face = CubeFace(grid.full_mask, (0,) * n)
+    g = proj._FAR_GRID[n]
+    h = 0.25 / (g - 1)
+    levels = 0.125 - 0.5 * h + 3 * h * np.arange(g // 3 + 2) if fine else [0.25]
+    content = plane_content(n, levels)
+    groups = [(face, np.arange(len(content)))]
+    _, _, dist = oracle_far(grid, face, content)
+    tied = np.flatnonzero(dist == dist.max())
+    assert tied.size >= 2 * g ** (n - 1)
+    assert (tied[0] % g % 2 == 1) == fine
+    chosen = proj.choose_center(grid, content, groups, "far")
+    assert_far_matches_oracle(grid, content, groups, chosen)
+
+
+def test_far_measures_the_coarse_grid_and_few_other_samples(monkeypatch):
+    """On a triangle soup the far search measures every piece against the
+    even-index sub-grid of its face, 5^3 of the 9^3 samples, and against
+    under a tenth of the other samples."""
+    grid = DyadicGrid(np.zeros(3), 1.0, 4, (True,) * 3)
+    pieces, _, _ = proj.split_into_grid(seeded_blob(3, 24), grid)
+    groups = proj._face_groups(pieces.face, proj._faces_of_dim(pieces.face, 3, grid))
+    pairs = []
+    kernel = proj.stacked_points_to_simplices
+    monkeypatch.setattr(proj, "stacked_points_to_simplices",
+                        lambda p, owner, c: pairs.append((len(owner), p.shape[1]))
+                        or kernel(p, owner, c))
+    chosen = proj.choose_center(grid, pieces.corners, groups, "far")
+    assert_far_matches_oracle(grid, pieces.corners, groups, chosen)
+    count = sum(len(rows) for _, rows in groups)
+    assert pairs[0] == (count, 5 ** 3)
+    assert pairs[1][1] == 1 and 0 < pairs[1][0] < 0.1 * count * (9 ** 3 - 5 ** 3)
+
