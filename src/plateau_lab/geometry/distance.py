@@ -35,8 +35,11 @@ MAX_SAMPLE_POINTS = 2 ** 22
 SUP_BLOCK = 512
 #: float margin of every culling bound, as a fraction of the coordinate scale
 BOUND_MARGIN = 1e-9
-#: most (point, simplex) pairs per call of ``stacked_points_to_simplices``'s kernels
-STACK_PAIRS = 1 << 14
+#: most (point, simplex) pairs per call of ``stacked_points_to_simplices``'s kernels.
+#: A (pairs, 3) float table then stays under glibc's default 128 KiB mmap
+#: threshold, so the calls reuse heap pages: a seed-0 plateau pass took 9.6-12k
+#: page faults in the center search, against 17-18k at 2^14
+STACK_PAIRS = 1 << 12
 
 
 def _points_to_segment(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
