@@ -525,7 +525,7 @@ def choose_center(grid: DyadicGrid, corners: np.ndarray, groups: list,
     """Pick a projection center in the concentric half-face of each face of a stage.
 
     ``groups`` are the stage's faces, all of one dimension, each
-    ``(CubeFace, rows)`` with the rows of its pieces in ``corners``
+    ``(CubeFace, rows)`` with the rows of its pieces (at least one) in ``corners``
     (S, d+1, n).  Returns one ``(center, info)`` per face, or None for a
     face with no admissible center.  ``far``: deterministic sample-grid
     argmax of the distance to the content (ties break to the first sample),
@@ -542,6 +542,9 @@ def choose_center(grid: DyadicGrid, corners: np.ndarray, groups: list,
         raise ValueError(f"unknown center strategy {strategy!r}")
     if not groups:
         return []
+    sizes = [len(rows) for _, rows in groups]
+    if 0 in sizes:
+        raise ValueError("every face of a stage must hold at least one piece")
     keys = grid.key_rows([face for face, _ in groups])
     mask = grid.spans(keys)
     if not mask.any():
@@ -550,7 +553,6 @@ def choose_center(grid: DyadicGrid, corners: np.ndarray, groups: list,
     half_lo = np.where(mask, lo + 0.25 * grid.spacing, lo)
     half_hi = np.where(mask, hi - 0.25 * grid.spacing, hi)
     spanned = np.nonzero(mask)[1].reshape(len(keys), -1)
-    sizes = [len(rows) for _, rows in groups]
     starts = np.cumsum(sizes) - sizes
     content = corners[np.concatenate([rows for _, rows in groups])]
     diam = grid.face_diameter(groups[0][0])

@@ -235,3 +235,18 @@ def test_trials_below_one_raise(trials, strategy):
     with pytest.raises(ValueError, match=f"trials {trials} must be at least 1"):
         proj.choose_center(grid, content, [(CubeFace(grid.full_mask, (0, 0, 0)), [0])],
                            strategy=strategy, trials=trials)
+
+
+@pytest.mark.parametrize("strategy", ["chebyshev", "far"])
+@pytest.mark.parametrize("empty", [0, 1])
+def test_a_face_without_pieces_is_refused(strategy, empty):
+    """A stage's distances are reduced face by face over its pieces, so a face
+    with none would read its neighbour's or fall off the end: it is refused."""
+    from plateau_lab.grids import CubeFace
+    grid = DyadicGrid(np.zeros(3), 1.0, 2)
+    content = np.array([[[0.1, 0.1, 0.2], [0.4, 0.1, 0.3], [0.1, 0.4, 0.2]]])
+    rows = [[0], []] if empty else [[], [0]]
+    groups = [(CubeFace(grid.full_mask, (i, 0, 0)), np.array(r, dtype=int))
+              for i, r in enumerate(rows)]
+    with pytest.raises(ValueError, match="at least one piece"):
+        proj.choose_center(grid, content, groups, strategy=strategy, trials=4)
