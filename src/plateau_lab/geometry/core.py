@@ -34,7 +34,7 @@ def as_point(coords) -> np.ndarray:
     if p.ndim != 1 or not (MIN_AMBIENT_DIM <= p.size <= MAX_AMBIENT_DIM):
         raise ValueError(
             "point must be a vector of dimension %d..%d, got shape %s"
-            % (MIN_AMBIENT_DIM, MAX_AMBIENT_DIM, (p.shape,))
+            % (MIN_AMBIENT_DIM, MAX_AMBIENT_DIM, p.shape)
         )
     if not np.all(np.isfinite(p)):
         raise ValueError("point coordinates must be finite")

@@ -151,16 +151,19 @@ def _indexed_triangles(verts: np.ndarray, faces: list) -> EmbeddedMesh:
     return EmbeddedMesh(2, verts[faces], allow_degenerate=True)
 
 
+def _rows(line: str, table: np.ndarray) -> str:
+    """``line`` %-formatted once per row of ``table``, in one format call.
+    For a finite float ``'%.17g' % x`` is ``fmt_float(x)``; the writers'
+    corners are finite, as ``EmbeddedMesh`` requires."""
+    return (line * len(table)) % tuple(table.ravel().tolist())
+
+
 def mesh_to_off(mesh: EmbeddedMesh) -> str:
     if mesh.dimension != 2 or mesh.ambient_dim != 3:
         raise ValueError("OFF export requires a triangle mesh in R^3")
     verts, simplices = _vertex_table(mesh.corners)
-    lines = ["OFF", f"{verts.shape[0]} {mesh.n_simplices} 0"]
-    for v in verts:
-        lines.append(" ".join(fmt_float(x) for x in v))
-    for s in simplices:
-        lines.append("3 " + " ".join(str(int(i)) for i in s))
-    return "\n".join(lines) + "\n"
+    return (f"OFF\n{verts.shape[0]} {mesh.n_simplices} 0\n"
+            + _rows("%.17g %.17g %.17g\n", verts) + _rows("3 %d %d %d\n", simplices))
 
 
 #: a comment runs from '#' to the end of its line, as ``str.splitlines`` ends lines
@@ -191,12 +194,8 @@ def mesh_to_obj(mesh: EmbeddedMesh) -> str:
     if mesh.dimension != 2 or mesh.ambient_dim != 3:
         raise ValueError("OBJ export requires a triangle mesh in R^3")
     verts, simplices = _vertex_table(mesh.corners)
-    lines = []
-    for v in verts:
-        lines.append("v " + " ".join(fmt_float(x) for x in v))
-    for s in simplices:
-        lines.append("f " + " ".join(str(int(i) + 1) for i in s))
-    return "\n".join(lines) + "\n"
+    text = _rows("v %.17g %.17g %.17g\n", verts) + _rows("f %d %d %d\n", simplices + 1)
+    return text or "\n"
 
 
 def mesh_from_obj(text: str) -> EmbeddedMesh:
@@ -227,12 +226,7 @@ def mesh_to_segment_csv(mesh: EmbeddedMesh) -> str:
     if mesh.dimension != 1:
         raise ValueError("segment CSV export requires a d=1 mesh")
     n = mesh.ambient_dim
-    lines = [f"# segments ambient={n}"]
-    corners = mesh.corners
-    for i in range(mesh.n_simplices):
-        row = list(corners[i, 0]) + list(corners[i, 1])
-        lines.append(",".join(fmt_float(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return f"# segments ambient={n}\n" + _rows(",".join(["%.17g"] * 2 * n) + "\n", mesh.corners)
 
 
 def mesh_from_segment_csv(text: str) -> EmbeddedMesh:

@@ -242,8 +242,33 @@ def _edge_weights(flows: np.ndarray, functional: str, beta: float) -> np.ndarray
 def _norms(D: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis, kept as a length-1 axis, bit for bit
     as ``np.linalg.norm`` of each vector (see ``row_dots``).  Every ``D`` here
-    is a fresh difference or ``steps``, so C-contiguous float64."""
+    is a fresh difference, so C-contiguous float64; ``_optimize_interiors``
+    runs the same matmul on its own contiguous buffers."""
     return np.sqrt(stacked_dots(D, D))[..., 0]
+
+
+def _sweep_plan(batch: np.ndarray, N: int, nbr: np.ndarray, wts: np.ndarray) -> tuple:
+    """The buffers and views of ``_optimize_interiors``' sweeps over one
+    (V, T, n) batch, vertex-major so that each junction's rows are one
+    contiguous block; made again only when a topology leaves the batch.
+
+    Returns the flat vertex rows; per slot its junction view, gather rows,
+    weights, step row and whether some topology has no weighted neighbour
+    there (only such a slot needs the 0/0 guard); the slot buffers shared by
+    all slots; and the buffers of the convergence test.
+    """
+    V, T, n = batch.shape
+    steps = np.empty((V - N, T, n))
+    rows = T * nbr + np.arange(T)
+    wts = np.ascontiguousarray(wts)
+    guards = (wts <= 0.0).all(axis=1).any(axis=(1, 2)).tolist()
+    slots = [(batch[N + j], rows[j], wts[j], steps[j], guards[j]) for j in range(V - N)]
+    diff, sq = np.empty((3, T, n)), np.empty((3, T, 1, 1))
+    shared = (diff, diff[..., None, :], diff[..., :, None], sq, sq[..., 0],
+              np.empty((T, 1)), np.empty((T, 1), dtype=bool))
+    test = (steps[..., None, :], steps[..., :, None], np.empty((V - N, T, 1, 1)),
+            np.empty((T, 1, 1)), np.empty(T, dtype=bool))
+    return batch.reshape(-1, n), slots, shared, test
 
 
 def _optimize_interiors(topologies: Sequence[NetTopology], terminals: Sequence[Terminal],
@@ -279,40 +304,49 @@ def _optimize_interiors(topologies: Sequence[NetTopology], terminals: Sequence[T
         j, t = np.nonzero(nbr[:, s] < N)
         rhs[t, j] += pos[0, nbr[j, s, t]]
     pos[:, N:] = np.linalg.solve(L, rhs)
-    eps = 1e-14 * scale
-    tol = WEISZFELD_REL_TOL * scale
+    eps = np.float64(1e-14 * scale)
+    tol = np.float64(WEISZFELD_REL_TOL * scale)
     live = np.arange(T)
-    batch = pos.copy()
-    steps = np.empty((k,) + batch.shape[::2])
-    rows = nbr + (N + k) * live
+    batch = np.ascontiguousarray(pos.transpose(1, 0, 2))
+    replan = True
     # a vertex with no weighted neighbour (den 0) keeps its place: its 0/0 step
     # is set to -0.0, and x + -0.0 is x, signed zeros included
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(WEISZFELD_MAX_SWEEPS):
-            flat = batch.reshape(-1, batch.shape[2])
-            for j in range(k):
-                x = batch[:, N + j]
-                y = flat[rows[j]]
-                c = wts[j] / np.maximum(_norms(y - x), eps)
-                cy = c * y
-                # start from +0.0 as a running sum would, so signed zeros match
-                num = cy[0] + 0.0 + cy[1] + cy[2]
-                den = c[0] + c[1] + c[2]
-                step = np.subtract(num / den, x, out=steps[j])
+            if replan:
+                flat, slots, (diff, diff_l, diff_r, sq, norm, den, idle), \
+                    (steps_l, steps_r, steps_sq, top, done) = _sweep_plan(batch, N, nbr, wts)
+                replan = False
+            for x, r, w, step, guard in slots:
+                y = flat.take(r, axis=0)
+                np.subtract(y, x, out=diff)
+                np.matmul(diff_l, diff_r, out=sq)
+                np.sqrt(sq, out=sq)
+                np.maximum(norm, eps, out=norm)
+                c = np.divide(w, norm, out=norm)
+                # the reduce starts from +0.0, as cy[0] + 0.0 + cy[1] + cy[2]
+                # does, so signed zeros match; c >= +0 leaves den's sum as is
+                np.add.reduce(np.multiply(c, y, out=y), axis=0, initial=0.0, out=step)
+                np.add.reduce(c, axis=0, initial=0.0, out=den)
+                np.divide(step, den, out=step)
+                np.subtract(step, x, out=step)
                 if sweep < 8:
                     step *= 0.5
-                np.copyto(step, -0.0, where=den <= 0.0)
+                if guard:
+                    np.copyto(step, -0.0, where=np.less_equal(den, 0.0, out=idle))
                 x += step
-            done = np.fmax.reduce(_norms(steps), axis=0, initial=0.0)[:, 0] <= tol
-            if done.any():
-                pos[live[done]] = batch[done]
+            np.matmul(steps_l, steps_r, out=steps_sq)
+            np.sqrt(steps_sq, out=steps_sq)
+            np.fmax.reduce(steps_sq, axis=0, initial=0.0, out=top)
+            if np.less_equal(top[:, 0, 0], tol, out=done).any():
+                pos[live[done]] = batch[:, done].transpose(1, 0, 2)
                 keep = ~done
-                live, batch, steps, nbr, wts = (live[keep], batch[keep], steps[:, keep],
-                                                nbr[..., keep], wts[:, :, keep])
-                rows = nbr + (N + k) * np.arange(live.size)
+                live, nbr, wts = live[keep], nbr[..., keep], wts[:, :, keep]
+                batch = np.ascontiguousarray(batch[:, keep])
+                replan = True
                 if not live.size:
                     break
-    pos[live] = batch
+    pos[live] = batch.transpose(1, 0, 2)
     return pos
 
 
@@ -405,8 +439,8 @@ def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
     optimizes interior vertices, merges collapsed junctions, canonicalizes
     flows, and returns the winner; ties break to the lexicographically
     smallest edge list, so results are deterministic.  Charges must balance
-    for mass or m_beta costs.  Terminals whose squared distances overflow
-    are refused before any topology is solved.
+    for mass or m_beta costs.  Terminals whose squared distances overflow,
+    and two terminals at one point, are refused before any topology is solved.
     """
     if functional not in ("size", "mass", "m_beta"):
         raise ValueError(f"unknown functional {functional!r}")
@@ -430,6 +464,11 @@ def optimize_steiner(terminals: Sequence[Terminal], *, functional: str = "size",
     if not finite:
         raise ValueError("the terminals' squared distances are not finite: "
                          "they overflow in floating point")
+    # by value, so -0.0 meets 0.0, and terminals 1e-200 apart (whose squared
+    # distance underflows to 0) stay apart
+    same, other = np.nonzero(np.triu((pts[:, None] == pts[None, :]).all(axis=2), 1))
+    if same.size:
+        raise ValueError(f"terminals {same[0]} and {other[0]} are at one point")
     if functional == "size":
         # the size problem is the classical connected one: charges play no
         # role, every tree edge counts with weight 1, so use spanning charges

@@ -443,6 +443,34 @@ def test_steiner_refuses_a_network_that_overflows(runner, tmp_path):
     assert r.stdout == "" and not out.exists()
 
 
+def test_steiner_refuses_coincident_terminals_before_the_solve(runner, tmp_path, monkeypatch):
+    """Two terminals at one point, here 0.0 and -0.0 in a coordinate, are
+    named and refused before any topology is built."""
+    doc = {"terminals": [{"pos": [0.0, 1.0]}, {"pos": [1.0, 0.0]}, {"pos": [2.0, 2.0]},
+                         {"pos": [-0.0, 1.0]}],
+           "objective": "size"}
+    inst = tmp_path / "twice.json"
+    inst.write_text(json.dumps(doc))
+    out = tmp_path / "solution.json"
+    built = []
+    monkeypatch.setattr(steiner_module, "enumerate_topologies",
+                        lambda n: built.append(n) or [])
+    r = runner.invoke(main, ["steiner", "--instance", str(inst), "--out", str(out),
+                             "--csv", str(tmp_path / "net.csv")])
+    assert r.exit_code == 1
+    assert r.stderr == "error: terminals 0 and 3 are at one point\n"
+    assert r.stdout == "" and built == [] and not out.exists()
+    assert not (tmp_path / "net.csv").exists()
+
+
+def test_terminals_a_tiny_distance_apart_are_not_coincident():
+    """The coincidence test compares coordinates, not norms, which underflow
+    to 0 for terminals 1e-200 apart."""
+    terminals = [steiner_module.Terminal(np.array(p))
+                 for p in ([0.0, 0.0], [1e-200, 0.0], [0.0, 1e-200])]
+    assert steiner_module.optimize_steiner(terminals).n_topologies == 1
+
+
 def test_steiner_refuses_beta_out_of_range_before_the_solve(runner, tmp_path, monkeypatch):
     doc = {"terminals": [{"pos": [0.0, 0.0], "charge": 2}, {"pos": [1.0, 0.0], "charge": -1},
                          {"pos": [0.0, 1.0], "charge": -1}]}
@@ -605,6 +633,16 @@ def test_terminal_charges_must_be_integers(runner, tmp_path, charge):
     r = runner.invoke(main, ["steiner", "--instance", str(inst), "--out", str(tmp_path / "s.json")])
     assert r.exit_code == 2, r.stderr
     assert r.stderr == f"config error: terminal 0: 'charge' must be an integer, got {charge!r}\n"
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_a_terminal_of_the_wrong_dimension_names_its_shape(runner, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"terminals": [{"pos": [0]}, {"pos": [1.0, 0.0]}]}))
+    r = runner.invoke(main, ["steiner", "--instance", str(inst), "--out", str(tmp_path / "s.json")])
+    assert r.exit_code == 2, r.stderr
+    assert r.stderr == ("config error: terminal 0: point must be a vector of dimension 2..6, "
+                        "got shape (1,)\n")
     assert not (tmp_path / "s.json").exists()
 
 

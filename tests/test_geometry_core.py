@@ -329,6 +329,33 @@ class TestMeshIO:
             meshio.mesh_to_segment_csv(EmbeddedMesh(1, corners, allow_degenerate=True)))
         assert back.corners.tobytes() == corners.tobytes()
 
+    def test_writers_match_the_per_value_loops(self):
+        """One format call per block writes what ``fmt_float`` per value
+        wrote, on random finite bit patterns, signed zeros and subnormals."""
+        rng = np.random.default_rng(8)
+        pool = rng.integers(0, 2 ** 64, 4000, dtype=np.uint64).view(float)
+        pool = np.concatenate([pool[np.isfinite(pool)], [0.0, -0.0, 5e-324, -2.5e-310]])
+        f = meshio.fmt_float
+
+        def table(rows):
+            return "".join(" ".join(f(x) for x in v) + "\n" for v in rows)
+
+        for size in (0, 1, 40):
+            tris = EmbeddedMesh(2, rng.choice(pool, (size, 3, 3)), allow_degenerate=True)
+            verts, faces = meshio._vertex_table(tris.corners)
+            assert meshio.mesh_to_off(tris) == (
+                f"OFF\n{len(verts)} {size} 0\n" + table(verts)
+                + "".join("3 " + " ".join(str(int(i)) for i in s) + "\n" for s in faces))
+            assert meshio.mesh_to_obj(tris) == ("".join(
+                ["v " + " ".join(f(x) for x in v) + "\n" for v in verts]
+                + ["f " + " ".join(str(int(i) + 1) for i in s) + "\n" for s in faces])
+                or "\n")
+            for n in (2, 5):
+                segs = EmbeddedMesh(1, rng.choice(pool, (size, 2, n)), allow_degenerate=True)
+                rows = segs.corners.reshape(size, 2 * n)
+                assert meshio.mesh_to_segment_csv(segs) == f"# segments ambient={n}\n" + "".join(
+                    ",".join(f(x) for x in row) + "\n" for row in rows)
+
     def test_an_empty_mesh_writes_an_empty_off(self):
         assert meshio.mesh_to_off(EmbeddedMesh(2, np.zeros((0, 3, 3)))) == "OFF\n0 0 0\n"
         assert meshio.mesh_from_off("OFF\n0 0 0\n").n_simplices == 0

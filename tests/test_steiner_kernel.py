@@ -163,6 +163,11 @@ SLOW = terms([[0.88623046875, 0.3193359375], [0.903076171875, 0.05322265625],
 #: junction, which then has no weighted neighbour and never moves
 PAIRS = terms([[0.0, 0.0], [0.3, 0.1], [1.0, 0.2], [1.2, 0.5], [0.4, 1.0], [0.7, 1.3]],
               [1, -1, 1, -1, 1, -1])
+#: three neutral groups, two pairs and a (2, -1, -1) triple: a junction that
+#: joins the groups meets three zero-flow edges, while the triple's junctions
+#: sweep on for hundreds of sweeps
+GROUPS = terms([[0.0, 0.0], [0.25, 0.125], [1.0, 0.25], [1.25, 0.5], [0.375, 1.0],
+                [0.75, 1.25], [0.5, 0.5]], [1, -1, 1, -1, 2, -1, -1])
 #: an obtuse triangle: the junction collapses onto the obtuse corner
 OBTUSE = terms([[-1, 0], [1, 0], [0, 0.15]])
 #: flow 2 on the trunk: the mass junction merges into the sink
@@ -235,6 +240,71 @@ def test_kernel_runs_a_topology_to_the_sweep_cap():
     assert min(sweeps) < WEISZFELD_MAX_SWEEPS
 
 
+def bench_shaped(seed, functional, dim):
+    """5 terminals on the 2^-12 grid with charges (2, 1, -1, -1, -1), as the
+    bench's Steiner instances are: a fixed base draw per functional and
+    dimension, under the cube symmetry (axis swaps, flips x -> 1 - x) that
+    ``seed`` picks.  Both maps are exact on dyadic coordinates."""
+    grid = 2.0 ** 12
+    base = np.round(np.random.default_rng([2018, dim, len(functional)]).uniform(
+        0.0, 1.0, (5, dim)) * grid) / grid
+    rng = np.random.default_rng(seed)
+    points = base[:, rng.permutation(dim)]
+    flip = rng.integers(0, 2, dim).astype(bool)
+    points[:, flip] = 1.0 - points[:, flip]
+    return terms(points.tolist(), [2, 1, -1, -1, -1])
+
+
+@pytest.mark.parametrize("functional,beta", FUNCTIONALS)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_matches_scalar_oracle_on_bench_shaped_instances(dim, functional, beta):
+    for seed in range(4):
+        check_kernel(bench_shaped(seed, functional, dim), functional, beta)
+
+
+def idle_junctions(topology, weights):
+    """The junctions of a topology with no weighted neighbour."""
+    N = topology.n_terminals
+    return [v for v in range(N, 2 * N - 2)
+            if all(w == 0.0 for (a, b), w in zip(topology.edges, weights) if v in (a, b))]
+
+
+def test_the_guard_follows_the_idle_junctions_through_compactions(monkeypatch):
+    """A topology with an idle junction sweeps beside one that leaves before
+    it and beside one that leaves after it.  The batch is planned again when
+    either leaves, and the 0/0 guard stays on only while a live topology has
+    an idle junction in its slot; the floats stay the oracle's either way."""
+    tops, _, weights, scale = solver_inputs(GROUPS, "mass", 1.0)
+    oracle = {}
+
+    def solve(i):
+        if i not in oracle:
+            oracle[i] = oracle_optimize_interior(tops[i], GROUPS, weights[i], scale)
+        return oracle[i]
+
+    idle = next(i for i, (t, w) in enumerate(zip(tops, weights)) if idle_junctions(t, w))
+    busy = [i for i in range(len(tops)) if not idle_junctions(tops[i], weights[i])]
+    faster = next(i for i in busy if solve(i)[1] < solve(idle)[1])
+    slower = next(i for i in busy if solve(i)[1] > solve(idle)[1])
+    plan, guards = steiner._sweep_plan, []
+
+    def spy(*args):
+        made = plan(*args)
+        guards.append([slot[-1] for slot in made[1]])
+        return made
+
+    monkeypatch.setattr(steiner, "_sweep_plan", spy)
+    for leaves_first, other in ((False, faster), (True, slower)):
+        guards.clear()
+        pair = [idle, other]
+        got = steiner._optimize_interiors([tops[i] for i in pair], GROUPS,
+                                          [weights[i] for i in pair], scale)
+        for i, row in zip(pair, got):
+            assert row.tobytes() == solve(i)[0].tobytes()
+        assert len(guards) == 2 and any(guards[0])
+        assert any(guards[1]) != leaves_first
+
+
 @pytest.mark.parametrize("terminals,functional,beta", [
     (OBTUSE, "size", 1.0), (MERGING, "mass", 1.0), (MERGING, "m_beta", 0.5),
     (SIGNED_ZEROS, "size", 1.0), (SIGNED_ZEROS, "mass", 1.0),
@@ -299,6 +369,21 @@ def test_batched_norms_match_linalg_norm():
         want = np.array([np.linalg.norm(d) for d in D])
         assert steiner._norms(D)[:, 0].tobytes() == want.tobytes()
         assert steiner._norms(D.reshape(20, 20, n))[..., 0].tobytes() == want.tobytes()
+
+
+def test_reduce_from_zero_matches_the_running_sum():
+    """``np.add.reduce(a, axis=0, initial=0.0)`` is ``a[0] + 0.0 + a[1] + a[2]``
+    byte for byte, signed zeros and the extremes of the range included."""
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        a = rng.standard_normal((3, 15, 3)) * 10.0 ** rng.integers(-300, 301, (3, 15, 3))
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.2] = -0.0
+        want = a[0] + 0.0 + a[1] + a[2]
+        assert np.add.reduce(a, axis=0, initial=0.0).tobytes() == want.tobytes()
+        out = np.empty((15, 3))
+        np.add.reduce(a, axis=0, initial=0.0, out=out)
+        assert out.tobytes() == want.tobytes()
 
 
 def test_topologies_are_all_full_trees():
