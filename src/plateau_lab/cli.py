@@ -486,6 +486,8 @@ def density(vals):
               help="Classification report JSON path.")
 def classify(vals):
     """Match the ball around a point against the cone catalog."""
+    if not (math.isfinite(vals["depth"]) and vals["depth"] > 0):
+        _fail_config([f"depth must be finite and positive, got {vals['depth']}"])
     mesh = _read_mesh(vals["mesh"])
     context = _build_context(vals)
     report = classify_point(mesh, _vector(vals["center"], "center"), vals["radius"],
@@ -505,6 +507,8 @@ def classify(vals):
 @click.option("--out", type=click.Path(), default=None)
 def cone_check(vals):
     """Ball-versus-sphere-slice identity residual at one point."""
+    if not (math.isfinite(vals["tol"]) and vals["tol"] >= 0):
+        _fail_config([f"tol must be finite and non-negative, got {vals['tol']}"])
     mesh = _read_mesh(vals["mesh"])
     rep = cone_slice_check(mesh, _vector(vals["center"], "center"),
                            vals["radius"], tol=vals["tol"])
@@ -581,6 +585,8 @@ def minimize(vals):
     level_list = _ints(vals["levels"], "levels")
     if any(n < 1 for n in level_list):
         _fail_config(["levels must be positive"])
+    if not (math.isfinite(vals["threshold"]) and vals["threshold"] >= 0):
+        _fail_config([f"threshold must be finite and non-negative, got {vals['threshold']}"])
     domain = DyadicGrid(np.zeros(dim), vals["size"], 1, (torus,) * dim)
     scheme = run_scheme(mesh, domain, level_list,
                         threshold=vals["threshold"], strategy=vals["strategy"],
@@ -634,6 +640,8 @@ def douglas(vals):
             _fail_config(["need at least 8 samples"])
         if vals["samples"] > MAX_SAMPLES:
             _fail_config([f"samples must be at most {MAX_SAMPLES}"])
+        if not math.isfinite(vals["radius"]):
+            raise ValueError(f"samples must be finite, but --radius is {vals['radius']}")
         pts = circle_samples(vals["samples"], vals["radius"])
         label = "circle"
     rep = {"energy": douglas_energy(pts), "samples": int(pts.shape[0]), "loop": label}

@@ -27,6 +27,9 @@ DEGENERACY_REL_TOL = 1e-14
 #: cap on the number of simplices refine() may produce
 DEFAULT_REFINE_CAP = 2_000_000
 
+#: longest segment that ``ordered_sums`` adds in its position loop
+SEGMENT_LOOP = 64
+
 
 def as_point(coords) -> np.ndarray:
     """Validate and return a finite ambient point as a float vector."""
@@ -58,6 +61,23 @@ def ordered_sum(values) -> float:
     (``np.sum`` adds pairwise, and the built-in ``sum`` compensates from
     Python 3.12 on)."""
     return float(np.cumsum(np.concatenate([[0.0], values]))[-1])
+
+
+def ordered_sums(values, counts) -> np.ndarray:
+    """``ordered_sum`` of each consecutive segment of ``values``, the i-th
+    ``counts[i]`` long: one vector add per position across the segments up to
+    ``SEGMENT_LOOP`` long, and ``ordered_sum`` on each longer one."""
+    values = np.asarray(values, dtype=float)
+    counts = np.asarray(counts, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros(len(counts))
+    for i in np.flatnonzero(counts > SEGMENT_LOOP).tolist():
+        sums[i] = ordered_sum(values[starts[i]:starts[i] + counts[i]])
+    live = np.flatnonzero(counts <= SEGMENT_LOOP)
+    for j in range(counts[live].max(initial=0)):
+        live = live[counts[live] > j]
+        sums[live] += values[starts[live] + j]
+    return sums
 
 
 def stacked_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 from .geometry import distance
 from .geometry.core import Ball, EmbeddedMesh, ordered_sum
 from .grids import CubeFace, DyadicGrid
-from .projection import project_to_skeleton
+from .projection import face_groups, project_to_skeleton
 
 logger = logging.getLogger(__name__)
 
@@ -206,9 +206,9 @@ def flip_moves(fs: FaceSet, only_improving: bool = True) -> list:
     """Toggle by one cell boundary; improving needs > n present facets."""
     cells, valid = fs.grid.closure_cells(fs.grid.key_rows(fs.faces))
     moves = []
-    for row in np.unique(cells[valid], axis=0).tolist():
-        cell = CubeFace(row[0], tuple(row[1:]))
-        moves += _cell_boundary_move(fs, "flip", [cell], tuple(row), only_improving)
+    for cell, _ in face_groups(cells.reshape(-1, cells.shape[2]), valid.reshape(-1)):
+        moves += _cell_boundary_move(fs, "flip", [cell], (cell.axes,) + cell.lattice,
+                                     only_improving)
     return moves
 
 

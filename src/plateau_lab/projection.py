@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry.core import EmbeddedMesh, ordered_sum, refine, row_dots
+from .geometry.core import EmbeddedMesh, ordered_sum, ordered_sums, refine, row_dots
 from .geometry.distance import BOUND_MARGIN, stacked_points_to_simplices
 from .grids import CubeFace, DyadicGrid
 
@@ -107,20 +107,27 @@ def _faces_of_dim(keys: np.ndarray, dim: int, grid: DyadicGrid) -> np.ndarray:
     return (grid.spans(keys).sum(axis=1) == dim) & ~grid.frozen(keys)
 
 
-def _face_groups(keys: np.ndarray, select: np.ndarray) -> list[tuple[CubeFace, np.ndarray]]:
-    """Distinct faces of the selected rows in sorted order, each with its rows in order."""
+def face_groups(keys: np.ndarray, select: np.ndarray) -> list[tuple[CubeFace, np.ndarray]]:
+    """Distinct faces of the selected rows in sorted order, each with its rows
+    in order: one stable lexsort, cut where the key row changes."""
     rows = np.flatnonzero(select)
-    faces, group = np.unique(keys[rows], axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    members = np.split(rows[np.argsort(group, kind="stable")],
-                       np.cumsum(np.bincount(group, minlength=len(faces)))[:-1])
-    return [(_cube_face(f), m) for f, m in zip(faces, members)]
+    rows = rows[np.lexsort(keys[rows].T[::-1])]
+    ordered = keys[rows]
+    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)][:len(rows)])
+    return [(_cube_face(f), m) for f, m in zip(ordered[starts], np.split(rows, starts[1:]))]
 
 
 def _ledger(keys: np.ndarray, vol: np.ndarray) -> dict:
     """{CubeFace: total measure} per distinct key row, in order of first appearance."""
-    groups = sorted(_face_groups(keys, np.ones(len(keys), dtype=bool)), key=lambda g: g[1][0])
-    return {face: ordered_sum(vol[rows]) for face, rows in groups}
+    groups = face_groups(keys, np.ones(len(keys), dtype=bool))
+    pairs = zip(groups, _group_sums(vol, groups).tolist())
+    return {face: m for (face, _), m in sorted(pairs, key=lambda p: p[0][1][0])}
+
+
+def _group_sums(vol: np.ndarray, groups: list) -> np.ndarray:
+    """``ordered_sum`` of ``vol`` over each group's rows."""
+    rows = [r for _, r in groups]
+    return ordered_sums(vol[np.concatenate([np.zeros(0, np.intp), *rows])], [len(r) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -257,51 +264,38 @@ def _split_by_plane(pts: np.ndarray, active: np.ndarray, normals: np.ndarray,
     return out, np.repeat(np.arange(T), n_out)
 
 
+#: bound (0 lo, 1 hi) of each spanned axis at both ends of the 12 edges, in plane order
+_EDGE_ENDS = np.array([[[end if j == e else (c0, c1)[j - (j > e)] for j in range(3)]
+                        for end in (0, 1)]
+                       for e in range(3) for c0 in (0, 1) for c1 in (0, 1)])
+
+
 def _cone_planes(xi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  spanned: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Planes through each center xi[m] and the (k-2)-faces of the boundary
     of its face, whose bounds are lo[m], hi[m] (M, n).
 
     Returns normals (M, P, n) and offsets (M, P): P = 4 for k = 2, 12 for
-    k = 3, none otherwise.
+    k = 3 (the cross products of the vectors from xi to each edge's ends,
+    in one call), none otherwise.
     """
     M, n = xi.shape
-    k = len(spanned)
-    normals = []
-    if k == 2:
-        a0, a1 = spanned
-        for ca in (lo[:, a0], hi[:, a0]):
-            for cb in (lo[:, a1], hi[:, a1]):
-                normal = np.zeros((M, n))
-                normal[:, a0] = -(cb - xi[:, a1])
-                normal[:, a1] = ca - xi[:, a0]
-                normals.append(normal)
-    elif k == 3:
-        for e in spanned:
-            o0, o1 = [a for a in spanned if a != e]
-            for c0 in (lo[:, o0], hi[:, o0]):
-                for c1 in (lo[:, o1], hi[:, o1]):
-                    # u, v run from xi to the two ends of an edge along axis e
-                    u3 = np.empty((M, 3))
-                    v3 = np.empty((M, 3))
-                    for j, a in enumerate(spanned):
-                        u_end, v_end = ((lo[:, e], hi[:, e]) if a == e
-                                        else (c0, c0) if a == o0 else (c1, c1))
-                        u3[:, j] = u_end - xi[:, a]
-                        v3[:, j] = v_end - xi[:, a]
-                    normal = np.zeros((M, n))
-                    normal[:, spanned] = np.cross(u3, v3)
-                    normals.append(normal)
-    normals = np.stack(normals, axis=1) if normals else np.zeros((M, 0, n))
-    P = normals.shape[1]
-    offsets = row_dots(normals.reshape(-1, n), np.repeat(xi, P, axis=0)).reshape(M, P)
-    return normals, offsets
+    # ends[m, b, j]: bound b of spanned axis j, seen from xi[m]
+    ends = np.stack([lo, hi], axis=1)[:, :, spanned] - xi[:, None, spanned]
+    normals = np.zeros((M, {2: 4, 3: 12}.get(len(spanned), 0), n))
+    if len(spanned) == 2:
+        normals[:, :, spanned[0]] = -np.tile(ends[:, :, 1], 2)
+        normals[:, :, spanned[1]] = np.repeat(ends[:, :, 0], 2, axis=1)
+    elif len(spanned) == 3:
+        uv = ends[:, _EDGE_ENDS, np.arange(3)]
+        normals[:, :, spanned] = np.cross(uv[:, :, 0], uv[:, :, 1])
+    return normals, row_dots(normals, xi[:, None])
 
 
-def _map_to_boundary(v: np.ndarray, xi: np.ndarray, lo: np.ndarray,
+def _map_to_boundary(v: np.ndarray, center_of: np.ndarray, xi: np.ndarray, lo: np.ndarray,
                      hi: np.ndarray, spanned: list[int]) -> np.ndarray:
-    """Push each vertex v[i] radially from xi[i] onto the boundary of the
-    face with bounds lo[i], hi[i].
+    """Push each vertex v[i] radially from its center xi[center_of[i]] onto
+    the boundary of that center's face, whose bounds are lo, hi (M, n).
 
     A vertex already on a bounding plane stays.  Otherwise the first spanned
     axis with the smallest exit time wins, that coordinate is set to the
@@ -309,33 +303,32 @@ def _map_to_boundary(v: np.ndarray, xi: np.ndarray, lo: np.ndarray,
     """
     R = v.shape[0]
     fixed = np.zeros(R, dtype=bool)
-    best_t = np.full(R, math.inf)
-    best_axis = np.full(R, -1)
-    best_bound = np.zeros(R)
+    best_t, best_axis, best_bound = np.full(R, math.inf), np.full(R, -1), np.zeros(R)
+    bounds, x = [], xi[center_of]
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in spanned:
-            fixed |= (v[:, a] == lo[:, a]) | (v[:, a] == hi[:, a])
-            d = v[:, a] - xi[:, a]
+            lo_a, hi_a = lo[center_of, a], hi[center_of, a]
+            bounds.append((a, lo_a, hi_a))
+            fixed |= (v[:, a] == lo_a) | (v[:, a] == hi_a)
+            d = v[:, a] - x[:, a]
             up = d > 0.0
-            t = np.where(up, (hi[:, a] - xi[:, a]) / d, (lo[:, a] - xi[:, a]) / d)
+            bound = np.where(up, hi_a, lo_a)
+            t = (bound - x[:, a]) / d
             better = (up | (d < 0.0)) & (t < best_t)
-            best_t[better] = t[better]
-            best_axis[better] = a
-            best_bound[better] = np.where(up, hi[:, a], lo[:, a])[better]
-        moving = np.flatnonzero(~fixed)
-        if np.any(best_axis[moving] < 0):
+            np.copyto(best_t, t, where=better)
+            np.copyto(best_axis, a, where=better)
+            np.copyto(best_bound, bound, where=better)
+        if np.any(best_axis[~fixed] < 0):
             raise ValueError("projection center coincides with a content vertex")
-        x = xi[moving]
-        p = x + best_t[moving, None] * (v[moving] - x)
-    p[np.arange(moving.size), best_axis[moving]] = best_bound[moving]
-    lo, hi = lo[moving], hi[moving]
-    for a in spanned:
+        # every row is mapped; the fixed ones take their vertex back at the end
+        p = x + best_t[:, None] * (v - x)
+    p[np.arange(R), best_axis] = best_bound
+    for a, lo_a, hi_a in bounds:
         # min(max(p, lo), hi) with Python's tie rules
-        m = np.where(lo[:, a] > p[:, a], lo[:, a], p[:, a])
-        p[:, a] = np.where(hi[:, a] < m, hi[:, a], m)
-    out = v.copy()
-    out[moving] = p
-    return out
+        m = np.where(lo_a > p[:, a], lo_a, p[:, a])
+        p[:, a] = np.where(hi_a < m, hi_a, m)
+    np.copyto(p, v, where=fixed[:, None])
+    return p
 
 
 def _project_batch(chunks: np.ndarray, center_of: np.ndarray, centers: np.ndarray,
@@ -354,21 +347,18 @@ def _project_batch(chunks: np.ndarray, center_of: np.ndarray, centers: np.ndarra
     v, n = chunks.shape[1:]
     source_of = np.arange(len(chunks))
     normals, offsets = _cone_planes(centers, lo, hi, spanned)
-    M, P = normals.shape[:2]
-    flat = normals.reshape(-1, n)
-    norms = np.sqrt(row_dots(flat, flat)).reshape(M, P)
+    norms = np.sqrt(row_dots(normals, normals))
     snap = 1e-13 * s
-    pts = chunks
-    for j in range(P):
+    for j in range(normals.shape[1]):
         active = ~(norms[center_of, j] <= 0.0)
         c = center_of[active]
-        pts, parent = _split_by_plane(pts, active, normals[c, j], offsets[c, j],
-                                      snap * norms[c, j])
+        chunks, parent = _split_by_plane(chunks, active, normals[c, j], offsets[c, j],
+                                         snap * norms[c, j])
         center_of = center_of[parent]
         source_of = source_of[parent]
-    rows = np.repeat(center_of, v)
-    images = _map_to_boundary(pts.reshape(-1, n), centers[rows], lo[rows], hi[rows], spanned)
-    return images.reshape(pts.shape), center_of, source_of
+    images = _map_to_boundary(chunks.reshape(-1, n), np.repeat(center_of, v), centers, lo, hi,
+                              spanned)
+    return images.reshape(chunks.shape), center_of, source_of
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +377,7 @@ def _split_at_grid_planes(corners: np.ndarray, grid: DyadicGrid, snap: float):
     if S == 0:
         return chunks, source_of
     for a in range(n):
-        normal = np.zeros(n)
-        normal[a] = 1.0
+        normal = np.eye(n)[a]
         rel_lo = (corners[:, :, a].min(axis=1) - grid.corner[a]) / grid.spacing
         rel_hi = (corners[:, :, a].max(axis=1) - grid.corner[a]) / grid.spacing
         p_lo = np.maximum(0, np.ceil(rel_lo - 1e-12)).astype(np.int64)
@@ -590,15 +579,12 @@ def choose_center(grid: DyadicGrid, corners: np.ndarray, groups: list,
         step = max(1, _CENTER_BATCH // size)
         for first in range(0, admissible.size, step):
             group = admissible[first:first + step]
-            shape = (group.size, n)
+            lo_f, hi_f = (np.broadcast_to(b[f], (group.size, n)) for b in (lo, hi))
             images, center_of, _ = _project_batch(
                 np.tile(face_content, (group.size, 1, 1)), np.repeat(np.arange(group.size), size),
-                samples[f, group], np.broadcast_to(lo[f], shape), np.broadcast_to(hi[f], shape),
-                spanned[f].tolist(), grid.spacing)
-            vols = _volumes(images)
-            ends = np.cumsum(np.bincount(center_of, minlength=group.size)).tolist()
-            for i, s0, s1 in zip(group.tolist(), [0] + ends, ends):
-                val = ordered_sum(vols[s0:s1])
+                samples[f, group], lo_f, hi_f, spanned[f].tolist(), grid.spacing)
+            vals = ordered_sums(_volumes(images), np.bincount(center_of, minlength=group.size))
+            for i, val in zip(group.tolist(), vals.tolist()):
                 if val < best_val - 1e-15:
                     best_xi, best_val, best_clear = samples[f, i], val, float(dists[f, i])
         if best_xi is None:
@@ -739,36 +725,29 @@ def project_to_skeleton(mesh: EmbeddedMesh, grid: DyadicGrid, *,
     if eta is not None:
         mesh = refine(mesh, eta)
     d = mesh.dimension
-    n = grid.ambient_dim
     pieces, outside_chunks, outside_mults = split_into_grid(mesh, grid)
     measure_in = ordered_sum(pieces.vol)
     in_by_owner = _ledger(pieces.owner, pieces.vol)
 
     stages: list[StageRecord] = []
-    for k in range(n, d, -1):
+    for k in range(grid.ambient_dim, d, -1):
         moving = _faces_of_dim(pieces.face, k, grid)
-        groups = _face_groups(pieces.face, moving)
+        groups = face_groups(pieces.face, moving)
         # only the chebyshev search draws samples
         rngs = [_face_rng(seed, k, fkey) for fkey, _ in groups] if strategy == "chebyshev" else None
         chosen = choose_center(grid, pieces.corners, groups, strategy, trials, rngs)
         if None in chosen:
             raise ValueError("no admissible projection center in the half-face")
         images, _, ends = _project_groups(pieces, groups, [xi for xi, _ in chosen], grid)
-        face_records = {}
-        stage_in = 0.0
-        stage_out = 0.0
-        for (fkey, rows), (xi, info), start, end in zip(groups, chosen, [0] + ends, ends):
-            m_in = ordered_sum(pieces.vol[rows])
-            m_out = ordered_sum(images.vol[start:end])
-            stage_in += m_in
-            stage_out += m_out
-            face_records[fkey] = info
-            info["center"] = [float(x) for x in xi]
-            info["measure_in"] = m_in
-            info["measure_out"] = m_out
-            info["measured_ratio"] = m_out / m_in if m_in > 1e-300 else 0.0
+        measures_in = _group_sums(pieces.vol, groups)
+        measures_out = ordered_sums(images.vol, np.diff(ends, prepend=0))
+        for (xi, info), m_in, m_out in zip(chosen, measures_in.tolist(), measures_out.tolist()):
+            info.update(center=[float(x) for x in xi], measure_in=m_in, measure_out=m_out,
+                        measured_ratio=m_out / m_in if m_in > 1e-300 else 0.0)
+        face_records = {fkey: info for (fkey, _), (_, info) in zip(groups, chosen)}
         pieces = PieceTable.concat([pieces.take(~moving), images])
-        stages.append(StageRecord(k, stage_in, stage_out, face_records))
+        stages.append(StageRecord(k, ordered_sum(measures_in), ordered_sum(measures_out),
+                                  face_records))
 
     out_by_owner = _ledger(pieces.owner, pieces.vol)
     per_cell = {}
@@ -808,19 +787,13 @@ def verify_cell_locality(result: ProjectionResult, grid: DyadicGrid) -> tuple[bo
     """
     out_geo = _closed_cell_ledger(result.pieces, grid)
     per_cell = result.per_cell
-    worst = math.inf
-    ok = True
-    for cell in set(list(out_geo.keys()) + list(per_cell.keys())):
+    ok, worst = True, math.inf
+    for cell in out_geo.keys() | per_cell.keys():
         lhs = out_geo.get(cell, 0.0)
-        rhs = 0.0
-        for nb in grid.cell_neighbors(cell):
-            rec = per_cell.get(nb)
-            if rec is not None:
-                rhs += rec["ratio"] * rec["measure_in"]
-        slack = rhs - lhs
-        worst = min(worst, slack)
-        if lhs > rhs + 1e-9 * max(1.0, lhs):
-            ok = False
+        rhs = ordered_sum([rec["ratio"] * rec["measure_in"] for nb in grid.cell_neighbors(cell)
+                           if (rec := per_cell.get(nb)) is not None])
+        worst = min(worst, rhs - lhs)
+        ok = ok and not lhs > rhs + 1e-9 * max(1.0, lhs)
     return ok, (0.0 if worst is math.inf else worst)
 
 
@@ -838,13 +811,12 @@ def extra_collapse(result: ProjectionResult, grid: DyadicGrid) -> ProjectionResu
     d = result.skeleton_dim
     pieces = result.pieces
     moving = _faces_of_dim(pieces.face, d, grid) & (pieces.vol > 0.0)
-    groups = _face_groups(pieces.face, moving)
+    groups = face_groups(pieces.face, moving)
     threshold = (grid.spacing / 2.0) ** d
-    measures = [ordered_sum(pieces.vol[rows]) for _, rows in groups]
+    measures = _group_sums(pieces.vol, groups).tolist()
     chosen = iter(choose_center(grid, pieces.corners,
                                 [g for g, m in zip(groups, measures) if m < threshold], "far"))
-    blockers = []
-    centers = []
+    blockers, centers = [], []
     for (fkey, _), m in zip(groups, measures):
         if m >= threshold:
             blockers.append({"face": str(fkey), "reason": "content at least half-face measure",

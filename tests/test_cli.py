@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -692,6 +693,47 @@ def test_non_finite_levels_are_config_errors(runner, tmp_path, levels):
     r = runner.invoke(main, ["minimize", "--init", str(p), "--levels", levels])
     assert r.exit_code == 2, r.stderr
     assert "levels must be integers" in r.stderr
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+def test_bad_threshold_is_a_config_error(runner, tmp_path, threshold):
+    p = tmp_path / "flat.off"
+    write_mesh(str(p), flat_slice_mesh(level=0.5, n=2))
+    out = tmp_path / "fs.json"
+    r = runner.invoke(main, ["minimize", "--init", str(p), "--levels", "2",
+                             "--threshold", threshold, "--out", str(out)])
+    assert r.exit_code == 2, r.stderr
+    assert r.stderr.startswith("config error: threshold must be finite and non-negative")
+    assert r.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["cone-check", "--tol", "nan"], "tol must be finite and non-negative"),
+    (["cone-check", "--tol", "-inf"], "tol must be finite and non-negative"),
+    (["cone-check", "--tol", "-1"], "tol must be finite and non-negative"),
+    (["classify", "--depth", "nan"], "depth must be finite and positive"),
+    (["classify", "--depth", "inf"], "depth must be finite and positive"),
+    (["classify", "--depth", "0"], "depth must be finite and positive"),
+    (["classify", "--depth", "-1e-4"], "depth must be finite and positive"),
+])
+def test_bad_tolerances_are_config_errors(runner, y_mesh, tmp_path, args, message):
+    out = tmp_path / "out.json"
+    r = runner.invoke(main, [args[0], "--mesh", y_mesh, "--center", "0,0,0", "--radius", "1",
+                             *args[1:], "--out", str(out)])
+    assert r.exit_code == 2, r.stderr
+    assert r.stderr.startswith(f"config error: {message}"), r.stderr
+    assert r.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["inf", "-inf", "nan"])
+def test_douglas_refuses_a_non_finite_radius_before_sampling(runner, tmp_path, radius):
+    out = tmp_path / "energy.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = runner.invoke(main, ["douglas", "--radius", radius, "--out", str(out)])
+    assert r.exit_code == 1, r.stderr
+    assert r.stderr == f"error: samples must be finite, but --radius is {float(radius)}\n"
+    assert not out.exists()
 
 
 def test_douglas_rejects_non_finite_samples(runner, tmp_path):

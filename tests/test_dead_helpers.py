@@ -15,6 +15,9 @@ the boundary rule of identified axes to ``grids.py``: no other module reads
 a grid's ``identified`` flags or wraps a lattice index ``% N``.  The vertex
 table scan holds shared vertex numbering to ``geometry/meshio.py``: a mesh is
 its corner array, and only the file writers and readers number vertices.
+The row grouping scan keeps ``np.unique(..., axis=0)`` out of the package:
+distinct key rows come from ``projection.face_groups``, one stable lexsort,
+where the row-wise unique sorts the rows as opaque records.
 """
 from __future__ import annotations
 
@@ -448,3 +451,26 @@ def test_the_scan_finds_a_vertex_table_use():
 
 def test_only_meshio_numbers_vertices():
     assert vertex_table_uses(_package()) == []
+
+
+def unique_row_calls(sources: dict) -> list[str]:
+    """Sorted ``file: line N`` of each ``unique`` call with an ``axis`` keyword."""
+    return sorted(f"{path}: line {node.lineno}" for path, source in sources.items()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "unique"
+                  and any(k.arg == "axis" for k in node.keywords))
+
+
+def test_the_scan_finds_a_row_wise_unique():
+    source = ("faces = np.unique(keys, axis=0)\n"
+              "axes = np.unique(keys[:, 0])\n"
+              "rows, inv = numpy.unique(k[rows], return_inverse=True,\n"
+              "                         axis=0)\n"
+              "cells = unique(c, axis=0)\n"
+              "text = 'np.unique(keys, axis=0)'\n")
+    assert unique_row_calls({"a.py": source}) == ["a.py: line 1", "a.py: line 3", "a.py: line 5"]
+
+
+def test_no_row_wise_unique_in_the_package():
+    assert unique_row_calls(_package()) == []

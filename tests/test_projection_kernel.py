@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from plateau_lab import projection as proj
-from plateau_lab.geometry.core import EmbeddedMesh, row_dots
+from plateau_lab.geometry import core
+from plateau_lab.geometry.core import EmbeddedMesh, ordered_sum, row_dots
 from plateau_lab.geometry.distance import points_to_simplices
 from plateau_lab.grids import CubeFace, DyadicGrid
 
@@ -658,7 +659,7 @@ def test_chebyshev_center_matches_scalar_oracle(seed, one_center_per_call, monke
         monkeypatch.setattr(proj, "_CENTER_BATCH", 1)
     grid = DyadicGrid(np.zeros(3), 1.0, 2)
     pieces, _, _ = proj.split_into_grid(seeded_blob(seed), grid)
-    groups = proj._face_groups(pieces.face, proj._faces_of_dim(pieces.face, 3, grid))
+    groups = proj.face_groups(pieces.face, proj._faces_of_dim(pieces.face, 3, grid))
     assert len(groups) > 1
     chosen = proj.choose_center(grid, pieces.corners, groups, "chebyshev", 8,
                                 [proj._face_rng(seed, 3, face) for face, _ in groups])
@@ -930,7 +931,7 @@ def test_one_stage_makes_one_kernel_call_per_spanned_axes(monkeypatch):
     real = proj._project_batch
     monkeypatch.setattr(proj, "_project_batch", lambda *a: calls.append(a[-2]) or real(*a))
     for k in (3, 2):
-        groups = proj._face_groups(pieces.face, proj._faces_of_dim(pieces.face, k, grid))
+        groups = proj.face_groups(pieces.face, proj._faces_of_dim(pieces.face, k, grid))
         centers = [grid.face_center(face) for face, _ in groups]
         calls.clear()
         images, _, _ = proj._project_groups(pieces, groups, centers, grid)
@@ -1043,7 +1044,7 @@ def test_far_measures_the_coarse_grid_and_few_other_samples(monkeypatch):
     under a tenth of the other samples."""
     grid = DyadicGrid(np.zeros(3), 1.0, 4, (True,) * 3)
     pieces, _, _ = proj.split_into_grid(seeded_blob(3, 24), grid)
-    groups = proj._face_groups(pieces.face, proj._faces_of_dim(pieces.face, 3, grid))
+    groups = proj.face_groups(pieces.face, proj._faces_of_dim(pieces.face, 3, grid))
     pairs = []
     kernel = proj.stacked_points_to_simplices
     monkeypatch.setattr(proj, "stacked_points_to_simplices",
@@ -1055,3 +1056,161 @@ def test_far_measures_the_coarse_grid_and_few_other_samples(monkeypatch):
     assert pairs[0] == (count, 5 ** 3)
     assert pairs[1][1] == 1 and 0 < pairs[1][0] < 0.1 * count * (9 ** 3 - 5 ** 3)
 
+
+
+# ── projection bookkeeping in arrays: the forms it replaced as oracles ──
+
+def oracle_face_groups(keys, select):
+    """The ``np.unique(axis=0)`` grouping that ``face_groups`` replaced."""
+    rows = np.flatnonzero(select)
+    faces, group = np.unique(keys[rows], axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    members = np.split(rows[np.argsort(group, kind="stable")],
+                       np.cumsum(np.bincount(group, minlength=len(faces)))[:-1])
+    return [(CubeFace(int(f[0]), tuple(int(x) for x in f[1:])), m) for f, m in zip(faces, members)]
+
+
+def assert_same_groups(got, want):
+    assert [face for face, _ in got] == [face for face, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_face_groups_match_the_unique_grouping(seed):
+    """Random key rows with many ties in the leading columns and a random
+    selection, all rows, no rows, and one row."""
+    rng = np.random.default_rng(seed)
+    keys = np.column_stack([rng.integers(0, 2, 300), rng.integers(0, 2, 300),
+                            rng.integers(-3, 4, (300, 2))]).astype(np.int64)
+    for select in (rng.random(300) < 0.6, np.ones(300, dtype=bool),
+                   np.zeros(300, dtype=bool), np.arange(300) == 7):
+        got = proj.face_groups(keys, select)
+        assert_same_groups(got, oracle_face_groups(keys, select))
+    assert proj.face_groups(keys, np.zeros(300, dtype=bool)) == []
+    assert proj.face_groups(keys[:0], np.zeros(0, dtype=bool)) == []
+
+
+def test_face_groups_on_the_pieces_of_a_projection():
+    grid = DyadicGrid(np.zeros(3), 1.0, 4, (True,) * 3)
+    res = proj.project_to_skeleton(seeded_blob(3, 24), grid, trials=4)
+    for keys in (res.pieces.face, res.pieces.owner):
+        for select in (np.ones(len(keys), dtype=bool), proj._faces_of_dim(keys, 2, grid)):
+            assert_same_groups(proj.face_groups(keys, select), oracle_face_groups(keys, select))
+
+
+def per_segment_sums(values, counts):
+    starts = np.cumsum(counts) - counts
+    return np.array([ordered_sum(values[s:s + c]) for s, c in zip(starts, counts)], dtype=float)
+
+
+@pytest.mark.parametrize("loop", [0, 3, 64])
+def test_ordered_sums_match_per_segment_ordered_sum(loop, monkeypatch):
+    """Both paths, the position loop and the one-segment sum (``loop`` moves
+    the cut between them): signed zeros, subnormals, huge and cancelling
+    values, one-element and empty segments."""
+    monkeypatch.setattr(core, "SEGMENT_LOOP", loop)
+    rng = np.random.default_rng(5)
+    tiny = 5e-324
+    specials = np.array([-0.0, 0.0, tiny, -tiny, 3 * tiny, 1e300, -1e300, 1e-300, 1.0, -1.0])
+    for _ in range(40):
+        counts = rng.integers(0, 12, rng.integers(0, 25))
+        counts[rng.random(counts.size) < 0.2] = 1
+        values = rng.choice(specials, counts.sum()) * rng.choice([1.0, 0.1, 0.5], counts.sum())
+        values[rng.random(counts.sum()) < 0.3] = -0.0
+        got = core.ordered_sums(values, counts)
+        assert got.dtype == np.float64
+        assert got.tobytes() == per_segment_sums(values, counts).tobytes()
+    # all -0.0 segments sum to +0.0, as ordered_sum starts from 0.0
+    got = core.ordered_sums(np.full(5, -0.0), [2, 0, 1, 2])
+    assert got.tobytes() == np.zeros(4).tobytes()
+    assert core.ordered_sums([], []).shape == (0,)
+    assert core.ordered_sums([0.1] * 10, [10])[0] == 0.9999999999999999
+
+
+def oracle_row_map(v, xi, lo, hi, spanned):
+    """The per-row map that the per-center map replaced: xi, lo and hi hold
+    one row per vertex."""
+    R = v.shape[0]
+    fixed = np.zeros(R, dtype=bool)
+    best_t = np.full(R, math.inf)
+    best_axis = np.full(R, -1)
+    best_bound = np.zeros(R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in spanned:
+            fixed |= (v[:, a] == lo[:, a]) | (v[:, a] == hi[:, a])
+            d = v[:, a] - xi[:, a]
+            up = d > 0.0
+            t = np.where(up, (hi[:, a] - xi[:, a]) / d, (lo[:, a] - xi[:, a]) / d)
+            better = (up | (d < 0.0)) & (t < best_t)
+            best_t[better] = t[better]
+            best_axis[better] = a
+            best_bound[better] = np.where(up, hi[:, a], lo[:, a])[better]
+        moving = np.flatnonzero(~fixed)
+        if np.any(best_axis[moving] < 0):
+            raise ValueError("projection center coincides with a content vertex")
+        x = xi[moving]
+        p = x + best_t[moving, None] * (v[moving] - x)
+    p[np.arange(moving.size), best_axis[moving]] = best_bound[moving]
+    lo, hi = lo[moving], hi[moving]
+    for a in spanned:
+        m = np.where(lo[:, a] > p[:, a], lo[:, a], p[:, a])
+        p[:, a] = np.where(hi[:, a] < m, hi[:, a], m)
+    out = v.copy()
+    out[moving] = p
+    return out
+
+
+@pytest.mark.parametrize("d,n,spanned", CASES)
+def test_per_center_map_matches_the_per_row_map(d, n, spanned):
+    """Vertices inside the face, on a bound, on a cone plane and beyond the
+    face, with several centers and faces per call."""
+    rng = np.random.default_rng(40 + n + len(spanned))
+    M = 5
+    faces = [face_setup(n, spanned, rng) for _ in range(M)]
+    lo = np.array([f[0] for f in faces])
+    hi = np.array([f[1] for f in faces])
+    xi = np.concatenate([centers_in_face(lo[m], hi[m], spanned, 0.25, rng, 1) for m in range(M)])
+    center_of = rng.integers(0, M, 400)
+    v = rng.uniform(lo[center_of] - 0.05, hi[center_of] + 0.05)
+    off = [a for a in range(n) if a not in spanned]
+    v[:, off] = lo[center_of][:, off]
+    on = rng.random((400, n)) < 0.15
+    v = np.where(on, np.where(rng.random((400, n)) < 0.5, lo[center_of], hi[center_of]), v)
+    ray = rng.random(400) < 0.2
+    v[ray] = xi[center_of[ray]] + 0.5 * (hi[center_of[ray]] - xi[center_of[ray]])
+    assert on[:, spanned].any()
+    got = proj._map_to_boundary(v, center_of, xi, lo, hi, spanned)
+    want = oracle_row_map(v, xi[center_of], lo[center_of], hi[center_of], spanned)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_per_center_map_refuses_a_coinciding_center_like_the_per_row_map():
+    lo, hi = np.zeros((2, 3)), np.full((2, 3), 0.25)
+    xi = np.array([[0.125, 0.125, 0.125], [0.1, 0.12, 0.14]])
+    v = np.array([[0.2, 0.1, 0.05], [0.1, 0.12, 0.14], [0.25, 0.1, 0.1]])
+    center_of = np.array([0, 1, 1])
+    with pytest.raises(ValueError, match="coincides"):
+        oracle_row_map(v, xi[center_of], lo[center_of], hi[center_of], [0, 1, 2])
+    with pytest.raises(ValueError, match="coincides"):
+        proj._map_to_boundary(v, center_of, xi, lo, hi, [0, 1, 2])
+    # the same vertex on a bound stays put, whatever its center
+    v[1] = [0.1, 0.12, 0.0]
+    xi[1] = v[1]
+    got = proj._map_to_boundary(v, center_of, xi, lo, hi, [0, 1, 2])
+    assert got.tobytes() == oracle_row_map(v, xi[center_of], lo[center_of], hi[center_of],
+                                           [0, 1, 2]).tobytes()
+
+
+@pytest.mark.parametrize("n,spanned", [(2, [0, 1]), (3, [0, 2]), (3, [0, 1, 2]), (4, [1, 2, 3])])
+def test_stacked_cone_planes_match_the_per_plane_oracle(n, spanned):
+    rng = np.random.default_rng(n + len(spanned))
+    faces = [face_setup(n, spanned, rng) for _ in range(6)]
+    lo = np.array([f[0] for f in faces])
+    hi = np.array([f[1] for f in faces])
+    xi = np.concatenate([centers_in_face(lo[m], hi[m], spanned, 0.25, rng, 1) for m in range(6)])
+    normals, offsets = proj._cone_planes(xi, lo, hi, spanned)
+    for m in range(6):
+        planes = oracle_cone_planes(xi[m], lo[m], hi[m], spanned)
+        assert normals[m].tobytes() == np.array([p for p, _ in planes]).reshape(-1, n).tobytes()
+        assert offsets[m].tolist() == [o for _, o in planes]
